@@ -77,6 +77,12 @@ def _write_metadata(out_path, config):
                          [json.dumps(meta, indent=2, sort_keys=True)])
 
 
+def _level_map(levels):
+    """Nonzero entries of a level-count vector as a ``{level: count}`` map
+    in level order, the JSON form of a measure snapshot."""
+    return {str(k): count for k, count in enumerate(levels) if count}
+
+
 def _int_list(text):
     try:
         values = [int(x) for x in text.split(",") if x]
@@ -191,15 +197,13 @@ def cmd_simulate(args):
     state = initialize_state(degrees, args.i0, selection=args.selection, rng=rng)
     traj = simulate(state, params, rng=rng)
     out = _atomic_write(args.out, traj.to_csv_lines())
-    _write_metadata(out, {**config, "terminal": traj.terminal})
+    _write_metadata(out, {**config, "terminal": traj.terminal,
+                          "n_infections": traj.n_infections,
+                          "n_removals": traj.n_removals})
     if args.snapshots:
         lines = (
-            json.dumps({
-                "t": t,
-                "mu_S": json.loads(snap["mu_S"].to_json()),
-                "mu_IS": json.loads(snap["mu_IS"].to_json()),
-                "mu_RS": json.loads(snap["mu_RS"].to_json()),
-            })
+            json.dumps({"t": t, **{name: _level_map(snap[name])
+                                   for name in ("mu_S", "mu_IS", "mu_RS")}})
             for t, snap in traj.snapshots
         )
         _atomic_write(args.snapshots, lines)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that raises one."""
+
+import math
 
 
 class ConfigurationError(ValueError):
@@ -10,8 +13,16 @@ class InfeasibleDrawError(ValueError):
 
 
 class StateCorruptionError(RuntimeError):
-    """An event update would drive a multiplicity or roster entry negative."""
+    """An event update would drive a level count negative, or cached totals drifted."""
 
 
 class SolverDiagnosticError(RuntimeError):
     """A deterministic solver violated an invariant beyond its tolerance."""
+
+
+def check_finite(**values):
+    """Raise :class:`ConfigurationError` naming the first value that is NaN
+    or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")

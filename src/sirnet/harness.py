@@ -11,6 +11,7 @@ limit; beyond it the limit approximation carries no guarantee.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -168,16 +169,32 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
                           t_max, grid, eps_prime=0.01, selection="uniform",
                           workers=None, solver_dt=None):
-    """End-to-end study: limit solve, replica batch, report with manifest."""
+    """End-to-end study: limit solve, replica batch, report with manifest.
+
+    Refuses, before simulating anything, a comparison window
+    ``[0, min(t_max, tau_bar)]`` that holds fewer than two grid points.
+    """
+    params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
     init = limit_initial(spec, i0)
     tau_bar = horizon_bound(init, r, beta, eps_prime)
-    t_end = min(t_max, tau_bar) if tau_bar > 0 else t_max
+    if tau_bar <= 0:
+        raise ConfigurationError(
+            f"eps_prime={eps_prime:.6g} is not below the initial infectious edge "
+            f"density N_IS0={init.N_IS0:.6g}, so the comparison window is empty"
+        )
+    t_end = min(t_max, tau_bar)
+    compared = math.floor(t_end / grid + 1e-9) + 1
+    if compared < 2:
+        raise ConfigurationError(
+            f"grid={grid:.6g} leaves {compared} grid point in the comparison window "
+            f"[0, min(t_max, tau_bar={tau_bar:.6g})] = [0, {t_end:.6g}]; "
+            "at least 2 are needed"
+        )
     # the solver grid must contain every simulation grid point
     dt = solver_dt if solver_dt is not None else grid / max(int(np.ceil(grid / 1e-3)), 1)
     sub = max(int(round(grid / dt)), 1)
     dt = grid / sub
     sol = solve_volz(init, r, beta, SolverConfig(t_max=t_max, dt=dt, eps_IS=0.0))
-    params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
     trajectories = run_replicas(
         spec, params, n_values, reps, base_seed, i0,
         selection=selection, eps_prime=eps_prime, workers=workers,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import comb
 
-from sirnet.errors import ConfigurationError, SolverDiagnosticError
+from sirnet.errors import ConfigurationError, SolverDiagnosticError, check_finite
 from sirnet.measures import RealMeasure
 
 DENOM_FLOOR = 1e-12
@@ -80,6 +80,7 @@ class SolverConfig:
     eps_IS: float = 1e-6  # stop once per-capita N_IS falls below this
 
     def __post_init__(self):
+        check_finite(t_max=self.t_max, dt=self.dt)
         if not self.t_max > 0 or not self.dt > 0:
             raise ConfigurationError("t_max and dt must be positive")
         if self.eps_IS < 0:
@@ -235,6 +236,7 @@ def solve_volz(init, r, beta, config):
     ``mu_S0``.  Probability conservation ``pI + pS + pR = 1`` is checked at
     every step within an O(dt^4) tolerance.
     """
+    check_finite(r=r, beta=beta)
     if r < 0 or beta < 0:
         raise ConfigurationError("rates must be nonnegative")
     gf = gf_from_measure(init.mu_S0)
@@ -477,6 +479,7 @@ def solve_measures(init, r, beta, config, K=None):
     the run aborts if the clamped mass exceeds a fixed budget relative to
     the initial population mass.
     """
+    check_finite(r=r, beta=beta)
     if r < 0 or beta < 0:
         raise ConfigurationError("rates must be nonnegative")
     kmax = init.mu_S0.kmax
@@ -549,6 +552,7 @@ def miller_theta(psi, r, beta, config, pS0=1.0):
     susceptible edge fraction, so for a finite initial infected share pass
     ``pS0 = 1 - pI0``.  Returns (t, theta, S, I, R) with ``S = psi(theta)``,
     ``dR/dt = beta I`` and ``I = 1 - S - R``."""
+    check_finite(r=r, beta=beta)
     if isinstance(psi, RealMeasure):
         psi = GeneratingFn(psi)
     dpsi1 = psi(1.0, order=1)

@@ -1,17 +1,29 @@
 """Event-driven SIR simulation on a configuration-model graph.
 
-The graph itself is never built.  The Markov state is the degree measure of
-the susceptibles plus, for every infectious and removed individual, the
-number of her half-edges that still point into the susceptible class
-("edges-to-S").  Events:
+The graph itself is never built.  The Markov state is three level-count
+measures over ``0..kmax``:
 
-* removal: a uniformly chosen infectious individual recovers; her
-  edges-to-S become removed-to-S edges;
+* ``mu_S[k]``: susceptibles of degree ``k``;
+* ``mu_IS[i]``: infectious individuals with ``i`` half-edges still pointing
+  into the susceptible class ("edges-to-S"), level 0 included so that the
+  mass of ``mu_IS`` is ``I``;
+* ``mu_RS[i]``: removed individuals with ``i`` edges-to-S.
+
+Individuals at one level are exchangeable, so these vectors and the running
+totals ``S, I, R, N_S, N_IS, N_RS`` are the whole state: O(kmax) in size,
+whatever the population.  Events:
+
+* removal: a uniformly chosen infectious individual recovers; she moves
+  from ``mu_IS[i]`` to ``mu_RS[i]``, level ``i`` picked with weight
+  ``mu_IS(i)``;
 * infection: an infectious-to-susceptible half-edge fires; the susceptible
-  alter is chosen size-biased by degree, her remaining ``k-1`` half-edges
-  are matched without replacement against the global half-edge pools
-  (multivariate hypergeometric), and the touched infectious/removed
-  individuals each lose the matched edges-to-S.
+  alter's degree ``k`` is picked with weight ``k mu_S(k)``, and her
+  remaining ``k-1`` half-edges are matched without replacement against the
+  global half-edge pools (multivariate hypergeometric ``(j, l)``).  The
+  ``j+1`` infectious and ``l`` removed half-edges consumed are uniform
+  without replacement: sequential picks, each weighted ``i mu(i)`` and
+  moving one individual from level ``i`` to ``i-1``.  The new infective
+  enters ``mu_IS`` at level ``k-1-j-l``.
 
 Waiting times are exponential with total rate ``r*N_IS + beta*I`` (direct
 Gillespie selection between the two event classes).
@@ -24,108 +36,109 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
+from sirnet.errors import (
+    ConfigurationError,
+    InfeasibleDrawError,
+    StateCorruptionError,
+    check_finite,
+)
 from sirnet.measures import CountMeasure
 
 INFINITE_TIME = math.inf
 
+BLOCK = 1024  # values drawn from the generator per numpy call
+_WORD = 1 << 63  # integer draws reduce uniform 63-bit words
+
 
 # ---------------------------------------------------------------------------
-# Half-edge rosters
+# Random numbers and the level samplers
 # ---------------------------------------------------------------------------
 
 
-class Roster:
-    """Per-individual edges-to-S counts with O(log n) uniform half-edge draws.
+class BlockDraws:
+    """The event loop's random numbers, drawn from ``rng`` in blocks.
 
-    A Fenwick tree over slot counts supports: append a new individual,
-    add/subtract edges of one individual, and locate the owner of the
-    m-th half-edge.  Slots are never reused; a removed-from-class
-    individual simply holds count zero here.
+    One numpy call fills a block of ``BLOCK`` values, which costs far less
+    per value than a scalar call.  :meth:`below` reduces 63-bit words by
+    rejection, so every integer draw is exactly uniform.  ``rng`` stays
+    available for the scalar draws of :func:`sample_jl`.
     """
 
-    __slots__ = ("_tree", "_counts", "_size", "_cap", "total")
+    __slots__ = ("rng", "_exponentials", "_uniforms", "_words")
 
-    def __init__(self, capacity):
-        self._cap = max(int(capacity), 1)
-        self._tree = [0] * (self._cap + 1)
-        self._counts = [0] * self._cap
-        self._size = 0
-        self.total = 0
+    def __init__(self, rng):
+        self.rng = rng
+        self._exponentials = []
+        self._uniforms = []
+        self._words = []
 
-    def __len__(self):
-        return self._size
+    def exponential(self):
+        """A standard exponential variate."""
+        if not self._exponentials:
+            self._exponentials = self.rng.standard_exponential(BLOCK).tolist()
+        return self._exponentials.pop()
 
-    def count(self, slot):
-        return self._counts[slot]
+    def uniform(self):
+        """A uniform variate on ``[0, 1)``."""
+        if not self._uniforms:
+            self._uniforms = self.rng.random(BLOCK).tolist()
+        return self._uniforms.pop()
 
-    def counts(self):
-        return self._counts[: self._size]
+    def below(self, n):
+        """A uniform integer on ``0..n-1``."""
+        if n < 1:
+            raise InfeasibleDrawError(f"cannot draw from {n} outcomes")
+        limit = _WORD - _WORD % n
+        words = self._words
+        while True:
+            if not words:
+                words.extend(self.rng.integers(_WORD, size=BLOCK).tolist())
+            x = words.pop()
+            if x < limit:
+                return x % n
 
-    def _grow(self):
-        old = self._counts[: self._size]
-        self._cap *= 2
-        self._tree = [0] * (self._cap + 1)
-        self._counts = [0] * self._cap
-        self._size = 0
-        self.total = 0
-        for c in old:
-            self.append(c)
 
-    def append(self, count):
-        if count < 0:
-            raise StateCorruptionError("negative roster count")
-        if self._size == self._cap:
-            self._grow()
-        slot = self._size
-        self._size += 1
-        if count:
-            self.add(slot, count)
-        return slot
+def pick_size_biased(mu, total, draws):
+    """Level ``k`` with probability ``k mu[k] / total``, where ``total`` is
+    ``sum_k k mu[k]``: the degree of the susceptible an infection hits, and
+    the level of the owner of a uniformly chosen half-edge."""
+    x = draws.below(total)
+    k = 0
+    for count in mu:
+        x -= k * count
+        if x < 0:
+            return k
+        k += 1
+    raise StateCorruptionError(f"level weights sum below their total {total}")
 
-    def add(self, slot, delta):
-        if not 0 <= slot < self._size:
-            raise IndexError(f"roster slot {slot} out of range")
-        if self._counts[slot] + delta < 0:
-            raise StateCorruptionError(
-                f"roster slot {slot} would drop to {self._counts[slot] + delta} edges"
-            )
-        self._counts[slot] += delta
-        self.total += delta
-        i = slot + 1
-        tree = self._tree
-        while i <= self._cap:
-            tree[i] += delta
-            i += i & (-i)
 
-    def _find(self, remainder):
-        """Smallest slot whose cumulative count exceeds ``remainder``."""
-        pos = 0
-        mask = 1 << (self._cap.bit_length() - 1)
-        tree = self._tree
-        while mask:
-            nxt = pos + mask
-            if nxt <= self._cap and tree[nxt] <= remainder:
-                remainder -= tree[nxt]
-                pos = nxt
-            mask >>= 1
-        return pos  # 0-based slot
+def pick_uniform(mu, total, draws):
+    """Level ``i`` with probability ``mu[i] / total``, where ``total`` is
+    ``sum_i mu[i]``: the level of a uniformly chosen individual."""
+    x = draws.below(total)
+    for i, count in enumerate(mu):
+        x -= count
+        if x < 0:
+            return i
+    raise StateCorruptionError(f"level counts sum below their total {total}")
 
-    def sample_half_edges(self, n_draw, rng):
-        """Uniformly choose ``n_draw`` distinct half-edges; return
-        ``{slot: multiplicity}``.  The roster is left unchanged."""
-        if n_draw > self.total:
-            raise InfeasibleDrawError(
-                f"cannot draw {n_draw} half-edges from a pool of {self.total}"
-            )
-        picked = {}
-        for _ in range(n_draw):
-            slot = self._find(int(rng.integers(self.total)))
-            picked[slot] = picked.get(slot, 0) + 1
-            self.add(slot, -1)
-        for slot, mult in picked.items():  # restore
-            self.add(slot, mult)
-        return picked
+
+def take_half_edges(mu, total, m, draws):
+    """Remove ``m`` distinct half-edges, uniform among the ``total`` held by
+    the individuals that ``mu`` counts per level; ``mu`` changes in place.
+
+    Each pick takes one remaining half-edge uniformly, so its owner's level
+    ``i`` is size-biased, and moves the owner to level ``i-1``.  Individuals
+    at one level are exchangeable, so this is the law of a uniform
+    ``m``-subset of the labelled half-edges, aggregated over levels.
+    """
+    if m > total:
+        raise InfeasibleDrawError(f"cannot draw {m} half-edges from a pool of {total}")
+    for _ in range(m):
+        i = pick_size_biased(mu, total, draws)
+        mu[i] -= 1
+        mu[i - 1] += 1
+        total -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,8 @@ class SimParams:
     snapshot_measures: bool = False
 
     def __post_init__(self):
+        check_finite(r=self.r, beta=self.beta, t_max=self.t_max,
+                     record_grid=self.record_grid)
         if self.r < 0 or self.beta < 0:
             raise ConfigurationError("rates must be nonnegative")
         if not self.t_max > 0:
@@ -180,64 +195,39 @@ class Trajectory:
 
 
 class PopulationState:
-    """Full stochastic state: susceptible degree measure plus the two
-    edges-to-S rosters, with cached class sizes and edge totals."""
+    """Full stochastic state: the level-count vectors ``mu_S``, ``mu_IS``
+    and ``mu_RS`` over ``0..kmax`` (lists of ints) with running class sizes
+    and edge totals.
 
-    __slots__ = ("mu_S", "roster_I", "roster_R", "alive", "t", "mu_S0", "debug")
+    Built from a :class:`CountMeasure` of susceptible degrees and the
+    edges-to-S count of each initial infective.
+    """
 
-    def __init__(self, mu_S, infectious_counts, capacity=None):
-        self.mu_S = mu_S
-        cap = capacity or max(mu_S.mass + len(infectious_counts), 1)
-        self.roster_I = Roster(cap)
-        self.roster_R = Roster(cap)
-        self.alive = []  # roster_I slots of currently infectious individuals
-        for c in infectious_counts:
-            self.alive.append(self.roster_I.append(int(c)))
+    __slots__ = ("mu_S", "mu_IS", "mu_RS", "mu_S0",
+                 "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
+
+    def __init__(self, mu_S, infectious_counts):
+        infectious = np.asarray(infectious_counts, dtype=np.int64)
+        if infectious.min(initial=0) < 0:
+            raise StateCorruptionError("negative edges-to-S count")
+        kmax = max(mu_S.max_level(), int(infectious.max(initial=0)))
+        self.mu_S = [0] * (kmax + 1)
+        for k, count in mu_S.counts.items():
+            self.mu_S[k] = count
+        self.mu_IS = np.bincount(infectious, minlength=kmax + 1).tolist()
+        self.mu_RS = [0] * (kmax + 1)
+        self.mu_S0 = self.mu_S.copy()
+        self.S, self.N_S = mu_S.mass, mu_S.first_moment
+        self.I, self.N_IS = len(infectious), int(infectious.sum())
+        self.R = self.N_RS = 0
         self.t = 0.0
-        self.mu_S0 = mu_S.copy()
-        self.debug = False
-
-    # cached summaries -------------------------------------------------------
-
-    @property
-    def S(self):
-        return self.mu_S.mass
-
-    @property
-    def I(self):
-        return len(self.alive)
-
-    @property
-    def R(self):
-        return len(self.roster_R)
-
-    @property
-    def N_S(self):
-        return self.mu_S.first_moment
-
-    @property
-    def N_IS(self):
-        return self.roster_I.total
-
-    @property
-    def N_RS(self):
-        return self.roster_R.total
 
     def row(self):
         return (self.S, self.I, self.R, self.N_S, self.N_IS, self.N_RS)
 
-    def infectious_counts(self):
-        return [self.roster_I.count(s) for s in self.alive]
-
-    def removed_counts(self):
-        return self.roster_R.counts()
-
     def measure_snapshot(self):
-        mu_IS = CountMeasure()
-        mu_IS.apply_edits([(c, 1) for c in self.infectious_counts()])
-        mu_RS = CountMeasure()
-        mu_RS.apply_edits([(c, 1) for c in self.removed_counts()])
-        return {"mu_S": self.mu_S.copy(), "mu_IS": mu_IS, "mu_RS": mu_RS}
+        return {"mu_S": self.mu_S.copy(), "mu_IS": self.mu_IS.copy(),
+                "mu_RS": self.mu_RS.copy()}
 
     def feasible(self):
         """Whether another infection event is well defined: the matching
@@ -248,21 +238,28 @@ class PopulationState:
         return self.N_IS + self.N_RS <= self.N_S
 
     def check_invariants(self):
-        self.mu_S.validate()
-        if not self.mu_S.dominated_by(self.mu_S0):
+        """Re-derive the totals from the level vectors; raise on a negative
+        level, a drifted total, or ``mu_S`` gaining an atom over ``mu_S0``."""
+        vectors = {"mu_S": self.mu_S, "mu_IS": self.mu_IS, "mu_RS": self.mu_RS}
+        for name, mu in vectors.items():
+            if min(mu) < 0:
+                raise StateCorruptionError(f"{name} has a negative level")
+        masses = tuple(sum(mu) for mu in vectors.values())
+        edges = tuple(sum(k * c for k, c in enumerate(mu)) for mu in vectors.values())
+        if masses + edges != self.row():
+            raise StateCorruptionError(
+                f"running totals {self.row()} drifted from {masses + edges}"
+            )
+        if any(c > c0 for c, c0 in zip(self.mu_S, self.mu_S0)):
             raise StateCorruptionError("mu_S gained an atom over mu_S0")
-        if any(c < 0 for c in self.infectious_counts()):
-            raise StateCorruptionError("negative infectious roster entry")
 
 
-def initialize_state(degrees, i0, selection="uniform", rng=None, pair_initial=False):
+def initialize_state(degrees, i0, selection="uniform", rng=None):
     """Split a degree sequence into initial susceptibles and infectives.
 
     ``selection`` is ``uniform`` or ``size_biased`` (probability of being an
     initial infective proportional to degree).  Initial infectives get
-    ``d_x(S) = d_x`` unless ``pair_initial`` is set, in which case their
-    half-edges are paired uniformly against the whole half-edge pool and
-    matches landing on another initial infective are discounted.
+    ``d_x(S) = d_x``.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = len(degrees)
@@ -288,55 +285,13 @@ def initialize_state(degrees, i0, selection="uniform", rng=None, pair_initial=Fa
 
     mask = np.zeros(n, dtype=bool)
     mask[infected] = True
-    sus_degrees = degrees[~mask]
-    inf_degrees = degrees[mask]
-
-    inf_counts = inf_degrees.astype(np.int64).copy()
-    if pair_initial:
-        inf_counts = _discount_initial_pairs(inf_counts, int(degrees.sum()), rng)
-
-    mu_S = CountMeasure()
-    mu_S.apply_edits([(int(k), 1) for k in sus_degrees])
-    return PopulationState(mu_S, inf_counts.tolist(), capacity=n + 1)
-
-
-def _discount_initial_pairs(inf_counts, total_stubs, rng):
-    """Uniformly pair initial-infective half-edges against the global stub
-    pool; a stub matched to another initial-infective stub is not an
-    edge-to-S, so both endpoints are discounted."""
-    counts = inf_counts.copy()
-    stubs = np.repeat(np.arange(len(counts)), counts)
-    rng.shuffle(stubs)
-    open_inf = len(stubs)  # unmatched infective stubs
-    open_all = total_stubs
-    matched = np.zeros(len(stubs), dtype=bool)
-    for idx in range(len(stubs)):
-        if matched[idx]:
-            continue
-        # this stub pairs with one of the (open_all - 1) other open stubs
-        if open_inf > 1 and rng.random() < (open_inf - 1) / (open_all - 1):
-            others = np.flatnonzero(~matched)
-            others = others[others != idx]
-            jdx = int(rng.choice(others))
-            matched[idx] = matched[jdx] = True
-            counts[stubs[idx]] -= 1
-            counts[stubs[jdx]] -= 1
-            open_inf -= 2
-            open_all -= 2
-        else:
-            matched[idx] = True
-            open_inf -= 1
-            open_all -= 2  # its susceptible partner is also spoken for
-    return counts
+    mu_S = CountMeasure(dict(enumerate(np.bincount(degrees[~mask]).tolist())))
+    return PopulationState(mu_S, degrees[mask])
 
 
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
-
-
-def total_event_rate(state, r, beta):
-    return r * state.N_IS + beta * state.I
 
 
 def sample_jl(k, n_S, n_IS, n_RS, rng):
@@ -389,90 +344,53 @@ def sample_jl_batch(k, n_S, n_IS, n_RS, rng, size):
     return j, l
 
 
-def allocate(n_draw, roster_counts, rng):
-    """Distribute ``n_draw`` uniformly chosen distinct half-edges over the
-    individuals of a roster; returns per-individual multiplicities.
-
-    Sequential hypergeometric chain: u_1 ~ Hyp(c_1, C - c_1, n), then
-    condition, which is equivalent in law to a uniform n-subset of the C
-    half-edges.
-    """
-    counts = [int(c) for c in roster_counts]
-    total = sum(counts)
-    if n_draw > total:
-        raise InfeasibleDrawError(f"cannot draw {n_draw} from {total} half-edges")
-    u = [0] * len(counts)
-    remaining_pool = total
-    remaining_draw = int(n_draw)
-    for i, c in enumerate(counts):
-        if remaining_draw == 0:
-            break
-        remaining_pool -= c
-        if remaining_pool == 0:
-            u[i] = remaining_draw
-            remaining_draw = 0
-            break
-        u[i] = int(rng.hypergeometric(c, remaining_pool, remaining_draw)) if c else 0
-        remaining_draw -= u[i]
-    return u
-
-
-def allocate_batch(n_draw, roster_counts, rng, size):
-    """Vectorized version of :func:`allocate` (same chain), for testing."""
-    counts = [int(c) for c in roster_counts]
-    total = sum(counts)
-    if n_draw > total:
-        raise InfeasibleDrawError(f"cannot draw {n_draw} from {total} half-edges")
-    u = np.zeros((size, len(counts)), dtype=np.int64)
-    remaining_pool = total
-    remaining_draw = np.full(size, int(n_draw), dtype=np.int64)
-    for i, c in enumerate(counts):
-        remaining_pool -= c
-        if remaining_pool == 0:
-            u[:, i] = remaining_draw
-            break
-        if c:
-            active = remaining_draw > 0
-            if active.any():
-                u[active, i] = rng.hypergeometric(c, remaining_pool, remaining_draw[active])
-            remaining_draw = remaining_draw - u[:, i]
-    return u
-
-
-def apply_infection(state, k, j, l, u, v):
+def apply_infection(state, k, j, l, draws):
     """Apply one infection event.
 
-    ``u`` maps infectious roster slots to matched edge multiplicities and
-    must total ``j + 1`` (the contaminating edge included); ``v`` likewise
-    over removed slots, totalling ``l``.  Net effects:
-    ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.
+    A degree-``k`` susceptible is infected; ``j`` of her other half-edges
+    match infectious and ``l`` removed half-edges.  Takes ``j + 1`` uniform
+    half-edges (the contaminating edge included) from ``mu_IS`` and ``l``
+    from ``mu_RS``, then enters her in ``mu_IS`` at level ``k-1-j-l``.  Net
+    effects: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.
     """
-    if state.mu_S(k) < 1:
+    mu_S = state.mu_S
+    if not 0 < k < len(mu_S) or mu_S[k] < 1:
         raise StateCorruptionError(f"no susceptible of degree {k} left")
-    if sum(u.values()) != j + 1 or sum(v.values()) != l:
-        raise StateCorruptionError("allocation totals do not match (j+1, l)")
-    state.mu_S.apply_edits([(k, -1)])
-    for slot, mult in u.items():
-        state.roster_I.add(slot, -mult)
-    for slot, mult in v.items():
-        state.roster_R.add(slot, -mult)
-    new_slot = state.roster_I.append(k - 1 - j - l)
-    state.alive.append(new_slot)
+    level = k - 1 - j - l
+    if j < 0 or l < 0 or level < 0:
+        raise StateCorruptionError(f"cannot match j={j}, l={l} on a degree-{k} infective")
+    if j + 1 > state.N_IS or l > state.N_RS:
+        raise InfeasibleDrawError(
+            f"cannot take {j + 1} infectious and {l} removed half-edges from "
+            f"pools of {state.N_IS} and {state.N_RS}"
+        )
+    take_half_edges(state.mu_IS, state.N_IS, j + 1, draws)
+    if l:
+        take_half_edges(state.mu_RS, state.N_RS, l, draws)
+    mu_S[k] -= 1
+    state.mu_IS[level] += 1
+    state.S -= 1
+    state.N_S -= k
+    state.I += 1
+    state.N_IS += level - j - 1
+    state.N_RS -= l
     return state
 
 
-def apply_removal(state, alive_index):
-    """Move the infectious individual at position ``alive_index`` of the
-    alive list into the removed class, carrying her edges-to-S count."""
-    if not 0 <= alive_index < state.I:
-        raise IndexError(f"infectious index {alive_index} out of range")
-    slot = state.alive[alive_index]
-    c = state.roster_I.count(slot)
-    state.roster_I.add(slot, -c)
-    # swap-remove keeps the uniform pick O(1)
-    state.alive[alive_index] = state.alive[-1]
-    state.alive.pop()
-    state.roster_R.append(c)
+def apply_removal(state, level):
+    """Move one infectious individual with ``level`` edges-to-S into the
+    removed class, carrying her edges-to-S."""
+    mu_IS = state.mu_IS
+    if not 0 <= level < len(mu_IS):
+        raise IndexError(f"level {level} outside 0..{len(mu_IS) - 1}")
+    if mu_IS[level] < 1:
+        raise StateCorruptionError(f"no infectious individual at level {level}")
+    mu_IS[level] -= 1
+    state.mu_RS[level] += 1
+    state.I -= 1
+    state.R += 1
+    state.N_IS -= level
+    state.N_RS += level
     return state
 
 
@@ -481,15 +399,13 @@ def apply_removal(state, alive_index):
 # ---------------------------------------------------------------------------
 
 
-def _infection_event(state, rng):
-    k = state.mu_S.sample_size_biased(rng)
-    j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, rng)
-    u = state.roster_I.sample_half_edges(j + 1, rng)
-    v = state.roster_R.sample_half_edges(l, rng) if l else {}
-    if state.debug:
+def _infection_event(state, draws, debug):
+    k = pick_size_biased(state.mu_S, state.N_S, draws)
+    j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws.rng)
+    if debug:
         before = (state.N_IS, state.N_RS, state.S + state.I + state.R)
-    apply_infection(state, k, j, l, u, v)
-    if state.debug:
+    apply_infection(state, k, j, l, draws)
+    if debug:
         if state.N_IS - before[0] != k - 2 - 2 * j - l:
             raise StateCorruptionError("dN_IS mismatch on infection")
         if state.N_RS - before[1] != -l:
@@ -499,14 +415,13 @@ def _infection_event(state, rng):
         state.check_invariants()
 
 
-def _removal_event(state, rng):
-    idx = int(rng.integers(state.I))
-    if state.debug:
-        c = state.roster_I.count(state.alive[idx])
+def _removal_event(state, draws, debug):
+    level = pick_uniform(state.mu_IS, state.I, draws)
+    if debug:
         before = (state.N_IS, state.N_RS, state.S + state.I + state.R)
-    apply_removal(state, idx)
-    if state.debug:
-        if state.N_IS - before[0] != -c or state.N_RS - before[1] != c:
+    apply_removal(state, level)
+    if debug:
+        if state.N_IS - before[0] != -level or state.N_RS - before[1] != level:
             raise StateCorruptionError("edge-count mismatch on removal")
         if state.S + state.I + state.R != before[2]:
             raise StateCorruptionError("population not conserved on removal")
@@ -521,10 +436,11 @@ def simulate(state, params, rng=None, debug=False):
     grid rows repeat it.  If an infection exhausts the susceptible half-edge
     pools (see :meth:`PopulationState.feasible`) recording stops there with
     terminal reason ``depleted``.  Identical seed and parameters reproduce
-    the trajectory bit for bit.
+    the trajectory bit for bit.  ``debug`` re-derives every per-event delta
+    and the state's invariants, raising on any violation.
     """
     rng = rng if rng is not None else np.random.default_rng(params.seed)
-    state.debug = debug
+    draws = BlockDraws(rng)
     r, beta = params.r, params.beta
     grid = params.record_grid
     n_grid = int(math.floor(params.t_max / grid + 1e-9))
@@ -553,18 +469,17 @@ def simulate(state, params, rng=None, debug=False):
             terminal = "extinct"
             emit_until(params.t_max)
             break
-        dt = rng.exponential(1.0 / rate)
-        t_new = state.t + dt
+        t_new = state.t + draws.exponential() / rate
         emit_until(min(t_new, params.t_max))
         if t_new > params.t_max:
             state.t = params.t_max
             break
         state.t = t_new
-        if rng.random() * rate < beta * state.I:
-            _removal_event(state, rng)
+        if draws.uniform() * rate < beta * state.I:
+            _removal_event(state, draws, debug)
             n_rem += 1
         else:
-            _infection_event(state, rng)
+            _infection_event(state, draws, debug)
             n_inf += 1
             if not state.feasible():
                 # half-edge pools exhausted: further infections undefined

@@ -1,7 +1,9 @@
 """Independent combinatorial oracles shared by sampler tests.
 
-Everything here is computed from first principles (binomial coefficients,
-scipy hypergeometric pmfs) without touching the package's samplers."""
+The pmfs here are computed from first principles (binomial coefficients,
+scipy hypergeometric pmfs) without touching the package's samplers.
+:func:`replay_law` computes the exact law of a sampler it is handed by
+running it on every possible sequence of integer draws."""
 
 import itertools
 import math
@@ -65,30 +67,90 @@ def allocation_oracle_pmf(counts, n):
     return pmf
 
 
-def allocation_chain_pmf(counts, n):
-    """Analytic law of the sequential per-individual hypergeometric chain."""
-    pmf = {}
+def level_counts(counts):
+    """A roster of per-individual edge counts as a level measure: the
+    tuple ``mu`` over levels ``0..max(counts)`` with ``mu[i]`` individuals
+    holding ``i`` edges."""
+    mu = [0] * (max(counts, default=0) + 1)
+    for c in counts:
+        mu[c] += 1
+    return tuple(mu)
 
-    def rec(idx, prefix, prob, rem_draw):
-        if prob <= 0:
-            return
-        if idx == len(counts):
-            if rem_draw == 0:
-                pmf[tuple(prefix)] = pmf.get(tuple(prefix), 0.0) + prob
-            return
-        c = counts[idx]
-        rem_pool = sum(counts[idx + 1:])
-        for u in range(min(c, rem_draw) + 1):
-            if rem_draw - u > rem_pool:
-                continue
-            if c + rem_pool == 0:
-                p = 1.0 if u == 0 else 0.0
-            else:
-                p = stats.hypergeom.pmf(u, c + rem_pool, c, rem_draw)
-            rec(idx + 1, prefix + [u], prob * p, rem_draw - u)
 
-    rec(0, [], 1.0, n)
-    return pmf
+def aggregate_to_levels(counts, pmf):
+    """Push a pmf over per-individual multiplicities ``u`` forward to the
+    level measure left behind, ``level_counts(c - u)``; individuals at one
+    level are exchangeable, so this is all the simulation state keeps."""
+    size = max(counts, default=0) + 1
+    out = {}
+    for u, p in pmf.items():
+        mu = [0] * size
+        for c, ui in zip(counts, u):
+            mu[c - ui] += 1
+        key = tuple(mu)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def level_pick_chain_pmf(mu, n):
+    """Analytic law of the level-pick chain: ``n`` sequential picks, each of
+    level ``i`` with probability ``i mu(i) / sum_k k mu(k)``, each moving
+    one individual from level ``i`` to ``i - 1``."""
+    law = {tuple(mu): 1.0}
+    for _ in range(n):
+        nxt = {}
+        for state, p in law.items():
+            total = sum(i * m for i, m in enumerate(state))
+            for i, m in enumerate(state):
+                if i and m:
+                    moved = list(state)
+                    moved[i] -= 1
+                    moved[i - 1] += 1
+                    key = tuple(moved)
+                    nxt[key] = nxt.get(key, 0.0) + p * i * m / total
+        law = nxt
+    return law
+
+
+class _Branch(Exception):
+    def __init__(self, n):
+        super().__init__(n)
+        self.n = n
+
+
+class ScriptedDraws:
+    """Stands in for the simulator's draw source: returns a fixed prefix of
+    integer draws, then stops the caller to ask for the next one."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.pos = 0
+
+    def below(self, n):
+        if self.pos == len(self.prefix):
+            raise _Branch(n)
+        x = self.prefix[self.pos]
+        self.pos += 1
+        assert 0 <= x < n
+        return x
+
+
+def replay_law(run):
+    """Exact law of ``run(draws)``'s return value when every integer draw
+    ``draws.below(n)`` is uniform on ``0..n-1``: ``run`` is replayed on
+    every sequence of draws it can ask for.  The work grows like the number
+    of such sequences, so keep the inputs small."""
+    law = {}
+    stack = [((), 1.0)]
+    while stack:
+        prefix, p = stack.pop()
+        try:
+            outcome = run(ScriptedDraws(prefix))
+        except _Branch as branch:
+            stack.extend((prefix + (x,), p / branch.n) for x in range(branch.n))
+            continue
+        law[outcome] = law.get(outcome, 0.0) + p
+    return law
 
 
 def influx_uncollapsed(mu_S_weights, pS, pI, pR, K):

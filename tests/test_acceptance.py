@@ -13,12 +13,15 @@ import pytest
 from scipy import stats
 
 from oracles import (
-    allocation_chain_pmf,
+    aggregate_to_levels,
     allocation_oracle_pmf,
     influx_uncollapsed,
     jl_chain_pmf,
     jl_oracle_pmf,
     jl_pool_configurations,
+    level_counts,
+    level_pick_chain_pmf,
+    replay_law,
     small_rosters,
 )
 from sirnet.cli import main as cli_main
@@ -35,7 +38,14 @@ from sirnet.limit import (
     solve_volz,
 )
 from sirnet.measures import CountMeasure
-from sirnet.simulation import PopulationState, SimParams, initialize_state, simulate
+from sirnet.simulation import (
+    BlockDraws,
+    PopulationState,
+    SimParams,
+    initialize_state,
+    simulate,
+    take_half_edges,
+)
 
 
 def report(num, ok, detail):
@@ -66,6 +76,13 @@ def pooled_chi2(observed, expected):
         return 0.0, 0
     obs, exp = np.asarray(obs), np.asarray(exp)
     return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
+
+
+def _take(mu, total, n, draws):
+    """Level measure left after ``take_half_edges`` draws ``n`` half-edges."""
+    levels = list(mu)
+    take_half_edges(levels, total, n, draws)
+    return tuple(levels)
 
 
 def test_criterion_1_sampler_exactness():
@@ -112,34 +129,50 @@ def test_criterion_1_sampler_exactness():
               f"chi2 {total_stat:.1f} < {jl_threshold:.1f} (dof {total_dof}, "
               f"{tested} configs x 1e6 draws)")
 
-    # allocation law: exact chain pmf equality for every roster with <= 4
-    # individuals (counts 1..4) at every feasible draw size ...
-    from sirnet.simulation import allocate_batch
+    # allocation law: a roster is a level measure, and the simulator keeps
+    # only the level measure, so the per-individual oracle is aggregated to
+    # level counts.  The level-pick chain's analytic law equals it to 1e-12
+    # for every roster with <= 4 individuals (counts 1..4) at every feasible
+    # draw size ...
     rosters = small_rosters(4, 4)
+    replayed = 0
     for counts in rosters:
-        for n in range(sum(counts) + 1):
-            oracle = allocation_oracle_pmf(list(counts), n)
-            chain = allocation_chain_pmf(list(counts), n)
+        mu, total = level_counts(counts), sum(counts)
+        for n in range(total + 1):
+            oracle = aggregate_to_levels(counts, allocation_oracle_pmf(list(counts), n))
+            chain = level_pick_chain_pmf(mu, n)
             assert set(oracle) == set(chain), (counts, n)
             for key, p in oracle.items():
                 assert abs(chain[key] - p) < 1e-12, (counts, n, key)
+            # ... and so does the exact law of take_half_edges, the sampler
+            # simulate runs, replayed on every sequence of integer draws
+            # wherever there are at most 5000 such sequences ...
+            if math.perm(total, n) <= 5000:
+                law = replay_law(lambda d: _take(mu, total, n, d))
+                assert set(law) == set(oracle), (counts, n)
+                for key, p in oracle.items():
+                    assert abs(law[key] - p) < 1e-12, (counts, n, key)
+                replayed += 1
 
-    # ... plus a 1e6-draw chi-square per roster at its richest draw size
+    # ... plus a chi-square per roster at its richest draw size, on draws of
+    # take_half_edges fed by the simulator's block draw source
+    draws = BlockDraws(rng)
+    alloc_draws = 20_000
     total_stat, total_dof, tested = 0.0, 0, 0
     for counts in rosters:
-        n = sum(counts) // 2
-        oracle = allocation_oracle_pmf(list(counts), n)
+        mu, total = level_counts(counts), sum(counts)
+        n = total // 2
+        oracle = aggregate_to_levels(counts, allocation_oracle_pmf(list(counts), n))
         if len(oracle) < 2:
             continue
-        u = allocate_batch(n, list(counts), rng, draws_per_config)
+        hits = {}
+        for _ in range(alloc_draws):
+            key = _take(mu, total, n, draws)
+            hits[key] = hits.get(key, 0) + 1
+        assert set(hits) <= set(oracle)  # nothing outside support
         keys = sorted(oracle)
-        # mixed-radix positional encoding of allocation tuples
-        mult = np.cumprod([1] + [c + 1 for c in counts[::-1]][:-1])[::-1]
-        code = u @ mult
-        counts_arr = np.bincount(code, minlength=int(mult[0] * (counts[0] + 1)))
-        observed = np.array([counts_arr[int(np.dot(key, mult))] for key in keys])
-        assert observed.sum() == draws_per_config
-        expected = np.array([oracle[key] for key in keys]) * draws_per_config
+        observed = np.array([hits.get(key, 0) for key in keys])
+        expected = np.array([oracle[key] for key in keys]) * alloc_draws
         stat, dof = pooled_chi2(observed, expected)
         total_stat += stat
         total_dof += dof
@@ -147,9 +180,11 @@ def test_criterion_1_sampler_exactness():
     alloc_threshold = stats.chi2.ppf(1 - 0.001, total_dof)
     alloc_ok = total_stat < alloc_threshold
     elapsed = time.time() - t0
-    detail = (f"{jl_msg}; allocation: {len(rosters)} rosters exact to 1e-12, "
-              f"aggregated chi2 {total_stat:.1f} < {alloc_threshold:.1f} "
-              f"({tested} rosters x 1e6 draws); runtime {elapsed:.1f}s < 60s")
+    detail = (f"{jl_msg}; allocation: {len(rosters)} rosters exact to 1e-12 "
+              f"(level-pick chain; take_half_edges replayed at {replayed} draw "
+              f"sizes), aggregated chi2 {total_stat:.1f} < {alloc_threshold:.1f} "
+              f"({tested} rosters x {alloc_draws} take_half_edges draws); "
+              f"runtime {elapsed:.1f}s < 60s")
     report(1, jl_ok and alloc_ok and elapsed < 60, detail)
 
 

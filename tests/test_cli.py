@@ -36,6 +36,9 @@ def test_simulate_writes_files(tmp_path, capsys):
     meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
     assert meta["seed"] == 42 and meta["rng"] == "PCG64"
     assert meta["degree"]["kind"] == "poisson"
+    first, last = lines[1].split(","), lines[-1].split(",")
+    assert meta["n_infections"] == int(first[1]) - int(last[1]) > 0  # drop in S
+    assert meta["n_removals"] == int(last[3]) - int(first[3]) > 0  # rise in R
 
 
 def test_simulate_reproducible_bytes(tmp_path, capsys):
@@ -169,3 +172,57 @@ def test_unknown_degree_exits_2(tmp_path, capsys):
                       "--t-max", "0.1", "--out", str(tmp_path / "x.csv")],
                      capsys)
     assert code == 2
+
+
+SIM = ["simulate", "--degree", "poisson:5:30", "--n", "300", "--r", "1",
+       "--beta", "0.5", "--i0", "0.02", "--t-max", "1"]
+VOLZ = ["solve", "volz", "--degree", "poisson:5:30", "--r", "1",
+        "--beta", "0.5", "--pI0", "0.05", "--t-max", "1"]
+
+
+def _with(args, option, value):
+    if option in args:
+        i = args.index(option)
+        return args[:i + 1] + [value] + args[i + 2:]
+    return args + [option, value]
+
+
+@pytest.mark.parametrize("base,option,value,field", [
+    (SIM, "--r", "nan", "r"),
+    (SIM, "--beta", "nan", "beta"),
+    (SIM, "--t-max", "inf", "t_max"),
+    (SIM, "--grid", "nan", "record_grid"),
+    (VOLZ, "--r", "nan", "r"),
+    (VOLZ, "--t-max", "inf", "t_max"),
+    (VOLZ, "--dt", "inf", "dt"),
+    (["solve", "measures"] + VOLZ[2:], "--beta", "inf", "beta"),
+    (["solve", "miller"] + VOLZ[2:], "--r", "nan", "r"),
+])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
+    out = tmp_path / "x.csv"
+    code, _, err = run(_with(base, option, value) + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert not out.exists()
+
+
+CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
+            "--r", "1", "--beta", "0.5", "--seed", "1", "--t-max", "1"]
+
+
+@pytest.mark.parametrize("extra,field", [
+    (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001"], "eps_prime"),
+    (["--i0", "0.01"], "grid"),  # default grid 0.05 against tau_bar 0.0013
+])
+def test_converge_refuses_empty_window(tmp_path, capsys, monkeypatch, extra, field):
+    import sirnet.harness
+
+    def no_replicas(*args, **kwargs):
+        raise AssertionError("simulated before refusing the window")
+
+    monkeypatch.setattr(sirnet.harness, "run_replicas", no_replicas)
+    out = tmp_path / "rep.csv"
+    code, _, err = run(CONVERGE + extra + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"{field}=" in err
+    assert not out.exists()

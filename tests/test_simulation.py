@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError, StateCorruptionError
+from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
 from sirnet.measures import CountMeasure
 from sirnet.simulation import (
+    BlockDraws,
     PopulationState,
     SimParams,
     apply_infection,
@@ -14,7 +15,6 @@ from sirnet.simulation import (
     initialize_state,
     simulate,
     stopping_time,
-    total_event_rate,
 )
 
 
@@ -28,41 +28,55 @@ def test_state_summaries():
     st = small_state()
     assert (st.S, st.I, st.R) == (3, 2, 0)
     assert (st.N_S, st.N_IS, st.N_RS) == (7, 3, 0)
-    assert total_event_rate(st, 2.0, 0.5) == pytest.approx(2.0 * 3 + 0.5 * 2)
+    assert (st.mu_S, st.mu_IS, st.mu_RS) == ([0, 0, 2, 1], [0, 1, 1, 0], [0, 0, 0, 0])
     st.check_invariants()
 
 
 def test_apply_infection_deltas():
     st = small_state()
-    # degree-3 susceptible infected; j=1 matched I-S edge (individual 0), l=0
+    # degree-3 susceptible infected; j=1 matched I-S edge, l=0: whichever
+    # 2 of the 3 I-S half-edges are taken, the infectives (2, 1) end at (1, 0)
     k, j, l = 3, 1, 0
     before = (st.S, st.I, st.R, st.N_IS, st.N_RS)
-    apply_infection(st, k, j, l, u={0: 2}, v={})
+    apply_infection(st, k, j, l, BlockDraws(np.random.default_rng(0)))
     assert st.S == before[0] - 1 and st.I == before[1] + 1 and st.R == before[2]
     assert st.N_IS - before[3] == k - 2 - 2 * j - l
     assert st.N_RS - before[4] == -l
-    # the new infective carries k-1-j-l edges-to-S
-    assert st.roster_I.count(st.alive[-1]) == k - 1 - j - l
+    # the new infective carries k-1-j-l = 1 edge-to-S
+    assert st.mu_S == [0, 0, 2, 0]
+    assert st.mu_IS == [1, 2, 0, 0]
     st.check_invariants()
 
 
 def test_apply_infection_validates_totals():
     st = small_state()
+    draws = BlockDraws(np.random.default_rng(0))
+    with pytest.raises(InfeasibleDrawError):
+        apply_infection(st, 3, 1, 1, draws)  # l = 1 > N_RS = 0
+    with pytest.raises(InfeasibleDrawError):
+        apply_infection(PopulationState(CountMeasure({8: 1}), [1, 1]), 8, 2, 0, draws)
     with pytest.raises(StateCorruptionError):
-        apply_infection(st, 3, 1, 0, u={0: 1}, v={})  # sum(u) != j+1
+        apply_infection(st, 3, 2, 1, draws)  # k-1-j-l < 0
     with pytest.raises(StateCorruptionError):
-        apply_infection(st, 5, 0, 0, u={0: 1}, v={})  # no degree-5 susceptible
+        apply_infection(st, 5, 0, 0, draws)  # no degree-5 susceptible
+    with pytest.raises(StateCorruptionError):
+        apply_infection(st, 1, 0, 0, draws)  # no degree-1 susceptible
+    assert st.row() == small_state().row()  # rejected events change nothing
+    st.check_invariants()
 
 
 def test_apply_removal_moves_edges():
     st = small_state()
-    apply_removal(st, 0)  # infective with 2 edges-to-S
+    apply_removal(st, 2)  # infective with 2 edges-to-S
     assert (st.I, st.R) == (1, 1)
     assert st.N_IS == 1 and st.N_RS == 2
+    assert st.mu_IS == [0, 1, 0, 0] and st.mu_RS == [0, 0, 1, 0]
     assert st.S + st.I + st.R == 5
     st.check_invariants()
     with pytest.raises(IndexError):
         apply_removal(st, 5)
+    with pytest.raises(StateCorruptionError):
+        apply_removal(st, 2)  # nobody infectious left at level 2
 
 
 def test_initialize_state_counts():
@@ -96,18 +110,8 @@ def test_initialize_size_biased_prefers_high_degree():
         st = initialize_state(degrees, 0.01, selection="size_biased",
                               rng=np.random.default_rng(seed))
         # 6 infectives; with size bias most should be degree-50
-        hits += sum(1 for s in st.alive if st.roster_I.count(s) == 50)
+        hits += st.mu_IS[50]
     assert hits > 150  # uniform selection would give ~9 in expectation
-
-
-def test_initialize_pair_initial_discounts():
-    degrees = np.array([3] * 100)
-    st_plain = initialize_state(degrees, 0.2, rng=np.random.default_rng(4))
-    st_pair = initialize_state(degrees, 0.2, rng=np.random.default_rng(4),
-                               pair_initial=True)
-    assert st_pair.N_IS <= st_plain.N_IS
-    assert st_pair.N_IS % 1 == 0 and st_pair.N_IS >= 0
-    st_pair.check_invariants()
 
 
 def test_simulate_reproducible():
@@ -159,8 +163,13 @@ def test_snapshots_recorded():
     assert len(traj.snapshots) == len(traj.times)
     t0, snap0 = traj.snapshots[0]
     assert t0 == 0.0
-    assert snap0["mu_S"] == CountMeasure({2: 5})
-    assert snap0["mu_IS"] == CountMeasure({1: 2})
+    assert snap0 == {"mu_S": [0, 0, 5], "mu_IS": [0, 2, 0], "mu_RS": [0, 0, 0]}
+    for (_, snap), *row in zip(traj.snapshots, traj.S, traj.I, traj.R,
+                               traj.N_S, traj.N_IS, traj.N_RS):
+        masses = [sum(snap[name]) for name in ("mu_S", "mu_IS", "mu_RS")]
+        edges = [sum(k * c for k, c in enumerate(snap[name]))
+                 for name in ("mu_S", "mu_IS", "mu_RS")]
+        assert masses + edges == row
 
 
 def test_csv_lines_schema():
