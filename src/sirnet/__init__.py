@@ -8,7 +8,7 @@ trajectories converge to the limit.
 
 __version__ = "0.1.0"
 
-from sirnet.degrees import DegreeSpec, r0_criterion, sample_degrees
+from sirnet.degrees import DegreeSpec
 from sirnet.errors import (
     ConfigurationError,
     InfeasibleDrawError,
@@ -37,7 +37,7 @@ from sirnet.limit import (
     solve_measures,
     solve_volz,
 )
-from sirnet.measures import CountMeasure, RealMeasure, tv_distance
+from sirnet.measures import RealMeasure
 from sirnet.simulation import (
     PopulationState,
     SimParams,
@@ -51,8 +51,7 @@ __all__ = [
     "__version__",
     "ConfigurationError", "InfeasibleDrawError", "SolverDiagnosticError",
     "StateCorruptionError",
-    "CountMeasure", "RealMeasure", "tv_distance",
-    "DegreeSpec", "sample_degrees", "r0_criterion",
+    "RealMeasure", "DegreeSpec",
     "PopulationState", "SimParams", "Trajectory", "initialize_state",
     "simulate", "stopping_time",
     "GeneratingFn", "LimitInit", "SolverConfig", "VolzSolution",

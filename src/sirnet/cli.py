@@ -26,8 +26,8 @@ import numpy as np
 
 import sirnet
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError
-from sirnet.harness import manifest_json, run_convergence_study
+from sirnet.errors import ConfigurationError, check_rates
+from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     GeneratingFn,
     SolverConfig,
@@ -179,22 +179,18 @@ def cmd_simulate(args):
     params = SimParams(r=args.r, beta=args.beta, t_max=args.t_max,
                        record_grid=args.grid, seed=args.seed,
                        snapshot_measures=bool(args.snapshots))
-    if args.n < 2:
-        raise ConfigurationError("need at least 2 nodes")
-    if not 0 < args.i0 < 1:
-        raise ConfigurationError("i0 must lie in (0,1)")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    degrees = spec.sample(args.n, rng)
+    state = initialize_state(degrees, args.i0, selection=args.selection, rng=rng)
+    if args.dry_run:
+        print("config ok (dry run)")
+        return EXIT_OK
     config = {
         "command": "simulate", "degree": spec.describe(), "n": args.n,
         "r": args.r, "beta": args.beta, "i0": args.i0,
         "selection": args.selection, "seed": args.seed,
         "t_max": args.t_max, "grid": args.grid,
     }
-    if args.dry_run:
-        print("config ok (dry run)")
-        return EXIT_OK
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    degrees = spec.sample(args.n, rng)
-    state = initialize_state(degrees, args.i0, selection=args.selection, rng=rng)
     traj = simulate(state, params, rng=rng)
     out = _atomic_write(args.out, traj.to_csv_lines())
     _write_metadata(out, {**config, "terminal": traj.terminal,
@@ -225,6 +221,7 @@ def cmd_solve(args):
         "t_max": args.t_max, "dt": args.dt, "eps_IS": args.eps_is,
     }
     if args.dry_run:
+        check_rates(args.r, args.beta)  # the check each solver makes on entry
         print("config ok (dry run)")
         return EXIT_OK
     if args.which == "volz":
@@ -265,11 +262,10 @@ def cmd_solve(args):
 
 def cmd_converge(args):
     spec = DegreeSpec.from_string(args.degree)
-    if args.reps < 1:
-        raise ConfigurationError("reps must be >= 1")
-    if not 0 < args.i0 < 1:
-        raise ConfigurationError("i0 must lie in (0,1)")
     if args.dry_run:
+        plan_study(spec, args.r, args.beta, args.i0, args.n, args.reps,
+                   args.t_max, args.grid, eps_prime=args.eps_prime,
+                   workers=args.workers)
         print("config ok (dry run)")
         return EXIT_OK
     report = run_convergence_study(

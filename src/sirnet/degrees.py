@@ -7,10 +7,11 @@ so every distribution here has finite support.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln
 
 from sirnet.errors import ConfigurationError
 from sirnet.measures import RealMeasure
@@ -52,7 +53,9 @@ class DegreeSpec:
         if lam <= 0:
             raise ConfigurationError("poisson mean must be positive")
         k = np.arange(int(kmax) + 1)
-        return cls._build("poisson", (lam, kmax), k, stats.poisson.pmf(k, lam))
+        # in log space: lam**k and k! overflow long before the pmf does
+        pmf = np.exp(k * math.log(lam) - gammaln(k + 1) - lam)
+        return cls._build("poisson", (lam, kmax), k, pmf)
 
     @classmethod
     def geometric(cls, q, kmax):
@@ -130,11 +133,3 @@ class DegreeSpec:
         if self.kind == "explicit":
             return {"kind": "explicit", "weights": {int(k): float(p) for k, p in zip(self.levels, self.probs)}}
         return {"kind": self.kind, "params": list(self.params)}
-
-
-def sample_degrees(spec, n, rng):
-    return spec.sample(n, rng)
-
-
-def r0_criterion(spec):
-    return spec.r0()

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness check
-that raises one."""
+"""Exception types shared across the package, and the input checks that
+raise one."""
 
 import math
 
@@ -26,3 +26,12 @@ def check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def check_rates(r, beta):
+    """Raise :class:`ConfigurationError` naming an infection rate ``r`` or a
+    removal rate ``beta`` that is not finite and nonnegative."""
+    check_finite(r=r, beta=beta)
+    for name, value in (("r", r), ("beta", beta)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be nonnegative, got {value}")

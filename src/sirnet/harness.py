@@ -68,6 +68,15 @@ def _run_one(args):
     )
 
 
+def _check_batch(n_values, reps, workers):
+    if reps < 1:
+        raise ConfigurationError("reps must be >= 1")
+    if not n_values:
+        raise ConfigurationError("need at least one population size")
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+
+
 def run_replicas(spec, params, n_values, reps, base_seed, i0,
                  selection="uniform", eps_prime=0.01, workers=None):
     """``reps`` independent scaled simulations for every n in ``n_values``.
@@ -77,10 +86,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0,
     and independent of worker scheduling.  Returns a flat list ordered by
     (n, rep).
     """
-    if reps < 1:
-        raise ConfigurationError("reps must be >= 1")
-    if not n_values:
-        raise ConfigurationError("need at least one population size")
+    _check_batch(n_values, reps, workers)
     jobs = [
         (spec, params, int(n), rep, base_seed, i0, selection, eps_prime)
         for n in n_values
@@ -166,15 +172,16 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end)
 
 
-def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
-                          t_max, grid, eps_prime=0.01, selection="uniform",
-                          workers=None, solver_dt=None):
-    """End-to-end study: limit solve, replica batch, report with manifest.
+def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
+               eps_prime=0.01, workers=None):
+    """Every refusal of :func:`run_convergence_study`, made before anything
+    is solved or simulated; returns ``(params, init, tau_bar, t_end)``.
 
-    Refuses, before simulating anything, a comparison window
+    Besides invalid parameters, refuses a comparison window
     ``[0, min(t_max, tau_bar)]`` that holds fewer than two grid points.
     """
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
+    _check_batch(n_values, reps, workers)
     init = limit_initial(spec, i0)
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     if tau_bar <= 0:
@@ -190,6 +197,18 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
             f"[0, min(t_max, tau_bar={tau_bar:.6g})] = [0, {t_end:.6g}]; "
             "at least 2 are needed"
         )
+    return params, init, tau_bar, t_end
+
+
+def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
+                          t_max, grid, eps_prime=0.01, selection="uniform",
+                          workers=None, solver_dt=None):
+    """End-to-end study: limit solve, replica batch, report with manifest.
+    Inputs are validated first by :func:`plan_study`."""
+    params, init, tau_bar, t_end = plan_study(
+        spec, r, beta, i0, n_values, reps, t_max, grid,
+        eps_prime=eps_prime, workers=workers,
+    )
     # the solver grid must contain every simulation grid point
     dt = solver_dt if solver_dt is not None else grid / max(int(np.ceil(grid / 1e-3)), 1)
     sub = max(int(round(grid / dt)), 1)

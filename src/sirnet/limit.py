@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import comb
 
-from sirnet.errors import ConfigurationError, SolverDiagnosticError, check_finite
+from sirnet.errors import ConfigurationError, SolverDiagnosticError, check_finite, check_rates
 from sirnet.measures import RealMeasure
 
 DENOM_FLOOR = 1e-12
@@ -62,10 +62,6 @@ class GeneratingFn:
     @property
     def mass(self):
         return float(self.coef.sum())
-
-
-def gf_from_measure(mu):
-    return GeneratingFn(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +232,8 @@ def solve_volz(init, r, beta, config):
     ``mu_S0``.  Probability conservation ``pI + pS + pR = 1`` is checked at
     every step within an O(dt^4) tolerance.
     """
-    check_finite(r=r, beta=beta)
-    if r < 0 or beta < 0:
-        raise ConfigurationError("rates must be nonnegative")
-    gf = gf_from_measure(init.mu_S0)
+    check_rates(r, beta)
+    gf = GeneratingFn(init.mu_S0)
     if gf(1.0, order=1) <= 0:
         raise ConfigurationError("initial susceptible measure needs positive mean degree")
     pI0 = init.pI0
@@ -323,12 +317,6 @@ class MeasureSolution:
         """Susceptible degree measure at time index ``idx`` (closed form)."""
         k = np.arange(self.mu_S0.kmax + 1)
         return RealMeasure(self.mu_S0.weights * self.theta[idx] ** k)
-
-    def mu_IS_measure(self, idx):
-        return RealMeasure(self.mu_IS[idx])
-
-    def mu_RS_measure(self, idx):
-        return RealMeasure(self.mu_RS[idx])
 
     @property
     def S(self):
@@ -479,9 +467,7 @@ def solve_measures(init, r, beta, config, K=None):
     the run aborts if the clamped mass exceeds a fixed budget relative to
     the initial population mass.
     """
-    check_finite(r=r, beta=beta)
-    if r < 0 or beta < 0:
-        raise ConfigurationError("rates must be nonnegative")
+    check_rates(r, beta)
     kmax = init.mu_S0.kmax
     if K is None:
         tail = np.cumsum(init.mu_S0.weights[::-1])[::-1]  # tail[k] = mass at >= k
@@ -552,7 +538,7 @@ def miller_theta(psi, r, beta, config, pS0=1.0):
     susceptible edge fraction, so for a finite initial infected share pass
     ``pS0 = 1 - pI0``.  Returns (t, theta, S, I, R) with ``S = psi(theta)``,
     ``dR/dt = beta I`` and ``I = 1 - S - R``."""
-    check_finite(r=r, beta=beta)
+    check_rates(r, beta)
     if isinstance(psi, RealMeasure):
         psi = GeneratingFn(psi)
     dpsi1 = psi(1.0, order=1)

@@ -1,26 +1,15 @@
-"""Finite measures on the nonnegative integers.
+"""Finite real measures on the nonnegative integers.
 
-Two concrete kinds are used throughout:
-
-* ``CountMeasure`` -- integer multiplicities per level ("2 susceptibles of
-  degree 5"), the state variables of the stochastic simulation.
-* ``RealMeasure``  -- nonnegative real weights on ``0..kmax``, the state
-  variables of the deterministic large-population limit.
-
-Both support moments ``<mu, x^p>`` up to ``p = 5``.  The distance between
-real measures is the plain L1 sum ``sum_k |mu(k) - nu(k)|`` (NOT the halved
-total-variation convention).
+``RealMeasure`` holds nonnegative real weights on ``0..kmax``: the state
+variables of the deterministic large-population limit (the stochastic
+simulation keeps integer level-count lists instead, see
+:mod:`sirnet.simulation`).  Moments ``<mu, x^p>`` are provided up to
+``p = 5``.
 """
 
 from __future__ import annotations
 
-import bisect
-import json
-import math
-
 import numpy as np
-
-from sirnet.errors import StateCorruptionError
 
 MAX_MOMENT = 5
 
@@ -30,208 +19,9 @@ def _check_moment_order(p):
         raise ValueError(f"moment order must be an integer in 0..{MAX_MOMENT}, got {p!r}")
 
 
-class CountMeasure:
-    """Integer-valued finite measure on N: multiplicity per level.
-
-    Levels with multiplicity zero are never stored.  Mass and first moment
-    are cached incrementally; ``validate()`` recomputes them from scratch
-    (used by the simulator's debug mode).
-    """
-
-    __slots__ = ("_counts", "_mass", "_first_moment")
-
-    def __init__(self, counts=None):
-        self._counts = {}
-        self._mass = 0
-        self._first_moment = 0
-        if counts:
-            for level, mult in counts.items():
-                level = int(level)
-                mult = int(mult)
-                if level < 0:
-                    raise ValueError(f"negative level {level}")
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity {mult} at level {level}")
-                if mult:
-                    self._counts[level] = self._counts.get(level, 0) + mult
-                    self._mass += mult
-                    self._first_moment += level * mult
-
-    # -- accessors ---------------------------------------------------------
-
-    def __call__(self, level):
-        return self._counts.get(level, 0)
-
-    @property
-    def counts(self):
-        return dict(self._counts)
-
-    @property
-    def mass(self):
-        return self._mass
-
-    @property
-    def first_moment(self):
-        """Cached ``<mu, x>``; kept in sync by every mutation."""
-        return self._first_moment
-
-    def levels(self):
-        return sorted(self._counts)
-
-    def max_level(self):
-        return max(self._counts) if self._counts else 0
-
-    def moment(self, p):
-        """``<mu, x^p>`` for p in 0..5.  Empty measure gives 0."""
-        _check_moment_order(p)
-        if p == 0:
-            return self._mass
-        if p == 1:
-            return self._first_moment
-        return sum((k ** p) * m for k, m in self._counts.items())
-
-    # -- ranked-atom access ------------------------------------------------
-
-    def ranked(self):
-        return RankedView(self)
-
-    def gamma(self, i):
-        """Level of the i-th atom (1-based) when atoms are ranked by level."""
-        return self.ranked()[i]
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample_size_biased(self, rng, size=None):
-        """Draw a level k with probability ``k mu(k) / <mu, x>``."""
-        if self._first_moment <= 0:
-            raise ValueError("size-biased sampling needs a positive first moment")
-        levels = np.fromiter(self._counts.keys(), dtype=np.int64, count=len(self._counts))
-        weights = levels * np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
-        probs = weights / self._first_moment
-        picked = rng.choice(levels, p=probs, size=size)
-        return int(picked) if size is None else picked
-
-    # -- mutation ----------------------------------------------------------
-
-    def mutate(self, edits):
-        """Return a new measure with ``(level, delta)`` edits applied atomically."""
-        out = self.copy()
-        out.apply_edits(edits)
-        return out
-
-    def apply_edits(self, edits):
-        """In-place variant of :meth:`mutate`; rejects the whole batch if any
-        resulting multiplicity would be negative."""
-        merged = {}
-        for level, delta in edits:
-            merged[level] = merged.get(level, 0) + delta
-        for level, delta in merged.items():
-            if level < 0:
-                raise StateCorruptionError(f"negative level {level}")
-            if self._counts.get(level, 0) + delta < 0:
-                raise StateCorruptionError(
-                    f"edit drives level {level} to multiplicity "
-                    f"{self._counts.get(level, 0) + delta}"
-                )
-        for level, delta in merged.items():
-            if delta == 0:
-                continue
-            new = self._counts.get(level, 0) + delta
-            if new:
-                self._counts[level] = new
-            else:
-                self._counts.pop(level, None)
-            self._mass += delta
-            self._first_moment += level * delta
-
-    # -- structure ---------------------------------------------------------
-
-    def copy(self):
-        out = CountMeasure()
-        out._counts = dict(self._counts)
-        out._mass = self._mass
-        out._first_moment = self._first_moment
-        return out
-
-    def __add__(self, other):
-        out = self.copy()
-        out.apply_edits(list(other._counts.items()))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, CountMeasure) and self._counts == other._counts
-
-    def __repr__(self):
-        inner = " + ".join(f"{m}d_{k}" for k, m in sorted(self._counts.items()))
-        return f"CountMeasure({inner or '0'})"
-
-    def dominated_by(self, other):
-        """Pointwise ``mu(k) <= other(k)`` for every level k."""
-        return all(m <= other(k) for k, m in self._counts.items())
-
-    def validate(self):
-        """Recompute caches from the raw dict; raise on any drift."""
-        mass = sum(self._counts.values())
-        fm = sum(k * m for k, m in self._counts.items())
-        if mass != self._mass or fm != self._first_moment:
-            raise StateCorruptionError(
-                f"cache drift: mass {self._mass} vs {mass}, "
-                f"first moment {self._first_moment} vs {fm}"
-            )
-        if any(m <= 0 for m in self._counts.values()):
-            raise StateCorruptionError("stored nonpositive multiplicity")
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return json.dumps({str(k): m for k, m in sorted(self._counts.items())})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls({int(k): v for k, v in json.loads(text).items()})
-
-
-class RankedView:
-    """Atoms of a CountMeasure ranked by increasing level.
-
-    ``view[i]`` is the level of the i-th atom, 1 <= i <= mass.  Ties are
-    broken by rank position, which is immaterial: atoms at one level are
-    exchangeable.
-    """
-
-    __slots__ = ("levels", "cumulative")
-
-    def __init__(self, mu):
-        self.levels = mu.levels()
-        self.cumulative = []
-        acc = 0
-        for k in self.levels:
-            acc += mu(k)
-            self.cumulative.append(acc)
-
-    def __len__(self):
-        return self.cumulative[-1] if self.cumulative else 0
-
-    def __getitem__(self, i):
-        if not 1 <= i <= len(self):
-            raise IndexError(f"atom index {i} outside 1..{len(self)}")
-        return self.levels[bisect.bisect_left(self.cumulative, i)]
-
-    def __iter__(self):
-        return iter(self.atoms())
-
-    def atoms(self):
-        """The full ranked list of atom levels (multiset of the measure)."""
-        out = []
-        prev = 0
-        for k, c in zip(self.levels, self.cumulative):
-            out.extend([k] * (c - prev))
-            prev = c
-        return out
-
-
 class RealMeasure:
-    """Nonnegative real weights on levels ``0..kmax``."""
+    """Nonnegative real weights on levels ``0..kmax``, given as a vector or
+    as a ``{level: weight}`` map."""
 
     __slots__ = ("weights", "kmax")
 
@@ -267,13 +57,6 @@ class RealMeasure:
         k = np.arange(self.kmax + 1)
         return float((k ** p) @ self.weights)
 
-    def bound_ok(self, A):
-        """Membership check ``<mu, 1 + x^5> <= A``."""
-        return self.moment(0) + self.moment(5) <= A
-
-    def scaled(self, factor):
-        return RealMeasure(self.weights * factor, self.kmax)
-
     def __eq__(self, other):
         return (
             isinstance(other, RealMeasure)
@@ -284,53 +67,3 @@ class RealMeasure:
     def __repr__(self):
         nz = {k: w for k, w in enumerate(self.weights) if w}
         return f"RealMeasure({nz}, kmax={self.kmax})"
-
-    def to_json(self):
-        payload = {"kmax": self.kmax}
-        payload.update({str(k): float(w) for k, w in enumerate(self.weights) if w})
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        kmax = int(payload.pop("kmax"))
-        return cls({int(k): v for k, v in payload.items()}, kmax=kmax)
-
-    @classmethod
-    def from_count(cls, mu, scale=1.0, kmax=None):
-        """Scaled copy of a CountMeasure (the 1/n rescaling of the theory)."""
-        if kmax is None:
-            kmax = mu.max_level()
-        return cls({k: m * scale for k, m in mu.counts.items()}, kmax=kmax)
-
-
-# -- module-level functional forms (mirroring the operation contracts) ------
-
-
-def moment(mu, p):
-    return mu.moment(p)
-
-
-def gamma(mu, i):
-    return mu.gamma(i)
-
-
-def sample_size_biased(mu, rng, size=None):
-    return mu.sample_size_biased(rng, size=size)
-
-
-def tv_distance(mu, nu):
-    """L1 distance ``sum_k |mu(k) - nu(k)|`` (dominates d_TV; unhalved)."""
-    if isinstance(mu, RealMeasure) and isinstance(nu, RealMeasure):
-        kmax = max(mu.kmax, nu.kmax)
-        a = np.zeros(kmax + 1)
-        b = np.zeros(kmax + 1)
-        a[: mu.kmax + 1] = mu.weights
-        b[: nu.kmax + 1] = nu.weights
-        return float(np.abs(a - b).sum())
-    levels = set(mu.counts) | set(nu.counts)
-    return float(sum(abs(mu(k) - nu(k)) for k in levels))
-
-
-def mutate(mu, edits):
-    return mu.mutate(edits)

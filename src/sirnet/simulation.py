@@ -41,8 +41,8 @@ from sirnet.errors import (
     InfeasibleDrawError,
     StateCorruptionError,
     check_finite,
+    check_rates,
 )
-from sirnet.measures import CountMeasure
 
 INFINITE_TIME = math.inf
 
@@ -156,10 +156,8 @@ class SimParams:
     snapshot_measures: bool = False
 
     def __post_init__(self):
-        check_finite(r=self.r, beta=self.beta, t_max=self.t_max,
-                     record_grid=self.record_grid)
-        if self.r < 0 or self.beta < 0:
-            raise ConfigurationError("rates must be nonnegative")
+        check_rates(self.r, self.beta)
+        check_finite(t_max=self.t_max, record_grid=self.record_grid)
         if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
         if not self.record_grid > 0:
@@ -199,25 +197,27 @@ class PopulationState:
     and ``mu_RS`` over ``0..kmax`` (lists of ints) with running class sizes
     and edge totals.
 
-    Built from a :class:`CountMeasure` of susceptible degrees and the
-    edges-to-S count of each initial infective.
+    Built from ``mu_S``, a level-count sequence (``mu_S[k]`` susceptibles
+    of degree ``k``), and the edges-to-S count of each initial infective.
     """
 
     __slots__ = ("mu_S", "mu_IS", "mu_RS", "mu_S0",
                  "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
 
     def __init__(self, mu_S, infectious_counts):
+        susceptible = np.asarray(mu_S, dtype=np.int64)
         infectious = np.asarray(infectious_counts, dtype=np.int64)
+        if susceptible.min(initial=0) < 0:
+            raise StateCorruptionError("negative susceptible count")
         if infectious.min(initial=0) < 0:
             raise StateCorruptionError("negative edges-to-S count")
-        kmax = max(mu_S.max_level(), int(infectious.max(initial=0)))
-        self.mu_S = [0] * (kmax + 1)
-        for k, count in mu_S.counts.items():
-            self.mu_S[k] = count
+        kmax = max(len(susceptible) - 1, int(infectious.max(initial=0)))
+        self.mu_S = susceptible.tolist() + [0] * (kmax + 1 - len(susceptible))
         self.mu_IS = np.bincount(infectious, minlength=kmax + 1).tolist()
         self.mu_RS = [0] * (kmax + 1)
         self.mu_S0 = self.mu_S.copy()
-        self.S, self.N_S = mu_S.mass, mu_S.first_moment
+        self.S = int(susceptible.sum())
+        self.N_S = int(np.arange(len(susceptible)) @ susceptible)
         self.I, self.N_IS = len(infectious), int(infectious.sum())
         self.R = self.N_RS = 0
         self.t = 0.0
@@ -266,7 +266,7 @@ def initialize_state(degrees, i0, selection="uniform", rng=None):
     if n == 0:
         raise ConfigurationError("empty degree sequence")
     if not 0 < i0 < 1:
-        raise ConfigurationError("initial infected fraction must lie in (0,1)")
+        raise ConfigurationError(f"initial infected fraction i0 must lie in (0,1), got {i0}")
     n_inf = int(math.ceil(i0 * n))
     if n_inf >= n:
         raise ConfigurationError(
@@ -285,8 +285,7 @@ def initialize_state(degrees, i0, selection="uniform", rng=None):
 
     mask = np.zeros(n, dtype=bool)
     mask[infected] = True
-    mu_S = CountMeasure(dict(enumerate(np.bincount(degrees[~mask]).tolist())))
-    return PopulationState(mu_S, degrees[mask])
+    return PopulationState(np.bincount(degrees[~mask]), degrees[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +293,16 @@ def initialize_state(degrees, i0, selection="uniform", rng=None):
 # ---------------------------------------------------------------------------
 
 
-def sample_jl(k, n_S, n_IS, n_RS, rng):
+def sample_jl(k, n_S, n_IS, n_RS, rng, size=None):
     """Numbers (j, l) of infectious- and removed-alter half-edges among the
     ``k-1`` non-contaminating half-edges of a degree-k new infective.
 
     The pool holds ``n_S - 1`` half-edges: ``n_IS - 1`` of type I-S,
     ``n_RS`` of type R-S, the rest open susceptible stubs.  Sequential
     conditional hypergeometric draws realize the multivariate
-    hypergeometric law exactly.
+    hypergeometric law exactly.  With ``size=None`` (the event loop) the
+    result is a pair of ints; an int ``size`` gives two int arrays of that
+    many independent draws.
     """
     if k < 1 or n_IS < 1:
         raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
@@ -312,36 +313,21 @@ def sample_jl(k, n_S, n_IS, n_RS, rng):
             f"cannot draw {draws} half-edges from a pool of {pool}"
         )
     if draws == 0:
-        return 0, 0
+        return _zeros(size), _zeros(size)
     n_SS = n_S - n_IS - n_RS
     if n_SS < 0:
         raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
-    j = int(rng.hypergeometric(n_IS - 1, pool - (n_IS - 1), draws)) if n_IS > 1 else 0
-    rem = draws - j
-    l = int(rng.hypergeometric(n_RS, n_SS, rem)) if (rem and n_RS) else 0
-    return j, l
+    # An empty class is never drawn from: numpy's ratio-of-uniforms branch
+    # consumes random bits even when there is nothing to pick.  A sample of
+    # size 0 consumes none.
+    j = rng.hypergeometric(n_IS - 1, pool - (n_IS - 1), draws, size) if n_IS > 1 else _zeros(size)
+    l = rng.hypergeometric(n_RS, n_SS, draws - j) if n_RS else _zeros(size)
+    return (int(j), int(l)) if size is None else (j, l)
 
 
-def sample_jl_batch(k, n_S, n_IS, n_RS, rng, size):
-    """Vectorized version of :func:`sample_jl` (same law), for testing."""
-    draws = k - 1
-    pool = n_S - 1
-    if draws > pool or k < 1 or n_IS < 1 or n_S - n_IS - n_RS < 0:
-        raise InfeasibleDrawError("infeasible pool configuration")
-    if draws == 0:
-        return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    n_SS = n_S - n_IS - n_RS
-    if n_IS > 1:
-        j = rng.hypergeometric(n_IS - 1, pool - (n_IS - 1), draws, size=size)
-    else:
-        j = np.zeros(size, dtype=np.int64)
-    rem = draws - j
-    l = np.zeros(size, dtype=np.int64)
-    if n_RS > 0:
-        active = rem > 0
-        if active.any():
-            l[active] = rng.hypergeometric(n_RS, n_SS, rem[active])
-    return j, l
+def _zeros(size):
+    """No draws: the int 0, or an int array of ``size`` zeros."""
+    return 0 if size is None else np.zeros(size, np.int64)
 
 
 def apply_infection(state, k, j, l, draws):

@@ -37,12 +37,12 @@ from sirnet.limit import (
     solve_measures,
     solve_volz,
 )
-from sirnet.measures import CountMeasure
 from sirnet.simulation import (
     BlockDraws,
     PopulationState,
     SimParams,
     initialize_state,
+    sample_jl,
     simulate,
     take_half_edges,
 )
@@ -103,16 +103,15 @@ def test_criterion_1_sampler_exactness():
 
     # ... plus empirical chi-square with 1e6 draws per configuration,
     # aggregated across configurations at overall significance 0.001
-    from sirnet.simulation import sample_jl_batch
     total_stat, total_dof, tested = 0.0, 0, 0
     for (k, n_S, n_IS, n_RS) in configs:
         oracle = jl_oracle_pmf(k, n_S, n_IS, n_RS)
         if len(oracle) == 1:
-            j, l = sample_jl_batch(k, n_S, n_IS, n_RS, rng, 1000)
+            j, l = sample_jl(k, n_S, n_IS, n_RS, rng, size=1000)
             point = next(iter(oracle))
             assert np.all(j == point[0]) and np.all(l == point[1])
             continue
-        j, l = sample_jl_batch(k, n_S, n_IS, n_RS, rng, draws_per_config)
+        j, l = sample_jl(k, n_S, n_IS, n_RS, rng, size=draws_per_config)
         code = j * (k + 1) + l
         counts = np.bincount(code, minlength=(k + 1) * (k + 1))
         keys = sorted(oracle)
@@ -339,7 +338,7 @@ def test_criterion_9_pure_death_oracle():
     outcomes = np.zeros(reps, dtype=int)
     params = SimParams(r=0.0, beta=1.0, t_max=1.0, record_grid=1.0)
     for rep in range(reps):
-        st = PopulationState(CountMeasure(), [0] * 100)
+        st = PopulationState([], [0] * 100)
         traj = simulate(st, params, rng=np.random.default_rng(5000 + rep))
         outcomes[rep] = traj.R[-1]
     p = 1.0 - math.exp(-1.0)

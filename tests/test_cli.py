@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sirnet
 from sirnet.cli import main
 
 
@@ -178,6 +183,9 @@ SIM = ["simulate", "--degree", "poisson:5:30", "--n", "300", "--r", "1",
        "--beta", "0.5", "--i0", "0.02", "--t-max", "1"]
 VOLZ = ["solve", "volz", "--degree", "poisson:5:30", "--r", "1",
         "--beta", "0.5", "--pI0", "0.05", "--t-max", "1"]
+MILLER = ["solve", "miller"] + VOLZ[2:]
+CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
+            "--r", "1", "--beta", "0.5", "--seed", "1", "--t-max", "1"]
 
 
 def _with(args, option, value):
@@ -196,7 +204,10 @@ def _with(args, option, value):
     (VOLZ, "--t-max", "inf", "t_max"),
     (VOLZ, "--dt", "inf", "dt"),
     (["solve", "measures"] + VOLZ[2:], "--beta", "inf", "beta"),
-    (["solve", "miller"] + VOLZ[2:], "--r", "nan", "r"),
+    (MILLER, "--r", "nan", "r"),
+    (SIM + ["--dry-run"], "--r", "nan", "r"),
+    (VOLZ + ["--dry-run"], "--r", "nan", "r"),
+    (CONVERGE + ["--i0", "0.01", "--dry-run"], "--r", "nan", "r"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     out = tmp_path / "x.csv"
@@ -206,13 +217,24 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     assert not out.exists()
 
 
-CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
-            "--r", "1", "--beta", "0.5", "--seed", "1", "--t-max", "1"]
+@pytest.mark.parametrize("base,option", [
+    (SIM, "--r"), (VOLZ, "--beta"), (["solve", "measures"] + VOLZ[2:], "--r"),
+    (MILLER, "--r"), (MILLER + ["--dry-run"], "--beta"),
+])
+def test_negative_rates_exit_2(tmp_path, capsys, base, option):
+    out = tmp_path / "x.csv"
+    code, _, err = run(_with(base, option, "-1") + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"{option[2:]} must be nonnegative" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra,field", [
     (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001"], "eps_prime"),
     (["--i0", "0.01"], "grid"),  # default grid 0.05 against tau_bar 0.0013
+    (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001", "--dry-run"],
+     "eps_prime"),
+    (["--i0", "0.01", "--grid", "5", "--dry-run"], "grid"),
 ])
 def test_converge_refuses_empty_window(tmp_path, capsys, monkeypatch, extra, field):
     import sirnet.harness
@@ -226,3 +248,41 @@ def test_converge_refuses_empty_window(tmp_path, capsys, monkeypatch, extra, fie
     assert code == 2
     assert f"{field}=" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--reps", "0"], ["--workers", "-3"]])
+def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
+    code, _, err = run(_with(CONVERGE, *extra)
+                       + ["--i0", "0.01", "--grid", "0.0001", "--dry-run",
+                          "--out", str(tmp_path / "rep.csv")], capsys)
+    assert code == 2
+    assert extra[0][2:] in err
+
+
+def test_converge_dry_run_neither_solves_nor_simulates(tmp_path, capsys, monkeypatch):
+    import sirnet.harness
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dry run solved or simulated")
+
+    monkeypatch.setattr(sirnet.harness, "solve_volz", forbidden)
+    monkeypatch.setattr(sirnet.harness, "run_replicas", forbidden)
+    out = tmp_path / "rep.csv"
+    code, stdout, _ = run(CONVERGE + ["--i0", "0.01", "--grid", "0.0001",
+                                      "--dry-run", "--out", str(out)], capsys)
+    assert code == 0
+    assert "dry run" in stdout
+    assert not out.exists()
+
+
+def test_cli_import_is_lean():
+    # a fresh interpreter: importing the CLI must not pull in scipy.stats,
+    # and every exported name must resolve
+    code = ("import sys, sirnet, sirnet.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'; "
+            "missing = [n for n in sirnet.__all__ if not hasattr(sirnet, n)]; "
+            "assert not missing, missing")
+    src = str(Path(sirnet.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

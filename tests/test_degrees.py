@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sirnet.degrees import DegreeSpec, r0_criterion, sample_degrees
+from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError
 
 
@@ -14,6 +14,11 @@ def test_poisson_pmf_matches_scipy():
     pmf = stats.poisson.pmf(spec.levels, 5)
     np.testing.assert_allclose(spec.probs, pmf / pmf.sum(), rtol=1e-12)
     assert spec.mean() == pytest.approx(5.0, abs=1e-8)
+    # lam**k and k! overflow float64 long before k = 2000
+    big = DegreeSpec.poisson(800, 2000)
+    pmf = stats.poisson.pmf(big.levels, 800)
+    np.testing.assert_allclose(big.probs, pmf / pmf.sum(), rtol=1e-12)
+    assert big.mean() == pytest.approx(800.0, rel=1e-12)
 
 
 def test_geometric_mean():
@@ -31,7 +36,7 @@ def test_powerlaw_support():
 def test_explicit_and_r0():
     spec = DegreeSpec.explicit({3: 1.0})  # 3-regular
     assert spec.r0() == pytest.approx(2.0)
-    assert r0_criterion(DegreeSpec.poisson(5, 200)) == pytest.approx(5.0, abs=1e-9)
+    assert DegreeSpec.poisson(5, 200).r0() == pytest.approx(5.0, abs=1e-9)
 
 
 def test_r0_subcritical():
@@ -64,10 +69,10 @@ def test_zero_mean_rejected():
 
 def test_sampling_reproducible_and_distributed():
     spec = DegreeSpec.poisson(5, 30)
-    a = sample_degrees(spec, 1000, np.random.default_rng(7))
-    b = sample_degrees(spec, 1000, np.random.default_rng(7))
+    a = spec.sample(1000, np.random.default_rng(7))
+    b = spec.sample(1000, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
-    big = sample_degrees(spec, 200_000, np.random.default_rng(1))
+    big = spec.sample(200_000, np.random.default_rng(1))
     assert big.mean() == pytest.approx(5.0, abs=0.05)
 
 

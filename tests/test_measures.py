@@ -1,128 +1,61 @@
+"""Real measures of the limit, and the size-biased law of an integer
+level-count measure as the simulator draws it."""
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from sirnet.errors import StateCorruptionError
-from sirnet.measures import (
-    CountMeasure,
-    RealMeasure,
-    gamma,
-    moment,
-    mutate,
-    sample_size_biased,
-    tv_distance,
-)
-
-
-def test_count_measure_basics():
-    mu = CountMeasure({1: 2, 3: 1})
-    assert mu.mass == 3
-    assert mu(1) == 2 and mu(3) == 1 and mu(2) == 0
-    assert mu.first_moment == 5
-    assert moment(mu, 0) == 3
-    assert moment(mu, 1) == 5
-    assert moment(mu, 2) == 2 * 1 + 9
+from sirnet.measures import RealMeasure
+from sirnet.simulation import BlockDraws, pick_size_biased
 
 
 def test_moment_order_bounds():
-    mu = CountMeasure({2: 1})
-    assert mu.moment(5) == 32
+    nu = RealMeasure({2: 1.0})
+    assert nu.moment(5) == 32
     with pytest.raises(ValueError):
-        mu.moment(6)
+        nu.moment(6)
     with pytest.raises(ValueError):
-        mu.moment(-1)
+        nu.moment(-1)
 
 
 def test_empty_measure():
-    mu = CountMeasure()
-    assert mu.mass == 0
-    assert mu.moment(3) == 0
-    assert mu.levels() == []
+    nu = RealMeasure({})
+    assert nu.mass == 0
+    assert nu.moment(3) == 0
+    assert nu.kmax == 0
 
 
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
-        CountMeasure({-1: 2})
+        RealMeasure({1: -2.0})
     with pytest.raises(ValueError):
-        CountMeasure({1: -2})
-
-
-def test_ranked_atoms():
-    mu = CountMeasure({5: 1, 2: 3})
-    view = mu.ranked()
-    assert len(view) == 4
-    assert [view[i] for i in (1, 2, 3, 4)] == [2, 2, 2, 5]
-    assert gamma(mu, 4) == 5
-    with pytest.raises(IndexError):
-        view[0]
-    with pytest.raises(IndexError):
-        view[5]
-    assert view.atoms() == [2, 2, 2, 5]
-
-
-def test_mutate_returns_new_and_is_atomic():
-    mu = CountMeasure({2: 1, 4: 1})
-    nu = mutate(mu, [(2, -1), (3, 1)])
-    assert mu == CountMeasure({2: 1, 4: 1})  # original untouched
-    assert nu == CountMeasure({3: 1, 4: 1})
-    # a batch that would go negative is rejected entirely
-    with pytest.raises(StateCorruptionError):
-        mu.apply_edits([(4, -1), (2, -2)])
-    assert mu == CountMeasure({2: 1, 4: 1})
-
-
-def test_apply_edits_merges_duplicate_levels():
-    mu = CountMeasure({2: 1})
-    mu.apply_edits([(2, -1), (2, 1), (7, 2)])
-    assert mu == CountMeasure({2: 1, 7: 2})
-    mu.validate()
-
-
-def test_add_and_copy():
-    a = CountMeasure({1: 1})
-    b = CountMeasure({1: 2, 3: 1})
-    c = a + b
-    assert c == CountMeasure({1: 3, 3: 1})
-    d = a.copy()
-    d.apply_edits([(1, 5)])
-    assert a.mass == 1
-
-
-def test_dominated_by():
-    a = CountMeasure({2: 1, 3: 1})
-    b = CountMeasure({2: 2, 3: 1, 9: 4})
-    assert a.dominated_by(b)
-    assert not b.dominated_by(a)
-
-
-def test_count_measure_json_roundtrip():
-    mu = CountMeasure({0: 3, 12: 1})
-    assert CountMeasure.from_json(mu.to_json()) == mu
+        RealMeasure([0.5, -0.5])
 
 
 def test_size_biased_law_chi_square():
     # empirical frequencies over 1e6 draws vs k mu(k)/<mu,x> on a 3-atom measure
-    mu = CountMeasure({1: 5, 3: 2, 8: 1})
-    rng = np.random.default_rng(2024)
-    draws = mu.sample_size_biased(rng, size=10**6)
+    mu = [0, 5, 0, 2, 0, 0, 0, 0, 1]
+    first_moment = 19
+    draws = BlockDraws(np.random.default_rng(2024))
+    picks = np.array([pick_size_biased(mu, first_moment, draws) for _ in range(10**6)])
     levels = np.array([1, 3, 8])
-    expected_p = levels * np.array([5, 2, 1]) / mu.first_moment
-    observed = np.array([(draws == k).sum() for k in levels])
-    chi2, p = stats.chisquare(observed, expected_p * len(draws))
+    expected_p = levels * np.array([5, 2, 1]) / first_moment
+    observed = np.array([(picks == k).sum() for k in levels])
+    chi2, p = stats.chisquare(observed, expected_p * len(picks))
     assert p > 0.001
 
 
 def test_size_biased_excludes_zero_level():
-    mu = CountMeasure({0: 100, 2: 1})
-    rng = np.random.default_rng(0)
-    assert all(mu.sample_size_biased(rng) == 2 for _ in range(20))
+    draws = BlockDraws(np.random.default_rng(0))
+    assert all(pick_size_biased([100, 0, 1], 2, draws) == 2 for _ in range(20))
 
 
 def test_size_biased_needs_positive_first_moment():
+    draws = BlockDraws(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        CountMeasure({0: 5}).sample_size_biased(np.random.default_rng(0))
+        pick_size_biased([5], 0, draws)
     with pytest.raises(ValueError):
-        sample_size_biased(CountMeasure(), np.random.default_rng(0))
+        pick_size_biased([], 0, draws)
 
 
 def test_real_measure_basics():
@@ -133,34 +66,3 @@ def test_real_measure_basics():
     assert nu(2) == 0.0 and nu(99) == 0.0
     with pytest.raises(ValueError):
         RealMeasure({1: -0.5})
-
-
-def test_real_measure_bound():
-    nu = RealMeasure({2: 1.0})
-    assert nu.bound_ok(33)  # 1 + 2^5
-    assert not nu.bound_ok(32.9)
-
-
-def test_real_measure_json_roundtrip():
-    nu = RealMeasure({0: 0.5, 7: 1.25}, kmax=10)
-    back = RealMeasure.from_json(nu.to_json())
-    assert back == nu
-    assert back.kmax == 10
-
-
-def test_real_from_count_scaling():
-    mu = CountMeasure({2: 10, 5: 2})
-    nu = RealMeasure.from_count(mu, scale=0.1)
-    assert nu(2) == pytest.approx(1.0)
-    assert nu(5) == pytest.approx(0.2)
-
-
-def test_tv_distance_unhalved_l1():
-    a = RealMeasure({1: 0.5, 2: 0.5})
-    b = RealMeasure({1: 0.25, 3: 0.75})
-    # |0.25| + |0.5| + |0.75| = 1.5, no halving
-    assert tv_distance(a, b) == pytest.approx(1.5)
-    assert tv_distance(a, a) == 0.0
-    ca = CountMeasure({1: 2})
-    cb = CountMeasure({1: 1, 4: 3})
-    assert tv_distance(ca, cb) == 4

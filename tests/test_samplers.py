@@ -34,7 +34,6 @@ from sirnet.simulation import (
     pick_size_biased,
     pick_uniform,
     sample_jl,
-    sample_jl_batch,
     take_half_edges,
 )
 
@@ -56,15 +55,6 @@ def test_jl_scalar_draws_within_support():
     support = set(jl_oracle_pmf(4, 8, 3, 2))
     for _ in range(500):
         assert sample_jl(4, 8, 3, 2, rng) in support
-
-
-def test_jl_batch_matches_scalar_law():
-    rng = np.random.default_rng(11)
-    j, l = sample_jl_batch(5, 9, 4, 2, rng, 200_000)
-    oracle = jl_oracle_pmf(5, 9, 4, 2)
-    for (jj, ll), p in oracle.items():
-        freq = np.mean((j == jj) & (l == ll))
-        assert freq == pytest.approx(p, abs=0.005)
 
 
 def test_jl_degenerate_cases():

@@ -5,7 +5,6 @@ import pytest
 
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
-from sirnet.measures import CountMeasure
 from sirnet.simulation import (
     BlockDraws,
     PopulationState,
@@ -20,8 +19,7 @@ from sirnet.simulation import (
 
 def small_state():
     """3 susceptibles (degrees 2,2,3), 2 infectives with 2 and 1 edges-to-S."""
-    mu_S = CountMeasure({2: 2, 3: 1})
-    return PopulationState(mu_S, [2, 1])
+    return PopulationState([0, 0, 2, 1], [2, 1])
 
 
 def test_state_summaries():
@@ -54,7 +52,7 @@ def test_apply_infection_validates_totals():
     with pytest.raises(InfeasibleDrawError):
         apply_infection(st, 3, 1, 1, draws)  # l = 1 > N_RS = 0
     with pytest.raises(InfeasibleDrawError):
-        apply_infection(PopulationState(CountMeasure({8: 1}), [1, 1]), 8, 2, 0, draws)
+        apply_infection(PopulationState([0] * 8 + [1], [1, 1]), 8, 2, 0, draws)
     with pytest.raises(StateCorruptionError):
         apply_infection(st, 3, 2, 1, draws)  # k-1-j-l < 0
     with pytest.raises(StateCorruptionError):
@@ -132,7 +130,7 @@ def test_simulate_reproducible():
 
 def test_simulate_grid_and_extinction_fill():
     # beta only: the epidemic dies; remaining grid rows repeat the final state
-    st = PopulationState(CountMeasure({2: 10}), [0, 0, 0])
+    st = PopulationState([0, 0, 10], [0, 0, 0])
     params = SimParams(r=1.0, beta=5.0, t_max=100.0, record_grid=10.0)
     traj = simulate(st, params, rng=np.random.default_rng(1))
     assert traj.terminal == "extinct"
@@ -156,7 +154,7 @@ def test_simulate_conserves_population_with_debug():
 
 
 def test_snapshots_recorded():
-    st = PopulationState(CountMeasure({2: 5}), [1, 1])
+    st = PopulationState([0, 0, 5], [1, 1])
     params = SimParams(r=1.0, beta=1.0, t_max=1.0, record_grid=0.5,
                        snapshot_measures=True)
     traj = simulate(st, params, rng=np.random.default_rng(2))
@@ -173,7 +171,7 @@ def test_snapshots_recorded():
 
 
 def test_csv_lines_schema():
-    st = PopulationState(CountMeasure({2: 5}), [1])
+    st = PopulationState([0, 0, 5], [1])
     traj = simulate(st, SimParams(r=1.0, beta=1.0, t_max=1.0, record_grid=0.5),
                     rng=np.random.default_rng(3))
     lines = list(traj.to_csv_lines())
