@@ -37,7 +37,6 @@ from sirnet.limit import (
     solve_measures,
     solve_volz,
 )
-from sirnet.measures import RealMeasure
 from sirnet.simulation import (
     PopulationState,
     SimParams,
@@ -51,7 +50,7 @@ __all__ = [
     "__version__",
     "ConfigurationError", "InfeasibleDrawError", "SolverDiagnosticError",
     "StateCorruptionError",
-    "RealMeasure", "DegreeSpec",
+    "DegreeSpec",
     "PopulationState", "SimParams", "Trajectory", "initialize_state",
     "simulate", "stopping_time",
     "GeneratingFn", "LimitInit", "SolverConfig", "VolzSolution",

@@ -29,10 +29,10 @@ from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, check_rates
 from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
-    GeneratingFn,
     SolverConfig,
     limit_initial,
     limit_initial_from_pI0,
+    measure_levels,
     miller_theta,
     solve_measures,
     solve_volz,
@@ -78,9 +78,17 @@ def _write_metadata(out_path, config):
 
 
 def _level_map(levels):
-    """Nonzero entries of a level-count vector as a ``{level: count}`` map
-    in level order, the JSON form of a measure snapshot."""
-    return {str(k): count for k, count in enumerate(levels) if count}
+    """Nonzero entries of a level vector as a ``{level: weight}`` map in
+    level order, the JSON form of a measure snapshot."""
+    return {str(k): weight for k, weight in enumerate(levels) if weight}
+
+
+def _snapshot_lines(snapshots):
+    """One JSON line per ``(t, {name: level vector})`` snapshot, holding
+    ``t`` and the ``mu_S``, ``mu_IS`` and ``mu_RS`` level maps."""
+    for t, snap in snapshots:
+        yield json.dumps({"t": t, **{name: _level_map(snap[name])
+                                     for name in ("mu_S", "mu_IS", "mu_RS")}})
 
 
 def _int_list(text):
@@ -136,8 +144,6 @@ def build_parser():
     sp.add_argument("--eps-is", type=float, default=1e-6,
                     help="stop once per-capita N_IS falls below this")
     sp.add_argument("--kmax", type=int, help="level cap for the measure system")
-    sp.add_argument("--pS0", type=float, default=1.0,
-                    help="miller only: initial susceptible edge fraction constant")
     sp.add_argument("--out", required=True)
     sp.add_argument("--snapshots", help="measures only: snapshots JSON-lines path")
     sp.add_argument("--dry-run", action="store_true")
@@ -197,12 +203,7 @@ def cmd_simulate(args):
                           "n_infections": traj.n_infections,
                           "n_removals": traj.n_removals})
     if args.snapshots:
-        lines = (
-            json.dumps({"t": t, **{name: _level_map(snap[name])
-                                   for name in ("mu_S", "mu_IS", "mu_RS")}})
-            for t, snap in traj.snapshots
-        )
-        _atomic_write(args.snapshots, lines)
+        _atomic_write(args.snapshots, _snapshot_lines(traj.snapshots))
     print(f"wrote {out} ({len(traj.times)} rows, terminal={traj.terminal})")
     return EXIT_OK
 
@@ -222,6 +223,8 @@ def cmd_solve(args):
     }
     if args.dry_run:
         check_rates(args.r, args.beta)  # the check each solver makes on entry
+        if args.which == "measures":
+            measure_levels(init, args.kmax)
         print("config ok (dry run)")
         return EXIT_OK
     if args.which == "volz":
@@ -235,27 +238,20 @@ def cmd_solve(args):
                               "clamped_mass": sol.clamped_mass,
                               "terminal": sol.terminal})
         if args.snapshots:
-            _atomic_write(args.snapshots, sol.snapshot_json_lines())
+            _atomic_write(args.snapshots, _snapshot_lines(
+                (float(t), {"mu_S": sol.mu_S(i), "mu_IS": sol.mu_IS[i],
+                            "mu_RS": sol.mu_RS[i]})
+                for i, t in enumerate(sol.t)
+            ))
     else:
-        exact_pS0 = 1.0 - init.pI0
-        if abs(args.pS0 - exact_pS0) > 1e-9:
-            print(
-                "caveat: one-equation reduction assumes a negligible initial "
-                f"infection; with pS0={args.pS0} but initial susceptible edge "
-                f"fraction {exact_pS0:.6g} it only approximates the edge-based "
-                f"system (pass --pS0 {exact_pS0:.12g} for the exact reduction)"
-            )
-        ts, theta, S, I, R = miller_theta(
-            GeneratingFn(spec.limit_measure()), args.r, args.beta, config,
-            pS0=args.pS0,
-        )
+        ts, theta, S, I, R = miller_theta(init, args.r, args.beta, config)
         lines = ["t,S,I,R,theta"]
         lines += [
             f"{ts[i]:.12g},{S[i]:.12g},{I[i]:.12g},{R[i]:.12g},{theta[i]:.12g}"
             for i in range(len(ts))
         ]
         out = _atomic_write(args.out, lines)
-        _write_metadata(out, {**meta, "pS0": args.pS0})
+        _write_metadata(out, meta)
     print(f"wrote {out} ({args.which})")
     return EXIT_OK
 

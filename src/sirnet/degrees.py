@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from sirnet.errors import ConfigurationError
-from sirnet.measures import RealMeasure
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,11 @@ class DegreeSpec:
         return rng.choice(self.levels, size=n, p=self.probs)
 
     def limit_measure(self, mass=1.0):
-        """The law as a RealMeasure with the given total mass."""
+        """The law as a weight vector over ``0..kmax`` with the given total
+        mass."""
         weights = np.zeros(self.kmax() + 1)
         weights[self.levels] = self.probs * mass
-        return RealMeasure(weights)
+        return weights
 
     def describe(self):
         if self.kind == "explicit":

@@ -13,13 +13,19 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from sirnet.errors import ConfigurationError
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
-from sirnet.simulation import SimParams, initialize_state, simulate, stopping_time
+from sirnet.simulation import (
+    SimParams,
+    initial_infective_count,
+    initialize_state,
+    simulate,
+    stopping_time,
+)
 
 REPORT_COLUMNS = ("n", "reps", "col", "mean_sup_dist", "stderr", "frac_tau_ge_bound")
 COMPARED = ("S", "I", "R", "N_S", "N_IS", "N_RS")
@@ -175,14 +181,18 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
 def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
                eps_prime=0.01, workers=None):
     """Every refusal of :func:`run_convergence_study`, made before anything
-    is solved or simulated; returns ``(params, init, tau_bar, t_end)``.
+    is solved or simulated; returns ``(params, init, tau_bar, t_end)``, where
+    ``params`` runs the replicas to ``t_end``.
 
-    Besides invalid parameters, refuses a comparison window
+    Besides invalid parameters, refuses a population size that ``i0``
+    leaves without susceptibles, and a comparison window
     ``[0, min(t_max, tau_bar)]`` that holds fewer than two grid points.
     """
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
     _check_batch(n_values, reps, workers)
     init = limit_initial(spec, i0)
+    for n in n_values:
+        initial_infective_count(n, i0)
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     if tau_bar <= 0:
         raise ConfigurationError(
@@ -197,23 +207,26 @@ def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
             f"[0, min(t_max, tau_bar={tau_bar:.6g})] = [0, {t_end:.6g}]; "
             "at least 2 are needed"
         )
-    return params, init, tau_bar, t_end
+    return replace(params, t_max=t_end), init, tau_bar, t_end
 
 
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
                           t_max, grid, eps_prime=0.01, selection="uniform",
-                          workers=None, solver_dt=None):
+                          workers=None):
     """End-to-end study: limit solve, replica batch, report with manifest.
-    Inputs are validated first by :func:`plan_study`."""
+    Inputs are validated first by :func:`plan_study`.
+
+    Replicas simulate to ``t_end = min(t_max, tau_bar)`` and the limit is
+    solved to the last grid point of ``[0, t_end]``: nothing beyond reaches
+    the report, which equals the one built from full-``t_max`` runs."""
     params, init, tau_bar, t_end = plan_study(
         spec, r, beta, i0, n_values, reps, t_max, grid,
         eps_prime=eps_prime, workers=workers,
     )
     # the solver grid must contain every simulation grid point
-    dt = solver_dt if solver_dt is not None else grid / max(int(np.ceil(grid / 1e-3)), 1)
-    sub = max(int(round(grid / dt)), 1)
-    dt = grid / sub
-    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_max, dt=dt, eps_IS=0.0))
+    dt = grid / max(int(np.ceil(grid / 1e-3)), 1)
+    t_last = math.floor(t_end / grid + 1e-9) * grid
+    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_last, dt=dt, eps_IS=0.0))
     trajectories = run_replicas(
         spec, params, n_values, reps, base_seed, i0,
         selection=selection, eps_prime=eps_prime, workers=workers,

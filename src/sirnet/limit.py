@@ -10,14 +10,14 @@ Two solvers for the same limit object:
   susceptible degree measure.
 
 Both use a fixed-step classical Runge-Kutta (RK4) integrator.  A further
-one-dimensional reduction (:func:`miller_theta`) and an a-priori horizon
-bound for when the per-capita infectious edge count stays above a level
-``eps`` (:func:`horizon_bound`) round out the module.
+exact one-dimensional reduction (:func:`miller_theta`) and an a-priori
+horizon bound for when the per-capita infectious edge count stays above a
+level ``eps`` (:func:`horizon_bound`) round out the module.  All of them
+take the same validated :class:`LimitInit`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import comb
 
 from sirnet.errors import ConfigurationError, SolverDiagnosticError, check_finite, check_rates
-from sirnet.measures import RealMeasure
 
 DENOM_FLOOR = 1e-12
 CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
@@ -39,29 +38,29 @@ CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 
 class GeneratingFn:
     """``g(z) = sum_k w_k z^k`` for a finite nonnegative weight vector,
-    with first and second derivatives."""
+    with first and second derivatives; the one polynomial evaluation of a
+    measure in this module."""
 
     __slots__ = ("coef", "d1", "d2")
 
     def __init__(self, weights):
-        if isinstance(weights, RealMeasure):
-            weights = weights.weights
         self.coef = np.asarray(weights, dtype=float)
         self.d1 = np.polynomial.polynomial.polyder(self.coef, 1)
         self.d2 = np.polynomial.polynomial.polyder(self.coef, 2)
 
     def __call__(self, z, order=0):
+        """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
+        at an array."""
         if order == 0:
-            return float(np.polynomial.polynomial.polyval(z, self.coef))
-        if order == 1:
-            return float(np.polynomial.polynomial.polyval(z, self.d1))
-        if order == 2:
-            return float(np.polynomial.polynomial.polyval(z, self.d2))
-        raise ValueError("only derivatives of order 0, 1, 2 are provided")
-
-    @property
-    def mass(self):
-        return float(self.coef.sum())
+            coef = self.coef
+        elif order == 1:
+            coef = self.d1
+        elif order == 2:
+            coef = self.d2
+        else:
+            raise ValueError("only derivatives of order 0, 1, 2 are provided")
+        value = np.polynomial.polynomial.polyval(z, coef)
+        return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +88,39 @@ class SolverConfig:
 
 @dataclass
 class LimitInit:
-    """Per-capita initial data for the limit solvers."""
+    """Per-capita initial data for the limit solvers: the susceptible degree
+    measure ``mu_S0`` and the infectious edges-to-S measure ``mu_IS0``, as
+    weight vectors over levels ``0..kmax``.
 
-    mu_S0: RealMeasure
-    mu_IS0: RealMeasure
+    Every solver input passes the checks here and nowhere else: 1-D,
+    finite, nonnegative weights, a positive mean degree of ``mu_S0``, and
+    an initial infectious edge fraction ``pI0 <= 1``."""
+
+    mu_S0: np.ndarray
+    mu_IS0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mu_S0", "mu_IS0"):
+            w = np.array(getattr(self, name), dtype=float)
+            if w.ndim != 1:
+                raise ConfigurationError(f"{name} must be a weight vector over levels 0..kmax")
+            if not np.isfinite(w).all():
+                raise ConfigurationError(f"{name} must be finite")
+            if (w < 0).any():
+                raise ConfigurationError(f"{name} has a negative weight")
+            setattr(self, name, w)
+        if not self.N_S0 > 0:
+            raise ConfigurationError("mu_S0 needs positive mean degree")
+        if self.pI0 > 1:
+            raise ConfigurationError(f"initial pI={self.pI0} exceeds 1")
 
     @property
     def N_S0(self):
-        return self.mu_S0.moment(1)
+        return float(np.arange(len(self.mu_S0)) @ self.mu_S0)
 
     @property
     def N_IS0(self):
-        return self.mu_IS0.moment(1)
+        return float(np.arange(len(self.mu_IS0)) @ self.mu_IS0)
 
     @property
     def pI0(self):
@@ -108,11 +128,11 @@ class LimitInit:
 
     @property
     def I0(self):
-        return self.mu_IS0.mass
+        return float(self.mu_IS0.sum())
 
     @property
     def S0(self):
-        return self.mu_S0.mass
+        return float(self.mu_S0.sum())
 
 
 def limit_initial(spec, i0):
@@ -234,11 +254,7 @@ def solve_volz(init, r, beta, config):
     """
     check_rates(r, beta)
     gf = GeneratingFn(init.mu_S0)
-    if gf(1.0, order=1) <= 0:
-        raise ConfigurationError("initial susceptible measure needs positive mean degree")
     pI0 = init.pI0
-    if not 0 <= pI0 <= 1:
-        raise ConfigurationError(f"initial pI={pI0} outside [0,1]")
     y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
 
     tol = max(100.0 * config.dt ** 4, 1e-11)
@@ -266,13 +282,13 @@ def solve_volz(init, r, beta, config):
     return VolzSolution(
         t=ts,
         theta=theta,
-        S=np.polynomial.polynomial.polyval(theta, gf.coef),
+        S=gf(theta),
         I=ys[:, 1],
         R=ys[:, 2],
         pI=ys[:, 3],
         pS=ys[:, 4],
         pR=ys[:, 5],
-        N_S=theta * np.polynomial.polynomial.polyval(theta, gf.d1),
+        N_S=theta * gf(theta, order=1),
         N_IS=ys[:, 6],
         N_RS=ys[:, 7],
         N_S_aux=ys[:, 8],
@@ -290,7 +306,7 @@ def edge_identities(sol):
 
     Small residuals mean the redundant equations agree; growth flags
     integration error."""
-    NS_alg = sol.theta * np.polynomial.polynomial.polyval(sol.theta, sol.gf.d1)
+    NS_alg = sol.theta * sol.gf(sol.theta, order=1)
     return {
         "N_S": np.abs(sol.N_S_aux - NS_alg),
         "N_IS": np.abs(sol.N_IS - sol.pI * NS_alg),
@@ -309,56 +325,27 @@ class MeasureSolution:
     theta: np.ndarray
     mu_IS: np.ndarray  # shape (T, K+1)
     mu_RS: np.ndarray
-    mu_S0: RealMeasure = field(repr=False, default=None)
+    mu_S0: np.ndarray = field(repr=False)
     clamped_mass: float = 0.0
     terminal: str = "t_max"
 
+    def __post_init__(self):
+        gf = GeneratingFn(self.mu_S0)
+        self.S = gf(self.theta)
+        self.I = self.mu_IS.sum(axis=1)
+        self.R = self.mu_RS.sum(axis=1)
+        self.N_S = self.theta * gf(self.theta, order=1)
+        self.N_IS = self.mu_IS @ np.arange(self.mu_IS.shape[1])
+        self.N_RS = self.mu_RS @ np.arange(self.mu_RS.shape[1])
+        alive = self.N_S > DENOM_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.pI = np.where(alive, self.N_IS / self.N_S, 0.0)
+            self.pR = np.where(alive, self.N_RS / self.N_S, 0.0)
+            self.pS = np.where(alive, (self.N_S - self.N_IS - self.N_RS) / self.N_S, 0.0)
+
     def mu_S(self, idx):
         """Susceptible degree measure at time index ``idx`` (closed form)."""
-        k = np.arange(self.mu_S0.kmax + 1)
-        return RealMeasure(self.mu_S0.weights * self.theta[idx] ** k)
-
-    @property
-    def S(self):
-        k = np.arange(self.mu_S0.kmax + 1)
-        return (self.theta[:, None] ** k[None, :]) @ self.mu_S0.weights
-
-    @property
-    def I(self):
-        return self.mu_IS.sum(axis=1)
-
-    @property
-    def R(self):
-        return self.mu_RS.sum(axis=1)
-
-    @property
-    def N_S(self):
-        k = np.arange(self.mu_S0.kmax + 1)
-        return (self.theta[:, None] ** k[None, :]) @ (k * self.mu_S0.weights)
-
-    @property
-    def N_IS(self):
-        return self.mu_IS @ np.arange(self.mu_IS.shape[1])
-
-    @property
-    def N_RS(self):
-        return self.mu_RS @ np.arange(self.mu_RS.shape[1])
-
-    @property
-    def pI(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.N_S > DENOM_FLOOR, self.N_IS / self.N_S, 0.0)
-
-    @property
-    def pR(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.N_S > DENOM_FLOOR, self.N_RS / self.N_S, 0.0)
-
-    @property
-    def pS(self):
-        N_S = self.N_S
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(N_S > DENOM_FLOOR, (N_S - self.N_IS - self.N_RS) / N_S, 0.0)
+        return self.mu_S0 * self.theta[idx] ** np.arange(len(self.mu_S0))
 
     COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
 
@@ -370,15 +357,6 @@ class MeasureSolution:
         cols = [self.column(c) for c in self.COLUMNS]
         for i in range(len(self.t)):
             yield ",".join(f"{c[i]:.12g}" for c in cols)
-
-    def snapshot_json_lines(self):
-        for i in range(len(self.t)):
-            yield json.dumps({
-                "t": float(self.t[i]),
-                "mu_S": {str(k): w for k, w in enumerate(self.mu_S(i).weights) if w},
-                "mu_IS": {str(k): w for k, w in enumerate(self.mu_IS[i]) if w},
-                "mu_RS": {str(k): w for k, w in enumerate(self.mu_RS[i]) if w},
-            })
 
 
 def influx_vector(mu_S_weights, pS, pI, pR, K, binom=None):
@@ -456,39 +434,49 @@ def measure_rhs(y, r, beta, mu_S0_weights, K, binom):
     return d
 
 
-def solve_measures(init, r, beta, config, K=None):
-    """Integrate the measure system; returns a :class:`MeasureSolution`.
+def measure_levels(init, K=None):
+    """The edges-to-S level cap of :func:`solve_measures`, checked against
+    the initial infectious support.
 
-    ``K`` caps the tracked edges-to-S levels.  It defaults to the smallest
-    level leaving tail mass of ``mu_S0`` below 1e-10, which for a
-    finite-support law is its largest degree; edges-to-S counts never grow,
-    so the cap is then exact.  Any discarded tail mass triggers a warning.
-    Small negative weights produced by the integrator are clamped to zero;
-    the run aborts if the clamped mass exceeds a fixed budget relative to
-    the initial population mass.
-    """
-    check_rates(r, beta)
-    kmax = init.mu_S0.kmax
+    ``K`` defaults to the smallest level leaving tail mass of ``mu_S0``
+    below 1e-10, which for a finite-support law is its largest degree;
+    edges-to-S counts never grow, so the cap is then exact.  Any tail mass
+    the default discards triggers a warning."""
+    support = len(init.mu_IS0) - 1
     if K is None:
-        tail = np.cumsum(init.mu_S0.weights[::-1])[::-1]  # tail[k] = mass at >= k
+        tail = np.cumsum(init.mu_S0[::-1])[::-1]  # tail[k] = mass at >= k
         above = np.flatnonzero(tail < 1e-10)
-        K = int(above[0]) - 1 if len(above) else kmax
-        K = max(K, init.mu_IS0.kmax, 1)
-        discarded = float(init.mu_S0.weights[K + 1 :].sum())
+        K = int(above[0]) - 1 if len(above) else len(init.mu_S0) - 1
+        K = max(K, support, 1)
+        discarded = float(init.mu_S0[K + 1 :].sum())
         if discarded > 0:
             warnings.warn(
                 f"measure solver truncated at K={K}, discarding susceptible "
                 f"tail mass {discarded:.3e}"
             )
-    if init.mu_IS0.kmax > K:
-        raise ConfigurationError("K smaller than the initial infectious support")
-    w0 = init.mu_S0.weights
-    binom = _binom_matrix(K, kmax)
+    if support > K:
+        raise ConfigurationError(
+            f"K={K} smaller than the initial infectious support {support}")
+    return K
+
+
+def solve_measures(init, r, beta, config, K=None):
+    """Integrate the measure system; returns a :class:`MeasureSolution`.
+
+    ``K`` caps the tracked edges-to-S levels, resolved by
+    :func:`measure_levels`.  Small negative weights produced by the
+    integrator are clamped to zero; the run aborts if the clamped mass
+    exceeds a fixed budget relative to the initial population mass.
+    """
+    check_rates(r, beta)
+    K = measure_levels(init, K)
+    w0 = init.mu_S0
+    binom = _binom_matrix(K, len(w0) - 1)
     y0 = np.zeros(1 + 2 * (K + 1))
     y0[0] = 1.0
-    y0[1 : init.mu_IS0.kmax + 2] = init.mu_IS0.weights
+    y0[1 : len(init.mu_IS0) + 1] = init.mu_IS0
 
-    total0 = init.mu_S0.mass + init.mu_IS0.mass
+    total0 = init.S0 + init.I0
     clamped = [0.0]
 
     def post(y):
@@ -527,40 +515,33 @@ def solve_measures(init, r, beta, config, K=None):
 # ---------------------------------------------------------------------------
 
 
-def miller_theta(psi, r, beta, config, pS0=1.0):
+def miller_theta(init, r, beta, config):
     """Integrate the one-equation reduction
 
-        dtheta/dt = -r theta + beta (1 - theta) + r pS0 psi'(theta) / psi'(1)
+        dtheta/dt = -r theta + beta (1 - theta) + r pS0 g'(theta) / g'(1)
 
-    where ``psi`` generates the degree law (unit mass).  With ``pS0 = 1``
-    this is the classical negligible-initial-infection form; it coincides
-    with the edge-based system only when ``pS0`` equals the true initial
-    susceptible edge fraction, so for a finite initial infected share pass
-    ``pS0 = 1 - pI0``.  Returns (t, theta, S, I, R) with ``S = psi(theta)``,
-    ``dR/dt = beta I`` and ``I = 1 - S - R``."""
+    where g generates ``mu_S0`` and ``pS0 = 1 - pI0`` is the initial
+    susceptible edge fraction; with it the reduction is exact (Miller
+    2011).  Returns (t, theta, S, I, R) with ``S = g(theta)``,
+    ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``."""
     check_rates(r, beta)
-    if isinstance(psi, RealMeasure):
-        psi = GeneratingFn(psi)
-    dpsi1 = psi(1.0, order=1)
-    if dpsi1 <= 0:
-        raise ConfigurationError("degree law needs positive mean")
-    if not 0 < pS0 <= 1:
-        raise ConfigurationError("pS0 must lie in (0, 1]")
+    gf = GeneratingFn(init.mu_S0)
+    pS0 = 1.0 - init.pI0
+    g1 = gf(1.0, order=1)
+    total = init.S0 + init.I0
 
     def rhs(y):
         theta, R = y
-        S = psi(theta)
-        I = 1.0 - S - R
         return np.array([
-            -r * theta + beta * (1.0 - theta) + r * pS0 * psi(theta, order=1) / dpsi1,
-            beta * I,
+            -r * theta + beta * (1.0 - theta) + r * pS0 * gf(theta, order=1) / g1,
+            beta * (total - gf(theta) - R),
         ])
 
     ts, ys, _ = rk4_integrate(rhs, [1.0, 0.0], config.dt, config.n_steps)
     theta = ys[:, 0]
-    S = np.polynomial.polynomial.polyval(theta, psi.coef)
+    S = gf(theta)
     R = ys[:, 1]
-    return ts, theta, S, 1.0 - S - R, R
+    return ts, theta, S, total - S - R, R
 
 
 def horizon_bound(init, r, beta, eps_prime):
@@ -575,5 +556,6 @@ def horizon_bound(init, r, beta, eps_prime):
         raise ConfigurationError("eps_prime must be positive")
     if max(r, beta) <= 0:
         raise ConfigurationError("at least one rate must be positive")
-    m2 = init.mu_S0.moment(2)
+    k = np.arange(len(init.mu_S0))
+    m2 = float((k ** 2) @ init.mu_S0)
     return (math.log(m2 + init.N_IS0) - math.log(m2 + eps_prime)) / max(r, beta)

@@ -254,6 +254,17 @@ class PopulationState:
             raise StateCorruptionError("mu_S gained an atom over mu_S0")
 
 
+def initial_infective_count(n, i0):
+    """Number ``ceil(i0 * n)`` of initial infectives among ``n`` nodes;
+    refuses an ``i0`` outside (0, 1) or one that leaves no susceptibles."""
+    if not 0 < i0 < 1:
+        raise ConfigurationError(f"initial infected fraction i0 must lie in (0,1), got {i0}")
+    n_inf = int(math.ceil(i0 * n))
+    if n_inf >= n:
+        raise ConfigurationError(f"i0={i0} on n={n} nodes leaves no susceptibles")
+    return n_inf
+
+
 def initialize_state(degrees, i0, selection="uniform", rng=None):
     """Split a degree sequence into initial susceptibles and infectives.
 
@@ -265,13 +276,7 @@ def initialize_state(degrees, i0, selection="uniform", rng=None):
     n = len(degrees)
     if n == 0:
         raise ConfigurationError("empty degree sequence")
-    if not 0 < i0 < 1:
-        raise ConfigurationError(f"initial infected fraction i0 must lie in (0,1), got {i0}")
-    n_inf = int(math.ceil(i0 * n))
-    if n_inf >= n:
-        raise ConfigurationError(
-            f"i0={i0} on {n} nodes leaves no susceptibles"
-        )
+    n_inf = initial_infective_count(n, i0)
     rng = rng if rng is not None else np.random.default_rng()
     if selection == "uniform":
         infected = rng.choice(n, size=n_inf, replace=False)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sirnet
-from sirnet.cli import main
+from sirnet.cli import build_parser, main
 
 
 def run(args, capsys):
@@ -122,20 +122,34 @@ def test_solve_measures_snapshots(tmp_path, capsys):
     assert set(first) == {"t", "mu_S", "mu_IS", "mu_RS"}
 
 
-def test_solve_miller_caveat(tmp_path, capsys):
-    path = tmp_path / "mil.csv"
-    code, out, _ = run(["solve", "miller", "--degree", "poisson:5:30",
-                        "--r", "1", "--beta", "0.5", "--i0", "0.05",
-                        "--t-max", "0.5", "--out", str(path)], capsys)
-    assert code == 0
-    assert "caveat:" in out
-    # passing the exact pS0 silences the caveat
-    code, out, _ = run(["solve", "miller", "--degree", "poisson:5:30",
-                        "--r", "1", "--beta", "0.5", "--i0", "0.05",
-                        "--t-max", "0.5", "--pS0", str(1 - 0.05 / 0.95),
-                        "--out", str(path)], capsys)
-    assert code == 0
-    assert "caveat:" not in out
+def test_solve_miller_matches_volz(tmp_path, capsys):
+    # the one-equation reduction is exact: it takes pS0 = 1 - pI0 and
+    # S = g(theta) from the same initial data as volz
+    paths = {}
+    for which in ("volz", "miller"):
+        paths[which] = tmp_path / f"{which}.csv"
+        code, out, _ = run(["solve", which, "--degree", "poisson:5:30",
+                            "--r", "1", "--beta", "0.5", "--i0", "0.05",
+                            "--t-max", "2", "--out", str(paths[which])], capsys)
+        assert code == 0 and out == f"wrote {paths[which]} ({which})\n"
+
+    def cols(path):
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+    volz, miller = cols(paths["volz"]), cols(paths["miller"])
+    assert list(miller) == ["t", "S", "I", "R", "theta"]
+    assert len(miller["t"]) == len(volz["t"]) == 2001
+    for name in miller:
+        assert max(abs(a - b) for a, b in zip(miller[name], volz[name])) < 1e-7
+    assert miller["I"][0] == pytest.approx(0.05, abs=1e-12)
+    meta = json.loads((tmp_path / "miller.csv.meta.json").read_text())
+    assert "pS0" not in meta
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "miller", "--help"])
+    assert "--pS0" not in capsys.readouterr().out
 
 
 def test_converge_report(tmp_path, capsys):
@@ -250,13 +264,36 @@ def test_converge_refuses_empty_window(tmp_path, capsys, monkeypatch, extra, fie
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--reps", "0"], ["--workers", "-3"]])
+@pytest.mark.parametrize("extra", [["--reps", "0"], ["--workers", "-3"], ["--n", "1"]])
 def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
     code, _, err = run(_with(CONVERGE, *extra)
                        + ["--i0", "0.01", "--grid", "0.0001", "--dry-run",
                           "--out", str(tmp_path / "rep.csv")], capsys)
     assert code == 2
     assert extra[0][2:] in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (CONVERGE + ["--n", "1", "--i0", "0.01", "--grid", "0.0001"],
+     "i0=0.01 on n=1 nodes leaves no susceptibles"),
+    (["solve", "measures"] + VOLZ[2:] + ["--kmax", "5"],
+     "K=5 smaller than the initial infectious support 30"),
+], ids=["converge-n-1", "measures-kmax-5"])
+def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
+    import sirnet.harness
+
+    def forbidden(*_, **__):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(sirnet.harness, "solve_volz", forbidden)
+    out = tmp_path / "x.csv"
+    errs = []
+    for dry in ([], ["--dry-run"]):
+        code, _, err = run(args + dry + ["--out", str(out)], capsys)
+        assert code == 2
+        errs.append(err)
+    assert errs[0] == errs[1] == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_converge_dry_run_neither_solves_nor_simulates(tmp_path, capsys, monkeypatch):

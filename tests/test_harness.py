@@ -11,6 +11,7 @@ from sirnet.harness import (
     run_replicas,
     sup_distance,
 )
+from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
 from sirnet.simulation import SimParams
 
 
@@ -163,3 +164,22 @@ def test_run_convergence_study_end_to_end():
     manifest = manifest_json(report)
     assert '"base_seed": 21' in manifest
     assert manifest.count('"rep"') == 5
+
+
+def test_study_report_equals_full_horizon_report():
+    # the study simulates and solves only up to its comparison window, so
+    # its report must equal the one built from replicas run to t_max
+    spec = DegreeSpec.poisson(5, 30)
+    r, beta, i0, eps_prime, t_max, grid = 1.0, 0.5, 0.01, 0.01, 0.05, 1e-4
+    study = run_convergence_study(spec, r, beta, i0, [200, 500], 4, 3,
+                                  t_max=t_max, grid=grid, eps_prime=eps_prime)
+    init = limit_initial(spec, i0)
+    tau_bar = horizon_bound(init, r, beta, eps_prime)
+    assert grid < study.t_end == tau_bar < t_max / 10
+    full = run_replicas(spec, SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid),
+                        [200, 500], 4, 3, i0, eps_prime=eps_prime)
+    assert full[0].times[-1] == pytest.approx(t_max)
+    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_max, dt=grid, eps_IS=0.0))
+    expected = convergence_report(full, sol, eps_prime, tau_bar, t_max)
+    assert study.rows == expected.rows
+    assert list(study.to_csv_lines()) == list(expected.to_csv_lines())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, SolverDiagnosticError
@@ -19,8 +20,6 @@ from sirnet.limit import (
     solve_measures,
     solve_volz,
 )
-from sirnet.measures import RealMeasure
-
 
 from oracles import influx_uncollapsed
 
@@ -49,11 +48,14 @@ def test_influx_degenerate_probabilities():
 
 
 def test_generating_fn_derivatives():
-    g = GeneratingFn(RealMeasure({0: 0.2, 1: 0.3, 3: 0.5}))
+    g = GeneratingFn([0.2, 0.3, 0.0, 0.5])
     z = 0.7
     assert g(z) == pytest.approx(0.2 + 0.3 * z + 0.5 * z**3)
     assert g(z, order=1) == pytest.approx(0.3 + 1.5 * z**2)
     assert g(z, order=2) == pytest.approx(3.0 * z)
+    assert type(g(z)) is float  # the scalar path stays a Python float
+    zs = np.array([0.0, 0.5, z])
+    np.testing.assert_allclose(g(zs, order=1), 0.3 + 1.5 * zs**2, rtol=1e-15)
     with pytest.raises(ValueError):
         g(z, order=3)
 
@@ -155,7 +157,7 @@ def test_measures_truncation_warns():
     # infinite-tail stand-in: uniform weights, cap K below the support top
     init = LimitInit(
         mu_S0=DegreeSpec.poisson(5, 60).limit_measure(0.99),
-        mu_IS0=RealMeasure({1: 0.01}),
+        mu_IS0=[0.0, 0.01],
     )
     with pytest.warns(UserWarning, match="tail mass"):
         solve_measures(init, 1.0, 0.5, SolverConfig(t_max=0.01, dt=1e-3), K=None)
@@ -165,36 +167,69 @@ def test_measures_mu_s_closed_form():
     init = standard_setup(kmax=20)
     sol = solve_measures(init, 1.0, 0.5, SolverConfig(t_max=1.0, dt=1e-3))
     idx = len(sol.t) // 2
-    mu = sol.mu_S(idx)
-    k = np.arange(init.mu_S0.kmax + 1)
+    k = np.arange(len(init.mu_S0))
     np.testing.assert_allclose(
-        mu.weights, init.mu_S0.weights * sol.theta[idx] ** k, rtol=1e-12)
+        sol.mu_S(idx), init.mu_S0 * sol.theta[idx] ** k, rtol=1e-12)
+    # S and N_S are the generating function of mu_S0 and its edge count
+    np.testing.assert_allclose(sol.S, [sol.mu_S(i).sum() for i in range(len(sol.t))],
+                               rtol=1e-12)
+    np.testing.assert_allclose(sol.N_S, [k @ sol.mu_S(i) for i in range(len(sol.t))],
+                               rtol=1e-12)
 
 
 def test_miller_exact_when_ps0_matches():
+    # pS0 = 1 - pI0 and S = g(theta) come from the same LimitInit as volz's
     spec = DegreeSpec.poisson(5, 40)
     init = limit_initial(spec, 0.02)
     cfg = SolverConfig(t_max=3.0, dt=1e-3)
     vol = solve_volz(init, 1.0, 0.5, cfg)
-    psi = GeneratingFn(spec.limit_measure())
-    ts, theta, S, I, R = miller_theta(psi, 1.0, 0.5, cfg, pS0=1.0 - init.pI0)
+    ts, theta, S, I, R = miller_theta(init, 1.0, 0.5, cfg)
     m = min(len(ts), len(vol.t))
-    assert np.abs(theta[:m] - vol.theta[:m]).max() < 1e-7
-    # with the default pS0=1 the reduction is only approximate
-    _, theta_default, *_ = miller_theta(psi, 1.0, 0.5, cfg, pS0=1.0)
-    assert np.abs(theta_default[:m] - vol.theta[:m]).max() > 1e-4
+    np.testing.assert_allclose(ts[:m], vol.t[:m], rtol=0, atol=1e-12)
+    for got, want in ((theta, vol.theta), (S, vol.S), (I, vol.I), (R, vol.R)):
+        assert np.abs(got[:m] - want[:m]).max() < 1e-7
+    assert I[0] == pytest.approx(0.02, abs=1e-15)
+
+
+def _final_theta(init, r, beta):
+    """Root in (0, 1) of the final-size relation
+    ``theta (r + beta) = beta + r pS0 psi'(theta) / psi'(1)``, ``pS0 = 1 - pI0``
+    (Volz 2008; Miller 2011), with psi the degree law's generating function."""
+    dpsi = np.polynomial.polynomial.polyder(init.mu_S0)
+    scale = np.polynomial.polynomial.polyval(1.0, dpsi)
+    pS0 = 1.0 - init.pI0
+
+    def f(theta):
+        return (theta * (r + beta) - beta
+                - r * pS0 * np.polynomial.polynomial.polyval(theta, dpsi) / scale)
+
+    return brentq(f, 1e-12, 1.0 - 1e-12, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:300"])
+def test_final_size_oracle(degree):
+    # volz's final theta carries the O(dt^4) error of the whole path (its
+    # gap is 9e-11 on the power law at dt=5e-3); the root is a fixed point of
+    # every RK4 step of the one-equation reduction, so any stable dt reaches it
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    theta_inf = _final_theta(init, 1.0, 0.5)
+    assert 0 < theta_inf < 1
+    vol = solve_volz(init, 1.0, 0.5, SolverConfig(t_max=60.0, dt=5e-3, eps_IS=0.0))
+    assert abs(vol.theta[-1] - theta_inf) < 1e-9
+    _, theta, *_ = miller_theta(init, 1.0, 0.5, SolverConfig(t_max=60.0, dt=2e-2))
+    assert abs(theta[-1] - theta_inf) < 1e-9
 
 
 def test_horizon_bound_pinned_example():
     # <mu,x^2>=4, N_IS0=0.1, eps'=0.01, rates (2, 1) -> (ln 4.1 - ln 4.01)/2
-    init = LimitInit(mu_S0=RealMeasure({2: 1.0}), mu_IS0=RealMeasure({1: 0.1}))
+    init = LimitInit(mu_S0=[0.0, 0.0, 1.0], mu_IS0=[0.0, 0.1])
     tau = horizon_bound(init, 2.0, 1.0, 0.01)
     assert tau == pytest.approx((math.log(4.1) - math.log(4.01)) / 2.0, rel=1e-9)
     assert tau == pytest.approx(0.011098, abs=5e-7)
 
 
 def test_horizon_bound_structure():
-    init = LimitInit(mu_S0=RealMeasure({2: 1.0}), mu_IS0=RealMeasure({1: 0.1}))
+    init = LimitInit(mu_S0=[0.0, 0.0, 1.0], mu_IS0=[0.0, 0.1])
     # eps' -> N_IS0 drives the bound to 0
     assert horizon_bound(init, 2.0, 1.0, 0.1) == pytest.approx(0.0, abs=1e-12)
     # doubling max(r, beta) halves the bound

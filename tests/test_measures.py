@@ -1,35 +1,47 @@
-"""Real measures of the limit, and the size-biased law of an integer
-level-count measure as the simulator draws it."""
+"""Validation of the limit's initial measures, and the size-biased law of
+an integer level-count measure as the simulator draws it."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sirnet.measures import RealMeasure
+from sirnet.errors import ConfigurationError
+from sirnet.limit import LimitInit
 from sirnet.simulation import BlockDraws, pick_size_biased
 
 
-def test_moment_order_bounds():
-    nu = RealMeasure({2: 1.0})
-    assert nu.moment(5) == 32
-    with pytest.raises(ValueError):
-        nu.moment(6)
-    with pytest.raises(ValueError):
-        nu.moment(-1)
+def test_limit_init_basics():
+    init = LimitInit(mu_S0=[0, 0.25, 0, 0, 0.75], mu_IS0=[0, 0.1])
+    assert init.mu_S0.dtype == float and len(init.mu_S0) == 5
+    assert init.S0 == 1.0 and init.I0 == pytest.approx(0.1)
+    assert init.N_S0 == pytest.approx(0.25 + 3.0)
+    assert init.pI0 == pytest.approx(0.1 / 3.25)
 
 
 def test_empty_measure():
-    nu = RealMeasure({})
-    assert nu.mass == 0
-    assert nu.moment(3) == 0
-    assert nu.kmax == 0
+    # no susceptible mass, or mass at degree 0 only: zero mean degree
+    for mu_S0 in ([], [0.0, 0.0], [1.0]):
+        with pytest.raises(ConfigurationError, match="positive mean degree"):
+            LimitInit(mu_S0=mu_S0, mu_IS0=[0.0, 0.1])
 
 
 def test_negative_inputs_rejected():
-    with pytest.raises(ValueError):
-        RealMeasure({1: -2.0})
-    with pytest.raises(ValueError):
-        RealMeasure([0.5, -0.5])
+    with pytest.raises(ConfigurationError, match="mu_S0 has a negative weight"):
+        LimitInit(mu_S0=[0.5, 2.0, -0.5], mu_IS0=[0.0, 0.1])
+    with pytest.raises(ConfigurationError, match="mu_IS0 has a negative weight"):
+        LimitInit(mu_S0=[0.0, 1.0], mu_IS0=[0.0, -0.1])
+
+
+@pytest.mark.parametrize("mu_S0,mu_IS0,message", [
+    ([0.0, np.nan], [0.0, 0.1], "mu_S0 must be finite"),
+    ([0.0, 1.0], [0.0, np.inf], "mu_IS0 must be finite"),
+    ([[0.0, 1.0]], [0.0, 0.1], "mu_S0 must be a weight vector"),
+    (0.5, [0.0, 0.1], "mu_S0 must be a weight vector"),
+    ([0.0, 1.0], [0.0, 1.5], "exceeds 1"),
+])
+def test_limit_init_rejects(mu_S0, mu_IS0, message):
+    with pytest.raises(ConfigurationError, match=message):
+        LimitInit(mu_S0=mu_S0, mu_IS0=mu_IS0)
 
 
 def test_size_biased_law_chi_square():
@@ -56,13 +68,3 @@ def test_size_biased_needs_positive_first_moment():
         pick_size_biased([5], 0, draws)
     with pytest.raises(ValueError):
         pick_size_biased([], 0, draws)
-
-
-def test_real_measure_basics():
-    nu = RealMeasure({1: 0.25, 4: 0.75})
-    assert nu.kmax == 4
-    assert nu.mass == 1.0
-    assert nu.moment(1) == pytest.approx(0.25 + 3.0)
-    assert nu(2) == 0.0 and nu(99) == 0.0
-    with pytest.raises(ValueError):
-        RealMeasure({1: -0.5})
