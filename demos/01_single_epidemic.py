@@ -27,7 +27,7 @@ degrees = spec.sample(N, rng)
 state = initialize_state(degrees, I0, selection="uniform", rng=rng)
 print(f"initial pools: N_S={state.N_S}  N_IS={state.N_IS}  N_RS={state.N_RS}")
 
-params = SimParams(r=R_RATE, beta=BETA, t_max=15.0, record_grid=0.25, seed=2026)
+params = SimParams(r=R_RATE, beta=BETA, t_max=15.0, record_grid=0.25)
 traj = simulate(state, params, rng=rng)
 
 print(f"\n{'t':>6} {'S':>6} {'I':>6} {'R':>6} {'N_IS':>7}")

@@ -35,10 +35,10 @@ R_RATE, BETA, I0 = 1.0, 0.5, 0.02
 
 spec = DegreeSpec.poisson(5, 40)
 init = limit_initial(spec, I0)
-cfg = SolverConfig(t_max=6.0, dt=1e-3)
+cfg = SolverConfig(r=R_RATE, beta=BETA, t_max=6.0, dt=1e-3)
 
-vol = solve_volz(init, R_RATE, BETA, cfg)
-mea = solve_measures(init, R_RATE, BETA, cfg)
+vol = solve_volz(init, cfg)
+mea = solve_measures(init, cfg)
 
 m = min(len(vol.t), len(mea.t))
 print("edge-based vs measure-valued solver, max per-capita differences:")
@@ -51,11 +51,11 @@ print("\nedge-count identities (residuals should be at solver accuracy):")
 for name, r in res.items():
     print(f"  {name}: max residual {r.max():.3e}")
 
-_, theta, S, I, R = miller_theta(init, R_RATE, BETA, cfg)
-k = min(len(theta), len(vol.theta))
+mil = miller_theta(init, cfg)
+k = min(len(mil.t), len(vol.t))
 print("\none-equation reduction vs edge-based solver, max differences:")
-for col, values in (("theta", theta), ("S", S), ("I", I), ("R", R)):
-    diff = np.abs(values[:k] - getattr(vol, col)[:k]).max()
+for col in mil.COLUMNS[1:]:
+    diff = np.abs(mil.column(col)[:k] - vol.column(col)[:k]).max()
     print(f"  {col}: {diff:.3e}")
 
 tau = horizon_bound(init, R_RATE, BETA, eps_prime=0.01)

@@ -26,7 +26,7 @@ import numpy as np
 
 import sirnet
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError, check_rates
+from sirnet.errors import ConfigurationError
 from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     SolverConfig,
@@ -131,22 +131,26 @@ def build_parser():
     sp.add_argument("--snapshots", help="optional measure snapshots JSON-lines path")
     sp.add_argument("--dry-run", action="store_true", help="validate config and exit")
 
-    sp = sub.add_parser("solve", help="solve the deterministic limit")
-    sp.add_argument("which", choices=("volz", "measures", "miller"))
-    add_degree(sp)
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
+    common = argparse.ArgumentParser(add_help=False)  # what every solver takes
+    add_degree(common)
+    common.add_argument("--r", type=float, required=True)
+    common.add_argument("--beta", type=float, required=True)
+    group = common.add_mutually_exclusive_group(required=True)
     group.add_argument("--i0", type=float, help="initial infected node fraction")
     group.add_argument("--pI0", type=float, help="initial infectious edge fraction")
-    sp.add_argument("--t-max", type=float, required=True)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--eps-is", type=float, default=1e-6,
-                    help="stop once per-capita N_IS falls below this")
+    common.add_argument("--t-max", type=float, required=True)
+    common.add_argument("--dt", type=float, default=1e-3)
+    common.add_argument("--eps-is", type=float, default=1e-6,
+                        help="stop once per-capita N_IS falls below this (0: never)")
+    common.add_argument("--out", required=True)
+    common.add_argument("--dry-run", action="store_true")
+    sp = sub.add_parser("solve", help="solve the deterministic limit")
+    solvers = sp.add_subparsers(dest="which", required=True)
+    solvers.add_parser("volz", parents=[common], help="edge-based ODEs")
+    sp = solvers.add_parser("measures", parents=[common], help="measure-valued system")
     sp.add_argument("--kmax", type=int, help="level cap for the measure system")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--snapshots", help="measures only: snapshots JSON-lines path")
-    sp.add_argument("--dry-run", action="store_true")
+    sp.add_argument("--snapshots", help="snapshots JSON-lines path")
+    solvers.add_parser("miller", parents=[common], help="one-equation reduction for theta")
 
     sp = sub.add_parser("converge", help="compare scaled simulations to the limit")
     add_degree(sp)
@@ -156,7 +160,6 @@ def build_parser():
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--i0", type=float, required=True)
-    sp.add_argument("--selection", choices=("uniform", "size_biased"), default="uniform")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--t-max", type=float, required=True)
     sp.add_argument("--grid", type=float, default=0.05)
@@ -183,7 +186,7 @@ def cmd_r0(args):
 def cmd_simulate(args):
     spec = DegreeSpec.from_string(args.degree)
     params = SimParams(r=args.r, beta=args.beta, t_max=args.t_max,
-                       record_grid=args.grid, seed=args.seed,
+                       record_grid=args.grid,
                        snapshot_measures=bool(args.snapshots))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     degrees = spec.sample(args.n, rng)
@@ -214,44 +217,27 @@ def cmd_solve(args):
         init = limit_initial(spec, args.i0)
     else:
         init = limit_initial_from_pI0(spec, args.pI0)
-    config = SolverConfig(t_max=args.t_max, dt=args.dt, eps_IS=args.eps_is)
-    meta = {
+    config = SolverConfig(r=args.r, beta=args.beta, t_max=args.t_max,
+                          dt=args.dt, eps_IS=args.eps_is)
+    levels = {"K": args.kmax} if args.which == "measures" else {}
+    if args.dry_run:
+        if levels:
+            measure_levels(init, **levels)
+        print("config ok (dry run)")
+        return EXIT_OK
+    # looked up per call, so a wrapper set on a module-level name sees the call
+    solver = {"volz": solve_volz, "measures": solve_measures, "miller": miller_theta}
+    sol = solver[args.which](init, config, **levels)
+    out = _atomic_write(args.out, sol.to_csv_lines())
+    _write_metadata(out, {
         "command": f"solve {args.which}", "degree": spec.describe(),
         "r": args.r, "beta": args.beta,
         "i0": args.i0, "pI0": init.pI0,
         "t_max": args.t_max, "dt": args.dt, "eps_IS": args.eps_is,
-    }
-    if args.dry_run:
-        check_rates(args.r, args.beta)  # the check each solver makes on entry
-        if args.which == "measures":
-            measure_levels(init, args.kmax)
-        print("config ok (dry run)")
-        return EXIT_OK
-    if args.which == "volz":
-        sol = solve_volz(init, args.r, args.beta, config)
-        out = _atomic_write(args.out, sol.to_csv_lines())
-        _write_metadata(out, {**meta, "terminal": sol.terminal})
-    elif args.which == "measures":
-        sol = solve_measures(init, args.r, args.beta, config, K=args.kmax)
-        out = _atomic_write(args.out, sol.to_csv_lines())
-        _write_metadata(out, {**meta, "kmax": args.kmax,
-                              "clamped_mass": sol.clamped_mass,
-                              "terminal": sol.terminal})
-        if args.snapshots:
-            _atomic_write(args.snapshots, _snapshot_lines(
-                (float(t), {"mu_S": sol.mu_S(i), "mu_IS": sol.mu_IS[i],
-                            "mu_RS": sol.mu_RS[i]})
-                for i, t in enumerate(sol.t)
-            ))
-    else:
-        ts, theta, S, I, R = miller_theta(init, args.r, args.beta, config)
-        lines = ["t,S,I,R,theta"]
-        lines += [
-            f"{ts[i]:.12g},{S[i]:.12g},{I[i]:.12g},{R[i]:.12g},{theta[i]:.12g}"
-            for i in range(len(ts))
-        ]
-        out = _atomic_write(args.out, lines)
-        _write_metadata(out, meta)
+        "terminal": sol.terminal, **sol.diagnostics,
+    })
+    if vars(args).get("snapshots"):
+        _atomic_write(args.snapshots, _snapshot_lines(sol.snapshots))
     print(f"wrote {out} ({args.which})")
     return EXIT_OK
 
@@ -267,7 +253,7 @@ def cmd_converge(args):
     report = run_convergence_study(
         spec, args.r, args.beta, args.i0, args.n, args.reps, args.seed,
         args.t_max, args.grid, eps_prime=args.eps_prime,
-        selection=args.selection, workers=args.workers,
+        workers=args.workers,
     )
     out = _atomic_write(args.out, report.to_csv_lines())
     manifest_path = args.manifest or args.out + ".manifest.json"
@@ -275,7 +261,7 @@ def cmd_converge(args):
     _write_metadata(out, {
         "command": "converge", "degree": spec.describe(),
         "n": args.n, "reps": args.reps, "r": args.r, "beta": args.beta,
-        "i0": args.i0, "selection": args.selection, "seed": args.seed,
+        "i0": args.i0, "seed": args.seed,
         "t_max": args.t_max, "grid": args.grid, "eps_prime": args.eps_prime,
         "tau_bar": report.tau_bar,
     })

@@ -102,9 +102,6 @@ class DegreeSpec:
     def mean(self):
         return float(self.levels @ self.probs)
 
-    def moment(self, p):
-        return float((self.levels.astype(float) ** p) @ self.probs)
-
     def kmax(self):
         return int(self.levels[-1])
 

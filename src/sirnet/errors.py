@@ -28,10 +28,10 @@ def check_finite(**values):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
-def check_rates(r, beta):
-    """Raise :class:`ConfigurationError` naming an infection rate ``r`` or a
-    removal rate ``beta`` that is not finite and nonnegative."""
-    check_finite(r=r, beta=beta)
-    for name, value in (("r", r), ("beta", beta)):
+def check_nonnegative(**values):
+    """Raise :class:`ConfigurationError` naming the first value that is not
+    finite and nonnegative, such as a rate."""
+    check_finite(**values)
+    for name, value in values.items():
         if value < 0:
             raise ConfigurationError(f"{name} must be nonnegative, got {value}")

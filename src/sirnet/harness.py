@@ -53,11 +53,11 @@ def replica_seed(base_seed, n, rep):
 
 
 def _run_one(args):
-    spec, params, n, rep, base_seed, i0, selection, eps_prime = args
+    spec, params, n, rep, base_seed, i0, eps_prime = args
     ss = replica_seed(base_seed, n, rep)
     rng = np.random.Generator(np.random.PCG64(ss))
     degrees = spec.sample(n, rng)
-    state = initialize_state(degrees, i0, selection=selection, rng=rng)
+    state = initialize_state(degrees, i0, rng=rng)
     traj = simulate(state, params, rng=rng)
     tau = stopping_time(traj, eps_prime, n)
     columns = {
@@ -84,17 +84,18 @@ def _check_batch(n_values, reps, workers):
 
 
 def run_replicas(spec, params, n_values, reps, base_seed, i0,
-                 selection="uniform", eps_prime=0.01, workers=None):
+                 eps_prime=0.01, workers=None):
     """``reps`` independent scaled simulations for every n in ``n_values``.
 
-    Each replica draws its own degree sequence and runs on a private RNG
-    stream derived from ``(base_seed, n, rep)``, so outputs are reproducible
-    and independent of worker scheduling.  Returns a flat list ordered by
-    (n, rep).
+    Each replica draws its own degree sequence, infects a uniform ``i0``
+    fraction of it (the selection :func:`limit_initial` models), and runs on
+    a private RNG stream derived from ``(base_seed, n, rep)``, so outputs
+    are reproducible and independent of worker scheduling.  Returns a flat
+    list ordered by (n, rep).
     """
     _check_batch(n_values, reps, workers)
     jobs = [
-        (spec, params, int(n), rep, base_seed, i0, selection, eps_prime)
+        (spec, params, int(n), rep, base_seed, i0, eps_prime)
         for n in n_values
         for rep in range(reps)
     ]
@@ -211,8 +212,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
 
 
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
-                          t_max, grid, eps_prime=0.01, selection="uniform",
-                          workers=None):
+                          t_max, grid, eps_prime=0.01, workers=None):
     """End-to-end study: limit solve, replica batch, report with manifest.
     Inputs are validated first by :func:`plan_study`.
 
@@ -226,15 +226,15 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
     # the solver grid must contain every simulation grid point
     dt = grid / max(int(np.ceil(grid / 1e-3)), 1)
     t_last = math.floor(t_end / grid + 1e-9) * grid
-    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_last, dt=dt, eps_IS=0.0))
+    sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_last, dt=dt, eps_IS=0.0))
     trajectories = run_replicas(
         spec, params, n_values, reps, base_seed, i0,
-        selection=selection, eps_prime=eps_prime, workers=workers,
+        eps_prime=eps_prime, workers=workers,
     )
     report = convergence_report(trajectories, sol, eps_prime, tau_bar, t_max)
     report.manifest = {
         "degree": spec.describe(),
-        "r": r, "beta": beta, "i0": i0, "selection": selection,
+        "r": r, "beta": beta, "i0": i0,
         "n_values": [int(n) for n in n_values], "reps": reps,
         "base_seed": base_seed, "rng": "PCG64",
         "t_max": t_max, "grid": grid, "solver_dt": dt,

@@ -1,19 +1,20 @@
 """Deterministic large-population limits of the network SIR dynamics.
 
-Two solvers for the same limit object:
+Three solvers for the same limit object:
 
 * :func:`solve_measures` integrates the countable system of degree measures
   (susceptible degrees in closed form ``mu_S(k) = mu_S0(k) * theta^k``,
   plus the edges-to-S measures of the infectious and removed classes);
 * :func:`solve_volz` integrates the low-dimensional edge-based ODEs in
   ``(theta, pI, pS, pR)`` driven by the generating function of the initial
-  susceptible degree measure.
+  susceptible degree measure;
+* :func:`miller_theta` integrates their exact one-equation reduction.
 
-Both use a fixed-step classical Runge-Kutta (RK4) integrator.  A further
-exact one-dimensional reduction (:func:`miller_theta`) and an a-priori
+All three take a validated :class:`LimitInit` and :class:`SolverConfig`,
+share one fixed-step classical Runge-Kutta (RK4) path,
+:func:`rk4_integrate`, and return a :class:`Solution`.  An a-priori
 horizon bound for when the per-capita infectious edge count stays above a
-level ``eps`` (:func:`horizon_bound`) round out the module.  All of them
-take the same validated :class:`LimitInit`.
+level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import gammaln, xlogy
 
-from sirnet.errors import ConfigurationError, SolverDiagnosticError, check_finite, check_rates
+from sirnet.errors import (
+    ConfigurationError,
+    SolverDiagnosticError,
+    check_finite,
+    check_nonnegative,
+)
 
 DENOM_FLOOR = 1e-12
 CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
@@ -70,16 +76,20 @@ class GeneratingFn:
 
 @dataclass
 class SolverConfig:
+    """Rates, horizon, step and early-stop level of one limit solve,
+    checked here and nowhere else."""
+
+    r: float  # infection rate per I-S edge
+    beta: float  # removal rate per infectious node
     t_max: float
     dt: float = 1e-3
-    eps_IS: float = 1e-6  # stop once per-capita N_IS falls below this
+    eps_IS: float = 1e-6  # stop once per-capita N_IS falls below this; 0 never stops
 
     def __post_init__(self):
+        check_nonnegative(r=self.r, beta=self.beta, eps_IS=self.eps_IS)
         check_finite(t_max=self.t_max, dt=self.dt)
         if not self.t_max > 0 or not self.dt > 0:
             raise ConfigurationError("t_max and dt must be positive")
-        if self.eps_IS < 0:
-            raise ConfigurationError("eps_IS must be nonnegative")
 
     @property
     def n_steps(self):
@@ -156,68 +166,86 @@ def limit_initial_from_pI0(spec, pI0):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step RK4
+# Fixed-step RK4 and the solution type
 # ---------------------------------------------------------------------------
 
 
-def rk4_integrate(rhs, y0, dt, n_steps, post_step=None, stop=None):
-    """Classical 4th-order Runge-Kutta with constant step.
+def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
+    """Classical 4th-order Runge-Kutta with the constant step ``config.dt``
+    up to ``config.t_max``.
 
-    ``post_step(y)`` may repair the state in place after each step and
-    return a diagnostic value; ``stop(y)`` truthy ends the run early.
-    Returns (times, states, stopped_early).
+    A step that leaves the state non-finite raises
+    :class:`SolverDiagnosticError`; ``repair(y)`` then checks or repairs
+    the state in place.  ``n_IS(y)`` reads the per-capita infectious edge
+    count off the state: the run ends ``extinct`` once it falls below
+    ``config.eps_IS``, and never early when ``eps_IS`` is 0 or there is no
+    read-out.  Returns ``(times, states, terminal)``.
     """
+    dt = config.dt
+    stop_below = config.eps_IS if n_IS is not None else 0.0
     y = np.array(y0, dtype=float)
     ys = [y.copy()]
     ts = [0.0]
-    for step in range(n_steps):
+    for step in range(config.n_steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            post_step(y)
-        ts.append((step + 1) * dt)
+        t = (step + 1) * dt
+        if not np.isfinite(y).all():
+            raise SolverDiagnosticError(
+                f"state became non-finite at t={t:.6g}; dt={dt:g} is too large "
+                "for these rates"
+            )
+        if repair is not None:
+            repair(y)
+        ts.append(t)
         ys.append(y.copy())
-        if stop is not None and stop(y):
-            return np.asarray(ts), np.asarray(ys), True
-    return np.asarray(ts), np.asarray(ys), False
+        if stop_below > 0 and n_IS(y) < stop_below:
+            return np.asarray(ts), np.asarray(ys), "extinct"
+    return np.asarray(ts), np.asarray(ys), "t_max"
+
+
+class Solution:
+    """What every solver returns: the time grid ``t``, the columns named in
+    ``COLUMNS``, the ``terminal`` reason (``t_max`` or ``extinct``) and the
+    solver's ``diagnostics``."""
+
+    COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
+
+    @property
+    def diagnostics(self):
+        return {}
+
+    def column(self, name):
+        return getattr(self, name)
+
+    def to_csv_lines(self):
+        """The header, then one row per time with 12 significant digits."""
+        yield ",".join(self.COLUMNS)
+        cols = [self.column(c).tolist() for c in self.COLUMNS]
+        for row in zip(*cols):
+            yield ",".join(f"{v:.12g}" for v in row)
 
 
 # ---------------------------------------------------------------------------
 # Edge-based (Volz) system
 # ---------------------------------------------------------------------------
 
-_VOLZ_NAMES = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
-
 
 @dataclass
-class VolzSolution:
+class VolzSolution(Solution):
     t: np.ndarray
-    theta: np.ndarray
-    S: np.ndarray
-    I: np.ndarray
-    R: np.ndarray
-    pI: np.ndarray
-    pS: np.ndarray
-    pR: np.ndarray
-    N_S: np.ndarray
-    N_IS: np.ndarray
-    N_RS: np.ndarray
-    N_S_aux: np.ndarray
-    gf: GeneratingFn = field(repr=False, default=None)
+    states: np.ndarray = field(repr=False)  # per time: theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux
+    gf: GeneratingFn = field(repr=False)
     terminal: str = "t_max"
 
-    COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
-
-    def column(self, name):
-        return getattr(self, name)
-
-    def to_csv_lines(self):
-        yield ",".join(self.COLUMNS)
-        for i in range(len(self.t)):
-            yield ",".join(f"{self.column(c)[i]:.12g}" for c in self.COLUMNS)
+    def __post_init__(self):
+        (self.theta, self.I, self.R, self.pI, self.pS, self.pR,
+         self.N_IS, self.N_RS, self.N_S_aux) = self.states.T
+        self.S = self.gf(self.theta)
+        self.N_S = self.theta * self.gf(self.theta, order=1)
 
 
 def volz_rhs(y, r, beta, gf):
@@ -245,25 +273,20 @@ def volz_rhs(y, r, beta, gf):
     return d
 
 
-def solve_volz(init, r, beta, config):
+def solve_volz(init, config):
     """Integrate the edge-based system from :class:`LimitInit` data.
 
     The susceptible share is reported as ``S = g(theta)`` where g generates
     ``mu_S0``.  Probability conservation ``pI + pS + pR = 1`` is checked at
     every step within an O(dt^4) tolerance.
     """
-    check_rates(r, beta)
     gf = GeneratingFn(init.mu_S0)
     pI0 = init.pI0
     y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
-
+    r, beta = config.r, config.beta
     tol = max(100.0 * config.dt ** 4, 1e-11)
 
-    def post(y):
-        if not np.isfinite(y).all():
-            raise SolverDiagnosticError(
-                "state became non-finite; dt is too large for these rates"
-            )
+    def check_drift(y):
         drift = abs(y[3] + y[4] + y[5] - 1.0)
         if drift > tol:
             raise SolverDiagnosticError(
@@ -271,30 +294,11 @@ def solve_volz(init, r, beta, config):
                 "reduce dt"
             )
 
-    def stop(y):
-        return y[6] < config.eps_IS
-
-    ts, ys, early = rk4_integrate(
-        lambda y: volz_rhs(y, r, beta, gf), y0, config.dt, config.n_steps,
-        post_step=post, stop=stop,
+    ts, ys, terminal = rk4_integrate(
+        lambda y: volz_rhs(y, r, beta, gf), y0, config,
+        n_IS=lambda y: y[6], repair=check_drift,
     )
-    theta = ys[:, 0]
-    return VolzSolution(
-        t=ts,
-        theta=theta,
-        S=gf(theta),
-        I=ys[:, 1],
-        R=ys[:, 2],
-        pI=ys[:, 3],
-        pS=ys[:, 4],
-        pR=ys[:, 5],
-        N_S=theta * gf(theta, order=1),
-        N_IS=ys[:, 6],
-        N_RS=ys[:, 7],
-        N_S_aux=ys[:, 8],
-        gf=gf,
-        terminal="extinct" if early else "t_max",
-    )
+    return VolzSolution(t=ts, states=ys, gf=gf, terminal=terminal)
 
 
 def edge_identities(sol):
@@ -320,7 +324,7 @@ def edge_identities(sol):
 
 
 @dataclass
-class MeasureSolution:
+class MeasureSolution(Solution):
     t: np.ndarray
     theta: np.ndarray
     mu_IS: np.ndarray  # shape (T, K+1)
@@ -343,50 +347,53 @@ class MeasureSolution:
             self.pR = np.where(alive, self.N_RS / self.N_S, 0.0)
             self.pS = np.where(alive, (self.N_S - self.N_IS - self.N_RS) / self.N_S, 0.0)
 
+    @property
+    def diagnostics(self):
+        return {"kmax": self.mu_IS.shape[1] - 1, "clamped_mass": self.clamped_mass}
+
     def mu_S(self, idx):
         """Susceptible degree measure at time index ``idx`` (closed form)."""
         return self.mu_S0 * self.theta[idx] ** np.arange(len(self.mu_S0))
 
-    COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
-
-    def column(self, name):
-        return getattr(self, name)
-
-    def to_csv_lines(self):
-        yield ",".join(self.COLUMNS)
-        cols = [self.column(c) for c in self.COLUMNS]
-        for i in range(len(self.t)):
-            yield ",".join(f"{c[i]:.12g}" for c in cols)
+    @property
+    def snapshots(self):
+        """``(t, {"mu_S", "mu_IS", "mu_RS": level vector})`` at every time."""
+        for i, t in enumerate(self.t):
+            yield float(t), {"mu_S": self.mu_S(i), "mu_IS": self.mu_IS[i],
+                             "mu_RS": self.mu_RS[i]}
 
 
-def influx_vector(mu_S_weights, pS, pI, pR, K, binom=None):
+def influx_kernel(K, kmax):
+    """:func:`influx_vector`'s binomial weights in log space, built once
+    per solve: ``log C(k-1, i)`` over levels ``i <= K`` and degrees
+    ``k <= kmax`` (``-inf`` where ``i > k-1``), and the exponent ``k-1-i``
+    of ``pI+pR`` (0 there).  Kept apart, ``C(k-1, i)`` overflows and
+    ``(pI+pR)^(k-1-i)`` underflows above kmax of about 1000."""
+    i = np.arange(K + 1)[:, None]
+    k = np.arange(kmax + 1)[None, :]
+    expo = np.maximum(k - 1 - i, 0).astype(float)
+    log_binom = gammaln(expo + i + 1) - gammaln(i + 1) - gammaln(expo + 1)
+    return np.where(k - 1 >= i, log_binom, -np.inf), expo
+
+
+def influx_vector(mu_S_weights, pS, pI, pR, K, kernel=None):
     """Rate profile of new infectives entering with ``i`` edges-to-S.
 
     A size-biased degree-k susceptible keeps each of her k-1 remaining
     half-edges susceptible-facing with probability pS, independently in the
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
+    ``kernel`` is :func:`influx_kernel` of ``K`` and the degree cap.
     """
-    kmax = len(mu_S_weights) - 1
-    if binom is None:
-        binom = _binom_matrix(K, kmax)
-    k = np.arange(kmax + 1)
-    vec = k * mu_S_weights
-    b = pI + pR
-    expo = k[None, :] - 1 - np.arange(K + 1)[:, None]
-    with np.errstate(invalid="ignore"):
-        bpow = np.where(expo >= 0, np.float_power(b, np.maximum(expo, 0)), 0.0)
-    out = (binom * bpow) @ vec
+    if kernel is None:
+        kernel = influx_kernel(K, len(mu_S_weights) - 1)
+    log_binom, expo = kernel
+    k = np.arange(len(mu_S_weights))
+    out = np.exp(log_binom + xlogy(expo, pI + pR)) @ (k * mu_S_weights)
     return np.float_power(pS, np.arange(K + 1)) * out
 
 
-def _binom_matrix(K, kmax):
-    ii = np.arange(K + 1)[:, None]
-    kk = np.arange(kmax + 1)[None, :]
-    return comb(kk - 1, ii)  # zero where i > k-1
-
-
-def measure_rhs(y, r, beta, mu_S0_weights, K, binom):
+def measure_rhs(y, r, beta, mu_S0_weights, K, kernel):
     """Right-hand side of the measure system in the packed state
     ``y = [theta, mu_IS(0..K), mu_RS(0..K)]``.
 
@@ -415,18 +422,17 @@ def measure_rhs(y, r, beta, mu_S0_weights, K, binom):
 
     d[0] = -r * pI * theta
 
-    shift_IS = np.zeros(K + 1)
-    shift_IS[:-1] = i_arr[1:] * mu_IS[1:]
-    shift_IS -= i_arr * mu_IS
-    shift_RS = np.zeros(K + 1)
-    shift_RS[:-1] = i_arr[1:] * mu_RS[1:]
-    shift_RS -= i_arr * mu_RS
+    # mass at level i drifts to level i-1 in proportion to i
+    flux_IS = i_arr * mu_IS
+    shift_IS = np.append(flux_IS[1:], 0.0) - flux_IS
+    flux_RS = i_arr * mu_RS
+    shift_RS = np.append(flux_RS[1:], 0.0) - flux_RS
 
     c_IS = (r * pI * pI * m2m1 + r * pI * N_S) / N_IS if N_IS > DENOM_FLOOR else 0.0
     c_RS = (r * pI * m2m1 * pR) / N_RS if N_RS > DENOM_FLOOR else 0.0
 
     d[1 : K + 2] = (
-        r * pI * influx_vector(mu_S0_weights * theta_pow, pS, pI, pR, K, binom)
+        r * pI * influx_vector(mu_S0_weights * theta_pow, pS, pI, pR, K, kernel)
         + c_IS * shift_IS
         - beta * mu_IS
     )
@@ -460,7 +466,7 @@ def measure_levels(init, K=None):
     return K
 
 
-def solve_measures(init, r, beta, config, K=None):
+def solve_measures(init, config, K=None):
     """Integrate the measure system; returns a :class:`MeasureSolution`.
 
     ``K`` caps the tracked edges-to-S levels, resolved by
@@ -468,36 +474,31 @@ def solve_measures(init, r, beta, config, K=None):
     integrator are clamped to zero; the run aborts if the clamped mass
     exceeds a fixed budget relative to the initial population mass.
     """
-    check_rates(r, beta)
     K = measure_levels(init, K)
     w0 = init.mu_S0
-    binom = _binom_matrix(K, len(w0) - 1)
+    kernel = influx_kernel(K, len(w0) - 1)
     y0 = np.zeros(1 + 2 * (K + 1))
     y0[0] = 1.0
     y0[1 : len(init.mu_IS0) + 1] = init.mu_IS0
-
-    total0 = init.S0 + init.I0
+    r, beta = config.r, config.beta
+    budget = CLAMP_BUDGET * (init.S0 + init.I0)
     clamped = [0.0]
+    i_arr = np.arange(K + 1)
 
-    def post(y):
+    def clamp(y):
         neg = y[1:] < 0
         if neg.any():
             clamped[0] += float(-y[1:][neg].sum())
             y[1:][neg] = 0.0
-            if clamped[0] > CLAMP_BUDGET * total0:
+            if clamped[0] > budget:
                 raise SolverDiagnosticError(
                     f"clamped {clamped[0]:.3e} of negative measure mass, over the "
-                    f"budget {CLAMP_BUDGET * total0:.3e}; reduce dt"
+                    f"budget {budget:.3e}; reduce dt"
                 )
 
-    i_arr = np.arange(K + 1)
-
-    def stop(y):
-        return float(i_arr @ y[1 : K + 2]) < config.eps_IS
-
-    ts, ys, early = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, w0, K, binom),
-        y0, config.dt, config.n_steps, post_step=post, stop=stop,
+    ts, ys, terminal = rk4_integrate(
+        lambda y: measure_rhs(y, r, beta, w0, K, kernel), y0, config,
+        n_IS=lambda y: float(i_arr @ y[1 : K + 2]), repair=clamp,
     )
     return MeasureSolution(
         t=ts,
@@ -506,7 +507,7 @@ def solve_measures(init, r, beta, config, K=None):
         mu_RS=ys[:, K + 2 :],
         mu_S0=init.mu_S0,
         clamped_mass=clamped[0],
-        terminal="extinct" if early else "t_max",
+        terminal=terminal,
     )
 
 
@@ -515,17 +516,30 @@ def solve_measures(init, r, beta, config, K=None):
 # ---------------------------------------------------------------------------
 
 
-def miller_theta(init, r, beta, config):
+@dataclass
+class MillerSolution(Solution):
+    t: np.ndarray
+    theta: np.ndarray
+    S: np.ndarray
+    I: np.ndarray
+    R: np.ndarray
+    terminal: str = "t_max"
+
+    COLUMNS = ("t", "S", "I", "R", "theta")
+
+
+def miller_theta(init, config):
     """Integrate the one-equation reduction
 
         dtheta/dt = -r theta + beta (1 - theta) + r pS0 g'(theta) / g'(1)
 
     where g generates ``mu_S0`` and ``pS0 = 1 - pI0`` is the initial
     susceptible edge fraction; with it the reduction is exact (Miller
-    2011).  Returns (t, theta, S, I, R) with ``S = g(theta)``,
-    ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``."""
-    check_rates(r, beta)
+    2011).  Returns a :class:`MillerSolution` with ``S = g(theta)``,
+    ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``.  The reduction reads
+    no infectious edge count, so ``eps_IS`` never stops it early."""
     gf = GeneratingFn(init.mu_S0)
+    r, beta = config.r, config.beta
     pS0 = 1.0 - init.pI0
     g1 = gf(1.0, order=1)
     total = init.S0 + init.I0
@@ -537,11 +551,11 @@ def miller_theta(init, r, beta, config):
             beta * (total - gf(theta) - R),
         ])
 
-    ts, ys, _ = rk4_integrate(rhs, [1.0, 0.0], config.dt, config.n_steps)
+    ts, ys, terminal = rk4_integrate(rhs, [1.0, 0.0], config)
     theta = ys[:, 0]
     S = gf(theta)
     R = ys[:, 1]
-    return ts, theta, S, total - S - R, R
+    return MillerSolution(t=ts, theta=theta, S=S, I=total - S - R, R=R, terminal=terminal)
 
 
 def horizon_bound(init, r, beta, eps_prime):

@@ -41,7 +41,7 @@ from sirnet.errors import (
     InfeasibleDrawError,
     StateCorruptionError,
     check_finite,
-    check_rates,
+    check_nonnegative,
 )
 
 INFINITE_TIME = math.inf
@@ -152,11 +152,10 @@ class SimParams:
     beta: float  # removal rate per infectious node
     t_max: float
     record_grid: float = 0.05
-    seed: int | None = None
     snapshot_measures: bool = False
 
     def __post_init__(self):
-        check_rates(self.r, self.beta)
+        check_nonnegative(r=self.r, beta=self.beta)
         check_finite(t_max=self.t_max, record_grid=self.record_grid)
         if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
@@ -419,18 +418,18 @@ def _removal_event(state, draws, debug):
         state.check_invariants()
 
 
-def simulate(state, params, rng=None, debug=False):
+def simulate(state, params, rng, debug=False):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
     Grid rows take the state holding at each grid time (the last event at or
     before it).  After extinction the state is constant, so the remaining
     grid rows repeat it.  If an infection exhausts the susceptible half-edge
     pools (see :meth:`PopulationState.feasible`) recording stops there with
-    terminal reason ``depleted``.  Identical seed and parameters reproduce
-    the trajectory bit for bit.  ``debug`` re-derives every per-event delta
+    terminal reason ``depleted``.  Every random number comes from ``rng``:
+    identically seeded generators and parameters reproduce the trajectory
+    bit for bit.  ``debug`` re-derives every per-event delta
     and the state's invariants, raising on any violation.
     """
-    rng = rng if rng is not None else np.random.default_rng(params.seed)
     draws = BlockDraws(rng)
     r, beta = params.r, params.beta
     grid = params.record_grid

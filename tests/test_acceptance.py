@@ -224,9 +224,9 @@ def test_criterion_3_dual_solver_equivalence():
     t0 = time.time()
     spec = DegreeSpec.poisson(5, 60)
     init = limit_initial_from_pI0(spec, 0.05)
-    cfg = SolverConfig(t_max=5.0, dt=1e-3)
-    vol = solve_volz(init, 1.0, 0.5, cfg)
-    mea = solve_measures(init, 1.0, 0.5, cfg, K=60)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=5.0, dt=1e-3)
+    vol = solve_volz(init, cfg)
+    mea = solve_measures(init, cfg, K=60)
     m = min(len(vol.t), len(mea.t))
     d_I = float(np.abs(mea.I[:m] - vol.I[:m]).max())
     d_pI = float(np.abs(mea.pI[:m] - vol.pI[:m]).max())
@@ -242,7 +242,7 @@ def test_criterion_4_edge_count_identities():
     worst = {"N_S": 0.0, "N_IS": 0.0, "N_RS": 0.0}
     for (r, beta) in [(1.0, 0.5), (2.0, 1.0), (0.5, 1.5)]:
         init = limit_initial_from_pI0(DegreeSpec.poisson(5, 40), 0.05)
-        sol = solve_volz(init, r, beta, SolverConfig(t_max=3.0, dt=1e-3))
+        sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=3.0, dt=1e-3))
         res = edge_identities(sol)
         for key in worst:
             worst[key] = max(worst[key], float(res[key].max()))
@@ -276,10 +276,10 @@ def test_criterion_6_rk_order():
     t_max = 0.4
     ratios = {}
     for name, solver in (("volz", solve_volz), ("measures", solve_measures)):
-        ref = solver(init, 1.0, 0.5, SolverConfig(t_max=t_max, dt=1e-5, eps_IS=0.0))
+        ref = solver(init, SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=1e-5, eps_IS=0.0))
         errs = []
         for dt in (4e-3, 2e-3):
-            sol = solver(init, 1.0, 0.5, SolverConfig(t_max=t_max, dt=dt, eps_IS=0.0))
+            sol = solver(init, SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=0.0))
             stride = int(round(dt / 1e-5))
             idx = np.arange(len(sol.t)) * stride
             errs.append(float(np.abs(sol.I - ref.I[idx]).max()))
@@ -302,7 +302,7 @@ def _desk_study():
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     grid = 1e-4
     t_max = math.ceil(tau_bar / grid + 1) * grid
-    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_max, dt=grid, eps_IS=0.0))
+    sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
     small = run_replicas(spec, params, [1000], 200, 7, i0, eps_prime=eps_prime)
     large = run_replicas(spec, params, [10000], 100, 7, i0, eps_prime=eps_prime)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sirnet
@@ -146,10 +147,30 @@ def test_solve_miller_matches_volz(tmp_path, capsys):
         assert max(abs(a - b) for a, b in zip(miller[name], volz[name])) < 1e-7
     assert miller["I"][0] == pytest.approx(0.05, abs=1e-12)
     meta = json.loads((tmp_path / "miller.csv.meta.json").read_text())
-    assert "pS0" not in meta
+    assert "pS0" not in meta and meta["terminal"] == "t_max"
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "miller", "--help"])
     assert "--pS0" not in capsys.readouterr().out
+
+
+def test_solve_measures_heavy_tail_matches_volz(tmp_path, capsys):
+    # at kmax = 1100 the binomial C(k-1, i) alone overflows a float, so the
+    # influx kernel works in log space: the rows stay finite and agree with volz
+    paths = {}
+    for which in ("volz", "measures"):
+        paths[which] = tmp_path / f"{which}.csv"
+        code, _, _ = run(["solve", which, "--degree", "powerlaw:2.5:1:1100",
+                          "--r", "1", "--beta", "0.5", "--i0", "0.01",
+                          "--t-max", "0.003", "--out", str(paths[which])], capsys)
+        assert code == 0
+    header = paths["volz"].read_text().splitlines()[0].split(",")
+    volz, meas = (np.loadtxt(paths[w], delimiter=",", skiprows=1) for w in ("volz", "measures"))
+    assert len(meas) == len(volz) == 4 and np.isfinite(meas).all()
+    for name in ("S", "I", "R"):
+        i = header.index(name)
+        assert np.abs(meas[:, i] - volz[:, i]).max() < 1e-3
+    meta = json.loads((tmp_path / "measures.csv.meta.json").read_text())
+    assert meta["terminal"] == "t_max" and meta["kmax"] == 1100
 
 
 def test_converge_report(tmp_path, capsys):
@@ -240,6 +261,19 @@ def test_negative_rates_exit_2(tmp_path, capsys, base, option):
     code, _, err = run(_with(base, option, "-1") + ["--out", str(out)], capsys)
     assert code == 2
     assert f"{option[2:]} must be nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,option", [
+    (VOLZ + ["--snapshots", "v.jsonl"], "--snapshots"),
+    (MILLER + ["--kmax", "3"], "--kmax"),
+    (CONVERGE + ["--i0", "0.01", "--selection", "size_biased"], "--selection"),
+], ids=["volz-snapshots", "miller-kmax", "converge-selection"])
+def test_option_of_another_command_exits_2(tmp_path, capsys, args, option):
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {option}" in err
     assert not out.exists()
 
 

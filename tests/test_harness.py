@@ -179,7 +179,7 @@ def test_study_report_equals_full_horizon_report():
     full = run_replicas(spec, SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid),
                         [200, 500], 4, 3, i0, eps_prime=eps_prime)
     assert full[0].times[-1] == pytest.approx(t_max)
-    sol = solve_volz(init, r, beta, SolverConfig(t_max=t_max, dt=grid, eps_IS=0.0))
+    sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
     expected = convergence_report(full, sol, eps_prime, tau_bar, t_max)
     assert study.rows == expected.rows
     assert list(study.to_csv_lines()) == list(expected.to_csv_lines())

@@ -79,9 +79,16 @@ def test_rk4_order_on_scalar_ode():
     rhs = lambda y: -2.0 * y
     errs = []
     for dt in (0.1, 0.05):
-        ts, ys, _ = rk4_integrate(rhs, [1.0], dt, int(round(1.0 / dt)))
+        ts, ys, _ = rk4_integrate(rhs, [1.0], SolverConfig(r=0.0, beta=0.0, t_max=1.0, dt=dt))
         errs.append(abs(ys[-1, 0] - math.exp(-2.0)))
     assert errs[0] / errs[1] == pytest.approx(16, rel=0.3)
+
+
+def test_rk4_non_finite_state_names_dt():
+    # the guard every solver shares: no NaN or inf row is ever returned
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=0.25)
+    with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.25; dt=0\.25"):
+        rk4_integrate(lambda y: np.full_like(y, np.inf), [1.0, 0.0], cfg)
 
 
 def standard_setup(kmax=40):
@@ -91,7 +98,7 @@ def standard_setup(kmax=40):
 
 def test_volz_basic_course():
     init = standard_setup()
-    sol = solve_volz(init, 1.0, 0.5, SolverConfig(t_max=4.0, dt=1e-3))
+    sol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=4.0, dt=1e-3))
     # theta nonincreasing in (0,1]; epidemic takes off then burns out
     assert np.all(np.diff(sol.theta) <= 1e-15)
     assert sol.theta[-1] > 0
@@ -106,7 +113,7 @@ def test_volz_basic_course():
 
 def test_volz_edge_identities_small():
     init = standard_setup()
-    sol = solve_volz(init, 1.0, 0.5, SolverConfig(t_max=3.0, dt=1e-3))
+    sol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=3.0, dt=1e-3))
     res = edge_identities(sol)
     assert res["N_S"].max() < 1e-8
     assert res["N_IS"].max() < 1e-6
@@ -115,29 +122,30 @@ def test_volz_edge_identities_small():
 
 def test_volz_eps_stop():
     init = standard_setup()
-    sol = solve_volz(init, 1.0, 0.5, SolverConfig(t_max=500.0, dt=1e-2, eps_IS=1e-4))
+    sol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=500.0, dt=1e-2, eps_IS=1e-4))
     assert sol.terminal == "extinct"
     assert sol.N_IS[-1] < 1e-4
     assert sol.t[-1] < 500.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_volz_coarse_dt_trips_diagnostic():
     init = standard_setup()
     with pytest.raises(SolverDiagnosticError):
-        solve_volz(init, 500.0, 0.5, SolverConfig(t_max=10.0, dt=0.5))
+        solve_volz(init, SolverConfig(r=500.0, beta=0.5, t_max=10.0, dt=0.5))
 
 
 def test_measures_clamp_budget_trips():
     init = standard_setup(kmax=20)
     with pytest.raises(SolverDiagnosticError):
-        solve_measures(init, 80.0, 0.5, SolverConfig(t_max=10.0, dt=0.5, eps_IS=0.0))
+        solve_measures(init, SolverConfig(r=80.0, beta=0.5, t_max=10.0, dt=0.5, eps_IS=0.0))
 
 
 def test_measures_matches_volz():
     init = standard_setup(kmax=30)
-    cfg = SolverConfig(t_max=2.0, dt=1e-3)
-    vol = solve_volz(init, 1.0, 0.5, cfg)
-    mea = solve_measures(init, 1.0, 0.5, cfg)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=2.0, dt=1e-3)
+    vol = solve_volz(init, cfg)
+    mea = solve_measures(init, cfg)
     m = min(len(vol.t), len(mea.t))
     assert np.abs(mea.I[:m] - vol.I[:m]).max() < 1e-6
     assert np.abs(mea.pI[:m] - vol.pI[:m]).max() < 1e-6
@@ -147,7 +155,7 @@ def test_measures_matches_volz():
 
 def test_measures_mass_conservation():
     init = standard_setup(kmax=25)
-    sol = solve_measures(init, 1.0, 0.5, SolverConfig(t_max=2.0, dt=1e-3))
+    sol = solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=2.0, dt=1e-3))
     total = sol.S + sol.I + sol.R
     np.testing.assert_allclose(total, total[0], atol=1e-8)
     assert np.all(sol.mu_IS >= 0) and np.all(sol.mu_RS >= 0)
@@ -160,12 +168,12 @@ def test_measures_truncation_warns():
         mu_IS0=[0.0, 0.01],
     )
     with pytest.warns(UserWarning, match="tail mass"):
-        solve_measures(init, 1.0, 0.5, SolverConfig(t_max=0.01, dt=1e-3), K=None)
+        solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=0.01, dt=1e-3), K=None)
 
 
 def test_measures_mu_s_closed_form():
     init = standard_setup(kmax=20)
-    sol = solve_measures(init, 1.0, 0.5, SolverConfig(t_max=1.0, dt=1e-3))
+    sol = solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=1e-3))
     idx = len(sol.t) // 2
     k = np.arange(len(init.mu_S0))
     np.testing.assert_allclose(
@@ -181,9 +189,10 @@ def test_miller_exact_when_ps0_matches():
     # pS0 = 1 - pI0 and S = g(theta) come from the same LimitInit as volz's
     spec = DegreeSpec.poisson(5, 40)
     init = limit_initial(spec, 0.02)
-    cfg = SolverConfig(t_max=3.0, dt=1e-3)
-    vol = solve_volz(init, 1.0, 0.5, cfg)
-    ts, theta, S, I, R = miller_theta(init, 1.0, 0.5, cfg)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=3.0, dt=1e-3)
+    vol = solve_volz(init, cfg)
+    mil = miller_theta(init, cfg)
+    ts, theta, S, I, R = mil.t, mil.theta, mil.S, mil.I, mil.R
     m = min(len(ts), len(vol.t))
     np.testing.assert_allclose(ts[:m], vol.t[:m], rtol=0, atol=1e-12)
     for got, want in ((theta, vol.theta), (S, vol.S), (I, vol.I), (R, vol.R)):
@@ -214,9 +223,11 @@ def test_final_size_oracle(degree):
     init = limit_initial(DegreeSpec.from_string(degree), 0.01)
     theta_inf = _final_theta(init, 1.0, 0.5)
     assert 0 < theta_inf < 1
-    vol = solve_volz(init, 1.0, 0.5, SolverConfig(t_max=60.0, dt=5e-3, eps_IS=0.0))
+    vol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=60.0, dt=5e-3, eps_IS=0.0))
     assert abs(vol.theta[-1] - theta_inf) < 1e-9
-    _, theta, *_ = miller_theta(init, 1.0, 0.5, SolverConfig(t_max=60.0, dt=2e-2))
+    # eps_IS = 0 never stops early, however N_IS rounds near zero
+    assert vol.terminal == "t_max" and vol.t[-1] == pytest.approx(60.0)
+    theta = miller_theta(init, SolverConfig(r=1.0, beta=0.5, t_max=60.0, dt=2e-2)).theta
     assert abs(theta[-1] - theta_inf) < 1e-9
 
 
@@ -242,8 +253,10 @@ def test_horizon_bound_structure():
 
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
-        SolverConfig(t_max=0.0, dt=1e-3)
+        SolverConfig(r=1.0, beta=0.5, t_max=0.0, dt=1e-3)
     with pytest.raises(ConfigurationError):
-        SolverConfig(t_max=1.0, dt=0.0)
-    with pytest.raises(ConfigurationError):
-        solve_volz(standard_setup(), -1.0, 0.5, SolverConfig(t_max=1.0))
+        SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=0.0)
+    with pytest.raises(ConfigurationError, match="r must be nonnegative"):
+        SolverConfig(r=-1.0, beta=0.5, t_max=1.0)
+    with pytest.raises(ConfigurationError, match="eps_IS must be finite"):
+        SolverConfig(r=1.0, beta=0.5, t_max=1.0, eps_IS=float("nan"))

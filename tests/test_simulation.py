@@ -114,7 +114,7 @@ def test_initialize_size_biased_prefers_high_degree():
 
 def test_simulate_reproducible():
     spec = DegreeSpec.poisson(5, 30)
-    params = SimParams(r=1.0, beta=0.5, t_max=3.0, record_grid=0.1, seed=99)
+    params = SimParams(r=1.0, beta=0.5, t_max=3.0, record_grid=0.1)
 
     def run():
         rng = np.random.default_rng(123)
