@@ -32,7 +32,6 @@ from sirnet.limit import (
     SolverConfig,
     limit_initial,
     limit_initial_from_pI0,
-    measure_levels,
     miller_theta,
     solve_measures,
     solve_volz,
@@ -139,18 +138,19 @@ def build_parser():
     group.add_argument("--i0", type=float, help="initial infected node fraction")
     group.add_argument("--pI0", type=float, help="initial infectious edge fraction")
     common.add_argument("--t-max", type=float, required=True)
-    common.add_argument("--dt", type=float, default=1e-3)
-    common.add_argument("--eps-is", type=float, default=1e-6,
-                        help="stop once per-capita N_IS falls below this (0: never)")
+    common.add_argument("--dt", type=float, default=1e-3,
+                        help="RK4 step; must divide --t-max")
     common.add_argument("--out", required=True)
     common.add_argument("--dry-run", action="store_true")
     sp = sub.add_parser("solve", help="solve the deterministic limit")
     solvers = sp.add_subparsers(dest="which", required=True)
-    solvers.add_parser("volz", parents=[common], help="edge-based ODEs")
-    sp = solvers.add_parser("measures", parents=[common], help="measure-valued system")
-    sp.add_argument("--kmax", type=int, help="level cap for the measure system")
-    sp.add_argument("--snapshots", help="snapshots JSON-lines path")
+    volz = solvers.add_parser("volz", parents=[common], help="edge-based ODEs")
+    measures = solvers.add_parser("measures", parents=[common], help="measure-valued system")
+    measures.add_argument("--snapshots", help="snapshots JSON-lines path")
     solvers.add_parser("miller", parents=[common], help="one-equation reduction for theta")
+    for sp in (volz, measures):  # miller reads no N_IS to stop on
+        sp.add_argument("--eps-is", type=float, default=1e-6,
+                        help="stop once per-capita N_IS falls below this (0: never)")
 
     sp = sub.add_parser("converge", help="compare scaled simulations to the limit")
     add_degree(sp)
@@ -217,23 +217,21 @@ def cmd_solve(args):
         init = limit_initial(spec, args.i0)
     else:
         init = limit_initial_from_pI0(spec, args.pI0)
+    stop = {"eps_IS": args.eps_is} if "eps_is" in args else {}
     config = SolverConfig(r=args.r, beta=args.beta, t_max=args.t_max,
-                          dt=args.dt, eps_IS=args.eps_is)
-    levels = {"K": args.kmax} if args.which == "measures" else {}
+                          dt=args.dt, **stop)
     if args.dry_run:
-        if levels:
-            measure_levels(init, **levels)
         print("config ok (dry run)")
         return EXIT_OK
     # looked up per call, so a wrapper set on a module-level name sees the call
     solver = {"volz": solve_volz, "measures": solve_measures, "miller": miller_theta}
-    sol = solver[args.which](init, config, **levels)
+    sol = solver[args.which](init, config)
     out = _atomic_write(args.out, sol.to_csv_lines())
     _write_metadata(out, {
         "command": f"solve {args.which}", "degree": spec.describe(),
         "r": args.r, "beta": args.beta,
         "i0": args.i0, "pI0": init.pI0,
-        "t_max": args.t_max, "dt": args.dt, "eps_IS": args.eps_is,
+        "t_max": args.t_max, "dt": args.dt, **stop,
         "terminal": sol.terminal, **sol.diagnostics,
     })
     if vars(args).get("snapshots"):

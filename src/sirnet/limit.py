@@ -20,7 +20,6 @@ level ``eps`` (:func:`horizon_bound`) rounds out the module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +80,7 @@ class SolverConfig:
 
     r: float  # infection rate per I-S edge
     beta: float  # removal rate per infectious node
-    t_max: float
+    t_max: float  # a whole number of steps dt
     dt: float = 1e-3
     eps_IS: float = 1e-6  # stop once per-capita N_IS falls below this; 0 never stops
 
@@ -90,17 +89,25 @@ class SolverConfig:
         check_finite(t_max=self.t_max, dt=self.dt)
         if not self.t_max > 0 or not self.dt > 0:
             raise ConfigurationError("t_max and dt must be positive")
+        steps = self.t_max / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9):
+            raise ConfigurationError(
+                f"dt={self.dt:g} does not divide t_max={self.t_max:g} into a whole "
+                f"number of steps (t_max/dt = {steps:.9g})"
+            )
 
     @property
     def n_steps(self):
-        return max(int(round(self.t_max / self.dt)), 1)
+        return round(self.t_max / self.dt)
 
 
 @dataclass
 class LimitInit:
     """Per-capita initial data for the limit solvers: the susceptible degree
     measure ``mu_S0`` and the infectious edges-to-S measure ``mu_IS0``, as
-    weight vectors over levels ``0..kmax``.
+    weight vectors over one level range ``0..kmax``; the shorter vector is
+    padded with zeros, so ``kmax`` is the top level of either.
 
     Every solver input passes the checks here and nowhere else: 1-D,
     finite, nonnegative weights, a positive mean degree of ``mu_S0``, and
@@ -119,6 +126,9 @@ class LimitInit:
             if (w < 0).any():
                 raise ConfigurationError(f"{name} has a negative weight")
             setattr(self, name, w)
+        levels = max(len(self.mu_S0), len(self.mu_IS0))
+        self.mu_S0 = np.pad(self.mu_S0, (0, levels - len(self.mu_S0)))
+        self.mu_IS0 = np.pad(self.mu_IS0, (0, levels - len(self.mu_IS0)))
         if not self.N_S0 > 0:
             raise ConfigurationError("mu_S0 needs positive mean degree")
         if self.pI0 > 1:
@@ -310,11 +320,10 @@ def edge_identities(sol):
 
     Small residuals mean the redundant equations agree; growth flags
     integration error."""
-    NS_alg = sol.theta * sol.gf(sol.theta, order=1)
     return {
-        "N_S": np.abs(sol.N_S_aux - NS_alg),
-        "N_IS": np.abs(sol.N_IS - sol.pI * NS_alg),
-        "N_RS": np.abs(sol.N_RS - sol.pR * NS_alg),
+        "N_S": np.abs(sol.N_S_aux - sol.N_S),
+        "N_IS": np.abs(sol.N_IS - sol.pI * sol.N_S),
+        "N_RS": np.abs(sol.N_RS - sol.pR * sol.N_S),
     }
 
 
@@ -327,7 +336,7 @@ def edge_identities(sol):
 class MeasureSolution(Solution):
     t: np.ndarray
     theta: np.ndarray
-    mu_IS: np.ndarray  # shape (T, K+1)
+    mu_IS: np.ndarray  # shape (T, kmax+1)
     mu_RS: np.ndarray
     mu_S0: np.ndarray = field(repr=False)
     clamped_mass: float = 0.0
@@ -363,55 +372,55 @@ class MeasureSolution(Solution):
                              "mu_RS": self.mu_RS[i]}
 
 
-def influx_kernel(K, kmax):
+def influx_kernel(kmax):
     """:func:`influx_vector`'s binomial weights in log space, built once
-    per solve: ``log C(k-1, i)`` over levels ``i <= K`` and degrees
-    ``k <= kmax`` (``-inf`` where ``i > k-1``), and the exponent ``k-1-i``
+    per solve: ``log C(k-1, i)`` over levels ``i`` and degrees ``k`` in
+    ``0..kmax`` (``-inf`` where ``i > k-1``), and the exponent ``k-1-i``
     of ``pI+pR`` (0 there).  Kept apart, ``C(k-1, i)`` overflows and
     ``(pI+pR)^(k-1-i)`` underflows above kmax of about 1000."""
-    i = np.arange(K + 1)[:, None]
+    i = np.arange(kmax + 1)[:, None]
     k = np.arange(kmax + 1)[None, :]
     expo = np.maximum(k - 1 - i, 0).astype(float)
     log_binom = gammaln(expo + i + 1) - gammaln(i + 1) - gammaln(expo + 1)
     return np.where(k - 1 >= i, log_binom, -np.inf), expo
 
 
-def influx_vector(mu_S_weights, pS, pI, pR, K, kernel=None):
-    """Rate profile of new infectives entering with ``i`` edges-to-S.
+def influx_vector(mu_S_weights, pS, pI, pR, kernel=None):
+    """Rate profile of new infectives entering with ``i`` edges-to-S, over
+    the levels ``i`` of ``mu_S_weights``.
 
-    A size-biased degree-k susceptible keeps each of her k-1 remaining
+    A size-biased degree-k susceptible keeps each of its k-1 remaining
     half-edges susceptible-facing with probability pS, independently in the
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
-    ``kernel`` is :func:`influx_kernel` of ``K`` and the degree cap.
+    ``kernel`` is :func:`influx_kernel` of the top level.
     """
-    if kernel is None:
-        kernel = influx_kernel(K, len(mu_S_weights) - 1)
-    log_binom, expo = kernel
     k = np.arange(len(mu_S_weights))
+    if kernel is None:
+        kernel = influx_kernel(len(k) - 1)
+    log_binom, expo = kernel
     out = np.exp(log_binom + xlogy(expo, pI + pR)) @ (k * mu_S_weights)
-    return np.float_power(pS, np.arange(K + 1)) * out
+    return np.float_power(pS, k) * out
 
 
-def measure_rhs(y, r, beta, mu_S0_weights, K, kernel):
+def measure_rhs(y, r, beta, mu_S0_weights, kernel):
     """Right-hand side of the measure system in the packed state
-    ``y = [theta, mu_IS(0..K), mu_RS(0..K)]``.
+    ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``, over the levels of
+    ``mu_S0_weights``.
 
     Drift terms divide by the total edges-to-S of the class they act on;
     when that total is numerically zero the class is inert and the term is
     dropped."""
+    k = np.arange(len(mu_S0_weights))
     theta = y[0]
-    mu_IS = y[1 : K + 2]
-    mu_RS = y[K + 2 :]
-    kmax = len(mu_S0_weights) - 1
-    k = np.arange(kmax + 1)
+    mu_IS = y[1 : len(k) + 1]
+    mu_RS = y[len(k) + 1 :]
     theta_pow = np.float_power(max(theta, 0.0), k)
     mu_S = mu_S0_weights * theta_pow
     N_S = float(k @ mu_S)
     m2m1 = float((k * (k - 1)) @ mu_S)
-    i_arr = np.arange(K + 1)
-    N_IS = float(i_arr @ mu_IS)
-    N_RS = float(i_arr @ mu_RS)
+    N_IS = float(k @ mu_IS)
+    N_RS = float(k @ mu_RS)
 
     d = np.zeros_like(y)
     if N_S <= DENOM_FLOOR:
@@ -423,67 +432,40 @@ def measure_rhs(y, r, beta, mu_S0_weights, K, kernel):
     d[0] = -r * pI * theta
 
     # mass at level i drifts to level i-1 in proportion to i
-    flux_IS = i_arr * mu_IS
+    flux_IS = k * mu_IS
     shift_IS = np.append(flux_IS[1:], 0.0) - flux_IS
-    flux_RS = i_arr * mu_RS
+    flux_RS = k * mu_RS
     shift_RS = np.append(flux_RS[1:], 0.0) - flux_RS
 
     c_IS = (r * pI * pI * m2m1 + r * pI * N_S) / N_IS if N_IS > DENOM_FLOOR else 0.0
     c_RS = (r * pI * m2m1 * pR) / N_RS if N_RS > DENOM_FLOOR else 0.0
 
-    d[1 : K + 2] = (
-        r * pI * influx_vector(mu_S0_weights * theta_pow, pS, pI, pR, K, kernel)
+    d[1 : len(k) + 1] = (
+        r * pI * influx_vector(mu_S, pS, pI, pR, kernel)
         + c_IS * shift_IS
         - beta * mu_IS
     )
-    d[K + 2 :] = beta * mu_IS + c_RS * shift_RS
+    d[len(k) + 1 :] = beta * mu_IS + c_RS * shift_RS
     return d
 
 
-def measure_levels(init, K=None):
-    """The edges-to-S level cap of :func:`solve_measures`, checked against
-    the initial infectious support.
-
-    ``K`` defaults to the smallest level leaving tail mass of ``mu_S0``
-    below 1e-10, which for a finite-support law is its largest degree;
-    edges-to-S counts never grow, so the cap is then exact.  Any tail mass
-    the default discards triggers a warning."""
-    support = len(init.mu_IS0) - 1
-    if K is None:
-        tail = np.cumsum(init.mu_S0[::-1])[::-1]  # tail[k] = mass at >= k
-        above = np.flatnonzero(tail < 1e-10)
-        K = int(above[0]) - 1 if len(above) else len(init.mu_S0) - 1
-        K = max(K, support, 1)
-        discarded = float(init.mu_S0[K + 1 :].sum())
-        if discarded > 0:
-            warnings.warn(
-                f"measure solver truncated at K={K}, discarding susceptible "
-                f"tail mass {discarded:.3e}"
-            )
-    if support > K:
-        raise ConfigurationError(
-            f"K={K} smaller than the initial infectious support {support}")
-    return K
-
-
-def solve_measures(init, config, K=None):
+def solve_measures(init, config):
     """Integrate the measure system; returns a :class:`MeasureSolution`.
 
-    ``K`` caps the tracked edges-to-S levels, resolved by
-    :func:`measure_levels`.  Small negative weights produced by the
-    integrator are clamped to zero; the run aborts if the clamped mass
-    exceeds a fixed budget relative to the initial population mass.
+    Every edges-to-S level ``0..kmax`` of the initial data is tracked: a
+    node enters I with at most its degree of edges-to-S, and those counts
+    never grow, so no level is ever cut off.  Small negative weights
+    produced by the integrator are clamped to zero; the run aborts if the
+    clamped mass exceeds a fixed budget relative to the initial population
+    mass.
     """
-    K = measure_levels(init, K)
     w0 = init.mu_S0
-    kernel = influx_kernel(K, len(w0) - 1)
-    y0 = np.zeros(1 + 2 * (K + 1))
-    y0[0] = 1.0
-    y0[1 : len(init.mu_IS0) + 1] = init.mu_IS0
+    k = np.arange(len(w0))
+    kernel = influx_kernel(len(k) - 1)
+    y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(len(k))))
     r, beta = config.r, config.beta
     budget = CLAMP_BUDGET * (init.S0 + init.I0)
     clamped = [0.0]
-    i_arr = np.arange(K + 1)
 
     def clamp(y):
         neg = y[1:] < 0
@@ -497,14 +479,14 @@ def solve_measures(init, config, K=None):
                 )
 
     ts, ys, terminal = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, w0, K, kernel), y0, config,
-        n_IS=lambda y: float(i_arr @ y[1 : K + 2]), repair=clamp,
+        lambda y: measure_rhs(y, r, beta, w0, kernel), y0, config,
+        n_IS=lambda y: float(k @ y[1 : len(k) + 1]), repair=clamp,
     )
     return MeasureSolution(
         t=ts,
         theta=ys[:, 0],
-        mu_IS=ys[:, 1 : K + 2],
-        mu_RS=ys[:, K + 2 :],
+        mu_IS=ys[:, 1 : len(k) + 1],
+        mu_RS=ys[:, len(k) + 1 :],
         mu_S0=init.mu_S0,
         clamped_mass=clamped[0],
         terminal=terminal,

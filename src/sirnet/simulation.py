@@ -161,6 +161,12 @@ class SimParams:
             raise ConfigurationError("t_max must be positive")
         if not self.record_grid > 0:
             raise ConfigurationError("record_grid must be positive")
+        # floor(t_max/grid + 1e-9) >= 1, the grid row count of simulate
+        if self.t_max / self.record_grid + 1e-9 < 1:
+            raise ConfigurationError(
+                f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max:g}, "
+                "so no row follows t=0"
+            )
 
 
 @dataclass

@@ -226,7 +226,7 @@ def test_criterion_3_dual_solver_equivalence():
     init = limit_initial_from_pI0(spec, 0.05)
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=5.0, dt=1e-3)
     vol = solve_volz(init, cfg)
-    mea = solve_measures(init, cfg, K=60)
+    mea = solve_measures(init, cfg)
     m = min(len(vol.t), len(mea.t))
     d_I = float(np.abs(mea.I[:m] - vol.I[:m]).max())
     d_pI = float(np.abs(mea.pI[:m] - vol.pI[:m]).max())
@@ -262,7 +262,7 @@ def test_criterion_5_influx_oracle():
         kmax = int(rng.integers(2, 13))
         w = rng.random(kmax + 1) * rng.uniform(0.1, 2.0)
         pS, pI, pR = rng.dirichlet(np.ones(3))
-        got = influx_vector(w, pS, pI, pR, kmax)
+        got = influx_vector(w, pS, pI, pR)
         want = np.array(influx_uncollapsed(w, pS, pI, pR, kmax))
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-12

@@ -147,7 +147,7 @@ def test_solve_miller_matches_volz(tmp_path, capsys):
         assert max(abs(a - b) for a, b in zip(miller[name], volz[name])) < 1e-7
     assert miller["I"][0] == pytest.approx(0.05, abs=1e-12)
     meta = json.loads((tmp_path / "miller.csv.meta.json").read_text())
-    assert "pS0" not in meta and meta["terminal"] == "t_max"
+    assert "pS0" not in meta and "eps_IS" not in meta and meta["terminal"] == "t_max"
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "miller", "--help"])
     assert "--pS0" not in capsys.readouterr().out
@@ -267,13 +267,30 @@ def test_negative_rates_exit_2(tmp_path, capsys, base, option):
 @pytest.mark.parametrize("args,option", [
     (VOLZ + ["--snapshots", "v.jsonl"], "--snapshots"),
     (MILLER + ["--kmax", "3"], "--kmax"),
+    (["solve", "measures"] + VOLZ[2:] + ["--kmax", "30"], "--kmax"),
+    (MILLER + ["--eps-is", "0"], "--eps-is"),
     (CONVERGE + ["--i0", "0.01", "--selection", "size_biased"], "--selection"),
-], ids=["volz-snapshots", "miller-kmax", "converge-selection"])
+], ids=["volz-snapshots", "miller-kmax", "measures-kmax", "miller-eps-is",
+        "converge-selection"])
 def test_option_of_another_command_exits_2(tmp_path, capsys, args, option):
     out = tmp_path / "x.csv"
     code, _, err = run(args + ["--out", str(out)], capsys)
     assert code == 2
     assert f"unrecognized arguments: {option}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (VOLZ + ["--dt", "3"], "dt=3 does not divide t_max=1 "),  # a row past t_max
+    (VOLZ + ["--dt", "0.3"], "dt=0.3 does not divide t_max=1 "),  # an end at 0.9
+    (MILLER + ["--dt", "0.7"], "dt=0.7 does not divide t_max=1 "),  # an end at 0.7
+    (SIM + ["--grid", "5"], "record_grid=5 is coarser than t_max=1"),  # t=0 only
+], ids=["volz-dt-3", "volz-dt-0.3", "miller-dt-0.7", "simulate-grid-5"])
+def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
     assert not out.exists()
 
 
@@ -310,9 +327,7 @@ def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
 @pytest.mark.parametrize("args,message", [
     (CONVERGE + ["--n", "1", "--i0", "0.01", "--grid", "0.0001"],
      "i0=0.01 on n=1 nodes leaves no susceptibles"),
-    (["solve", "measures"] + VOLZ[2:] + ["--kmax", "5"],
-     "K=5 smaller than the initial infectious support 30"),
-], ids=["converge-n-1", "measures-kmax-5"])
+], ids=["converge-n-1"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

@@ -79,7 +79,7 @@ def test_run_replicas_workers_match_serial():
 
 def test_run_replicas_validation():
     spec = DegreeSpec.poisson(5, 20)
-    params = SimParams(r=1.0, beta=0.5, t_max=0.02)
+    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
     with pytest.raises(ConfigurationError):
         run_replicas(spec, params, [100], 0, 1, 0.02)
     with pytest.raises(ConfigurationError):

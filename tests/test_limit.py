@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,19 +32,18 @@ def test_influx_collapsed_equals_uncollapsed():
         w = rng.random(kmax + 1)
         p = rng.dirichlet(np.ones(3))
         pS, pI, pR = p
-        K = kmax
-        got = influx_vector(w, pS, pI, pR, K)
-        want = influx_uncollapsed(w, pS, pI, pR, K)
+        got = influx_vector(w, pS, pI, pR)
+        want = influx_uncollapsed(w, pS, pI, pR, kmax)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-10)
 
 
 def test_influx_degenerate_probabilities():
     w = np.array([0.0, 0.2, 0.3, 0.5])
     np.testing.assert_allclose(
-        influx_vector(w, 1.0, 0.0, 0.0, 3),
+        influx_vector(w, 1.0, 0.0, 0.0),
         influx_uncollapsed(w, 1.0, 0.0, 0.0, 3), atol=1e-14)
     np.testing.assert_allclose(
-        influx_vector(w, 0.0, 1.0, 0.0, 3),
+        influx_vector(w, 0.0, 1.0, 0.0),
         influx_uncollapsed(w, 0.0, 1.0, 0.0, 3), atol=1e-14)
 
 
@@ -161,14 +161,21 @@ def test_measures_mass_conservation():
     assert np.all(sol.mu_IS >= 0) and np.all(sol.mu_RS >= 0)
 
 
-def test_measures_truncation_warns():
-    # infinite-tail stand-in: uniform weights, cap K below the support top
+def test_measures_track_every_level():
+    # a light tail far beyond the infectious support: every level 0..60 is
+    # tracked, without a warning, and the solve agrees with volz to round-off
     init = LimitInit(
         mu_S0=DegreeSpec.poisson(5, 60).limit_measure(0.99),
         mu_IS0=[0.0, 0.01],
     )
-    with pytest.warns(UserWarning, match="tail mass"):
-        solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=0.01, dt=1e-3), K=None)
+    assert len(init.mu_IS0) == len(init.mu_S0) == 61
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=2.0, dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mea = solve_measures(init, cfg)
+    vol = solve_volz(init, cfg)
+    assert mea.mu_IS.shape == (len(vol.t), 61) and mea.diagnostics["kmax"] == 60
+    assert np.abs(mea.I - vol.I).max() <= 1e-12
 
 
 def test_measures_mu_s_closed_form():

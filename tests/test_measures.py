@@ -18,6 +18,14 @@ def test_limit_init_basics():
     assert init.pI0 == pytest.approx(0.1 / 3.25)
 
 
+def test_limit_init_pads_to_one_level_range():
+    # the shorter vector gets zero levels up to the top level of the other
+    init = LimitInit(mu_S0=[0, 1.0], mu_IS0=[0, 0, 0, 0.1])
+    np.testing.assert_array_equal(init.mu_S0, [0, 1.0, 0, 0])
+    np.testing.assert_array_equal(init.mu_IS0, [0, 0, 0, 0.1])
+    assert init.N_S0 == 1.0 and init.N_IS0 == pytest.approx(0.3)
+
+
 def test_empty_measure():
     # no susceptible mass, or mass at degree 0 only: zero mean degree
     for mu_S0 in ([], [0.0, 0.0], [1.0]):
