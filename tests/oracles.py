@@ -1,13 +1,17 @@
-"""Independent combinatorial oracles shared by sampler tests.
+"""Independent oracles shared by the sampler and limit-solver tests.
 
 The pmfs here are computed from first principles (binomial coefficients,
 scipy hypergeometric pmfs) without touching the package's samplers.
 :func:`replay_law` computes the exact law of a sampler it is handed by
-running it on every possible sequence of integer draws."""
+running it on every possible sequence of integer draws.
+:func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
+limit-solver formulas without the package's shortcuts."""
 
 import itertools
 import math
 
+import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy import stats
 
 
@@ -171,6 +175,34 @@ def influx_uncollapsed(mu_S_weights, pS, pI, pR, K):
                 acc += k * mu_S_weights[k] * coef * pS**i * pI**j * pR**l
         out[i] = acc
     return out
+
+
+def volz_rhs_polyval(mu_S0, r, beta):
+    """The edge-based (Volz) right-hand side with ``g'`` and ``g''`` of
+    ``mu_S0`` evaluated by ``numpy.polynomial.polynomial.polyval`` on numpy
+    scalars, term by term as the package states it: ``rhs(y)`` over the
+    state ``(theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux)``."""
+    d1 = P.polyder(np.asarray(mu_S0, dtype=float), 1)
+    d2 = P.polyder(np.asarray(mu_S0, dtype=float), 2)
+
+    def rhs(y):
+        theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
+        g1 = float(P.polyval(theta, d1))
+        g2 = float(P.polyval(theta, d2))
+        ratio = theta * g2 / g1 if g1 > 1e-12 else 0.0
+        d = np.empty(9)
+        d[0] = -r * pI * theta
+        d[1] = r * pI * theta * g1 - beta * I
+        d[2] = beta * I
+        d[3] = r * pI * pS * ratio - r * pI * (1.0 - pI) - beta * pI
+        d[4] = r * pI * pS * (1.0 - ratio)
+        d[5] = beta * pI + r * pI * pR
+        d[6] = r * pI * ((pS - pI) * theta * theta * g2 - theta * g1) - beta * N_IS
+        d[7] = beta * N_IS - r * pR * pI * theta * theta * g2
+        d[8] = -r * theta * pI * (g1 + theta * g2)
+        return d
+
+    return rhs
 
 
 def jl_pool_configurations(max_n_S):

@@ -294,6 +294,23 @@ def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, mes
     assert not out.exists()
 
 
+COARSE_VOLZ = ["solve", "volz", "--degree", "powerlaw:2.5:1:300", "--r", "1",
+               "--beta", "0.5", "--i0", "0.01", "--t-max", "60", "--eps-is", "0"]
+
+
+def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys):
+    # at dt=2 every step stays finite and pI+pS+pR stays 1 to round-off,
+    # but S+I+R ends near 1.085 against S0+I0 = 1: refused, naming dt
+    out = tmp_path / "x.csv"
+    code, _, err = run(COARSE_VOLZ + ["--dt", "2", "--out", str(out)], capsys)
+    assert code == 1
+    assert "S+I+R drifted" in err and "dt=2" in err
+    assert not out.exists()
+    code, _, _ = run(COARSE_VOLZ + ["--dt", "0.1", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("extra,field", [
     (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001"], "eps_prime"),
     (["--i0", "0.01"], "grid"),  # default grid 0.05 against tau_bar 0.0013

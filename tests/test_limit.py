@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from sirnet.degrees import DegreeSpec
@@ -22,7 +25,7 @@ from sirnet.limit import (
     solve_volz,
 )
 
-from oracles import influx_uncollapsed
+from oracles import influx_uncollapsed, volz_rhs_polyval
 
 
 def test_influx_collapsed_equals_uncollapsed():
@@ -58,6 +61,35 @@ def test_generating_fn_derivatives():
     np.testing.assert_allclose(g(zs, order=1), 0.3 + 1.5 * zs**2, rtol=1e-15)
     with pytest.raises(ValueError):
         g(z, order=3)
+
+
+@given(
+    weights=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=301),
+    z=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    order=st.integers(min_value=0, max_value=2),
+    as_numpy=st.booleans(),
+)
+def test_generating_fn_scalar_path_is_polyval_bit_for_bit(weights, z, order, as_numpy):
+    g = GeneratingFn(weights)
+    got = g(np.float64(z) if as_numpy else z, order=order)
+    want = float(P.polyval(z, P.polyder(np.asarray(weights, dtype=float), order)))
+    assert type(got) is float
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("degree,t_max,dt", [
+    ("poisson:5:30", 1.0, 1e-3),
+    ("powerlaw:2.5:1:300", 0.5, 1e-3),
+    ("powerlaw:2.5:1:300", 10.0, 0.05),
+])
+def test_volz_states_equal_polyval_reference(degree, t_max, dt):
+    # the scalar Horner path changes no bit of the integrated states
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=0.0)
+    pI0 = init.pI0
+    y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
+    _, want, _ = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg)
+    assert np.array_equal(solve_volz(init, cfg).states, want)
 
 
 def test_initial_data_mappings():
