@@ -33,8 +33,9 @@ from sirnet.errors import (
 )
 
 DENOM_FLOOR = 1e-12
-CLAMP_BUDGET = 1e-6  # allowed clamped or drifted mass, relative to initial
+CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
+MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +48,24 @@ class GeneratingFn:
     with first and second derivatives; the one polynomial evaluation of a
     measure in this module.
 
-    A scalar ``z`` is evaluated by a Horner loop over Python floats, the
-    coefficients of ``g``, ``g'`` and ``g''`` kept once, highest degree
-    first, as lists.  It gives the same bits as
+    Every ``z`` is evaluated by one Horner loop, ``v = v*z + c`` from
+    ``v = 0.0`` over the coefficients of ``g``, ``g'`` or ``g''``, kept
+    once, highest degree first, as Python lists.  It gives the same bits as
     ``numpy.polynomial.polynomial.polyval``: both start from ``0*z + c_n``
     and then compute ``v*z + c_k`` for ``k = n-1..0``, the same IEEE
     multiplications and additions in the same order, and neither fuses a
-    multiply-add.  It only skips polyval's numpy-scalar dispatch, the bulk
-    of the cost of the limit solvers' right-hand sides.  An array ``z``
-    goes to ``polyval``."""
+    multiply-add.  A scalar ``z`` runs the loop over Python floats, which
+    skips polyval's numpy-scalar dispatch, the bulk of the cost of the
+    limit solvers' right-hand sides; an array ``z`` runs it elementwise."""
 
-    __slots__ = ("coef", "d1", "d2", "_horner")
+    __slots__ = ("_horner",)
 
     def __init__(self, weights):
-        self.coef = np.asarray(weights, dtype=float)
-        self.d1 = np.polynomial.polynomial.polyder(self.coef, 1)
-        self.d2 = np.polynomial.polynomial.polyder(self.coef, 2)
-        self._horner = tuple(c[::-1].tolist() for c in (self.coef, self.d1, self.d2))
+        coef = np.asarray(weights, dtype=float)
+        self._horner = tuple(
+            np.polynomial.polynomial.polyder(coef, order)[::-1].tolist()
+            for order in (0, 1, 2)
+        )
 
     def __call__(self, z, order=0):
         """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
@@ -72,13 +74,14 @@ class GeneratingFn:
             raise ValueError("only derivatives of order 0, 1, 2 are provided")
         if isinstance(z, float):
             z = float(z)  # a numpy float64 would keep the loop in numpy scalars
-            v = 0.0
-            for c in self._horner[order]:
-                v = v * z + c
-            return v
-        coef = (self.coef, self.d1, self.d2)[order]
-        value = np.polynomial.polynomial.polyval(z, coef)
-        return float(value) if value.ndim == 0 else value
+        else:
+            z = np.asarray(z, dtype=float)
+            if z.ndim == 0:
+                z = float(z)
+        v = 0.0
+        for c in self._horner[order]:
+            v = v * z + c
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,7 @@ def solve_volz(init, config):
     The susceptible share is reported as ``S = g(theta)`` where g generates
     ``mu_S0``.  The finished run is checked once: ``pI + pS + pR`` may
     drift from 1 by at most ``SIMPLEX_TOL``, and the population mass
-    ``S + I + R`` from ``S0 + I0`` by at most ``CLAMP_BUDGET`` of it.  The
+    ``S + I + R`` from ``S0 + I0`` by at most ``MASS_TOL`` of it.  The
     first sum is a linear invariant that RK4 keeps to round-off at any
     ``dt``; the second is not, since ``S`` is read off ``theta`` while
     ``I`` and ``R`` are integrated, so it catches a step too coarse for
@@ -324,10 +327,10 @@ def solve_volz(init, config):
         )
     total = init.S0 + init.I0
     mass = float(np.abs(sol.S + sol.I + sol.R - total).max())
-    if mass > CLAMP_BUDGET * total:
+    if mass > MASS_TOL * total:
         raise SolverDiagnosticError(
             f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
-            f"{CLAMP_BUDGET * total:.3e}; dt={config.dt:g} is too large for these rates"
+            f"{MASS_TOL * total:.3e}; dt={config.dt:g} is too large for these rates"
         )
     return sol
 

@@ -69,12 +69,15 @@ def test_generating_fn_derivatives():
     order=st.integers(min_value=0, max_value=2),
     as_numpy=st.booleans(),
 )
-def test_generating_fn_scalar_path_is_polyval_bit_for_bit(weights, z, order, as_numpy):
+def test_generating_fn_is_polyval_bit_for_bit(weights, z, order, as_numpy):
     g = GeneratingFn(weights)
+    coef = P.polyder(np.asarray(weights, dtype=float), order)
     got = g(np.float64(z) if as_numpy else z, order=order)
-    want = float(P.polyval(z, P.polyder(np.asarray(weights, dtype=float), order)))
+    want = float(P.polyval(z, coef))
     assert type(got) is float
     assert got.hex() == want.hex()
+    zs = np.array([z, 1.0 - z, 0.5])
+    assert np.array_equal(g(zs, order=order), P.polyval(zs, coef))
 
 
 @pytest.mark.parametrize("degree,t_max,dt", [
