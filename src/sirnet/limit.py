@@ -543,7 +543,12 @@ def miller_theta(init, config):
     susceptible edge fraction; with it the reduction is exact (Miller
     2011).  Returns a :class:`MillerSolution` with ``S = g(theta)``,
     ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``.  The reduction reads
-    no infectious edge count, so ``eps_IS`` never stops it early."""
+    no infectious edge count, so ``eps_IS`` never stops it early.
+
+    ``I`` keeps ``S + I + R`` exact by construction, so a step too coarse
+    for the rates shows as a negative ``I`` instead: the finished run is
+    checked once, and an ``I`` below ``-MASS_TOL`` of ``S0 + I0`` raises
+    :class:`SolverDiagnosticError`."""
     gf = GeneratingFn(init.mu_S0)
     r, beta = config.r, config.beta
     pS0 = 1.0 - init.pI0
@@ -561,7 +566,14 @@ def miller_theta(init, config):
     theta = ys[:, 0]
     S = gf(theta)
     R = ys[:, 1]
-    return MillerSolution(t=ts, theta=theta, S=S, I=total - S - R, R=R, terminal=terminal)
+    I = total - S - R
+    low = float(I.min())
+    if low < -MASS_TOL * total:
+        raise SolverDiagnosticError(
+            f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}; "
+            f"dt={config.dt:g} is too large for these rates"
+        )
+    return MillerSolution(t=ts, theta=theta, S=S, I=I, R=R, terminal=terminal)
 
 
 def horizon_bound(init, r, beta, eps_prime):

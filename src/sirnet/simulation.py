@@ -206,8 +206,7 @@ class PopulationState:
     of degree ``k``), and the edges-to-S count of each initial infective.
     """
 
-    __slots__ = ("mu_S", "mu_IS", "mu_RS", "mu_S0",
-                 "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
+    __slots__ = ("mu_S", "mu_IS", "mu_RS", "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
 
     def __init__(self, mu_S, infectious_counts):
         susceptible = np.asarray(mu_S, dtype=np.int64)
@@ -220,7 +219,6 @@ class PopulationState:
         self.mu_S = susceptible.tolist() + [0] * (kmax + 1 - len(susceptible))
         self.mu_IS = np.bincount(infectious, minlength=kmax + 1).tolist()
         self.mu_RS = [0] * (kmax + 1)
-        self.mu_S0 = self.mu_S.copy()
         self.S = int(susceptible.sum())
         self.N_S = int(np.arange(len(susceptible)) @ susceptible)
         self.I, self.N_IS = len(infectious), int(infectious.sum())
@@ -242,22 +240,6 @@ class PopulationState:
         loop then stops with terminal reason ``depleted``."""
         return self.N_IS + self.N_RS <= self.N_S
 
-    def check_invariants(self):
-        """Re-derive the totals from the level vectors; raise on a negative
-        level, a drifted total, or ``mu_S`` gaining an atom over ``mu_S0``."""
-        vectors = {"mu_S": self.mu_S, "mu_IS": self.mu_IS, "mu_RS": self.mu_RS}
-        for name, mu in vectors.items():
-            if min(mu) < 0:
-                raise StateCorruptionError(f"{name} has a negative level")
-        masses = tuple(sum(mu) for mu in vectors.values())
-        edges = tuple(sum(k * c for k, c in enumerate(mu)) for mu in vectors.values())
-        if masses + edges != self.row():
-            raise StateCorruptionError(
-                f"running totals {self.row()} drifted from {masses + edges}"
-            )
-        if any(c > c0 for c, c0 in zip(self.mu_S, self.mu_S0)):
-            raise StateCorruptionError("mu_S gained an atom over mu_S0")
-
 
 def initial_infective_count(n, i0):
     """Number ``ceil(i0 * n)`` of initial infectives among ``n`` nodes;
@@ -270,7 +252,7 @@ def initial_infective_count(n, i0):
     return n_inf
 
 
-def initialize_state(degrees, i0, selection="uniform", rng=None):
+def initialize_state(degrees, i0, selection="uniform", *, rng):
     """Split a degree sequence into initial susceptibles and infectives.
 
     ``selection`` is ``uniform`` or ``size_biased`` (probability of being an
@@ -282,7 +264,6 @@ def initialize_state(degrees, i0, selection="uniform", rng=None):
     if n == 0:
         raise ConfigurationError("empty degree sequence")
     n_inf = initial_infective_count(n, i0)
-    rng = rng if rng is not None else np.random.default_rng()
     if selection == "uniform":
         infected = rng.choice(n, size=n_inf, replace=False)
     elif selection == "size_biased":
@@ -395,36 +376,7 @@ def apply_removal(state, level):
 # ---------------------------------------------------------------------------
 
 
-def _infection_event(state, draws, debug):
-    k = pick_size_biased(state.mu_S, state.N_S, draws)
-    j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws.rng)
-    if debug:
-        before = (state.N_IS, state.N_RS, state.S + state.I + state.R)
-    apply_infection(state, k, j, l, draws)
-    if debug:
-        if state.N_IS - before[0] != k - 2 - 2 * j - l:
-            raise StateCorruptionError("dN_IS mismatch on infection")
-        if state.N_RS - before[1] != -l:
-            raise StateCorruptionError("dN_RS mismatch on infection")
-        if state.S + state.I + state.R != before[2]:
-            raise StateCorruptionError("population not conserved on infection")
-        state.check_invariants()
-
-
-def _removal_event(state, draws, debug):
-    level = pick_uniform(state.mu_IS, state.I, draws)
-    if debug:
-        before = (state.N_IS, state.N_RS, state.S + state.I + state.R)
-    apply_removal(state, level)
-    if debug:
-        if state.N_IS - before[0] != -level or state.N_RS - before[1] != level:
-            raise StateCorruptionError("edge-count mismatch on removal")
-        if state.S + state.I + state.R != before[2]:
-            raise StateCorruptionError("population not conserved on removal")
-        state.check_invariants()
-
-
-def simulate(state, params, rng, debug=False):
+def simulate(state, params, rng):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
     Grid rows take the state holding at each grid time (the last event at or
@@ -433,8 +385,7 @@ def simulate(state, params, rng, debug=False):
     pools (see :meth:`PopulationState.feasible`) recording stops there with
     terminal reason ``depleted``.  Every random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
-    bit for bit.  ``debug`` re-derives every per-event delta
-    and the state's invariants, raising on any violation.
+    bit for bit.
     """
     draws = BlockDraws(rng)
     r, beta = params.r, params.beta
@@ -472,10 +423,12 @@ def simulate(state, params, rng, debug=False):
             break
         state.t = t_new
         if draws.uniform() * rate < beta * state.I:
-            _removal_event(state, draws, debug)
+            apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
             n_rem += 1
         else:
-            _infection_event(state, draws, debug)
+            k = pick_size_biased(state.mu_S, state.N_S, draws)
+            j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws.rng)
+            apply_infection(state, k, j, l, draws)
             n_inf += 1
             if not state.feasible():
                 # half-edge pools exhausted: further infections undefined

@@ -1,11 +1,13 @@
-"""Independent oracles shared by the sampler and limit-solver tests.
+"""Independent oracles shared by the sampler, simulator and limit-solver tests.
 
 The pmfs here are computed from first principles (binomial coefficients,
 scipy hypergeometric pmfs) without touching the package's samplers.
 :func:`replay_law` computes the exact law of a sampler it is handed by
 running it on every possible sequence of integer draws.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
-limit-solver formulas without the package's shortcuts."""
+limit-solver formulas without the package's shortcuts.
+:func:`check_invariants` re-derives a simulator state's running totals
+from its level vectors."""
 
 import itertools
 import math
@@ -13,6 +15,26 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import stats
+
+from sirnet.errors import StateCorruptionError
+
+
+def check_invariants(state, mu_S0):
+    """Re-derive the totals of a :class:`PopulationState` from its level
+    vectors; raise :class:`StateCorruptionError` on a negative level, a
+    drifted total, or ``mu_S`` gaining an atom over the initial ``mu_S0``."""
+    vectors = {"mu_S": state.mu_S, "mu_IS": state.mu_IS, "mu_RS": state.mu_RS}
+    for name, mu in vectors.items():
+        if min(mu) < 0:
+            raise StateCorruptionError(f"{name} has a negative level")
+    masses = tuple(sum(mu) for mu in vectors.values())
+    edges = tuple(sum(k * c for k, c in enumerate(mu)) for mu in vectors.values())
+    if masses + edges != state.row():
+        raise StateCorruptionError(
+            f"running totals {state.row()} drifted from {masses + edges}"
+        )
+    if any(c > c0 for c, c0 in zip(state.mu_S, mu_S0)):
+        raise StateCorruptionError("mu_S gained an atom over mu_S0")
 
 
 def jl_oracle_pmf(k, n_S, n_IS, n_RS):

@@ -187,10 +187,11 @@ def test_criterion_1_sampler_exactness():
     report(1, jl_ok and alloc_ok and elapsed < 60, detail)
 
 
-def test_criterion_2_event_bookkeeping():
-    # debug mode re-derives every per-event delta and raises on violation:
-    # dN_IS = k-2-2j-l / -d(S), dN_RS = -l / +d(S), S+I+R constant,
-    # N_IS+N_RS <= N_S, mu_S <= mu_S0 pointwise
+def test_criterion_2_event_bookkeeping(checked_events):
+    # checked_events re-derives every per-event delta on the production
+    # event loop and raises on violation: dN_IS = k-2-2j-l / -d(S),
+    # dN_RS = -l / +d(S), S+I+R constant, totals from the level vectors,
+    # mu_S <= mu_S0 pointwise; N_IS+N_RS <= N_S is checked on the rows
     mixes = [
         (DegreeSpec.poisson(5, 30), 1.0, 0.5),
         (DegreeSpec.poisson(8, 40), 1.0, 1.0),
@@ -206,16 +207,16 @@ def test_criterion_2_event_bookkeeping():
         spec, r, beta = mixes[run % len(mixes)]
         rng = np.random.default_rng(1000 + run)
         st = initialize_state(spec.sample(4000, rng), 0.02, rng=rng)
-        traj = simulate(st, SimParams(r=r, beta=beta, t_max=50.0),
-                        rng=rng, debug=True)
+        traj = simulate(st, SimParams(r=r, beta=beta, t_max=50.0), rng=rng)
         total_events += traj.n_infections + traj.n_removals
         edge_violations += int(np.sum(traj.N_IS + traj.N_RS > traj.N_S))
         depleted += int(traj.terminal == "depleted")
         run += 1
-    ok = edge_violations == 0 and depleted == 0
+    ok = edge_violations == 0 and depleted == 0 and checked_events.count == total_events
     report(2, ok, f"{total_events} events across {run} mixed-parameter runs; "
                   "per-event deltas, population conservation and mu_S "
-                  "domination re-checked by debug mode (raises on violation); "
+                  f"domination re-checked on {checked_events.count} events "
+                  "(raises on violation); "
                   f"N_IS+N_RS <= N_S violations: {edge_violations}, "
                   f"pool-depleted runs: {depleted}")
 

@@ -296,17 +296,25 @@ def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, mes
 
 COARSE_VOLZ = ["solve", "volz", "--degree", "powerlaw:2.5:1:300", "--r", "1",
                "--beta", "0.5", "--i0", "0.01", "--t-max", "60", "--eps-is", "0"]
+COARSE_MILLER = ["solve", "miller", "--degree", "poisson:5:30", "--r", "1",
+                 "--beta", "0.5", "--i0", "0.01", "--t-max", "60"]
 
 
-def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys):
+@pytest.mark.parametrize("args,message", [
     # at dt=2 every step stays finite and pI+pS+pR stays 1 to round-off,
-    # but S+I+R ends near 1.085 against S0+I0 = 1: refused, naming dt
+    # but S+I+R ends near 1.085 against S0+I0 = 1
+    (COARSE_VOLZ, "S+I+R drifted"),
+    # miller keeps S+I+R exact by construction; at dt=2 I falls to -0.005
+    (COARSE_MILLER, "I fell to"),
+], ids=["volz", "miller"])
+def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys, args, message):
+    # refused at dt=2, naming dt; sound at dt=0.1
     out = tmp_path / "x.csv"
-    code, _, err = run(COARSE_VOLZ + ["--dt", "2", "--out", str(out)], capsys)
+    code, _, err = run(args + ["--dt", "2", "--out", str(out)], capsys)
     assert code == 1
-    assert "S+I+R drifted" in err and "dt=2" in err
+    assert message in err and "dt=2" in err
     assert not out.exists()
-    code, _, _ = run(COARSE_VOLZ + ["--dt", "0.1", "--out", str(out)], capsys)
+    code, _, _ = run(args + ["--dt", "0.1", "--out", str(out)], capsys)
     assert code == 0
     assert out.exists()
 

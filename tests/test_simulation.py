@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import check_invariants
+from sirnet import simulation
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
 from sirnet.simulation import (
@@ -17,9 +19,12 @@ from sirnet.simulation import (
 )
 
 
+SMALL_MU_S0 = [0, 0, 2, 1]
+
+
 def small_state():
     """3 susceptibles (degrees 2,2,3), 2 infectives with 2 and 1 edges-to-S."""
-    return PopulationState([0, 0, 2, 1], [2, 1])
+    return PopulationState(SMALL_MU_S0, [2, 1])
 
 
 def test_state_summaries():
@@ -27,7 +32,7 @@ def test_state_summaries():
     assert (st.S, st.I, st.R) == (3, 2, 0)
     assert (st.N_S, st.N_IS, st.N_RS) == (7, 3, 0)
     assert (st.mu_S, st.mu_IS, st.mu_RS) == ([0, 0, 2, 1], [0, 1, 1, 0], [0, 0, 0, 0])
-    st.check_invariants()
+    check_invariants(st, SMALL_MU_S0)
 
 
 def test_apply_infection_deltas():
@@ -43,7 +48,7 @@ def test_apply_infection_deltas():
     # the new infective carries k-1-j-l = 1 edge-to-S
     assert st.mu_S == [0, 0, 2, 0]
     assert st.mu_IS == [1, 2, 0, 0]
-    st.check_invariants()
+    check_invariants(st, SMALL_MU_S0)
 
 
 def test_apply_infection_validates_totals():
@@ -60,7 +65,7 @@ def test_apply_infection_validates_totals():
     with pytest.raises(StateCorruptionError):
         apply_infection(st, 1, 0, 0, draws)  # no degree-1 susceptible
     assert st.row() == small_state().row()  # rejected events change nothing
-    st.check_invariants()
+    check_invariants(st, SMALL_MU_S0)
 
 
 def test_apply_removal_moves_edges():
@@ -70,7 +75,7 @@ def test_apply_removal_moves_edges():
     assert st.N_IS == 1 and st.N_RS == 2
     assert st.mu_IS == [0, 1, 0, 0] and st.mu_RS == [0, 0, 1, 0]
     assert st.S + st.I + st.R == 5
-    st.check_invariants()
+    check_invariants(st, SMALL_MU_S0)
     with pytest.raises(IndexError):
         apply_removal(st, 5)
     with pytest.raises(StateCorruptionError):
@@ -86,7 +91,7 @@ def test_initialize_state_counts():
     assert st.S == 500 - st.I
     # every initial infective keeps her full degree as edges-to-S
     assert st.N_IS + st.N_S == degrees.sum()
-    st.check_invariants()
+    check_invariants(st, st.mu_S)
 
 
 def test_initialize_state_validation():
@@ -140,17 +145,39 @@ def test_simulate_grid_and_extinction_fill():
     assert traj.S[-1] == 10  # nobody to infect through 0 edges
 
 
-def test_simulate_conserves_population_with_debug():
-    spec = DegreeSpec.geometric(0.6, 40)
+def geometric_run(n):
+    """A seeded epidemic on ``n`` nodes of geometric degree, to t=5."""
     rng = np.random.default_rng(8)
-    st = initialize_state(spec.sample(300, rng), 0.05, rng=rng)
-    n = st.S + st.I
-    traj = simulate(st, SimParams(r=2.0, beta=1.0, t_max=5.0), rng=rng, debug=True)
+    st = initialize_state(DegreeSpec.geometric(0.6, 40).sample(n, rng), 0.05, rng=rng)
+    return simulate(st, SimParams(r=2.0, beta=1.0, t_max=5.0), rng=rng)
+
+
+def test_simulate_conserves_population_checked(checked_events):
+    n = 300
+    traj = geometric_run(n)
     assert np.all(traj.S + traj.I + traj.R == n)
     assert np.all(traj.N_IS + traj.N_RS <= traj.N_S[0])
     assert np.all(np.diff(traj.S) <= 0)
     assert np.all(np.diff(traj.R) >= 0)
     assert traj.n_infections + traj.n_removals > 0
+    assert checked_events.count == traj.n_infections + traj.n_removals
+
+
+def test_checked_events_catch_a_dropped_update(monkeypatch, request):
+    # a removal that loses its N_RS += level update: the event loop runs on
+    # with a corrupt state unless the checking wrappers are installed
+    real_removal = simulation.apply_removal
+
+    def drops_n_rs_update(state, level):
+        real_removal(state, level)
+        state.N_RS -= level
+        return state
+
+    monkeypatch.setattr(simulation, "apply_removal", drops_n_rs_update)
+    geometric_run(300)
+    request.getfixturevalue("checked_events")
+    with pytest.raises(StateCorruptionError, match="dN_RS mismatch on removal"):
+        geometric_run(300)
 
 
 def test_snapshots_recorded():
