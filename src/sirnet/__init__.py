@@ -8,6 +8,10 @@ trajectories converge to the limit.
 
 __version__ = "0.1.0"
 
+# numpy 2 loads numpy.random on first use; load it with the package, so a
+# command does not pay for the import inside its own run
+import numpy.random  # noqa: F401
+
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import (
     ConfigurationError,

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
-from sirnet.errors import ConfigurationError
+from sirnet.errors import ConfigurationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,25 @@ class DegreeSpec:
 
     @classmethod
     def poisson(cls, lam, kmax):
+        check_finite(lam=lam)
         if lam <= 0:
             raise ConfigurationError("poisson mean must be positive")
+        if kmax < 0:
+            raise ConfigurationError("poisson kmax must be nonnegative")
         k = np.arange(int(kmax) + 1)
-        # in log space: lam**k and k! overflow long before the pmf does
-        pmf = np.exp(k * math.log(lam) - gammaln(k + 1) - lam)
+        # relative to the mode m: p_k/p_m is a product of the ratios lam/j
+        # above m and j/lam below it, each <= 1, so lam**k and k! never
+        # overflow and no log k! is needed
+        m = min(math.floor(lam), int(kmax))
+        above = np.cumprod(lam / k[m + 1:])
+        below = np.cumprod(k[m:0:-1] / lam)[::-1]
+        pmf = np.concatenate((below, [1.0], above))
         return cls._build("poisson", (lam, kmax), k, pmf)
 
     @classmethod
     def geometric(cls, q, kmax):
         """p_k proportional to (1-q) q^k on 0..kmax."""
+        check_finite(q=q)
         if not 0 < q < 1:
             raise ConfigurationError("geometric parameter must lie in (0,1)")
         k = np.arange(int(kmax) + 1)
@@ -67,6 +75,7 @@ class DegreeSpec:
     @classmethod
     def powerlaw(cls, alpha, kmin, kmax):
         """p_k proportional to k^-alpha on kmin..kmax."""
+        check_finite(alpha=alpha)
         if kmin < 1 or kmax < kmin:
             raise ConfigurationError("powerlaw needs 1 <= kmin <= kmax")
         k = np.arange(int(kmin), int(kmax) + 1)

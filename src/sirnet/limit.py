@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from sirnet.errors import (
     ConfigurationError,
@@ -50,22 +49,24 @@ class GeneratingFn:
 
     Every ``z`` is evaluated by one Horner loop, ``v = v*z + c`` from
     ``v = 0.0`` over the coefficients of ``g``, ``g'`` or ``g''``, kept
-    once, highest degree first, as Python lists.  It gives the same bits as
-    ``numpy.polynomial.polynomial.polyval``: both start from ``0*z + c_n``
-    and then compute ``v*z + c_k`` for ``k = n-1..0``, the same IEEE
-    multiplications and additions in the same order, and neither fuses a
-    multiply-add.  A scalar ``z`` runs the loop over Python floats, which
-    skips polyval's numpy-scalar dispatch, the bulk of the cost of the
-    limit solvers' right-hand sides; an array ``z`` runs it elementwise."""
+    once, highest degree first, as Python lists.  The derivative
+    coefficients are ``numpy.polynomial.polynomial.polyder``'s own
+    products ``j * c_j`` in its order, and the loop gives the same bits as
+    its ``polyval``: both start from ``0*z + c_n`` and then compute
+    ``v*z + c_k`` for ``k = n-1..0``, the same IEEE multiplications and
+    additions in the same order, and neither fuses a multiply-add.  A
+    scalar ``z`` runs the loop over Python floats, which skips polyval's
+    numpy-scalar dispatch, the bulk of the cost of the limit solvers'
+    right-hand sides; an array ``z`` runs it elementwise."""
 
     __slots__ = ("_horner",)
 
     def __init__(self, weights):
         coef = np.asarray(weights, dtype=float)
-        self._horner = tuple(
-            np.polynomial.polynomial.polyder(coef, order)[::-1].tolist()
-            for order in (0, 1, 2)
-        )
+        d1 = np.arange(1, len(coef)) * coef[1:]
+        d2 = np.arange(1, len(d1)) * d1[1:]
+        # polyder leaves the zero polynomial [0.0] where no term survives
+        self._horner = tuple(c[::-1].tolist() or [0.0] for c in (coef, d1, d2))
 
     def __call__(self, z, order=0):
         """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
@@ -404,9 +405,10 @@ def influx_kernel(kmax):
     ``(pI+pR)^(k-1-i)`` underflows above kmax of about 1000."""
     i = np.arange(kmax + 1)[:, None]
     k = np.arange(kmax + 1)[None, :]
-    expo = np.maximum(k - 1 - i, 0).astype(float)
-    log_binom = gammaln(expo + i + 1) - gammaln(i + 1) - gammaln(expo + 1)
-    return np.where(k - 1 >= i, log_binom, -np.inf), expo
+    expo = np.maximum(k - 1 - i, 0)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(kmax + 1)])  # log n!
+    log_binom = log_fact[expo + i] - log_fact[i] - log_fact[expo]
+    return np.where(k - 1 >= i, log_binom, -np.inf), expo.astype(float)
 
 
 def influx_vector(mu_S_weights, pS, pI, pR, kernel=None):
@@ -423,7 +425,12 @@ def influx_vector(mu_S_weights, pS, pI, pR, kernel=None):
     if kernel is None:
         kernel = influx_kernel(len(k) - 1)
     log_binom, expo = kernel
-    out = np.exp(log_binom + xlogy(expo, pI + pR)) @ (k * mu_S_weights)
+    q = pI + pR
+    if q > 0:
+        log_power = expo * math.log(q)
+    else:  # q^0 = 1 and 0^j = 0; a negative q leaves NaN for rk4's finite check
+        log_power = np.where(expo > 0, -np.inf if q == 0 else np.nan, 0.0)
+    out = np.exp(log_binom + log_power) @ (k * mu_S_weights)
     return np.float_power(pS, k) * out
 
 

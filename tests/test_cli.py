@@ -243,6 +243,12 @@ def _with(args, option, value):
     (SIM + ["--dry-run"], "--r", "nan", "r"),
     (VOLZ + ["--dry-run"], "--r", "nan", "r"),
     (CONVERGE + ["--i0", "0.01", "--dry-run"], "--r", "nan", "r"),
+    # 1**nan == 1: a non-finite exponent used to leave a silent degree-1 law
+    (SIM, "--degree", "powerlaw:nan:1:10", "alpha"),
+    (VOLZ, "--degree", "powerlaw:inf:1:10", "alpha"),
+    (SIM, "--degree", "poisson:inf:30", "lam"),
+    (VOLZ, "--degree", "poisson:nan:30", "lam"),
+    (CONVERGE + ["--i0", "0.01", "--dry-run"], "--degree", "geometric:nan:50", "q"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     out = tmp_path / "x.csv"
@@ -250,6 +256,17 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     assert code == 2
     assert f"{field} must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("degree,field", [
+    ("powerlaw:nan:1:10", "alpha"), ("powerlaw:inf:1:10", "alpha"),
+    ("poisson:inf:30", "lam"), ("geometric:nan:50", "q"),
+])
+def test_r0_non_finite_degree_exits_2(capsys, degree, field):
+    code, out, err = run(["r0", "--degree", degree], capsys)
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("base,option", [
@@ -386,14 +403,33 @@ def test_converge_dry_run_neither_solves_nor_simulates(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def test_cli_import_is_lean():
-    # a fresh interpreter: importing the CLI must not pull in scipy.stats,
-    # and every exported name must resolve
-    code = ("import sys, sirnet, sirnet.cli; "
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'; "
-            "missing = [n for n in sirnet.__all__ if not hasattr(sirnet, n)]; "
-            "assert not missing, missing")
+LEAN_CHECK = """
+import contextlib, io, json, sys
+import sirnet, sirnet.cli
+scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not scipy, f"{len(scipy)} scipy modules, such as {sorted(scipy)[:3]}"
+missing = [n for n in sirnet.__all__ if not hasattr(sirnet, n)]
+assert not missing, missing
+loaded = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sirnet.cli.main(argv) == 0, argv
+    late = sorted(m for m in set(sys.modules) - loaded if m.startswith("numpy."))
+    assert not late, (argv[:2], late)
+"""
+
+
+def test_cli_import_is_lean(tmp_path):
+    # a fresh interpreter: importing the CLI loads no scipy module, every
+    # exported name resolves, and no command imports a numpy submodule of
+    # its own (numpy 2 loads numpy.random and numpy.polynomial lazily)
+    out = str(tmp_path / "x.csv")
+    converge = _with(CONVERGE, "--t-max", "0.002") + ["--i0", "0.01", "--grid", "1e-4"]
+    commands = [base + ["--out", out] for base in (
+        SIM, VOLZ, _with(["solve", "measures"] + VOLZ[2:], "--t-max", "0.1"), MILLER,
+        _with(converge, "--workers", "1"))]
     src = str(Path(sirnet.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", LEAN_CHECK, json.dumps(commands)],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr

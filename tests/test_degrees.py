@@ -2,23 +2,34 @@ import json
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError
 
 
-def test_poisson_pmf_matches_scipy():
-    spec = DegreeSpec.poisson(5, 40)
-    k = np.flatnonzero(spec.probs)  # levels index into spec.levels
-    pmf = stats.poisson.pmf(spec.levels, 5)
-    np.testing.assert_allclose(spec.probs, pmf / pmf.sum(), rtol=1e-12)
-    assert spec.mean() == pytest.approx(5.0, abs=1e-8)
+def exact_poisson_pmf(lam, kmax):
+    """The Poisson(lam) pmf truncated to 0..kmax and renormalised, each
+    level rounded once from its exact rational value: with lam = a/b,
+    p_k is proportional to the integer a^k b^(kmax-k) kmax!/k!."""
+    a, b = float(lam).as_integer_ratio()
+    weights, falling = [0] * (kmax + 1), 1  # falling = kmax!/k!
+    for k in range(kmax, -1, -1):
+        weights[k] = a ** k * b ** (kmax - k) * falling
+        falling *= max(k, 1)
+    total = sum(weights)
+    return np.array([w / total for w in weights])  # int / int rounds correctly
+
+
+def test_poisson_pmf_matches_exact():
     # lam**k and k! overflow float64 long before k = 2000
-    big = DegreeSpec.poisson(800, 2000)
-    pmf = stats.poisson.pmf(big.levels, 800)
-    np.testing.assert_allclose(big.probs, pmf / pmf.sum(), rtol=1e-12)
-    assert big.mean() == pytest.approx(800.0, rel=1e-12)
+    for lam, kmax in ((5, 40), (800, 2000)):
+        got = DegreeSpec.poisson(lam, kmax).limit_measure()
+        exact = exact_poisson_pmf(lam, kmax)
+        normal = exact >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], exact[normal], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[~normal], exact[~normal], rtol=0,
+                                   atol=np.finfo(float).tiny)
+        assert got @ np.arange(kmax + 1) == pytest.approx(lam, rel=1e-12)
 
 
 def test_geometric_mean():
@@ -54,8 +65,8 @@ def test_from_string_grammar(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    "poisson:5", "poisson:-1:30", "nope:1:2", "file:/does/not/exist.json",
-    "geometric:1.5:10", "powerlaw:2:0:10",
+    "poisson:5", "poisson:-1:30", "poisson:5:-1", "nope:1:2",
+    "file:/does/not/exist.json", "geometric:1.5:10", "powerlaw:2:0:10",
 ])
 def test_from_string_rejects(bad):
     with pytest.raises(ConfigurationError):

@@ -126,6 +126,15 @@ def test_rk4_non_finite_state_names_dt():
         rk4_integrate(lambda y: np.full_like(y, np.inf), [1.0, 0.0], cfg)
 
 
+def test_measures_coarse_dt_names_dt():
+    # a step this coarse drives an RK stage's pI+pR below 0, which has no
+    # power (pI+pR)^j; the influx is NaN and the shared guard names dt
+    init = limit_initial(DegreeSpec.powerlaw(2.5, 1, 100), 0.01)
+    cfg = SolverConfig(r=10.0, beta=0.5, t_max=2.0, dt=0.2, eps_IS=0.0)
+    with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.2; dt=0\.2"):
+        solve_measures(init, cfg)
+
+
 def standard_setup(kmax=40):
     spec = DegreeSpec.poisson(5, kmax)
     return limit_initial_from_pI0(spec, 0.05)
