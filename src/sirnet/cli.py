@@ -100,24 +100,20 @@ def _int_list(text):
     return values
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="sirnet",
-        description="SIR epidemics on configuration-model networks: "
-                    "simulation, deterministic limits, convergence checks.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_degree(sp):
+    sp.add_argument("--degree", required=True,
+                    help="degree law, e.g. poisson:5:30, geometric:0.5:50, "
+                         "powerlaw:2.5:1:100, file:weights.json")
 
-    def add_degree(sp):
-        sp.add_argument("--degree", required=True,
-                        help="degree law, e.g. poisson:5:30, geometric:0.5:50, "
-                             "powerlaw:2.5:1:100, file:weights.json")
 
+def _add_r0(sub):
     sp = sub.add_parser("r0", help="reproduction number of a degree law")
-    add_degree(sp)
+    _add_degree(sp)
 
+
+def _add_simulate(sub):
     sp = sub.add_parser("simulate", help="run one stochastic epidemic")
-    add_degree(sp)
+    _add_degree(sp)
     sp.add_argument("--n", type=int, required=True, help="population size")
     sp.add_argument("--r", type=float, required=True, help="infection rate per I-S edge")
     sp.add_argument("--beta", type=float, required=True, help="removal rate per node")
@@ -130,8 +126,10 @@ def build_parser():
     sp.add_argument("--snapshots", help="optional measure snapshots JSON-lines path")
     sp.add_argument("--dry-run", action="store_true", help="validate config and exit")
 
+
+def _add_solve(sub):
     common = argparse.ArgumentParser(add_help=False)  # what every solver takes
-    add_degree(common)
+    _add_degree(common)
     common.add_argument("--r", type=float, required=True)
     common.add_argument("--beta", type=float, required=True)
     group = common.add_mutually_exclusive_group(required=True)
@@ -152,8 +150,10 @@ def build_parser():
         sp.add_argument("--eps-is", type=float, default=1e-6,
                         help="stop once per-capita N_IS falls below this (0: never)")
 
+
+def _add_converge(sub):
     sp = sub.add_parser("converge", help="compare scaled simulations to the limit")
-    add_degree(sp)
+    _add_degree(sp)
     sp.add_argument("--n", type=_int_list, required=True,
                     help="comma-separated population sizes, e.g. 1000,10000")
     sp.add_argument("--reps", type=int, required=True)
@@ -169,6 +169,35 @@ def build_parser():
     sp.add_argument("--out", required=True, help="report CSV path")
     sp.add_argument("--manifest", help="run manifest JSON path (default <out>.manifest.json)")
     sp.add_argument("--dry-run", action="store_true")
+
+
+_SUBPARSERS = {
+    "r0": _add_r0,
+    "simulate": _add_simulate,
+    "solve": _add_solve,
+    "converge": _add_converge,
+}
+
+
+def build_parser(command=None):
+    """The ``sirnet`` parser.  Given a known ``command``, only that
+    subcommand's parser is built, and the command list keeps its usage
+    form ``{r0,simulate,solve,converge}``; anything else (``None``,
+    ``--help``, a typo) builds them all, for the full help and the
+    "invalid choice" error."""
+    p = argparse.ArgumentParser(
+        prog="sirnet",
+        description="SIR epidemics on configuration-model networks: "
+                    "simulation, deterministic limits, convergence checks.",
+    )
+    if command in _SUBPARSERS:
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(_SUBPARSERS) + "}")
+        _SUBPARSERS[command](sub)
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
     return p
 
 
@@ -277,7 +306,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

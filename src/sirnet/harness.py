@@ -173,7 +173,9 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
                 "reps": len(group),
                 "col": col,
                 "mean_sup_dist": float(dists.mean()),
-                "stderr": float(dists.std(ddof=1) / np.sqrt(len(dists))) if len(dists) > 1 else 0.0,
+                # equal distances have no spread, whatever the round-off of their mean
+                "stderr": (float(dists.std(ddof=1) / np.sqrt(len(dists)))
+                           if (dists != dists[0]).any() else 0.0),
                 "frac_tau_ge_bound": frac,
             })
     return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end)

@@ -35,6 +35,8 @@ DENOM_FLOOR = 1e-12
 CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
+INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
+_DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
 # ---------------------------------------------------------------------------
@@ -397,59 +399,110 @@ class MeasureSolution(Solution):
                              "mu_RS": self.mu_RS[i]}
 
 
-def influx_kernel(kmax):
-    """:func:`influx_vector`'s binomial weights in log space, built once
-    per solve: ``log C(k-1, i)`` over levels ``i`` and degrees ``k`` in
-    ``0..kmax`` (``-inf`` where ``i > k-1``), and the exponent ``k-1-i``
-    of ``pI+pR`` (0 there).  Kept apart, ``C(k-1, i)`` overflows and
-    ``(pI+pR)^(k-1-i)`` underflows above kmax of about 1000."""
-    i = np.arange(kmax + 1)[:, None]
-    k = np.arange(kmax + 1)[None, :]
-    expo = np.maximum(k - 1 - i, 0)
-    log_fact = np.array([math.lgamma(n + 1) for n in range(kmax + 1)])  # log n!
-    log_binom = log_fact[expo + i] - log_fact[i] - log_fact[expo]
-    return np.where(k - 1 >= i, log_binom, -np.inf), expo.astype(float)
+def influx_kernel(mu_S0_weights):
+    """:func:`influx_vector`'s table, built once per solve from ``mu_S0``
+    alone.
+
+    With ``mu_S(k) = mu_S0(k) theta^k``, ``x = pS theta``,
+    ``y = (pI+pR) theta`` and the depth ``d = k-1-i``, the influx is
+    ``theta x^i sum_d y^d T[d, i]`` with
+    ``T[d, i] = C(i+d, i) (i+d+1) mu_S0(i+d+1)``, which no call changes.
+    ``C(i+d, i)`` overflows a float above kmax of about 1030, so ``T`` is
+    kept in blocks of ``INFLUX_BLOCK`` depths: per block ``b`` and level
+    ``i`` the log-maximum ``M[b, i]`` of ``log T`` over the block (``-inf``
+    where the block holds no mass), and ``exp(log T - M)`` in ``[0, 1]``,
+    built in log space from one ``math.lgamma`` table.  A call then scales
+    each block by ``exp(M + i log x + 64 b log y)``, one exponent over a
+    ``(blocks, kmax+1)`` array, so no factor overflows at any kmax.
+
+    Returns ``(U, M, i, b)``: ``U`` of shape
+    ``(INFLUX_BLOCK, blocks*(kmax+1))``, the rows being the depth ``r``
+    within a block; ``M`` of shape ``(blocks, kmax+1)``; and the powers a
+    call raises ``x`` and ``y`` to, the levels ``i`` and, as a column, the
+    first depth ``64 b`` of each block."""
+    w = np.asarray(mu_S0_weights, dtype=float)
+    kmax = len(w) - 1
+    blocks = -(-kmax // INFLUX_BLOCK)
+    i = np.arange(kmax + 1)
+    # depth d = r + 64 b laid out (r, b), so U needs no transposed copy
+    d = (np.arange(INFLUX_BLOCK)[:, None] + INFLUX_BLOCK * np.arange(blocks))[:, :, None]
+    n = i + d  # k - 1
+    outside = n >= kmax
+    np.minimum(n, kmax - 1, out=n)
+    log_fact = np.array([math.lgamma(m + 1) for m in range(kmax + 1)])  # log m!
+    with np.errstate(divide="ignore"):
+        log_kw = np.log(np.arange(kmax + 1) * w)  # log(k mu_S0(k)), -inf at 0
+    log_T = log_fact[n]
+    log_T -= log_fact[i]
+    log_T -= log_fact[np.minimum(d, kmax)]
+    n += 1
+    log_T += log_kw[n]
+    log_T[outside] = -np.inf
+    M = log_T.max(axis=0)
+    log_T -= np.where(np.isfinite(M), M, 0.0)
+    U = np.exp(log_T, out=log_T)
+    return (U.reshape(INFLUX_BLOCK, -1), M,
+            np.arange(kmax + 1.0), INFLUX_BLOCK * np.arange(blocks + 0.0)[:, None])
 
 
-def influx_vector(mu_S_weights, pS, pI, pR, kernel=None):
+def _log_powers(z, j):
+    """``log z^j`` elementwise over the powers ``j >= 0``, for ``z >= 0``,
+    with ``0^0 = 1`` and ``0^j = 0``; NaN throughout for a negative ``z``."""
+    if z > 0:
+        return j * math.log(z)
+    if z == 0:
+        return np.where(j > 0, -np.inf, 0.0)
+    return np.full(j.shape, np.nan)
+
+
+def influx_vector(mu_S0_weights, pS, pI, pR, theta=1.0, table=None):
     """Rate profile of new infectives entering with ``i`` edges-to-S, over
-    the levels ``i`` of ``mu_S_weights``.
+    the levels ``i`` of ``mu_S0_weights``, at the susceptible degree
+    measure ``mu_S(k) = mu_S0(k) theta^k`` (``theta >= 0``).
 
     A size-biased degree-k susceptible keeps each of its k-1 remaining
     half-edges susceptible-facing with probability pS, independently in the
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
-    ``kernel`` is :func:`influx_kernel` of the top level.
-    """
-    k = np.arange(len(mu_S_weights))
-    if kernel is None:
-        kernel = influx_kernel(len(k) - 1)
-    log_binom, expo = kernel
-    q = pI + pR
-    if q > 0:
-        log_power = expo * math.log(q)
-    else:  # q^0 = 1 and 0^j = 0; a negative q leaves NaN for rk4's finite check
-        log_power = np.where(expo > 0, -np.inf if q == 0 else np.nan, 0.0)
-    out = np.exp(log_binom + log_power) @ (k * mu_S_weights)
-    return np.float_power(pS, k) * out
+
+    ``table`` is :func:`influx_kernel` of ``mu_S0_weights``; a call costs
+    one matvec against it and one ``exp`` per block and level.  ``x^i`` and
+    ``y^(64 b)`` go inside the exponent with the block maxima, so a level
+    whose terms are each too large or too small for a float still comes
+    out finite.  ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no
+    power and gives NaN, which rk4's finite check reports; a negative
+    ``pS`` gives the signed powers ``pS^i``."""
+    if table is None:
+        table = influx_kernel(mu_S0_weights)
+    U, M, i, b = table
+    x = pS * theta
+    y = (pI + pR) * theta
+    exponent = M + _log_powers(abs(x), i) + _log_powers(y, b)
+    inner = (y ** _DEPTHS) @ U
+    out = theta * (np.exp(exponent) * inner.reshape(M.shape)).sum(axis=0)
+    if x < 0:
+        out[1::2] *= -1.0
+    return out
 
 
-def measure_rhs(y, r, beta, mu_S0_weights, kernel):
+def measure_rhs(y, r, beta, mu_S0_weights, table, k, k_k1):
     """Right-hand side of the measure system in the packed state
     ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``, over the levels of
-    ``mu_S0_weights``.
+    ``mu_S0_weights``.  ``table`` is :func:`influx_kernel` of
+    ``mu_S0_weights``, and ``k`` and ``k_k1`` are the levels ``0..kmax``
+    and ``k(k-1)``, all built once per solve.
 
     Drift terms divide by the total edges-to-S of the class they act on;
     when that total is numerically zero the class is inert and the term is
     dropped."""
-    k = np.arange(len(mu_S0_weights))
+    levels = len(k)
     theta = y[0]
-    mu_IS = y[1 : len(k) + 1]
-    mu_RS = y[len(k) + 1 :]
-    theta_pow = np.float_power(max(theta, 0.0), k)
-    mu_S = mu_S0_weights * theta_pow
+    mu_IS = y[1 : levels + 1]
+    mu_RS = y[levels + 1 :]
+    theta_S = max(theta, 0.0)
+    mu_S = mu_S0_weights * np.float_power(theta_S, k)
     N_S = float(k @ mu_S)
-    m2m1 = float((k * (k - 1)) @ mu_S)
+    m2m1 = float(k_k1 @ mu_S)
     N_IS = float(k @ mu_IS)
     N_RS = float(k @ mu_RS)
 
@@ -464,19 +517,21 @@ def measure_rhs(y, r, beta, mu_S0_weights, kernel):
 
     # mass at level i drifts to level i-1 in proportion to i
     flux_IS = k * mu_IS
-    shift_IS = np.append(flux_IS[1:], 0.0) - flux_IS
+    shift_IS = -flux_IS
+    shift_IS[:-1] += flux_IS[1:]
     flux_RS = k * mu_RS
-    shift_RS = np.append(flux_RS[1:], 0.0) - flux_RS
+    shift_RS = -flux_RS
+    shift_RS[:-1] += flux_RS[1:]
 
     c_IS = (r * pI * pI * m2m1 + r * pI * N_S) / N_IS if N_IS > DENOM_FLOOR else 0.0
     c_RS = (r * pI * m2m1 * pR) / N_RS if N_RS > DENOM_FLOOR else 0.0
 
-    d[1 : len(k) + 1] = (
-        r * pI * influx_vector(mu_S, pS, pI, pR, kernel)
+    d[1 : levels + 1] = (
+        r * pI * influx_vector(mu_S0_weights, pS, pI, pR, theta_S, table)
         + c_IS * shift_IS
         - beta * mu_IS
     )
-    d[len(k) + 1 :] = beta * mu_IS + c_RS * shift_RS
+    d[levels + 1 :] = beta * mu_IS + c_RS * shift_RS
     return d
 
 
@@ -492,7 +547,8 @@ def solve_measures(init, config):
     """
     w0 = init.mu_S0
     k = np.arange(len(w0))
-    kernel = influx_kernel(len(k) - 1)
+    k_k1 = k * (k - 1)
+    table = influx_kernel(w0)
     y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(len(k))))
     r, beta = config.r, config.beta
     budget = CLAMP_BUDGET * (init.S0 + init.I0)
@@ -506,11 +562,11 @@ def solve_measures(init, config):
             if clamped[0] > budget:
                 raise SolverDiagnosticError(
                     f"clamped {clamped[0]:.3e} of negative measure mass, over the "
-                    f"budget {budget:.3e}; reduce dt"
+                    f"budget {budget:.3e}; dt={config.dt:g} is too large for these rates"
                 )
 
     ts, ys, terminal = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, w0, kernel), y0, config,
+        lambda y: measure_rhs(y, r, beta, w0, table, k, k_k1), y0, config,
         n_IS=lambda y: float(k @ y[1 : len(k) + 1]), repair=clamp,
     )
     return MeasureSolution(

@@ -5,12 +5,14 @@ scipy hypergeometric pmfs) without touching the package's samplers.
 :func:`replay_law` computes the exact law of a sampler it is handed by
 running it on every possible sequence of integer draws.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
-limit-solver formulas without the package's shortcuts.
+limit-solver formulas without the package's shortcuts, and
+:func:`influx_exact` evaluates the influx in exact rational arithmetic.
 :func:`check_invariants` re-derives a simulator state's running totals
 from its level vectors."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -196,6 +198,36 @@ def influx_uncollapsed(mu_S_weights, pS, pI, pR, K):
                 )
                 acc += k * mu_S_weights[k] * coef * pS**i * pI**j * pR**l
         out[i] = acc
+    return out
+
+
+def influx_exact(mu_S0_weights, pS, pI, pR, theta=1.0):
+    """The influx profile ``influx(i) = sum_k k mu_S(k) C(k-1, i) pS^i
+    (pI+pR)^(k-1-i)`` at ``mu_S(k) = mu_S0(k) theta^k``, computed exactly
+    from the float inputs (``math.comb`` binomials, no overflow or
+    cancellation) and rounded once to floats.
+
+    Every float is a dyadic rational, so ``k mu_S(k) = a_k / 2^e_k`` and
+    ``(pI+pR)^j = c_j / 2^f_j``; each level sums its integer terms over
+    one common power of two before the one rational division."""
+    def dyadic(x):
+        return x.numerator, x.denominator.bit_length() - 1
+
+    w = [Fraction(float(x)) for x in mu_S0_weights]
+    pS, theta = Fraction(float(pS)), Fraction(float(theta))
+    q = Fraction(float(pI)) + Fraction(float(pR))
+    kmax = len(w) - 1
+    size_biased = [dyadic(k * w[k] * theta**k) for k in range(kmax + 1)]
+    q_pow = [dyadic(q**j) for j in range(kmax)]
+    top = max(e for _, e in size_biased) + max(f for _, f in q_pow)
+    out = []
+    for i in range(kmax + 1):
+        acc = 0
+        for k in range(i + 1, kmax + 1):
+            (a, e), (c, f) = size_biased[k], q_pow[k - 1 - i]
+            if a:
+                acc += (a * math.comb(k - 1, i) * c) << (top - e - f)
+        out.append(float(Fraction(acc, 1 << top) * pS**i))
     return out
 
 

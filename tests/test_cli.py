@@ -155,7 +155,8 @@ def test_solve_miller_matches_volz(tmp_path, capsys):
 
 def test_solve_measures_heavy_tail_matches_volz(tmp_path, capsys):
     # at kmax = 1100 the binomial C(k-1, i) alone overflows a float, so the
-    # influx kernel works in log space: the rows stay finite and agree with volz
+    # influx table keeps it in blocks scaled by their log-maxima: the rows
+    # stay finite and agree with volz
     paths = {}
     for which in ("volz", "measures"):
         paths[which] = tmp_path / f"{which}.csv"
@@ -295,6 +296,23 @@ def test_option_of_another_command_exits_2(tmp_path, capsys, args, option):
     assert code == 2
     assert f"unrecognized arguments: {option}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["simulat"], [], ["simulate", "--help"], ["solve", "miller", "--help"],
+    ["r0", "--degree", "poisson:5:30", "--bogus"], ["converge", "--n", "x"],
+], ids=["help", "typo", "empty", "simulate-help", "miller-help", "r0-unknown",
+        "converge-bad-n"])
+def test_parser_of_one_command_says_what_the_full_parser_says(capsys, args):
+    # main builds only the parser of the command named first; what reaches
+    # the user, "invalid choice" and the full --help included, is unchanged
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(args)
+    full = capsys.readouterr()
+    code, out, err = run(args, capsys)
+    assert (code, out, err) == (exc.value.code, full.out, full.err)
+    if args in (["--help"], ["simulat"]):
+        assert "{r0,simulate,solve,converge}" in out + err
 
 
 @pytest.mark.parametrize("args,message", [

@@ -111,13 +111,17 @@ class _FakeTraj:
 
 
 def test_convergence_report_zero_when_equal():
+    # equal sup distances have no spread: stderr is 0 exactly, whatever the
+    # round-off of their float mean (10 replicas at 0.3 gave 1.85e-17)
     t = np.arange(5) * 0.1
-    trajs = [_FakeTraj(100, rep, t, 0.0, np.inf) for rep in range(3)]
-    rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
-    for row in rep.rows:
-        assert row["mean_sup_dist"] == 0.0
-        assert row["frac_tau_ge_bound"] == 1.0
-        assert 0.0 <= row["frac_tau_ge_bound"] <= 1.0
+    for reps, offset in ((3, 0.0), (10, 0.3)):
+        trajs = [_FakeTraj(100, rep, t, offset, np.inf) for rep in range(reps)]
+        rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
+        for row in rep.rows:
+            assert row["mean_sup_dist"] == pytest.approx(offset, abs=0.0)
+            assert row["stderr"] == 0.0
+            assert row["frac_tau_ge_bound"] == 1.0
+            assert 0.0 <= row["frac_tau_ge_bound"] <= 1.0
 
 
 def test_convergence_report_synthetic_sqrt_n_scaling():

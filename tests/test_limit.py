@@ -25,7 +25,7 @@ from sirnet.limit import (
     solve_volz,
 )
 
-from oracles import influx_uncollapsed, volz_rhs_polyval
+from oracles import influx_exact, influx_uncollapsed, volz_rhs_polyval
 
 
 def test_influx_collapsed_equals_uncollapsed():
@@ -48,6 +48,35 @@ def test_influx_degenerate_probabilities():
     np.testing.assert_allclose(
         influx_vector(w, 0.0, 1.0, 0.0),
         influx_uncollapsed(w, 0.0, 1.0, 0.0, 3), atol=1e-14)
+
+
+@pytest.mark.parametrize("pS,pI,pR,theta", [
+    (0.3, 0.2, 0.5, 0.8), (0.0, 0.4, 0.6, 0.9), (1.0, 0.0, 0.0, 0.7),
+], ids=["interior", "pS=0", "q=0"])
+def test_influx_matches_exact_across_blocks(pS, pI, pR, theta):
+    # 150 levels span three 64-depth blocks of the influx table; every
+    # level agrees with the exact rational sum, and is 0 exactly where it is
+    w = DegreeSpec.powerlaw(2.5, 1, 150).limit_measure(mass=0.99)
+    got = influx_vector(w, pS, pI, pR, theta)
+    want = np.array(influx_exact(w, pS, pI, pR, theta))
+    pos = want > 0
+    np.testing.assert_allclose(got[pos], want[pos], rtol=1e-12, atol=0)
+    assert (got[~pos] == 0).all()
+
+
+@pytest.mark.parametrize("pS,pI,pR", [(0.05, 0.05, 0.9), (0.08, 0.02, 0.9)])
+def test_influx_finite_at_kmax_1100(pS, pI, pR):
+    # C(k-1, i) (pI+pR)^(k-1-i) alone overflows a float here; the influx
+    # stays finite, nonnegative and keeps both moments of the binomial law
+    w = DegreeSpec.powerlaw(2.5, 1, 1100).limit_measure(mass=1.0)
+    f = influx_vector(w, pS, pI, pR)
+    assert np.isfinite(f).all() and (f >= 0).all()
+    k = np.arange(len(w))
+    z = pS + pI + pR
+    m0 = np.sum(k * w * np.float_power(z, np.maximum(k - 1, 0)))
+    m1 = pS * np.sum(k * (k - 1) * w * np.float_power(z, np.maximum(k - 2, 0)))
+    assert f.sum() == pytest.approx(m0, rel=1e-12, abs=0)
+    assert (k * f).sum() == pytest.approx(m1, rel=1e-12, abs=0)
 
 
 def test_generating_fn_derivatives():
@@ -181,7 +210,7 @@ def test_volz_coarse_dt_trips_diagnostic():
 
 def test_measures_clamp_budget_trips():
     init = standard_setup(kmax=20)
-    with pytest.raises(SolverDiagnosticError):
+    with pytest.raises(SolverDiagnosticError, match="dt=0.5"):
         solve_measures(init, SolverConfig(r=80.0, beta=0.5, t_max=10.0, dt=0.5, eps_IS=0.0))
 
 
