@@ -12,7 +12,7 @@ Run with:  python3 demos/01_single_epidemic.py
 
 import numpy as np
 
-from sirnet import DegreeSpec, SimParams, initialize_state, simulate
+from sirnet import DegreeSpec, SimParams, initialize_state, reproduction_number, simulate
 
 N = 5000
 R_RATE = 1.0      # infection rate per I-S edge
@@ -20,11 +20,12 @@ BETA = 0.5        # removal rate per infectious node
 I0 = 0.01         # initial infected fraction
 
 spec = DegreeSpec.poisson(5, 30)
-print(f"degree law: {spec.describe()},  r0 = {spec.r0():.3f}")
+print(f"degree law: {spec.describe()},  "
+      f"r0 = {reproduction_number(spec, R_RATE, BETA):.3f}")
 
 rng = np.random.default_rng(2026)
 degrees = spec.sample(N, rng)
-state = initialize_state(degrees, I0, selection="uniform", rng=rng)
+state = initialize_state(degrees, I0, rng=rng)
 print(f"initial pools: N_S={state.N_S}  N_IS={state.N_IS}  N_RS={state.N_RS}")
 
 params = SimParams(r=R_RATE, beta=BETA, t_max=15.0, record_grid=0.25)

@@ -38,6 +38,7 @@ from sirnet.limit import (
     limit_initial,
     limit_initial_from_pI0,
     miller_theta,
+    reproduction_number,
     solve_measures,
     solve_volz,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "GeneratingFn", "LimitInit", "SolverConfig", "VolzSolution",
     "MeasureSolution", "solve_volz", "solve_measures", "edge_identities",
     "miller_theta", "horizon_bound", "limit_initial", "limit_initial_from_pI0",
+    "reproduction_number",
     "ScaledTrajectory", "ConvergenceReport", "run_replicas", "sup_distance",
     "convergence_report", "run_convergence_study",
 ]

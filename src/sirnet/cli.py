@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``r0``        degree-law reproduction number and criticality verdict;
+* ``r0``        the epidemic's reproduction number and criticality verdict;
 * ``simulate``  one stochastic epidemic on a sampled degree sequence;
 * ``solve``     deterministic limit via ``volz``, ``measures``, or ``miller``;
 * ``converge``  Monte-Carlo comparison of scaled simulations to the limit.
@@ -33,6 +33,7 @@ from sirnet.limit import (
     limit_initial,
     limit_initial_from_pI0,
     miller_theta,
+    reproduction_number,
     solve_measures,
     solve_volz,
 )
@@ -107,8 +108,10 @@ def _add_degree(sp):
 
 
 def _add_r0(sub):
-    sp = sub.add_parser("r0", help="reproduction number of a degree law")
+    sp = sub.add_parser("r0", help="reproduction number of an epidemic")
     _add_degree(sp)
+    sp.add_argument("--r", type=float, required=True, help="infection rate per I-S edge")
+    sp.add_argument("--beta", type=float, required=True, help="removal rate per node")
 
 
 def _add_simulate(sub):
@@ -118,7 +121,6 @@ def _add_simulate(sub):
     sp.add_argument("--r", type=float, required=True, help="infection rate per I-S edge")
     sp.add_argument("--beta", type=float, required=True, help="removal rate per node")
     sp.add_argument("--i0", type=float, required=True, help="initial infected fraction")
-    sp.add_argument("--selection", choices=("uniform", "size_biased"), default="uniform")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--t-max", type=float, required=True)
     sp.add_argument("--grid", type=float, default=0.05, help="recording grid step")
@@ -206,7 +208,7 @@ def build_parser(command=None):
 
 def cmd_r0(args):
     spec = DegreeSpec.from_string(args.degree)
-    value = spec.r0()
+    value = reproduction_number(spec, args.r, args.beta)
     verdict = "supercritical" if value > 1 else "subcritical"
     print(f"r0 = {value:.6g} ({verdict})")
     return EXIT_OK
@@ -219,14 +221,14 @@ def cmd_simulate(args):
                        snapshot_measures=bool(args.snapshots))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     degrees = spec.sample(args.n, rng)
-    state = initialize_state(degrees, args.i0, selection=args.selection, rng=rng)
+    state = initialize_state(degrees, args.i0, rng=rng)
     if args.dry_run:
         print("config ok (dry run)")
         return EXIT_OK
     config = {
         "command": "simulate", "degree": spec.describe(), "n": args.n,
         "r": args.r, "beta": args.beta, "i0": args.i0,
-        "selection": args.selection, "seed": args.seed,
+        "seed": args.seed,
         "t_max": args.t_max, "grid": args.grid,
     }
     traj = simulate(state, params, rng=rng)

@@ -177,9 +177,15 @@ class LimitInit:
 def limit_initial(spec, i0):
     """Initial data matching a finite population where a uniform fraction
     ``i0`` of nodes starts infectious with all half-edges pointing to S:
-    ``mu_S0 = (1-i0) * pmf`` and ``mu_IS0 = i0 * pmf``."""
+    ``mu_S0 = (1-i0) * pmf`` and ``mu_IS0 = i0 * pmf``, so
+    ``pI0 = i0 / (1-i0)``, which must not exceed 1."""
     if not 0 < i0 < 1:
         raise ConfigurationError("initial infected fraction must lie in (0,1)")
+    if i0 > 0.5:
+        raise ConfigurationError(
+            f"i0={i0} gives more infectious than susceptible half-edges "
+            f"(pI0 = i0/(1-i0) = {i0 / (1 - i0):.6g} > 1)"
+        )
     return LimitInit(
         mu_S0=spec.limit_measure(mass=1.0 - i0),
         mu_IS0=spec.limit_measure(mass=i0),
@@ -192,6 +198,18 @@ def limit_initial_from_pI0(spec, pI0):
     if not 0 < pI0 < 1:
         raise ConfigurationError("pI0 must lie in (0,1)")
     return limit_initial(spec, pI0 / (1.0 + pI0))
+
+
+def reproduction_number(spec, r, beta):
+    """The epidemic's reproduction number ``T <k(k-1)>/<k>``: the degree
+    law's branching factor (:meth:`DegreeSpec.r0`) times the
+    transmissibility ``T = r/(r+beta)``, the chance that an I-S edge fires
+    before its infective is removed (Newman 2002, Phys. Rev. E 66, 016128).
+    Above 1 a small outbreak grows in the limit, below 1 it dies out."""
+    check_nonnegative(r=r, beta=beta)
+    if r + beta == 0:
+        raise ConfigurationError("r and beta are both 0, so T = r/(r+beta) is undefined")
+    return r / (r + beta) * spec.r0()
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,15 @@ whatever the population.  Events:
   ``mu_IS(i)``;
 * infection: an infectious-to-susceptible half-edge fires; the susceptible
   alter's degree ``k`` is picked with weight ``k mu_S(k)``, and her
-  remaining ``k-1`` half-edges are matched without replacement against the
-  global half-edge pools (multivariate hypergeometric ``(j, l)``).  The
-  ``j+1`` infectious and ``l`` removed half-edges consumed are uniform
-  without replacement: sequential picks, each weighted ``i mu(i)`` and
-  moving one individual from level ``i`` to ``i-1``.  The new infective
-  enters ``mu_IS`` at level ``k-1-j-l``.
+  remaining ``k-1`` half-edges are drawn one at a time, without
+  replacement, from the other ``N_S - 1`` susceptible half-edges.  Each
+  draw is uniform among those left, so it is paired to an infective, to a
+  removed individual or open in proportion to what is left of each; the
+  counts ``(j, l)`` of the first two kinds are multivariate hypergeometric
+  exactly.  The ``j+1`` infectious and ``l`` removed half-edges consumed
+  are uniform without replacement: sequential picks, each weighted
+  ``i mu(i)`` and moving one individual from level ``i`` to ``i-1``.  The
+  new infective enters ``mu_IS`` at level ``k-1-j-l``.
 
 Waiting times are exponential with total rate ``r*N_IS + beta*I`` (direct
 Gillespie selection between the two event classes).
@@ -60,8 +63,7 @@ class BlockDraws:
 
     One numpy call fills a block of ``BLOCK`` values, which costs far less
     per value than a scalar call.  :meth:`below` reduces 63-bit words by
-    rejection, so every integer draw is exactly uniform.  ``rng`` stays
-    available for the scalar draws of :func:`sample_jl`.
+    rejection, so every integer draw is exactly uniform.
     """
 
     __slots__ = ("rng", "_exponentials", "_uniforms", "_words")
@@ -252,31 +254,29 @@ def initial_infective_count(n, i0):
     return n_inf
 
 
-def initialize_state(degrees, i0, selection="uniform", *, rng):
+def initialize_state(degrees, i0, *, rng):
     """Split a degree sequence into initial susceptibles and infectives.
 
-    ``selection`` is ``uniform`` or ``size_biased`` (probability of being an
-    initial infective proportional to degree).  Initial infectives get
-    ``d_x(S) = d_x``.
+    A uniform ``ceil(i0 * n)`` of the individuals start infectious, the
+    initial law the limit models, with ``d_x(S) = d_x``.  Every infective
+    half-edge must pair with a susceptible one, so a split with
+    ``N_IS > N_S`` is refused.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = len(degrees)
     if n == 0:
         raise ConfigurationError("empty degree sequence")
-    n_inf = initial_infective_count(n, i0)
-    if selection == "uniform":
-        infected = rng.choice(n, size=n_inf, replace=False)
-    elif selection == "size_biased":
-        total = degrees.sum()
-        if total <= 0:
-            raise ConfigurationError("size-biased selection needs positive total degree")
-        infected = rng.choice(n, size=n_inf, replace=False, p=degrees / total)
-    else:
-        raise ConfigurationError(f"unknown selection mode {selection!r}")
-
+    infected = rng.choice(n, size=initial_infective_count(n, i0), replace=False)
     mask = np.zeros(n, dtype=bool)
     mask[infected] = True
-    return PopulationState(np.bincount(degrees[~mask]), degrees[mask])
+    state = PopulationState(np.bincount(degrees[~mask]), degrees[mask])
+    if state.N_IS > state.N_S:
+        raise ConfigurationError(
+            f"i0={i0} gives the initial infectives {state.N_IS} half-edges but the "
+            f"susceptibles only {state.N_S}, so not every infective half-edge "
+            "can pair with a susceptible one"
+        )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +284,37 @@ def initialize_state(degrees, i0, selection="uniform", *, rng):
 # ---------------------------------------------------------------------------
 
 
-def sample_jl(k, n_S, n_IS, n_RS, rng, size=None):
+def sample_jl(k, n_S, n_IS, n_RS, draws):
     """Numbers (j, l) of infectious- and removed-alter half-edges among the
     ``k-1`` non-contaminating half-edges of a degree-k new infective.
 
     The pool holds ``n_S - 1`` half-edges: ``n_IS - 1`` of type I-S,
-    ``n_RS`` of type R-S, the rest open susceptible stubs.  Sequential
-    conditional hypergeometric draws realize the multivariate
-    hypergeometric law exactly.  With ``size=None`` (the event loop) the
-    result is a pair of ints; an int ``size`` gives two int arrays of that
-    many independent draws.
+    ``n_RS`` of type R-S, the rest open susceptible stubs.  The ``k-1``
+    half-edges are drawn one at a time by ``draws.below``, each uniform
+    among those left, so ``(j, l)`` has the multivariate hypergeometric law
+    exactly.  Once no I-S or R-S half-edge is left the rest are open and
+    no more draws are made.
     """
     if k < 1 or n_IS < 1:
         raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
-    draws = k - 1
     pool = n_S - 1
-    if draws > pool:
+    if k - 1 > pool:
         raise InfeasibleDrawError(
-            f"cannot draw {draws} half-edges from a pool of {pool}"
+            f"cannot draw {k - 1} half-edges from a pool of {pool}"
         )
-    if draws == 0:
-        return _zeros(size), _zeros(size)
-    n_SS = n_S - n_IS - n_RS
-    if n_SS < 0:
+    a, b = n_IS - 1, n_RS  # I-S and R-S half-edges left in the pool
+    if a + b > pool:
         raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
-    # An empty class is never drawn from: numpy's ratio-of-uniforms branch
-    # consumes random bits even when there is nothing to pick.  A sample of
-    # size 0 consumes none.
-    j = rng.hypergeometric(n_IS - 1, pool - (n_IS - 1), draws, size) if n_IS > 1 else _zeros(size)
-    l = rng.hypergeometric(n_RS, n_SS, draws - j) if n_RS else _zeros(size)
-    return (int(j), int(l)) if size is None else (j, l)
-
-
-def _zeros(size):
-    """No draws: the int 0, or an int array of ``size`` zeros."""
-    return 0 if size is None else np.zeros(size, np.int64)
+    for _ in range(k - 1):
+        if not a + b:
+            break
+        x = draws.below(pool)
+        if x < a:
+            a -= 1
+        elif x < a + b:
+            b -= 1
+        pool -= 1
+    return n_IS - 1 - a, n_RS - b
 
 
 def apply_infection(state, k, j, l, draws):
@@ -427,7 +423,7 @@ def simulate(state, params, rng):
             n_rem += 1
         else:
             k = pick_size_biased(state.mu_S, state.N_S, draws)
-            j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws.rng)
+            j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws)
             apply_infection(state, k, j, l, draws)
             n_inf += 1
             if not state.feasible():

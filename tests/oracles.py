@@ -1,7 +1,7 @@
 """Independent oracles shared by the sampler, simulator and limit-solver tests.
 
-The pmfs here are computed from first principles (binomial coefficients,
-scipy hypergeometric pmfs) without touching the package's samplers.
+The pmfs here are computed from first principles (binomial coefficients)
+without touching the package's samplers.
 :func:`replay_law` computes the exact law of a sampler it is handed by
 running it on every possible sequence of integer draws.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import stats
 
 from sirnet.errors import StateCorruptionError
 
@@ -55,26 +54,6 @@ def jl_oracle_pmf(k, n_S, n_IS, n_RS):
             p = math.comb(n_IS - 1, j) * math.comb(n_RS, l) * math.comb(n_SS, m) / denom
             if p > 0:
                 pmf[(j, l)] = p
-    return pmf
-
-
-def jl_chain_pmf(k, n_S, n_IS, n_RS):
-    """Analytic law of the sequential two-stage hypergeometric sampler."""
-    draws = k - 1
-    if draws == 0:
-        return {(0, 0): 1.0}
-    pmf = {}
-    for j in range(draws + 1):
-        pj = 1.0 if n_S - 1 == 0 else stats.hypergeom.pmf(j, n_S - 1, n_IS - 1, draws)
-        if not pj > 0:
-            continue
-        for l in range(draws - j + 1):
-            if draws - j == 0:
-                pl = 1.0 if l == 0 else 0.0
-            else:
-                pl = stats.hypergeom.pmf(l, n_S - n_IS, n_RS, draws - j)
-            if pj * pl > 0:
-                pmf[(j, l)] = pj * pl
     return pmf
 
 

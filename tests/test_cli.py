@@ -9,6 +9,8 @@ import pytest
 
 import sirnet
 from sirnet.cli import build_parser, main
+from sirnet.degrees import DegreeSpec
+from sirnet.limit import SolverConfig, limit_initial, solve_volz
 
 
 def run(args, capsys):
@@ -17,16 +19,57 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+R0 = ["r0", "--degree", "poisson:5:30", "--r", "1", "--beta", "1"]
+
+
 def test_r0_poisson(capsys):
-    code, out, _ = run(["r0", "--degree", "poisson:5:200"], capsys)
+    # beta = 0: every I-S edge fires, so r0 is the degree law's <k(k-1)>/<k>
+    code, out, _ = run(["r0", "--degree", "poisson:5:200", "--r", "1", "--beta", "0"], capsys)
     assert code == 0
     assert "r0 = 5" in out
     assert "supercritical" in out
 
 
 def test_r0_subcritical(capsys):
-    code, out, _ = run(["r0", "--degree", "explicit"], capsys)
+    # T = 0.2/1.2 thins the branching factor 5 (up to the kmax=30 cut) below 1
+    code, out, _ = run(_with(R0, "--r", "0.2"), capsys)
+    assert code == 0
+    r0 = 0.2 / 1.2 * DegreeSpec.poisson(5, 30).r0()
+    assert out == f"r0 = {r0:.6g} (subcritical)\n"
+    assert 0.83 < r0 < 0.84
+
+
+def test_r0_unknown_degree_exits_2(capsys):
+    code, _, err = run(_with(R0, "--degree", "explicit"), capsys)
     assert code == 2  # unknown spec kind -> validation failure
+    assert "unknown degree spec kind 'explicit'" in err
+
+
+@pytest.mark.parametrize("r,verdict", [("0.2", "subcritical"), ("0.3", "supercritical")])
+def test_r0_verdict_matches_limit_early_growth(capsys, r, verdict):
+    # on either side of the threshold the limit's I from i0 = 0.001 falls
+    # (subcritical) or grows (supercritical) over its first 10 time units
+    code, out, _ = run(_with(R0, "--r", r), capsys)
+    assert code == 0
+    assert out.endswith(f"({verdict})\n")
+    spec = DegreeSpec.poisson(5, 30)
+    sol = solve_volz(limit_initial(spec, 0.001),
+                     SolverConfig(r=float(r), beta=1.0, t_max=10.0, dt=0.01, eps_IS=0.0))
+    assert (sol.I[-1] > sol.I[0]) == (verdict == "supercritical")
+
+
+@pytest.mark.parametrize("r,beta,message", [
+    ("nan", "1", "r must be finite"),
+    ("1", "inf", "beta must be finite"),
+    ("-0.5", "1", "r must be nonnegative"),
+    ("1", "-1", "beta must be nonnegative"),
+    ("0", "0", "r and beta are both 0"),  # T = r/(r+beta) undefined
+])
+def test_r0_bad_rates_exit_2(capsys, r, beta, message):
+    code, out, err = run(_with(_with(R0, "--r", r), "--beta", beta), capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_simulate_writes_files(tmp_path, capsys):
@@ -264,10 +307,27 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     ("poisson:inf:30", "lam"), ("geometric:nan:50", "q"),
 ])
 def test_r0_non_finite_degree_exits_2(capsys, degree, field):
-    code, out, err = run(["r0", "--degree", degree], capsys)
+    code, out, err = run(_with(R0, "--degree", degree), capsys)
     assert code == 2
     assert f"{field} must be finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("args", [
+    _with(_with(SIM, "--n", "100"), "--t-max", "5"),
+    ["solve", "volz", "--degree", "poisson:5:30", "--r", "1", "--beta", "0.5",
+     "--t-max", "1"],
+    CONVERGE + ["--grid", "0.0001"],
+    CONVERGE + ["--grid", "0.0001", "--dry-run"],
+], ids=["simulate", "solve", "converge", "converge-dry-run"])
+def test_infeasible_i0_exits_2(tmp_path, capsys, args):
+    # i0 = 0.6 starts more infective than susceptible half-edges, which no
+    # pairing can match; refused before anything runs, naming i0
+    out = tmp_path / "x.csv"
+    code, _, err = run(_with(args, "--i0", "0.6") + ["--out", str(out)], capsys)
+    assert code == 2
+    assert "i0=0.6 gives " in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("base,option", [

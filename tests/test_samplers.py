@@ -11,7 +11,8 @@ Oracles (independent of the implementation):
 * the removal pick is uniform over individuals and the susceptible pick is
   size-biased by degree.
 
-The level samplers are the ones :func:`sirnet.simulation.simulate` runs;
+The (j, l) sampler and the level samplers are the ones
+:func:`sirnet.simulation.simulate` runs;
 their exact law is computed by replaying them on every sequence of integer
 draws (``replay_law``), and checked against real draws by frequency.
 """
@@ -20,10 +21,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ScriptedDraws,
     aggregate_to_levels,
     allocation_oracle_pmf,
-    jl_chain_pmf,
     jl_oracle_pmf,
+    jl_pool_configurations,
     level_counts,
     level_pick_chain_pmf,
     replay_law,
@@ -38,37 +40,50 @@ from sirnet.simulation import (
 )
 
 
-def test_jl_chain_equals_oracle_small_grid():
-    for n_S in range(1, 7):
-        for n_IS in range(1, n_S + 1):
-            for n_RS in range(0, n_S - n_IS + 1):
-                for k in range(1, n_S + 1):
-                    oracle = jl_oracle_pmf(k, n_S, n_IS, n_RS)
-                    chain = jl_chain_pmf(k, n_S, n_IS, n_RS)
-                    assert set(oracle) == set(chain)
-                    for key in oracle:
-                        assert chain[key] == pytest.approx(oracle[key], abs=1e-12)
+def jl_law(k, n_S, n_IS, n_RS):
+    """Exact law of :func:`sample_jl`, the sampler simulate runs."""
+    return replay_law(lambda draws: sample_jl(k, n_S, n_IS, n_RS, draws))
+
+
+def test_jl_replay_equals_oracle_small_grid():
+    for config in jl_pool_configurations(6):
+        oracle = jl_oracle_pmf(*config)
+        law = jl_law(*config)
+        assert set(law) == set(oracle), config
+        for key, p in oracle.items():
+            assert law[key] == pytest.approx(p, abs=1e-12), (config, key)
+
+
+def test_jl_draws_only_through_below():
+    # ScriptedDraws has below and nothing else: no rng to fall back on
+    assert not hasattr(ScriptedDraws(()), "rng")
+    # pool of 7: 2 I-S, 2 R-S, 3 open; draws 0, 0, 0 hit I-S, I-S, R-S
+    draws = ScriptedDraws((0, 0, 0))
+    assert sample_jl(4, 8, 3, 2, draws) == (2, 1)
+    assert draws.pos == 3
 
 
 def test_jl_scalar_draws_within_support():
-    rng = np.random.default_rng(5)
+    draws = BlockDraws(np.random.default_rng(5))
     support = set(jl_oracle_pmf(4, 8, 3, 2))
     for _ in range(500):
-        assert sample_jl(4, 8, 3, 2, rng) in support
+        assert sample_jl(4, 8, 3, 2, draws) in support
 
 
 def test_jl_degenerate_cases():
-    rng = np.random.default_rng(0)
-    assert sample_jl(1, 5, 2, 1, rng) == (0, 0)  # no extra half-edges
-    assert sample_jl(3, 5, 1, 0, rng) == (0, 0)  # nothing infectious/removed to hit
+    # an empty script stops any caller that asks for a draw
+    assert sample_jl(1, 5, 2, 1, ScriptedDraws(())) == (0, 0)  # no extra half-edges
+    assert sample_jl(3, 5, 1, 0, ScriptedDraws(())) == (0, 0)  # nothing infectious/removed to hit
 
 
 def test_jl_infeasible():
-    rng = np.random.default_rng(0)
+    draws = ScriptedDraws(())
     with pytest.raises(InfeasibleDrawError):
-        sample_jl(6, 5, 2, 0, rng)  # k-1 > N_S-1
+        sample_jl(6, 5, 2, 0, draws)  # k-1 > N_S-1
     with pytest.raises(InfeasibleDrawError):
-        sample_jl(2, 5, 0, 0, rng)  # no contaminating edge
+        sample_jl(2, 5, 0, 0, draws)  # no contaminating edge
+    with pytest.raises(InfeasibleDrawError):
+        sample_jl(2, 5, 4, 2, draws)  # N_IS + N_RS > N_S
 
 
 def level_oracle(counts, n):

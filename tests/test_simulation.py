@@ -102,19 +102,15 @@ def test_initialize_state_validation():
         initialize_state([2, 2], 0.9, rng=rng)  # no susceptibles left
     with pytest.raises(ConfigurationError):
         initialize_state([], 0.1, rng=rng)
-    with pytest.raises(ConfigurationError):
-        initialize_state([2, 2, 2], 0.1, selection="oops", rng=rng)
 
 
-def test_initialize_size_biased_prefers_high_degree():
-    degrees = np.array([1] * 500 + [50] * 20)
-    hits = 0
-    for seed in range(40):
-        st = initialize_state(degrees, 0.01, selection="size_biased",
-                              rng=np.random.default_rng(seed))
-        # 6 infectives; with size bias most should be degree-50
-        hits += st.mu_IS[50]
-    assert hits > 150  # uniform selection would give ~9 in expectation
+def test_initialize_refuses_more_infective_than_susceptible_half_edges():
+    # 2 of 3 individuals infectious: 4 infective half-edges against 2
+    with pytest.raises(ConfigurationError, match=r"i0=0\.6 .* 4 half-edges .* only 2"):
+        initialize_state([2, 2, 2], 0.6, rng=np.random.default_rng(0))
+    # equal pools pair exactly, and are accepted
+    st = initialize_state([2, 2, 2, 2], 0.5, rng=np.random.default_rng(0))
+    assert st.N_IS == st.N_S == 4
 
 
 def test_simulate_reproducible():
