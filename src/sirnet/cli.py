@@ -59,8 +59,7 @@ def _atomic_write(path, lines):
     try:
         with os.fdopen(fd, "w") as fh:
             for line in lines:
-                fh.write(line)
-                fh.write("\n")
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -272,8 +272,9 @@ class Solution:
         """The header, then one row per time with 12 significant digits."""
         yield ",".join(self.COLUMNS)
         cols = [self.column(c).tolist() for c in self.COLUMNS]
+        fmt = ",".join(["%.12g"] * len(cols))
         for row in zip(*cols):
-            yield ",".join(f"{v:.12g}" for v in row)
+            yield fmt % row
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ INFINITE_TIME = math.inf
 
 BLOCK = 1024  # values drawn from the generator per numpy call
 _WORD = 1 << 63  # integer draws reduce uniform 63-bit words
+MAX_GRID_ROWS = 10**7  # rows, t=0 included, that one trajectory may record
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +164,22 @@ class SimParams:
             raise ConfigurationError("t_max must be positive")
         if not self.record_grid > 0:
             raise ConfigurationError("record_grid must be positive")
-        # floor(t_max/grid + 1e-9) >= 1, the grid row count of simulate
-        if self.t_max / self.record_grid + 1e-9 < 1:
+        steps = self.t_max / self.record_grid + 1e-9  # grid_steps before the floor
+        if steps < 1:
             raise ConfigurationError(
                 f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max:g}, "
                 "so no row follows t=0"
             )
+        if steps >= MAX_GRID_ROWS:  # also when the ratio overflows to inf
+            raise ConfigurationError(
+                f"record_grid={self.record_grid:g} puts {steps + 1:.12g} rows on "
+                f"[0, t_max={self.t_max:g}]; a trajectory stores at most {MAX_GRID_ROWS}"
+            )
+
+    @property
+    def grid_steps(self):
+        """Grid times after ``t=0`` that :func:`simulate` records."""
+        return math.floor(self.t_max / self.record_grid + 1e-9)
 
 
 @dataclass
@@ -191,12 +202,19 @@ class Trajectory:
         return getattr(self, name if name != "t" else "times")
 
     def to_csv_lines(self):
+        """The header, then one row per grid time.  Consecutive rows often
+        repeat a state, so the six counts are formatted once per run of
+        equal rows and only the time once per row."""
         yield ",".join(self.COLUMNS)
-        for i in range(len(self.times)):
-            yield (
-                f"{self.times[i]:.10g},{int(self.S[i])},{int(self.I[i])},"
-                f"{int(self.R[i])},{int(self.N_S[i])},{int(self.N_IS[i])},{int(self.N_RS[i])}"
-            )
+        table = np.column_stack([self.column(c) for c in self.COLUMNS[1:]])
+        first = np.ones(len(table), dtype=bool)  # rows that start a run
+        first[1:] = (table[1:] != table[:-1]).any(axis=1)
+        starts = np.flatnonzero(first).tolist()
+        times = self.times.tolist()
+        for lo, hi, counts in zip(starts, starts[1:] + [len(times)], table[starts].tolist()):
+            tail = ",%d,%d,%d,%d,%d,%d" % tuple(counts)
+            for t in times[lo:hi]:
+                yield f"{t:.10g}{tail}"
 
 
 class PopulationState:
@@ -375,48 +393,55 @@ def apply_removal(state, level):
 def simulate(state, params, rng):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
-    Grid rows take the state holding at each grid time (the last event at or
-    before it).  After extinction the state is constant, so the remaining
-    grid rows repeat it.  If an infection exhausts the susceptible half-edge
-    pools (see :meth:`PopulationState.feasible`) recording stops there with
-    terminal reason ``depleted``.  Every random number comes from ``rng``:
+    The row at grid time ``g`` is the state after every event at a time
+    ``t`` with ``g > t + 1e-12``: the last event before ``g``, an event
+    within ``1e-12`` of ``g`` counting as after it.  After extinction the
+    state is constant, so the remaining grid rows repeat it.  If an
+    infection exhausts the susceptible half-edge pools (see
+    :meth:`PopulationState.feasible`) recording stops there with terminal
+    reason ``depleted``.  Every random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
     bit for bit.
     """
     draws = BlockDraws(rng)
-    r, beta = params.r, params.beta
+    r, beta, t_max = params.r, params.beta, params.t_max
     grid = params.record_grid
-    n_grid = int(math.floor(params.t_max / grid + 1e-9))
-    times = [0.0]
+    n_grid = params.grid_steps
+    # the state recorded on each run of equal grid rows, and the run's length
     rows = [state.row()]
-    snapshots = []
-    if params.snapshot_measures:
-        snapshots.append((0.0, state.measure_snapshot()))
+    counts = [1]
+    snapshots = [state.measure_snapshot()] if params.snapshot_measures else []
     next_idx = 1  # next grid row to emit
+    next_t = next_idx * grid  # its time
     terminal = "t_max"
     n_inf = 0
     n_rem = 0
 
     def emit_until(limit):
-        nonlocal next_idx
+        nonlocal next_idx, next_t
+        first = next_idx
         while next_idx <= n_grid and next_idx * grid <= limit + 1e-12:
-            times.append(next_idx * grid)
-            rows.append(state.row())
-            if params.snapshot_measures:
-                snapshots.append((next_idx * grid, state.measure_snapshot()))
             next_idx += 1
+        if next_idx > first:
+            rows.append(state.row())
+            counts.append(next_idx - first)
+            if params.snapshot_measures:
+                snapshots.append(state.measure_snapshot())
+        next_t = next_idx * grid if next_idx <= n_grid else math.inf
 
     while True:
         rate = r * state.N_IS + beta * state.I
         if rate <= 0.0:
             terminal = "extinct"
-            emit_until(params.t_max)
+            emit_until(t_max)
             break
         t_new = state.t + draws.exponential() / rate
-        emit_until(min(t_new, params.t_max))
-        if t_new > params.t_max:
-            state.t = params.t_max
+        if t_new > t_max:
+            emit_until(t_max)
+            state.t = t_max
             break
+        if next_t <= t_new + 1e-12:  # the event follows a grid time
+            emit_until(t_new)
         state.t = t_new
         if draws.uniform() * rate < beta * state.I:
             apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
@@ -431,15 +456,20 @@ def simulate(state, params, rng):
                 terminal = "depleted"
                 break
 
-    rows = np.asarray(rows, dtype=np.int64)
+    table = np.repeat(np.asarray(rows, dtype=np.int64), counts, axis=0)
+    # i * grid is the time next_idx * grid gave row i, bit for bit
+    times = np.arange(len(table)) * grid
+    if snapshots:  # a run's grid times share its one snapshot
+        snapshots = list(zip(times.tolist(),
+                             (snap for snap, c in zip(snapshots, counts) for _ in range(c))))
     return Trajectory(
-        times=np.asarray(times),
-        S=rows[:, 0],
-        I=rows[:, 1],
-        R=rows[:, 2],
-        N_S=rows[:, 3],
-        N_IS=rows[:, 4],
-        N_RS=rows[:, 5],
+        times=times,
+        S=table[:, 0],
+        I=table[:, 1],
+        R=table[:, 2],
+        N_S=table[:, 3],
+        N_IS=table[:, 4],
+        N_RS=table[:, 5],
         terminal=terminal,
         snapshots=snapshots,
         n_infections=n_inf,

@@ -8,8 +8,11 @@ running it on every possible sequence of integer draws.
 limit-solver formulas without the package's shortcuts, and
 :func:`influx_exact` evaluates the influx in exact rational arithmetic.
 :func:`check_invariants` re-derives a simulator state's running totals
-from its level vectors."""
+from its level vectors; :func:`grid_rows_from_events` re-derives the grid
+rows of a run from its event log, and :func:`trajectory_csv_lines` formats
+a trajectory one row at a time."""
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -36,6 +39,34 @@ def check_invariants(state, mu_S0):
         )
     if any(c > c0 for c, c0 in zip(state.mu_S, mu_S0)):
         raise StateCorruptionError("mu_S gained an atom over mu_S0")
+
+
+def grid_rows_from_events(start, events, grid, n_grid, t_end):
+    """The recorded rows of a run from its log, without the event loop.
+
+    ``start`` is the record (row, snapshot) before the first event and
+    ``events`` the ``(t, record)`` after each event.  The grid times are
+    ``i * grid`` for ``i = 0..n_grid`` up to ``t_end + 1e-12``, where
+    ``t_end`` is ``t_max``, or the last event's time if the run stopped
+    there (``depleted``).  The record at grid time ``g`` is the one after
+    the last event at a time ``t`` with ``g > t + 1e-12``: an event within
+    ``1e-12`` of a grid time counts as after it.  Returns the times and the
+    records."""
+    shifted = [t + 1e-12 for t, _ in events]  # nondecreasing, as the times are
+    records = [start] + [record for _, record in events]
+    times = [i * grid for i in range(n_grid + 1) if i * grid <= t_end + 1e-12]
+    return times, [records[bisect.bisect_left(shifted, g)] for g in times]
+
+
+def trajectory_csv_lines(traj):
+    """A trajectory's CSV, formatted one row at a time with the time to
+    10 significant digits and the six counts as integers."""
+    yield ",".join(traj.COLUMNS)
+    for i in range(len(traj.times)):
+        yield (
+            f"{traj.times[i]:.10g},{int(traj.S[i])},{int(traj.I[i])},"
+            f"{int(traj.R[i])},{int(traj.N_S[i])},{int(traj.N_IS[i])},{int(traj.N_RS[i])}"
+        )
 
 
 def jl_oracle_pmf(k, n_S, n_IS, n_RS):

@@ -90,16 +90,22 @@ def test_simulate_writes_files(tmp_path, capsys):
     assert meta["n_removals"] == int(last[3]) - int(first[3]) > 0  # rise in R
 
 
-def test_simulate_reproducible_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--grid", "1e-3", "--snapshots"]],
+                         ids=["default-grid", "fine-grid-snapshots"])
+def test_simulate_reproducible_bytes(tmp_path, capsys, extra):
+    # a 1e-3 grid repeats most rows, so their runs are formatted once
     outs = []
-    for name in ("a.csv", "b.csv"):
-        path = tmp_path / name
+    for name in ("a", "b"):
+        files = [tmp_path / f"{name}.csv"]
+        args = ["--out", str(files[0])]
+        if extra:  # ends in --snapshots, which takes the path
+            files.append(tmp_path / f"{name}.jsonl")
+            args += extra + [str(files[1])]
         code, _, _ = run(["simulate", "--degree", "poisson:5:30", "--n", "300",
                           "--r", "1", "--beta", "0.5", "--i0", "0.02",
-                          "--seed", "7", "--t-max", "2", "--out", str(path)],
-                         capsys)
+                          "--seed", "7", "--t-max", "2"] + args, capsys)
         assert code == 0
-        outs.append(path.read_bytes())
+        outs.append([f.read_bytes() for f in files])
     assert outs[0] == outs[1]
 
 
@@ -386,6 +392,19 @@ def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, mes
     code, _, err = run(args + ["--out", str(out)], capsys)
     assert code == 2
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    _with(SIM, "--t-max", "10") + ["--grid", "1e-9"],
+    _with(CONVERGE, "--t-max", "10") + ["--i0", "0.01", "--grid", "1e-9"],
+], ids=["simulate", "converge"])
+def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args):
+    # refused by the dry run, so no run that would record 1e10 rows starts
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--dry-run", "--out", str(out)], capsys)
+    assert code == 2
+    assert "record_grid=1e-09 puts 10000000001 rows" in err
     assert not out.exists()
 
 

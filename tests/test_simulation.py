@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import check_invariants
+from oracles import check_invariants, grid_rows_from_events, trajectory_csv_lines
 from sirnet import simulation
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
@@ -11,6 +11,7 @@ from sirnet.simulation import (
     BlockDraws,
     PopulationState,
     SimParams,
+    Trajectory,
     apply_infection,
     apply_removal,
     initialize_state,
@@ -193,6 +194,63 @@ def test_snapshots_recorded():
         assert masses + edges == row
 
 
+def record_events(monkeypatch):
+    """Log ``(state.t, (row, snapshot))`` after every event the simulator
+    applies, by wrapping its two event functions."""
+    log = []
+
+    def recorded(apply):
+        def wrapper(state, *args):
+            out = apply(state, *args)
+            log.append((state.t, (state.row(), state.measure_snapshot())))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(simulation, "apply_infection", recorded(simulation.apply_infection))
+    monkeypatch.setattr(simulation, "apply_removal", recorded(simulation.apply_removal))
+    return log
+
+
+@pytest.mark.parametrize("seed,n,t_max,grid,terminal", [
+    (1, 300, 1.0, 1e-4, "t_max"),  # ~240 events under 10001 grid rows
+    (1, 300, 5.0, 0.5, "t_max"),  # ~520 events between 11 grid rows
+    (1, 300, 60.0, 0.05, "extinct"),  # rows after extinction repeat the last state
+    (1, 300, 7.3, 0.7, "t_max"),  # last grid time 7.0 < t_max
+    (0, 50, 60.0, 0.05, "depleted"),  # rows stop at the depleting infection
+], ids=["fine-grid", "coarse-grid", "extinction-fill", "t_max-off-grid", "depleted"])
+def test_grid_rows_match_event_log(monkeypatch, seed, n, t_max, grid, terminal):
+    rng = np.random.default_rng(seed)
+    st = initialize_state(DegreeSpec.poisson(5, 30).sample(n, rng), 0.05, rng=rng)
+    start = (st.row(), st.measure_snapshot())
+    log = record_events(monkeypatch)
+    params = SimParams(r=1.0, beta=0.5, t_max=t_max, record_grid=grid,
+                       snapshot_measures=True)
+    traj = simulate(st, params, rng=rng)
+    assert traj.terminal == terminal
+    assert len(log) == traj.n_infections + traj.n_removals
+    t_end = log[-1][0] if terminal == "depleted" else t_max
+    times, records = grid_rows_from_events(
+        start, log, grid, math.floor(t_max / grid + 1e-9), t_end)
+    assert traj.times.tolist() == times  # bit for bit
+    table = np.column_stack([traj.column(c) for c in Trajectory.COLUMNS[1:]])
+    assert table.tolist() == [list(row) for row, _ in records]
+    assert traj.snapshots == [(t, snap) for t, (_, snap) in zip(times, records)]
+    assert list(traj.to_csv_lines()) == list(trajectory_csv_lines(traj))
+
+
+def test_params_refuse_grid_too_fine_to_store():
+    # 10**7 rows, t=0 included, are stored; one more is refused
+    params = SimParams(r=1.0, beta=0.5, t_max=10**7 - 1, record_grid=1.0)
+    assert params.grid_steps == 10**7 - 1
+    with pytest.raises(ConfigurationError,
+                       match=r"record_grid=1 puts 10000001 rows .* at most 10000000"):
+        SimParams(r=1.0, beta=0.5, t_max=10**7, record_grid=1.0)
+    with pytest.raises(ConfigurationError, match="record_grid=1e-09 puts 10000000001 rows"):
+        SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=1e-9)
+    with pytest.raises(ConfigurationError, match="record_grid=4.94066e-324 puts inf rows"):
+        SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=5e-324)  # t_max/grid overflows
+
+
 def test_csv_lines_schema():
     st = PopulationState([0, 0, 5], [1])
     traj = simulate(st, SimParams(r=1.0, beta=1.0, t_max=1.0, record_grid=0.5),
@@ -200,6 +258,9 @@ def test_csv_lines_schema():
     lines = list(traj.to_csv_lines())
     assert lines[0] == "t,S,I,R,N_S,N_IS,N_RS"
     assert len(lines) == len(traj.times) + 1
+    assert lines == list(trajectory_csv_lines(traj))
+    empty = np.array([], dtype=np.int64)
+    assert list(Trajectory(empty * 0.0, *[empty] * 6).to_csv_lines()) == lines[:1]
 
 
 def test_stopping_time():
