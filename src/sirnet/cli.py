@@ -84,10 +84,16 @@ def _level_map(levels):
 
 def _snapshot_lines(snapshots):
     """One JSON line per ``(t, {name: level vector})`` snapshot, holding
-    ``t`` and the ``mu_S``, ``mu_IS`` and ``mu_RS`` level maps."""
+    ``t`` and the ``mu_S``, ``mu_IS`` and ``mu_RS`` level maps: the bytes of
+    ``json.dumps({"t": t, "mu_S": ..., "mu_IS": ..., "mu_RS": ...})``.
+    Consecutive rows that share one snapshot object format its maps once."""
+    last = None
     for t, snap in snapshots:
-        yield json.dumps({"t": t, **{name: _level_map(snap[name])
-                                     for name in ("mu_S", "mu_IS", "mu_RS")}})
+        if snap is not last:
+            last = snap
+            maps = json.dumps({name: _level_map(snap[name])
+                               for name in ("mu_S", "mu_IS", "mu_RS")})[1:]
+        yield '{"t": ' + json.dumps(t) + ", " + maps
 
 
 def _int_list(text):
@@ -166,7 +172,8 @@ def _add_converge(sub):
     sp.add_argument("--grid", type=float, default=0.05)
     sp.add_argument("--eps-prime", type=float, default=0.01,
                     help="edge-density level defining the comparison horizon")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="processes sharing the replicas, this one included")
     sp.add_argument("--out", required=True, help="report CSV path")
     sp.add_argument("--manifest", help="run manifest JSON path (default <out>.manifest.json)")
     sp.add_argument("--dry-run", action="store_true")

@@ -10,7 +10,9 @@ limit-solver formulas without the package's shortcuts, and
 :func:`check_invariants` re-derives a simulator state's running totals
 from its level vectors; :func:`grid_rows_from_events` re-derives the grid
 rows of a run from its event log, and :func:`trajectory_csv_lines` formats
-a trajectory one row at a time."""
+a trajectory one row at a time.  :func:`convergence_rows_reference` builds
+a convergence report's rows one scalar sup-distance per replica and
+column."""
 
 import bisect
 import itertools
@@ -21,6 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sirnet.errors import StateCorruptionError
+from sirnet.harness import COMPARED, sup_distance
 
 
 def check_invariants(state, mu_S0):
@@ -67,6 +70,34 @@ def trajectory_csv_lines(traj):
             f"{traj.times[i]:.10g},{int(traj.S[i])},{int(traj.I[i])},"
             f"{int(traj.R[i])},{int(traj.N_S[i])},{int(traj.N_IS[i])},{int(traj.N_RS[i])}"
         )
+
+
+def convergence_rows_reference(trajectories, limit_sol, tau_bar, t_end):
+    """The rows of :func:`sirnet.harness.convergence_report`, built per
+    (n, column) from one scalar :func:`sup_distance` per replica."""
+    by_n = {}
+    for traj in trajectories:
+        by_n.setdefault(traj.n, []).append(traj)
+    rows = []
+    for n in sorted(by_n):
+        group = sorted(by_n[n], key=lambda tr: tr.rep)
+        frac = float(np.mean([tr.tau_eps >= tau_bar for tr in group]))
+        for col in COMPARED:
+            dists = np.array([
+                sup_distance(tr.times, tr.column(col),
+                             limit_sol.t, limit_sol.column(col), t_end)
+                for tr in group
+            ])
+            rows.append({
+                "n": n,
+                "reps": len(group),
+                "col": col,
+                "mean_sup_dist": float(dists.mean()),
+                "stderr": (float(dists.std(ddof=1) / np.sqrt(len(dists)))
+                           if (dists != dists[0]).any() else 0.0),
+                "frac_tau_ge_bound": frac,
+            })
+    return rows
 
 
 def jl_oracle_pmf(k, n_S, n_IS, n_RS):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import sirnet
-from sirnet.cli import build_parser, main
+from sirnet.cli import _snapshot_lines, build_parser, main
 from sirnet.degrees import DegreeSpec
-from sirnet.limit import SolverConfig, limit_initial, solve_volz
+from sirnet.limit import SolverConfig, limit_initial, solve_measures, solve_volz
+from sirnet.simulation import SimParams, initialize_state, simulate
 
 
 def run(args, capsys):
@@ -170,6 +171,24 @@ def test_solve_measures_snapshots(tmp_path, capsys):
     first = json.loads(snaps.read_text().splitlines()[0])
     assert first["t"] == 0.0
     assert set(first) == {"t", "mu_S", "mu_IS", "mu_RS"}
+
+
+def test_snapshot_lines_equal_per_row_json():
+    # a simulated run's rows share snapshots, whose maps are formatted once;
+    # a solve's snapshots are all distinct
+    rng = np.random.default_rng(7)
+    state = initialize_state(DegreeSpec.poisson(5, 30).sample(300, rng), 0.02, rng=rng)
+    traj = simulate(state, SimParams(r=1.0, beta=0.5, t_max=2.0, record_grid=1e-3,
+                                     snapshot_measures=True), rng=rng)
+    sol = solve_measures(limit_initial(DegreeSpec.poisson(4, 20), 0.05),
+                         SolverConfig(r=1.0, beta=0.5, t_max=0.1))
+    for snapshots in (traj.snapshots, list(sol.snapshots)):
+        expected = [
+            json.dumps({"t": t, **{name: {str(k): w for k, w in enumerate(snap[name]) if w}
+                                   for name in ("mu_S", "mu_IS", "mu_RS")}})
+            for t, snap in snapshots
+        ]
+        assert list(_snapshot_lines(snapshots)) == expected
 
 
 def test_solve_miller_matches_volz(tmp_path, capsys):

@@ -1,9 +1,14 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
+from oracles import convergence_rows_reference
 
+from sirnet import harness
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError
 from sirnet.harness import (
+    COMPARED,
     ConvergenceReport,
     convergence_report,
     manifest_json,
@@ -43,6 +48,22 @@ def test_sup_distance_grid_mismatch():
         sup_distance(tb, np.zeros(3), tb, np.zeros(3), -1.0)
 
 
+def test_sup_distance_stacked_rows():
+    # six paths stacked along a leading axis: one grid check, one sup per row
+    tb = np.arange(0, 101) * 0.01
+    ta = np.arange(0, 11) * 0.1
+    rng = np.random.default_rng(3)
+    va = rng.normal(size=(6, len(ta)))
+    vb = rng.normal(size=(6, len(tb)))
+    sups = sup_distance(ta, va, tb, vb, 0.55)
+    assert isinstance(sups, np.ndarray) and sups.shape == (6,)
+    rows = [sup_distance(ta, a, tb, b, 0.55) for a, b in zip(va, vb)]
+    assert all(type(x) is float for x in rows)
+    assert sups.tolist() == rows
+    with pytest.raises(ConfigurationError):
+        sup_distance(ta + 0.013, va, tb, vb, 0.55)
+
+
 def small_batch(reps=3, n_values=(200,), seed=5):
     spec = DegreeSpec.poisson(5, 30)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
@@ -68,13 +89,52 @@ def test_run_replicas_reproducible():
             np.testing.assert_array_equal(x.columns[col], y.columns[col])
 
 
-def test_run_replicas_workers_match_serial():
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_run_replicas_workers_match_serial(workers):
+    # 6 replicas over 2, 3 or 4 processes: uneven strides at 4
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
-    serial = run_replicas(spec, params, [100], 4, 11, 0.02, workers=1)
-    parallel = run_replicas(spec, params, [100], 4, 11, 0.02, workers=2)
+    serial = run_replicas(spec, params, [100, 200], 3, 11, 0.02, workers=1)
+    parallel = run_replicas(spec, params, [100, 200], 3, 11, 0.02, workers=workers)
+    assert [(y.n, y.rep) for y in parallel] == [(x.n, x.rep) for x in serial]
     for x, y in zip(serial, parallel):
-        np.testing.assert_array_equal(x.columns["I"], y.columns["I"])
+        assert _same_bits(x.times, y.times)
+        for col in COMPARED:
+            assert _same_bits(x.columns[col], y.columns[col])
+        assert (x.tau_eps, x.terminal, x.seed_words) == (y.tau_eps, y.terminal, y.seed_words)
+
+
+@pytest.mark.parametrize("workers, reps, pool_sizes", [(64, 3, [2]), (8, 1, [])])
+def test_run_replicas_forks_no_idle_worker(monkeypatch, workers, reps, pool_sizes):
+    # the pool stand-in records its size and runs every call in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    spec = DegreeSpec.poisson(5, 20)
+    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
+    out = run_replicas(spec, params, [100], reps, 11, 0.02, workers=workers)
+    assert sizes == pool_sizes
+    serial = run_replicas(spec, params, [100], reps, 11, 0.02, workers=1)
+    assert [x.seed_words for x in out] == [x.seed_words for x in serial]
 
 
 def test_run_replicas_validation():
@@ -145,6 +205,55 @@ def test_convergence_report_fraction_counts_tau():
     trajs = [_FakeTraj(50, 0, t, 0.0, 0.05), _FakeTraj(50, 1, t, 0.0, 10.0)]
     rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.2, t_max=0.2)
     assert rep.row(50, "S")["frac_tau_ge_bound"] == 0.5
+
+
+def _real_batch():
+    spec = DegreeSpec.poisson(5, 30)
+    sol = solve_volz(limit_initial(spec, 0.02),
+                     SolverConfig(r=1.0, beta=0.5, t_max=0.02, dt=1e-3, eps_IS=0.0))
+    return small_batch(reps=3, n_values=(200, 400)), sol, 0.01, 0.02
+
+
+def _shorter_replica_batch():
+    # at n=50 seed 4, one of the four replicas ends `depleted` at t=2.5
+    spec = DegreeSpec.poisson(5, 30)
+    params = SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=0.1)
+    batch = run_replicas(spec, params, [50], 4, 4, 0.05)
+    lengths = sorted(len(tr.times) for tr in batch)
+    assert lengths[0] < lengths[1] == lengths[-1]
+    sol = solve_volz(limit_initial(spec, 0.05),
+                     SolverConfig(r=1.0, beta=0.5, t_max=10.0, dt=0.01, eps_IS=0.0))
+    return batch, sol, 8.0, 10.0
+
+
+def _fake_equal():
+    t = np.arange(5) * 0.1
+    return [_FakeTraj(100, rep, t, 0.3, np.inf) for rep in range(10)], _FakeLimit(t), 0.3, 0.4
+
+
+def _fake_noise():
+    t = np.arange(5) * 0.1
+    base = np.abs(np.random.default_rng(0).normal(size=40))
+    trajs = [_FakeTraj(n, rep, t, base[rep] / np.sqrt(n), np.inf)
+             for n in (100, 10_000) for rep in range(40)]
+    return trajs, _FakeLimit(t), 1.0, 0.4
+
+
+def _fake_tau():
+    t = np.arange(3) * 0.1
+    trajs = [_FakeTraj(50, 0, t, 0.0, 0.05), _FakeTraj(50, 1, t, 0.0, 10.0)]
+    return trajs, _FakeLimit(t), 0.2, 0.2
+
+
+@pytest.mark.parametrize("case", [_real_batch, _shorter_replica_batch, _fake_equal,
+                                  _fake_noise, _fake_tau],
+                         ids=["real-batch", "shorter-replica", "fake-equal",
+                              "fake-noise", "fake-tau"])
+def test_convergence_report_rows_equal_reference(case):
+    trajectories, limit_sol, tau_bar, t_max = case()
+    report = convergence_report(trajectories, limit_sol, 0.01, tau_bar, t_max)
+    assert report.rows == convergence_rows_reference(trajectories, limit_sol, tau_bar,
+                                                     min(t_max, tau_bar))
 
 
 def test_report_csv_deterministic_bytes():
