@@ -26,7 +26,7 @@ import numpy as np
 
 import sirnet
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError
+from sirnet.errors import ConfigurationError, check_nonnegative
 from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     SolverConfig,
@@ -221,6 +221,7 @@ def cmd_r0(args):
 
 
 def cmd_simulate(args):
+    check_nonnegative(seed=args.seed)
     spec = DegreeSpec.from_string(args.degree)
     params = SimParams(r=args.r, beta=args.beta, t_max=args.t_max,
                        record_grid=args.grid,
@@ -281,7 +282,7 @@ def cmd_converge(args):
     spec = DegreeSpec.from_string(args.degree)
     if args.dry_run:
         plan_study(spec, args.r, args.beta, args.i0, args.n, args.reps,
-                   args.t_max, args.grid, eps_prime=args.eps_prime,
+                   args.seed, args.t_max, args.grid, eps_prime=args.eps_prime,
                    workers=args.workers)
         print("config ok (dry run)")
         return EXIT_OK

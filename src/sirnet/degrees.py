@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError, check_finite
+from sirnet.errors import ConfigurationError, check_finite, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,12 @@ class DegreeSpec:
 
     @classmethod
     def explicit(cls, weights):
+        """Weight ``weights[k]`` on degree ``k``, each finite and nonnegative."""
         levels = sorted(int(k) for k in weights)
+        for k in levels:
+            if k < 0:
+                raise ConfigurationError(f"degree {k} is negative")
+            check_nonnegative(**{f"the weight of degree {k}": weights[k]})
         return cls._build("explicit", (), levels, [weights[k] for k in levels])
 
     @classmethod

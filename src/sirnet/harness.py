@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError
+from sirnet.errors import ConfigurationError, check_nonnegative
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
 from sirnet.simulation import (
     SimParams,
@@ -74,11 +74,15 @@ def _run_one(args):
     )
 
 
-def _check_batch(n_values, reps, workers):
+def _check_batch(n_values, reps, base_seed, workers):
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
     if not n_values:
         raise ConfigurationError("need at least one population size")
+    if len(set(n_values)) < len(n_values):
+        raise ConfigurationError("population sizes must be distinct, got n="
+                                 + ",".join(map(str, n_values)))
+    check_nonnegative(seed=base_seed)
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
@@ -105,7 +109,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0,
     workers one share each, so no worker sits idle and each sends one
     result message.
     """
-    _check_batch(n_values, reps, workers)
+    _check_batch(n_values, reps, base_seed, workers)
     jobs = [
         (spec, params, int(n), rep, base_seed, i0, eps_prime)
         for n in n_values
@@ -203,7 +207,7 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end)
 
 
-def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
+def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
                eps_prime=0.01, workers=None):
     """Every refusal of :func:`run_convergence_study`, made before anything
     is solved or simulated; returns ``(params, init, tau_bar, t_end)``, where
@@ -214,7 +218,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, t_max, grid,
     ``[0, min(t_max, tau_bar)]`` that holds fewer than two grid points.
     """
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
-    _check_batch(n_values, reps, workers)
+    _check_batch(n_values, reps, base_seed, workers)
     init = limit_initial(spec, i0)
     for n in n_values:
         initial_infective_count(n, i0)
@@ -244,7 +248,7 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
     solved to the last grid point of ``[0, t_end]``: nothing beyond reaches
     the report, which equals the one built from full-``t_max`` runs."""
     params, init, tau_bar, t_end = plan_study(
-        spec, r, beta, i0, n_values, reps, t_max, grid,
+        spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
         eps_prime=eps_prime, workers=workers,
     )
     # the solver grid must contain every simulation grid point

@@ -666,6 +666,7 @@ def horizon_bound(init, r, beta, eps_prime):
 
     Guarantees nothing beyond the returned time; returns a nonpositive
     value when ``eps_prime >= N_IS0``."""
+    check_finite(eps_prime=eps_prime)
     if eps_prime <= 0:
         raise ConfigurationError("eps_prime must be positive")
     if max(r, beta) <= 0:

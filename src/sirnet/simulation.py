@@ -17,16 +17,16 @@ whatever the population.  Events:
   from ``mu_IS[i]`` to ``mu_RS[i]``, level ``i`` picked with weight
   ``mu_IS(i)``;
 * infection: an infectious-to-susceptible half-edge fires; the susceptible
-  alter's degree ``k`` is picked with weight ``k mu_S(k)``, and her
-  remaining ``k-1`` half-edges are drawn one at a time, without
-  replacement, from the other ``N_S - 1`` susceptible half-edges.  Each
-  draw is uniform among those left, so it is paired to an infective, to a
-  removed individual or open in proportion to what is left of each; the
-  counts ``(j, l)`` of the first two kinds are multivariate hypergeometric
-  exactly.  The ``j+1`` infectious and ``l`` removed half-edges consumed
-  are uniform without replacement: sequential picks, each weighted
-  ``i mu(i)`` and moving one individual from level ``i`` to ``i-1``.  The
-  new infective enters ``mu_IS`` at level ``k-1-j-l``.
+  alter's degree ``k`` is picked with weight ``k mu_S(k)``.  The firing
+  half-edge is uniform among the ``N_IS``, and her remaining ``k-1``
+  half-edges are drawn one at a time, without replacement, from the other
+  ``N_S - 1`` susceptible half-edges.  Each draw is uniform among those
+  left, so it is paired to an infective, to a removed individual or open
+  in proportion to what is left of each; the counts ``(j, l)`` of the
+  first two kinds are multivariate hypergeometric exactly.  The same draw
+  names the matched half-edge, so its owner, found at level ``i`` with
+  weight ``i mu(i)``, moves to level ``i-1``.  The new infective enters
+  ``mu_IS`` at level ``k-1-j-l``.
 
 Waiting times are exponential with total rate ``r*N_IS + beta*I`` (direct
 Gillespie selection between the two event classes).
@@ -101,18 +101,30 @@ class BlockDraws:
                 return x % n
 
 
-def pick_size_biased(mu, total, draws):
-    """Level ``k`` with probability ``k mu[k] / total``, where ``total`` is
-    ``sum_k k mu[k]``: the degree of the susceptible an infection hits, and
-    the level of the owner of a uniformly chosen half-edge."""
-    x = draws.below(total)
+def _owner_level(mu, x):
+    """Level of the owner of half-edge ``x`` (from 0), the ``mu[k]``
+    individuals at level ``k`` holding ``k`` half-edges each, in level order;
+    for a uniform ``x``, ``k`` with probability ``k mu[k] / sum_i i mu[i]``."""
     k = 0
     for count in mu:
         x -= k * count
         if x < 0:
             return k
         k += 1
-    raise StateCorruptionError(f"level weights sum below their total {total}")
+    raise StateCorruptionError("level weights sum below the half-edge drawn")
+
+
+def _drop_owner(mu, x):
+    """Take half-edge ``x`` (see :func:`_owner_level`): its owner drops a level."""
+    i = _owner_level(mu, x)
+    mu[i] -= 1
+    mu[i - 1] += 1
+
+
+def pick_size_biased(mu, total, draws):
+    """Level ``k`` with probability ``k mu[k] / total``, where ``total`` is
+    ``sum_k k mu[k]``: the degree of the susceptible an infection hits."""
+    return _owner_level(mu, draws.below(total))
 
 
 def pick_uniform(mu, total, draws):
@@ -124,24 +136,6 @@ def pick_uniform(mu, total, draws):
         if x < 0:
             return i
     raise StateCorruptionError(f"level counts sum below their total {total}")
-
-
-def take_half_edges(mu, total, m, draws):
-    """Remove ``m`` distinct half-edges, uniform among the ``total`` held by
-    the individuals that ``mu`` counts per level; ``mu`` changes in place.
-
-    Each pick takes one remaining half-edge uniformly, so its owner's level
-    ``i`` is size-biased, and moves the owner to level ``i-1``.  Individuals
-    at one level are exchangeable, so this is the law of a uniform
-    ``m``-subset of the labelled half-edges, aggregated over levels.
-    """
-    if m > total:
-        raise InfeasibleDrawError(f"cannot draw {m} half-edges from a pool of {total}")
-    for _ in range(m):
-        i = pick_size_biased(mu, total, draws)
-        mu[i] -= 1
-        mu[i - 1] += 1
-        total -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +296,25 @@ def initialize_state(degrees, i0, *, rng):
 # ---------------------------------------------------------------------------
 
 
-def sample_jl(k, n_S, n_IS, n_RS, draws):
+def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
     """Numbers (j, l) of infectious- and removed-alter half-edges among the
     ``k-1`` non-contaminating half-edges of a degree-k new infective.
 
-    The pool holds ``n_S - 1`` half-edges: ``n_IS - 1`` of type I-S,
-    ``n_RS`` of type R-S, the rest open susceptible stubs.  The ``k-1``
-    half-edges are drawn one at a time by ``draws.below``, each uniform
-    among those left, so ``(j, l)`` has the multivariate hypergeometric law
-    exactly.  Once no I-S or R-S half-edge is left the rest are open and
-    no more draws are made.
+    The pool holds ``n_S - 1`` half-edges: ``n_IS - 1`` of type I-S, held
+    by those ``mu_IS`` counts, ``n_RS`` of type R-S, held by those of
+    ``mu_RS``, the rest open susceptible stubs.  The ``k-1`` half-edges are
+    drawn one at a time by ``draws.below``, each uniform among those left,
+    so ``(j, l)`` has the multivariate hypergeometric law exactly.  With
+    ``a`` I-S and ``b`` R-S half-edges left, a draw ``x < a`` takes I-S
+    half-edge ``x`` and ``a <= x < a+b`` R-S half-edge ``x-a`` from its
+    owner (:func:`_drop_owner`).  Once no I-S or R-S half-edge is left the
+    rest are open and no more draws are made.
     """
     if k < 1 or n_IS < 1:
         raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
     pool = n_S - 1
     if k - 1 > pool:
-        raise InfeasibleDrawError(
-            f"cannot draw {k - 1} half-edges from a pool of {pool}"
-        )
+        raise InfeasibleDrawError(f"cannot draw {k - 1} half-edges from a pool of {pool}")
     a, b = n_IS - 1, n_RS  # I-S and R-S half-edges left in the pool
     if a + b > pool:
         raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
@@ -328,44 +323,37 @@ def sample_jl(k, n_S, n_IS, n_RS, draws):
             break
         x = draws.below(pool)
         if x < a:
+            _drop_owner(mu_IS, x)
             a -= 1
         elif x < a + b:
+            _drop_owner(mu_RS, x - a)
             b -= 1
         pool -= 1
     return n_IS - 1 - a, n_RS - b
 
 
-def apply_infection(state, k, j, l, draws):
-    """Apply one infection event.
+def apply_infection(state, k, draws):
+    """Infect a degree-``k`` susceptible; return her ``(j, l)``.
 
-    A degree-``k`` susceptible is infected; ``j`` of her other half-edges
-    match infectious and ``l`` removed half-edges.  Takes ``j + 1`` uniform
-    half-edges (the contaminating edge included) from ``mu_IS`` and ``l``
-    from ``mu_RS``, then enters her in ``mu_IS`` at level ``k-1-j-l``.  Net
-    effects: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.
+    The contaminating half-edge is uniform among the ``N_IS`` and taken
+    from its owner first; :func:`sample_jl` then matches her other
+    ``k-1`` half-edges from what is left.  She enters ``mu_IS`` at level
+    ``k-1-j-l``: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.
     """
-    mu_S = state.mu_S
+    mu_S, mu_IS = state.mu_S, state.mu_IS
     if not 0 < k < len(mu_S) or mu_S[k] < 1:
         raise StateCorruptionError(f"no susceptible of degree {k} left")
+    _drop_owner(mu_IS, draws.below(state.N_IS))
+    j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, mu_IS, state.mu_RS, draws)
     level = k - 1 - j - l
-    if j < 0 or l < 0 or level < 0:
-        raise StateCorruptionError(f"cannot match j={j}, l={l} on a degree-{k} infective")
-    if j + 1 > state.N_IS or l > state.N_RS:
-        raise InfeasibleDrawError(
-            f"cannot take {j + 1} infectious and {l} removed half-edges from "
-            f"pools of {state.N_IS} and {state.N_RS}"
-        )
-    take_half_edges(state.mu_IS, state.N_IS, j + 1, draws)
-    if l:
-        take_half_edges(state.mu_RS, state.N_RS, l, draws)
     mu_S[k] -= 1
-    state.mu_IS[level] += 1
+    mu_IS[level] += 1
     state.S -= 1
     state.N_S -= k
     state.I += 1
     state.N_IS += level - j - 1
     state.N_RS -= l
-    return state
+    return j, l
 
 
 def apply_removal(state, level):
@@ -447,9 +435,7 @@ def simulate(state, params, rng):
             apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
             n_rem += 1
         else:
-            k = pick_size_biased(state.mu_S, state.N_S, draws)
-            j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, draws)
-            apply_infection(state, k, j, l, draws)
+            apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
             n_inf += 1
             if not state.feasible():
                 # half-edge pools exhausted: further infections undefined

@@ -3,7 +3,10 @@
 ``checked_events`` re-checks the bookkeeping of every event the simulator
 applies.  The event loop of :func:`sirnet.simulation.simulate` calls the
 module-level ``apply_infection`` and ``apply_removal``; the fixture wraps
-those two names, so the checks run on the production loop itself."""
+those two names, so the checks run on the production loop itself.  An
+infection is one pass that draws its ``(j, l)`` and takes the matched
+half-edges together, and returns ``(j, l)``, so the checked deltas are
+those of the half-edges the event actually took."""
 
 import pytest
 
@@ -16,7 +19,8 @@ class EventChecker:
     """Checking wrappers around the two event functions.
 
     After each event they check its deltas (infection:
-    ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``; removal: ``-level`` and
+    ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l`` for the ``(j, l)`` it
+    returns; removal: ``-level`` and
     ``+level``), that ``S + I + R`` is unchanged, and
     :func:`oracles.check_invariants` against the state's ``mu_S`` as it
     stood before its first checked event.  ``count`` is the number of
@@ -28,11 +32,11 @@ class EventChecker:
         self._mu_S0 = {}  # state -> its mu_S before its first checked event
         self.count = 0
 
-    def infection(self, state, k, j, l, draws):
+    def infection(self, state, k, draws):
         before = self._before(state)
-        out = self._apply_infection(state, k, j, l, draws)
+        j, l = self._apply_infection(state, k, draws)
         self._after(state, before, k - 2 - 2 * j - l, -l, "infection")
-        return out
+        return j, l
 
     def removal(self, state, level):
         before = self._before(state)

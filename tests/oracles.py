@@ -3,7 +3,9 @@
 The pmfs here are computed from first principles (binomial coefficients)
 without touching the package's samplers.
 :func:`replay_law` computes the exact law of a sampler it is handed by
-running it on every possible sequence of integer draws.
+running it on every possible sequence of integer draws, and
+:func:`all_matched_levels` runs the production (j, l) sampler where every
+half-edge it draws is matched, which makes it a uniform subset sampler.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
 limit-solver formulas without the package's shortcuts, and
 :func:`influx_exact` evaluates the influx in exact rational arithmetic.
@@ -24,6 +26,7 @@ from numpy.polynomial import polynomial as P
 
 from sirnet.errors import StateCorruptionError
 from sirnet.harness import COMPARED, sup_distance
+from sirnet.simulation import sample_jl
 
 
 def check_invariants(state, mu_S0):
@@ -159,6 +162,49 @@ def aggregate_to_levels(counts, pmf):
         key = tuple(mu)
         out[key] = out.get(key, 0.0) + p
     return out
+
+
+def infection_oracle_pmf(counts_IS, counts_RS, n_S, k, size):
+    """Law of the level measures ``(mu_IS, mu_RS)``, each a tuple over
+    ``0..size-1``, after one infection of a degree-``k`` susceptible.  The
+    infectives hold ``counts_IS`` edges-to-S, the removed ``counts_RS``,
+    and the susceptibles ``n_S`` half-edges.  ``(j, l)`` has the law
+    :func:`jl_oracle_pmf`; given it, the ``j + 1`` infectious half-edges
+    taken, the contaminating one included, are a uniform subset of all of
+    them, the ``l`` removed ones a uniform subset of theirs, independently;
+    the new infective enters at level ``k - 1 - j - l``."""
+    def padded(mu):
+        return list(mu) + [0] * (size - len(mu))
+
+    law = {}
+    jl = jl_oracle_pmf(k, n_S, sum(counts_IS), sum(counts_RS))
+    for (j, l), p in jl.items():
+        infectious = aggregate_to_levels(counts_IS, allocation_oracle_pmf(list(counts_IS), j + 1))
+        removed = aggregate_to_levels(counts_RS, allocation_oracle_pmf(list(counts_RS), l))
+        for mu_IS, p_IS in infectious.items():
+            mu_IS = padded(mu_IS)
+            mu_IS[k - 1 - j - l] += 1
+            for mu_RS, p_RS in removed.items():
+                key = (tuple(mu_IS), tuple(padded(mu_RS)))
+                law[key] = law.get(key, 0.0) + p * p_IS * p_RS
+    return law
+
+
+def all_matched_levels(mu, n, draws, removed=False):
+    """The level measure ``mu`` (a roster, see :func:`level_counts`) after
+    :func:`sirnet.simulation.sample_jl` matches ``n`` half-edges of a
+    degree-``(n+1)`` infective to it.  Every other pool half-edge is held
+    by ``mu``, on the infectious side (``a = N_S - 1``, ``b = 0``) or with
+    ``removed`` on the removed side (``a = 0``), so each draw is matched
+    and the ``n`` taken are a uniform ``n``-subset of ``mu``'s half-edges:
+    the allocation law."""
+    levels = list(mu)
+    total = sum(i * c for i, c in enumerate(levels))
+    if removed:
+        sample_jl(n + 1, total + 1, 1, total, [0], levels, draws)
+    else:
+        sample_jl(n + 1, total + 1, total + 1, 0, levels, [0], draws)
+    return tuple(levels)
 
 
 def level_pick_chain_pmf(mu, n):

@@ -14,6 +14,7 @@ from scipy import stats
 
 from oracles import (
     aggregate_to_levels,
+    all_matched_levels,
     allocation_oracle_pmf,
     influx_uncollapsed,
     jl_oracle_pmf,
@@ -43,7 +44,6 @@ from sirnet.simulation import (
     initialize_state,
     sample_jl,
     simulate,
-    take_half_edges,
 )
 
 
@@ -77,13 +77,6 @@ def pooled_chi2(observed, expected):
     return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
 
 
-def _take(mu, total, n, draws):
-    """Level measure left after ``take_half_edges`` draws ``n`` half-edges."""
-    levels = list(mu)
-    take_half_edges(levels, total, n, draws)
-    return tuple(levels)
-
-
 def test_criterion_1_sampler_exactness():
     t0 = time.time()
     rng = np.random.default_rng(20240817)
@@ -91,12 +84,14 @@ def test_criterion_1_sampler_exactness():
     # (j, l) matching law: the exact law of sample_jl, the sampler simulate
     # runs, replayed on every sequence of integer draws, equals the
     # enumerated combinatorial pmf to 1e-12 for every pool configuration
-    # with N_S <= 8
+    # with N_S <= 8; the n_IS - 1 I-S and n_RS R-S half-edges it matches
+    # are held one per individual
     configs = jl_pool_configurations(8)
     jl_err = 0.0
     for config in configs:
         oracle = jl_oracle_pmf(*config)
-        law = replay_law(lambda d: sample_jl(*config, d))
+        _, _, n_IS, n_RS = config
+        law = replay_law(lambda d: sample_jl(*config, [0, n_IS - 1], [0, n_RS], d))
         assert set(law) == set(oracle), config
         for key, p in oracle.items():
             assert abs(law[key] - p) < 1e-12, (config, key)
@@ -119,18 +114,21 @@ def test_criterion_1_sampler_exactness():
             assert set(oracle) == set(chain), (counts, n)
             for key, p in oracle.items():
                 assert abs(chain[key] - p) < 1e-12, (counts, n, key)
-            # ... and so does the exact law of take_half_edges, the sampler
-            # simulate runs, replayed on every sequence of integer draws
-            # wherever there are at most 5000 such sequences ...
+            # ... and so does the exact law of sample_jl, the sampler simulate
+            # runs, where every half-edge it draws is matched to the roster
+            # (infectious side, then removed side), replayed on every
+            # sequence of integer draws wherever there are at most 5000
+            # such sequences ...
             if math.perm(total, n) <= 5000:
-                law = replay_law(lambda d: _take(mu, total, n, d))
-                assert set(law) == set(oracle), (counts, n)
-                for key, p in oracle.items():
-                    assert abs(law[key] - p) < 1e-12, (counts, n, key)
+                for removed in (False, True):
+                    law = replay_law(lambda d: all_matched_levels(mu, n, d, removed))
+                    assert set(law) == set(oracle), (counts, n, removed)
+                    for key, p in oracle.items():
+                        assert abs(law[key] - p) < 1e-12, (counts, n, key)
                 replayed += 1
 
     # ... plus a chi-square per roster at its richest draw size, on draws of
-    # take_half_edges fed by the simulator's block draw source
+    # all-matched sample_jl fed by the simulator's block draw source
     draws = BlockDraws(rng)
     alloc_draws = 20_000
     total_stat, total_dof, tested = 0.0, 0, 0
@@ -142,7 +140,7 @@ def test_criterion_1_sampler_exactness():
             continue
         hits = {}
         for _ in range(alloc_draws):
-            key = _take(mu, total, n, draws)
+            key = all_matched_levels(mu, n, draws)
             hits[key] = hits.get(key, 0) + 1
         assert set(hits) <= set(oracle)  # nothing outside support
         keys = sorted(oracle)
@@ -156,9 +154,10 @@ def test_criterion_1_sampler_exactness():
     alloc_ok = total_stat < alloc_threshold
     elapsed = time.time() - t0
     detail = (f"{jl_msg}; allocation: {len(rosters)} rosters exact to 1e-12 "
-              f"(level-pick chain; take_half_edges replayed at {replayed} draw "
-              f"sizes), aggregated chi2 {total_stat:.1f} < {alloc_threshold:.1f} "
-              f"({tested} rosters x {alloc_draws} take_half_edges draws); "
+              f"(level-pick chain; all-matched sample_jl replayed at {replayed} "
+              f"draw sizes on both sides), aggregated chi2 {total_stat:.1f} < "
+              f"{alloc_threshold:.1f} ({tested} rosters x {alloc_draws} "
+              f"all-matched sample_jl draws); "
               f"runtime {elapsed:.1f}s < 60s")
     report(1, alloc_ok and elapsed < 60, detail)
 

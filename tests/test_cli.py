@@ -318,12 +318,31 @@ def _with(args, option, value):
     (SIM, "--degree", "poisson:inf:30", "lam"),
     (VOLZ, "--degree", "poisson:nan:30", "lam"),
     (CONVERGE + ["--i0", "0.01", "--dry-run"], "--degree", "geometric:nan:50", "q"),
+    # a NaN eps_prime used to make tau_bar NaN and compare all of [0, t_max]
+    (CONVERGE + ["--i0", "0.01", "--grid", "0.0001"], "--eps-prime", "nan", "eps_prime"),
+    (CONVERGE + ["--i0", "0.01", "--dry-run"], "--eps-prime", "inf", "eps_prime"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     out = tmp_path / "x.csv"
     code, _, err = run(_with(base, option, value) + ["--out", str(out)], capsys)
     assert code == 2
     assert f"{field} must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base,weights,message", [
+    # r0 printed "nan (subcritical)" and exited 0; simulate failed inside numpy
+    (R0, '{"2": Infinity, "3": 1}', "the weight of degree 2 must be finite, got inf"),
+    (SIM, '{"-2": 1, "3": 1}', "degree -2 is negative"),
+], ids=["r0-infinite-weight", "simulate-negative-degree"])
+def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message):
+    path = tmp_path / "w.json"
+    path.write_text(weights)
+    out = tmp_path / "x.csv"
+    args = _with(base, "--degree", f"file:{path}")
+    if base is SIM:
+        args += ["--out", str(out)]
+    assert run(args, capsys) == (2, "", f"configuration error: {message}\n")
     assert not out.exists()
 
 
@@ -485,7 +504,14 @@ def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
 @pytest.mark.parametrize("args,message", [
     (CONVERGE + ["--n", "1", "--i0", "0.01", "--grid", "0.0001"],
      "i0=0.01 on n=1 nodes leaves no susceptibles"),
-], ids=["converge-n-1"])
+    (_with(CONVERGE, "--seed", "-3") + ["--i0", "0.01", "--grid", "0.0001"],
+     "seed must be nonnegative, got -3"),
+    (_with(SIM, "--seed", "-3"), "seed must be nonnegative, got -3"),
+    # each n once: a repeated size ran the same seeds twice as more replicas
+    (CONVERGE + ["--n", "200,200", "--i0", "0.01", "--grid", "0.0001"],
+     "population sizes must be distinct, got n=200,200"),
+], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
+        "converge-repeated-n"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

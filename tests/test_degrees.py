@@ -73,6 +73,18 @@ def test_from_string_rejects(bad):
         DegreeSpec.from_string(bad)
 
 
+@pytest.mark.parametrize("weights,message", [
+    ({2: -1.0, 3: 1.0}, "the weight of degree 2 must be nonnegative"),
+    ({2: float("nan"), 3: 1.0}, "the weight of degree 2 must be finite"),
+    ({2: float("inf"), 3: 1.0}, "the weight of degree 2 must be finite"),
+    ({-2: 1.0, 3: 1.0}, "degree -2 is negative"),
+])
+def test_explicit_refuses_bad_entries(weights, message):
+    # these used to be dropped silently, or to fail later inside numpy
+    with pytest.raises(ConfigurationError, match=message):
+        DegreeSpec.explicit(weights)
+
+
 def test_zero_mean_rejected():
     with pytest.raises(ConfigurationError):
         DegreeSpec.explicit({0: 1.0})

@@ -144,6 +144,10 @@ def test_run_replicas_validation():
         run_replicas(spec, params, [100], 0, 1, 0.02)
     with pytest.raises(ConfigurationError):
         run_replicas(spec, params, [], 1, 1, 0.02)
+    with pytest.raises(ConfigurationError, match="distinct, got n=100,200,100"):
+        run_replicas(spec, params, [100, 200, 100], 1, 1, 0.02)
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        run_replicas(spec, params, [100], 1, -1, 0.02)
 
 
 class _FakeLimit:

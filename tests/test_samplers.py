@@ -8,13 +8,19 @@ Oracles (independent of the implementation):
 * allocation law: every set of ``n`` distinct half-edges equally likely,
   reported as counts per individual, then aggregated to the level measure
   the simulator keeps (a roster is a level measure);
+* the whole infection event: the contaminating half-edge and the ``j``
+  matched infectious ones a uniform ``(j+1)``-subset, the ``l`` removed
+  ones a uniform ``l``-subset, given ``(j, l)``;
 * the removal pick is uniform over individuals and the susceptible pick is
   size-biased by degree.
 
-The (j, l) sampler and the level samplers are the ones
-:func:`sirnet.simulation.simulate` runs;
-their exact law is computed by replaying them on every sequence of integer
-draws (``replay_law``), and checked against real draws by frequency.
+An infection is one pass: :func:`sirnet.simulation.apply_infection` draws
+the contaminating half-edge, then :func:`sample_jl` draws each other
+half-edge once by ``below``, and that one draw both classifies it and
+names the owner it is matched to.  These are the functions
+:func:`sirnet.simulation.simulate` runs; their exact law is computed by
+replaying them on every sequence of integer draws (``replay_law``), and
+checked against real draws by frequency.
 """
 
 import numpy as np
@@ -23,26 +29,33 @@ import pytest
 from oracles import (
     ScriptedDraws,
     aggregate_to_levels,
+    all_matched_levels,
     allocation_oracle_pmf,
+    infection_oracle_pmf,
     jl_oracle_pmf,
     jl_pool_configurations,
     level_counts,
     level_pick_chain_pmf,
     replay_law,
+    small_rosters,
 )
 from sirnet.errors import InfeasibleDrawError, StateCorruptionError
 from sirnet.simulation import (
     BlockDraws,
+    PopulationState,
+    apply_infection,
+    apply_removal,
     pick_size_biased,
     pick_uniform,
     sample_jl,
-    take_half_edges,
 )
 
 
 def jl_law(k, n_S, n_IS, n_RS):
-    """Exact law of :func:`sample_jl`, the sampler simulate runs."""
-    return replay_law(lambda draws: sample_jl(k, n_S, n_IS, n_RS, draws))
+    """Exact law of :func:`sample_jl`, the sampler simulate runs, with every
+    I-S and R-S half-edge held by its own individual."""
+    return replay_law(lambda draws: sample_jl(k, n_S, n_IS, n_RS,
+                                              [0, n_IS - 1], [0, n_RS], draws))
 
 
 def test_jl_replay_equals_oracle_small_grid():
@@ -57,49 +70,41 @@ def test_jl_replay_equals_oracle_small_grid():
 def test_jl_draws_only_through_below():
     # ScriptedDraws has below and nothing else: no rng to fall back on
     assert not hasattr(ScriptedDraws(()), "rng")
-    # pool of 7: 2 I-S, 2 R-S, 3 open; draws 0, 0, 0 hit I-S, I-S, R-S
+    # pool of 7: 2 I-S, 2 R-S, 3 open; draws 0, 0, 0 hit I-S, I-S, R-S,
+    # and each names the owner it is matched to
     draws = ScriptedDraws((0, 0, 0))
-    assert sample_jl(4, 8, 3, 2, draws) == (2, 1)
+    mu_IS, mu_RS = [0, 0, 1], [0, 2]
+    assert sample_jl(4, 8, 3, 2, mu_IS, mu_RS, draws) == (2, 1)
     assert draws.pos == 3
+    assert mu_IS == [1, 0, 0] and mu_RS == [1, 1]
 
 
 def test_jl_scalar_draws_within_support():
     draws = BlockDraws(np.random.default_rng(5))
     support = set(jl_oracle_pmf(4, 8, 3, 2))
     for _ in range(500):
-        assert sample_jl(4, 8, 3, 2, draws) in support
+        assert sample_jl(4, 8, 3, 2, [0, 2], [0, 2], draws) in support
 
 
 def test_jl_degenerate_cases():
     # an empty script stops any caller that asks for a draw
-    assert sample_jl(1, 5, 2, 1, ScriptedDraws(())) == (0, 0)  # no extra half-edges
-    assert sample_jl(3, 5, 1, 0, ScriptedDraws(())) == (0, 0)  # nothing infectious/removed to hit
+    no_draws = ScriptedDraws(())
+    assert sample_jl(1, 5, 2, 1, [0, 1], [0, 1], no_draws) == (0, 0)  # no extra half-edges
+    assert sample_jl(3, 5, 1, 0, [0], [0], no_draws) == (0, 0)  # nothing infectious/removed to hit
 
 
 def test_jl_infeasible():
     draws = ScriptedDraws(())
     with pytest.raises(InfeasibleDrawError):
-        sample_jl(6, 5, 2, 0, draws)  # k-1 > N_S-1
+        sample_jl(6, 5, 2, 0, [0, 1], [0], draws)  # k-1 > N_S-1
     with pytest.raises(InfeasibleDrawError):
-        sample_jl(2, 5, 0, 0, draws)  # no contaminating edge
+        sample_jl(2, 5, 0, 0, [0], [0], draws)  # no contaminating edge
     with pytest.raises(InfeasibleDrawError):
-        sample_jl(2, 5, 4, 2, draws)  # N_IS + N_RS > N_S
+        sample_jl(2, 5, 4, 2, [0, 3], [0, 2], draws)  # N_IS + N_RS > N_S
 
 
 def level_oracle(counts, n):
     return aggregate_to_levels(counts, allocation_oracle_pmf(list(counts), n))
-
-
-def take_law(counts, n):
-    """Exact law of the level measure :func:`take_half_edges` leaves."""
-    mu = level_counts(counts)
-
-    def run(draws):
-        levels = list(mu)
-        take_half_edges(levels, sum(counts), n, draws)
-        return tuple(levels)
-
-    return replay_law(run)
 
 
 def test_allocation_chain_equals_oracle():
@@ -113,43 +118,102 @@ def test_allocation_chain_equals_oracle():
 
 
 def test_allocate_exact_law_enumeration():
-    # every sequence of integer draws replayed through the production sampler
+    # every sequence of integer draws replayed through sample_jl, on the
+    # infectious and the removed side, where every draw is matched
     for counts in [(1,), (3,), (2, 2), (1, 3), (1, 2, 3), (3, 1, 2), (4, 1, 2, 2)]:
+        mu = level_counts(counts)
         for n in range(min(sum(counts), 5) + 1):
             oracle = level_oracle(counts, n)
-            law = take_law(counts, n)
-            assert set(law) == set(oracle), (counts, n)
-            for key, p in oracle.items():
-                assert law[key] == pytest.approx(p, abs=1e-12), (counts, n, key)
+            for removed in (False, True):
+                law = replay_law(lambda d: all_matched_levels(mu, n, d, removed))
+                assert set(law) == set(oracle), (counts, n, removed)
+                for key, p in oracle.items():
+                    assert law[key] == pytest.approx(p, abs=1e-12), (counts, n, key)
 
 
 def test_roster_sampling_matches_allocation_law():
     draws = BlockDraws(np.random.default_rng(17))
     counts = [2, 1, 3]
-    mu = list(level_counts(counts))
+    mu = level_counts(counts)
     oracle = level_oracle(counts, 3)
     hits = {}
     n_draws = 100_000
     for _ in range(n_draws):
-        levels = mu.copy()
-        take_half_edges(levels, 6, 3, draws)
-        hits[tuple(levels)] = hits.get(tuple(levels), 0) + 1
+        key = all_matched_levels(mu, 3, draws)
+        hits[key] = hits.get(key, 0) + 1
     assert set(hits) <= set(oracle)
     for key, p in oracle.items():
         assert hits.get(key, 0) / n_draws == pytest.approx(p, abs=0.01)
 
 
 def test_allocate_edges_and_errors():
+    mu = (0, 0, 1, 1)
+    assert all_matched_levels(mu, 0, ScriptedDraws(())) == mu
     draws = BlockDraws(np.random.default_rng(0))
-    mu = [0, 0, 1, 1]
-    take_half_edges(mu, 5, 0, draws)
-    assert mu == [0, 0, 1, 1]
-    take_half_edges(mu, 5, 5, draws)  # full pool
-    assert mu == [2, 0, 0, 0]
+    assert all_matched_levels(mu, 5, draws) == (2, 0, 0, 0)  # full pool
+    assert all_matched_levels(mu, 5, draws, removed=True) == (2, 0, 0, 0)
     with pytest.raises(InfeasibleDrawError):
-        take_half_edges([0, 0, 1, 1], 5, 6, draws)
-    with pytest.raises(StateCorruptionError):
-        take_half_edges([0, 0, 1, 1], 7, 6, draws)  # total overstates the levels
+        all_matched_levels(mu, 6, draws)
+    with pytest.raises(StateCorruptionError):  # n_IS overstates the levels
+        sample_jl(2, 8, 8, 0, list(mu), [0], ScriptedDraws((6,)))
+
+
+def event_state(mu_S, counts_IS, counts_RS):
+    """A state whose infectives hold ``counts_IS`` edges-to-S and whose
+    removed hold ``counts_RS``, built by the simulator's own events."""
+    state = PopulationState(mu_S, list(counts_IS) + list(counts_RS))
+    for c in counts_RS:
+        apply_removal(state, c)
+    return state
+
+
+def event_law(mu_S, counts_IS, counts_RS, k):
+    """Exact law of ``(mu_IS, mu_RS)`` after :func:`apply_infection`."""
+    def run(draws):
+        state = event_state(mu_S, counts_IS, counts_RS)
+        apply_infection(state, k, draws)
+        return tuple(state.mu_IS), tuple(state.mu_RS)
+
+    return replay_law(run)
+
+
+def test_infection_event_exact_law():
+    # the whole event, contaminating half-edge first, replayed on every draw
+    # sequence against the (j, l) law times the two allocation laws
+    susceptibles = [[0, 1, 1], [0, 0, 0, 2], [0, 1, 1, 1], [0, 0, 1, 0, 1], [0, 1, 0, 0, 1]]
+    rosters = small_rosters(3, 3)
+    checked = 0
+    for mu_S in susceptibles:
+        n_S = sum(k * c for k, c in enumerate(mu_S))
+        for counts_IS in rosters:
+            for counts_RS in [()] + rosters:
+                if sum(counts_IS) + sum(counts_RS) > n_S:
+                    continue
+                size = max(len(mu_S), *[c + 1 for c in counts_IS + counts_RS])
+                for k in range(1, len(mu_S)):
+                    if not mu_S[k]:
+                        continue
+                    oracle = infection_oracle_pmf(counts_IS, counts_RS, n_S, k, size)
+                    law = event_law(mu_S, counts_IS, counts_RS, k)
+                    config = (mu_S, counts_IS, counts_RS, k)
+                    assert set(law) == set(oracle), config
+                    for key, p in oracle.items():
+                        assert abs(law[key] - p) < 1e-12, (config, key)
+                    checked += 1
+    assert checked == 562
+
+
+def test_infection_draws_once_per_matched_half_edge():
+    # after the degree pick: one draw for the contaminating half-edge, then
+    # one per half-edge until no I-S or R-S half-edge is left, although k-1 = 6
+    state = event_state([0] * 7 + [2], (1, 1), (2,))
+    assert (state.N_S, state.N_IS, state.N_RS) == (14, 2, 2)
+    # contaminating: I-S 0; then open, I-S 0, R-S 0, R-S 0
+    draws = ScriptedDraws((0, 12, 0, 0, 0))
+    assert apply_infection(state, 7, draws) == (1, 2)
+    assert draws.pos == 5
+    assert state.mu_IS == [2, 0, 0, 1, 0, 0, 0, 0]
+    assert state.mu_RS == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_removal_pick_uniform_over_individuals():

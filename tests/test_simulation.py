@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import check_invariants, grid_rows_from_events, trajectory_csv_lines
+from oracles import (
+    ScriptedDraws,
+    check_invariants,
+    grid_rows_from_events,
+    trajectory_csv_lines,
+)
 from sirnet import simulation
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
@@ -38,15 +43,18 @@ def test_state_summaries():
 
 def test_apply_infection_deltas():
     st = small_state()
-    # degree-3 susceptible infected; j=1 matched I-S edge, l=0: whichever
-    # 2 of the 3 I-S half-edges are taken, the infectives (2, 1) end at (1, 0)
-    k, j, l = 3, 1, 0
+    # degree-3 susceptible infected through I-S half-edge 0 (the level-1
+    # infective's); her other two half-edges: I-S half-edge 1 of the two
+    # left (the level-2 infective's), then an open one
+    k = 3
     before = (st.S, st.I, st.R, st.N_IS, st.N_RS)
-    apply_infection(st, k, j, l, BlockDraws(np.random.default_rng(0)))
+    draws = ScriptedDraws((0, 1, 4))
+    j, l = apply_infection(st, k, draws)
+    assert (j, l) == (1, 0) and draws.pos == 3
     assert st.S == before[0] - 1 and st.I == before[1] + 1 and st.R == before[2]
     assert st.N_IS - before[3] == k - 2 - 2 * j - l
     assert st.N_RS - before[4] == -l
-    # the new infective carries k-1-j-l = 1 edge-to-S
+    # the infectives (2, 1) end at (1, 0); the new one carries k-1-j-l = 1
     assert st.mu_S == [0, 0, 2, 0]
     assert st.mu_IS == [1, 2, 0, 0]
     check_invariants(st, SMALL_MU_S0)
@@ -55,18 +63,17 @@ def test_apply_infection_deltas():
 def test_apply_infection_validates_totals():
     st = small_state()
     draws = BlockDraws(np.random.default_rng(0))
+    with pytest.raises(StateCorruptionError):
+        apply_infection(st, 5, draws)  # no degree-5 susceptible
+    with pytest.raises(StateCorruptionError):
+        apply_infection(st, 1, draws)  # no degree-1 susceptible
     with pytest.raises(InfeasibleDrawError):
-        apply_infection(st, 3, 1, 1, draws)  # l = 1 > N_RS = 0
-    with pytest.raises(InfeasibleDrawError):
-        apply_infection(PopulationState([0] * 8 + [1], [1, 1]), 8, 2, 0, draws)
-    with pytest.raises(StateCorruptionError):
-        apply_infection(st, 3, 2, 1, draws)  # k-1-j-l < 0
-    with pytest.raises(StateCorruptionError):
-        apply_infection(st, 5, 0, 0, draws)  # no degree-5 susceptible
-    with pytest.raises(StateCorruptionError):
-        apply_infection(st, 1, 0, 0, draws)  # no degree-1 susceptible
+        apply_infection(PopulationState([0, 0, 1], [0]), 2, draws)  # no I-S half-edge
     assert st.row() == small_state().row()  # rejected events change nothing
     check_invariants(st, SMALL_MU_S0)
+    # more I-S than susceptible half-edges: sample_jl refuses the pool
+    with pytest.raises(InfeasibleDrawError, match="edge pools exhausted"):
+        apply_infection(PopulationState([0, 0, 1], [3]), 2, draws)
 
 
 def test_apply_removal_moves_edges():
