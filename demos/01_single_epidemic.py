@@ -1,7 +1,7 @@
 """One stochastic SIR epidemic on a configuration-model network.
 
-Samples a Poisson(5) degree sequence on 5000 nodes, infects 1% of the
-population uniformly at random, and runs the event-driven dynamics
+Samples the degree counts of 5000 nodes of Poisson(5) degree, infects 1%
+of the population uniformly at random, and runs the event-driven dynamics
 (infection rate r per infectious-susceptible edge, removal rate beta per
 infectious node) until extinction.  Prints the recorded trajectory head,
 the final attack rate, and the measure of half-edge pool sizes along the
@@ -24,8 +24,9 @@ print(f"degree law: {spec.describe()},  "
       f"r0 = {reproduction_number(spec, R_RATE, BETA):.3f}")
 
 rng = np.random.default_rng(2026)
-degrees = spec.sample(N, rng)
-state = initialize_state(degrees, I0, rng=rng)
+counts = spec.sample(N, rng)  # counts[k]: nodes of degree k
+print(f"degree counts k=0..10: {counts[:11].tolist()}")
+state = initialize_state(counts, I0, rng=rng)
 print(f"initial pools: N_S={state.N_S}  N_IS={state.N_IS}  N_RS={state.N_RS}")
 
 params = SimParams(r=R_RATE, beta=BETA, t_max=15.0, record_grid=0.25)

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``r0``        the epidemic's reproduction number and criticality verdict;
-* ``simulate``  one stochastic epidemic on a sampled degree sequence;
+* ``simulate``  one stochastic epidemic on sampled degree counts;
 * ``solve``     deterministic limit via ``volz``, ``measures``, or ``miller``;
 * ``converge``  Monte-Carlo comparison of scaled simulations to the limit.
 
@@ -227,8 +227,7 @@ def cmd_simulate(args):
                        record_grid=args.grid,
                        snapshot_measures=bool(args.snapshots))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    degrees = spec.sample(args.n, rng)
-    state = initialize_state(degrees, args.i0, rng=rng)
+    state = initialize_state(spec.sample(args.n, rng), args.i0, rng=rng)
     if args.dry_run:
         print("config ok (dry run)")
         return EXIT_OK

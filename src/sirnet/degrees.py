@@ -12,7 +12,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError, check_finite, check_nonnegative
+from sirnet.errors import (
+    ConfigurationError,
+    check_finite,
+    check_nonnegative,
+    check_population,
+)
+
+
+def _degree_weights(pairs):
+    """The ``{degree: weight}`` map of a degree file's ``(key, value)``
+    pairs; refuses two keys that name one degree, such as ``"2"`` and
+    ``"02"``."""
+    weights, keys = {}, {}
+    for key, value in pairs:
+        k = int(key)
+        if k in keys:
+            raise ConfigurationError(
+                f"degree {k} is given twice in the degree file, as {keys[k]!r} and {key!r}")
+        keys[k], weights[k] = key, float(value)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -103,7 +122,10 @@ class DegreeSpec:
                 return cls.powerlaw(float(alpha), int(kmin), int(kmax))
             if name == "file":
                 with open(rest) as fh:
-                    weights = {int(k): float(v) for k, v in json.load(fh).items()}
+                    weights = json.load(fh, object_pairs_hook=_degree_weights)
+                if not isinstance(weights, dict):  # the hook makes every JSON object a dict
+                    raise ConfigurationError(
+                        "a degree file must hold a JSON object mapping degree to weight")
                 return cls.explicit(weights)
         except ConfigurationError:
             raise
@@ -128,10 +150,12 @@ class DegreeSpec:
         return float(((self.levels - 1) * self.levels) @ self.probs / mean)
 
     def sample(self, n, rng):
-        """n i.i.d. degree draws."""
-        if n < 1:
-            raise ConfigurationError("population size must be >= 1")
-        return rng.choice(self.levels, size=n, p=self.probs)
+        """Level counts over ``0..kmax`` of ``n`` i.i.d. degree draws: entry
+        ``k`` is how many draws equal ``k``, one multinomial draw."""
+        check_population(n)
+        counts = np.zeros(self.kmax() + 1, dtype=np.int64)
+        counts[self.levels] = rng.multinomial(n, self.probs)
+        return counts
 
     def limit_measure(self, mass=1.0):
         """The law as a weight vector over ``0..kmax`` with the given total

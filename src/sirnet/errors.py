@@ -3,6 +3,11 @@ raise one."""
 
 import math
 
+# populations must stay below this; numpy's multivariate hypergeometric
+# 'marginals' method, which draws the initial infectives, is exact only for
+# fewer individuals
+MAX_POPULATION = 10**9
+
 
 class ConfigurationError(ValueError):
     """Invalid model or run configuration (degenerate degree law, bad i0, ...)."""
@@ -26,6 +31,17 @@ def check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def check_population(n):
+    """Raise :class:`ConfigurationError` naming ``n`` unless the population
+    size lies in ``1..MAX_POPULATION - 1``."""
+    if n < 1:
+        raise ConfigurationError(f"population size n={n} must be >= 1")
+    if n >= MAX_POPULATION:
+        raise ConfigurationError(
+            f"population size n={n} must be below {MAX_POPULATION}, the most "
+            "the initial-infective draw takes exactly")
 
 
 def check_nonnegative(**values):

@@ -56,8 +56,7 @@ def _run_one(args):
     spec, params, n, rep, base_seed, i0, eps_prime = args
     ss = replica_seed(base_seed, n, rep)
     rng = np.random.Generator(np.random.PCG64(ss))
-    degrees = spec.sample(n, rng)
-    state = initialize_state(degrees, i0, rng=rng)
+    state = initialize_state(spec.sample(n, rng), i0, rng=rng)
     traj = simulate(state, params, rng=rng)
     tau = stopping_time(traj, eps_prime, n)
     columns = {
@@ -97,9 +96,10 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0,
                  eps_prime=0.01, workers=None):
     """``reps`` independent scaled simulations for every n in ``n_values``.
 
-    Each replica draws its own degree sequence, infects a uniform ``i0``
-    fraction of it (the selection :func:`limit_initial` models), and runs on
-    a private RNG stream derived from ``(base_seed, n, rep)``, so outputs
+    Each replica draws its own degree counts, infects a uniform ``i0``
+    fraction of its individuals (the selection :func:`limit_initial`
+    models), and runs on a private RNG stream derived from
+    ``(base_seed, n, rep)``, so outputs
     are reproducible and independent of worker scheduling.  Returns a flat
     list ordered by (n, rep).
 

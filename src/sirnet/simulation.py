@@ -11,7 +11,11 @@ measures over ``0..kmax``:
 
 Individuals at one level are exchangeable, so these vectors and the running
 totals ``S, I, R, N_S, N_IS, N_RS`` are the whole state: O(kmax) in size,
-whatever the population.  Events:
+whatever the population.  The initial state is drawn in the same terms:
+the degree counts of ``n`` i.i.d. degrees are one multinomial draw, and
+those of a uniform ``ceil(i0 n)`` of them, the initial infectives, one
+multivariate hypergeometric draw, so no vertex-indexed array is ever built.
+Events:
 
 * removal: a uniformly chosen infectious individual recovers; she moves
   from ``mu_IS[i]`` to ``mu_RS[i]``, level ``i`` picked with weight
@@ -35,6 +39,7 @@ Gillespie selection between the two event classes).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +50,7 @@ from sirnet.errors import (
     StateCorruptionError,
     check_finite,
     check_nonnegative,
+    check_population,
 )
 
 INFINITE_TIME = math.inf
@@ -216,26 +222,27 @@ class PopulationState:
     and ``mu_RS`` over ``0..kmax`` (lists of ints) with running class sizes
     and edge totals.
 
-    Built from ``mu_S``, a level-count sequence (``mu_S[k]`` susceptibles
-    of degree ``k``), and the edges-to-S count of each initial infective.
+    Built from two level-count vectors, the paper's initial measures:
+    ``mu_S[k]`` susceptibles of degree ``k`` and ``mu_IS[i]`` infectives
+    with ``i`` edges-to-S.  Nobody is removed yet.
     """
 
     __slots__ = ("mu_S", "mu_IS", "mu_RS", "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
 
-    def __init__(self, mu_S, infectious_counts):
-        susceptible = np.asarray(mu_S, dtype=np.int64)
-        infectious = np.asarray(infectious_counts, dtype=np.int64)
-        if susceptible.min(initial=0) < 0:
+    def __init__(self, mu_S, mu_IS):
+        mu_S = np.asarray(mu_S, dtype=np.int64).tolist()
+        mu_IS = np.asarray(mu_IS, dtype=np.int64).tolist()
+        if min(mu_S, default=0) < 0:
             raise StateCorruptionError("negative susceptible count")
-        if infectious.min(initial=0) < 0:
-            raise StateCorruptionError("negative edges-to-S count")
-        kmax = max(len(susceptible) - 1, int(infectious.max(initial=0)))
-        self.mu_S = susceptible.tolist() + [0] * (kmax + 1 - len(susceptible))
-        self.mu_IS = np.bincount(infectious, minlength=kmax + 1).tolist()
-        self.mu_RS = [0] * (kmax + 1)
-        self.S = int(susceptible.sum())
-        self.N_S = int(np.arange(len(susceptible)) @ susceptible)
-        self.I, self.N_IS = len(infectious), int(infectious.sum())
+        if min(mu_IS, default=0) < 0:
+            raise StateCorruptionError("negative infectious count")
+        size = max(len(mu_S), len(mu_IS), 1)  # levels 0..kmax
+        self.mu_S = mu_S + [0] * (size - len(mu_S))
+        self.mu_IS = mu_IS + [0] * (size - len(mu_IS))
+        self.mu_RS = [0] * size
+        levels = range(size)
+        self.S, self.N_S = sum(mu_S), sum(map(operator.mul, levels, self.mu_S))
+        self.I, self.N_IS = sum(mu_IS), sum(map(operator.mul, levels, self.mu_IS))
         self.R = self.N_RS = 0
         self.t = 0.0
 
@@ -257,7 +264,9 @@ class PopulationState:
 
 def initial_infective_count(n, i0):
     """Number ``ceil(i0 * n)`` of initial infectives among ``n`` nodes;
-    refuses an ``i0`` outside (0, 1) or one that leaves no susceptibles."""
+    refuses an ``i0`` outside (0, 1) or one that leaves no susceptibles,
+    and an ``n`` that :func:`check_population` refuses."""
+    check_population(n)
     if not 0 < i0 < 1:
         raise ConfigurationError(f"initial infected fraction i0 must lie in (0,1), got {i0}")
     n_inf = int(math.ceil(i0 * n))
@@ -266,22 +275,23 @@ def initial_infective_count(n, i0):
     return n_inf
 
 
-def initialize_state(degrees, i0, *, rng):
-    """Split a degree sequence into initial susceptibles and infectives.
+def initialize_state(counts, i0, *, rng):
+    """Split a population, given by its degree counts (``counts[k]``
+    individuals of degree ``k``), into initial susceptibles and infectives.
 
     A uniform ``ceil(i0 * n)`` of the individuals start infectious, the
-    initial law the limit models, with ``d_x(S) = d_x``.  Every infective
-    half-edge must pair with a susceptible one, so a split with
+    initial law the limit models, with ``d_x(S) = d_x``.  The degrees of a
+    uniform subset are multivariate hypergeometric, so one such draw gives
+    the infectives' level counts; no array of individuals is built.  Every
+    infective half-edge must pair with a susceptible one, so a split with
     ``N_IS > N_S`` is refused.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    n = len(degrees)
-    if n == 0:
-        raise ConfigurationError("empty degree sequence")
-    infected = rng.choice(n, size=initial_infective_count(n, i0), replace=False)
-    mask = np.zeros(n, dtype=bool)
-    mask[infected] = True
-    state = PopulationState(np.bincount(degrees[~mask]), degrees[mask])
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.min(initial=0) < 0:
+        raise ConfigurationError("degree counts must be nonnegative")
+    n_inf = initial_infective_count(int(counts.sum()), i0)
+    infected = rng.multivariate_hypergeometric(counts, n_inf)
+    state = PopulationState(counts - infected, infected)
     if state.N_IS > state.N_S:
         raise ConfigurationError(
             f"i0={i0} gives the initial infectives {state.N_IS} half-edges but the "
@@ -296,6 +306,19 @@ def initialize_state(degrees, i0, *, rng):
 # ---------------------------------------------------------------------------
 
 
+def _check_pools(k, n_S, n_IS, n_RS):
+    """Refuse an infection of a degree-``k`` susceptible that the pools
+    cannot match: it needs an I-S half-edge to fire, ``k - 1`` other
+    susceptible half-edges, and room among them for the ``N_IS - 1`` I-S
+    and ``N_RS`` R-S half-edges left."""
+    if k < 1 or n_IS < 1:
+        raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
+    if k > n_S:
+        raise InfeasibleDrawError(f"cannot draw {k - 1} half-edges from a pool of {n_S - 1}")
+    if n_IS + n_RS > n_S:
+        raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
+
+
 def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
     """Numbers (j, l) of infectious- and removed-alter half-edges among the
     ``k-1`` non-contaminating half-edges of a degree-k new infective.
@@ -308,16 +331,12 @@ def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
     ``a`` I-S and ``b`` R-S half-edges left, a draw ``x < a`` takes I-S
     half-edge ``x`` and ``a <= x < a+b`` R-S half-edge ``x-a`` from its
     owner (:func:`_drop_owner`).  Once no I-S or R-S half-edge is left the
-    rest are open and no more draws are made.
+    rest are open and no more draws are made.  :func:`_check_pools` refuses
+    first, before any draw.
     """
-    if k < 1 or n_IS < 1:
-        raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
+    _check_pools(k, n_S, n_IS, n_RS)
     pool = n_S - 1
-    if k - 1 > pool:
-        raise InfeasibleDrawError(f"cannot draw {k - 1} half-edges from a pool of {pool}")
     a, b = n_IS - 1, n_RS  # I-S and R-S half-edges left in the pool
-    if a + b > pool:
-        raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
     for _ in range(k - 1):
         if not a + b:
             break
@@ -338,11 +357,13 @@ def apply_infection(state, k, draws):
     The contaminating half-edge is uniform among the ``N_IS`` and taken
     from its owner first; :func:`sample_jl` then matches her other
     ``k-1`` half-edges from what is left.  She enters ``mu_IS`` at level
-    ``k-1-j-l``: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.
+    ``k-1-j-l``: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.  A refused
+    event draws nothing and leaves the state as it was.
     """
     mu_S, mu_IS = state.mu_S, state.mu_IS
     if not 0 < k < len(mu_S) or mu_S[k] < 1:
         raise StateCorruptionError(f"no susceptible of degree {k} left")
+    _check_pools(k, state.N_S, state.N_IS, state.N_RS)
     _drop_owner(mu_IS, draws.below(state.N_IS))
     j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, mu_IS, state.mu_RS, draws)
     level = k - 1 - j - l

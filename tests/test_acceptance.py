@@ -314,7 +314,7 @@ def test_criterion_9_pure_death_oracle():
     outcomes = np.zeros(reps, dtype=int)
     params = SimParams(r=0.0, beta=1.0, t_max=1.0, record_grid=1.0)
     for rep in range(reps):
-        st = PopulationState([], [0] * 100)
+        st = PopulationState([], np.bincount([0] * 100))
         traj = simulate(st, params, rng=np.random.default_rng(5000 + rep))
         outcomes[rep] = traj.R[-1]
     p = 1.0 - math.exp(-1.0)

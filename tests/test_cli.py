@@ -334,7 +334,13 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     # r0 printed "nan (subcritical)" and exited 0; simulate failed inside numpy
     (R0, '{"2": Infinity, "3": 1}', "the weight of degree 2 must be finite, got inf"),
     (SIM, '{"-2": 1, "3": 1}', "degree -2 is negative"),
-], ids=["r0-infinite-weight", "simulate-negative-degree"])
+    # "02" overwrote "2", and r0 printed 1.33333, the law {2: 3, 3: 1}
+    (R0, '{"2": 1, "02": 3, "3": 1}',
+     "degree 2 is given twice in the degree file, as '2' and '02'"),
+    # a JSON array is no degree-to-weight map
+    (R0, '[1, 0.5]', "a degree file must hold a JSON object mapping degree to weight"),
+], ids=["r0-infinite-weight", "simulate-negative-degree", "r0-duplicate-degree",
+        "r0-array"])
 def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message):
     path = tmp_path / "w.json"
     path.write_text(weights)
@@ -501,6 +507,10 @@ def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
     assert extra[0][2:] in err
 
 
+POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
+                    "the most the initial-infective draw takes exactly")
+
+
 @pytest.mark.parametrize("args,message", [
     (CONVERGE + ["--n", "1", "--i0", "0.01", "--grid", "0.0001"],
      "i0=0.01 on n=1 nodes leaves no susceptibles"),
@@ -510,8 +520,12 @@ def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
     # each n once: a repeated size ran the same seeds twice as more replicas
     (CONVERGE + ["--n", "200,200", "--i0", "0.01", "--grid", "0.0001"],
      "population sizes must be distinct, got n=200,200"),
+    # the initial-infective draw is exact below 10**9 individuals
+    (_with(SIM, "--n", str(10**9)), POPULATION_BOUND),
+    (CONVERGE + ["--n", f"200,{10**9}", "--i0", "0.01", "--grid", "0.0001"],
+     POPULATION_BOUND),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
-        "converge-repeated-n"])
+        "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

@@ -91,12 +91,15 @@ def test_zero_mean_rejected():
 
 
 def test_sampling_reproducible_and_distributed():
+    # level counts over 0..kmax of n i.i.d. draws
     spec = DegreeSpec.poisson(5, 30)
     a = spec.sample(1000, np.random.default_rng(7))
     b = spec.sample(1000, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
+    assert len(a) == 31 and a.sum() == 1000 and a.min() >= 0
     big = spec.sample(200_000, np.random.default_rng(1))
-    assert big.mean() == pytest.approx(5.0, abs=0.05)
+    assert big.sum() == 200_000
+    assert np.arange(31) @ big / 200_000 == pytest.approx(5.0, abs=0.05)
 
 
 def test_limit_measure_mass():

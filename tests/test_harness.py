@@ -219,10 +219,10 @@ def _real_batch():
 
 
 def _shorter_replica_batch():
-    # at n=50 seed 4, one of the four replicas ends `depleted` at t=2.5
+    # at n=50 seed 0, replica 3 of four ends `depleted` between t=2.4 and 2.5
     spec = DegreeSpec.poisson(5, 30)
     params = SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=0.1)
-    batch = run_replicas(spec, params, [50], 4, 4, 0.05)
+    batch = run_replicas(spec, params, [50], 4, 0, 0.05)
     lengths = sorted(len(tr.times) for tr in batch)
     assert lengths[0] < lengths[1] == lengths[-1]
     sol = solve_volz(limit_initial(spec, 0.05),

@@ -161,7 +161,8 @@ def test_allocate_edges_and_errors():
 def event_state(mu_S, counts_IS, counts_RS):
     """A state whose infectives hold ``counts_IS`` edges-to-S and whose
     removed hold ``counts_RS``, built by the simulator's own events."""
-    state = PopulationState(mu_S, list(counts_IS) + list(counts_RS))
+    state = PopulationState(mu_S, np.bincount(list(counts_IS) + list(counts_RS),
+                                              minlength=1))
     for c in counts_RS:
         apply_removal(state, c)
     return state

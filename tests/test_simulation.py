@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oracles import (
     ScriptedDraws,
@@ -30,7 +35,7 @@ SMALL_MU_S0 = [0, 0, 2, 1]
 
 def small_state():
     """3 susceptibles (degrees 2,2,3), 2 infectives with 2 and 1 edges-to-S."""
-    return PopulationState(SMALL_MU_S0, [2, 1])
+    return PopulationState(SMALL_MU_S0, [0, 1, 1])
 
 
 def test_state_summaries():
@@ -68,12 +73,20 @@ def test_apply_infection_validates_totals():
     with pytest.raises(StateCorruptionError):
         apply_infection(st, 1, draws)  # no degree-1 susceptible
     with pytest.raises(InfeasibleDrawError):
-        apply_infection(PopulationState([0, 0, 1], [0]), 2, draws)  # no I-S half-edge
+        apply_infection(PopulationState([0, 0, 1], [1]), 2, draws)  # no I-S half-edge
     assert st.row() == small_state().row()  # rejected events change nothing
     check_invariants(st, SMALL_MU_S0)
-    # more I-S than susceptible half-edges: sample_jl refuses the pool
+    # more I-S than susceptible half-edges: the pools are refused before
+    # any draw, so the state is unchanged and no random number is taken
+    over_full = PopulationState([0, 0, 1], [0, 0, 0, 1])
+    scripted = ScriptedDraws(())
     with pytest.raises(InfeasibleDrawError, match="edge pools exhausted"):
-        apply_infection(PopulationState([0, 0, 1], [3]), 2, draws)
+        apply_infection(over_full, 2, scripted)
+    assert scripted.pos == 0
+    assert over_full.row() == (1, 1, 0, 2, 3, 0)
+    assert (over_full.mu_S, over_full.mu_IS, over_full.mu_RS) == (
+        [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0])
+    check_invariants(over_full, [0, 0, 1, 0])
 
 
 def test_apply_removal_moves_edges():
@@ -93,32 +106,80 @@ def test_apply_removal_moves_edges():
 def test_initialize_state_counts():
     spec = DegreeSpec.poisson(5, 30)
     rng = np.random.default_rng(0)
-    degrees = spec.sample(500, rng)
-    st = initialize_state(degrees, 0.02, rng=rng)
+    counts = spec.sample(500, rng)
+    st = initialize_state(counts, 0.02, rng=rng)
     assert st.I == math.ceil(0.02 * 500)
     assert st.S == 500 - st.I
     # every initial infective keeps her full degree as edges-to-S
-    assert st.N_IS + st.N_S == degrees.sum()
+    assert [s + i for s, i in zip(st.mu_S, st.mu_IS)] == counts.tolist()
+    assert st.N_IS + st.N_S == np.arange(31) @ counts
     check_invariants(st, st.mu_S)
 
 
 def test_initialize_state_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        initialize_state([2, 2], 0.0, rng=rng)
+        initialize_state([0, 0, 2], 0.0, rng=rng)
     with pytest.raises(ConfigurationError):
-        initialize_state([2, 2], 0.9, rng=rng)  # no susceptibles left
+        initialize_state([0, 0, 2], 0.9, rng=rng)  # no susceptibles left
     with pytest.raises(ConfigurationError):
         initialize_state([], 0.1, rng=rng)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        initialize_state([0, -1, 3], 0.1, rng=rng)
 
 
 def test_initialize_refuses_more_infective_than_susceptible_half_edges():
     # 2 of 3 individuals infectious: 4 infective half-edges against 2
     with pytest.raises(ConfigurationError, match=r"i0=0\.6 .* 4 half-edges .* only 2"):
-        initialize_state([2, 2, 2], 0.6, rng=np.random.default_rng(0))
+        initialize_state([0, 0, 3], 0.6, rng=np.random.default_rng(0))
     # equal pools pair exactly, and are accepted
-    st = initialize_state([2, 2, 2, 2], 0.5, rng=np.random.default_rng(0))
+    st = initialize_state([0, 0, 4], 0.5, rng=np.random.default_rng(0))
     assert st.N_IS == st.N_S == 4
+
+
+def test_initial_state_exact_law():
+    # n = 6 i.i.d. degrees, 2 w.p. 3/8 and 3 w.p. 5/8, then a uniform pair
+    # of infectives (i0 = 0.3; N_IS <= 6 < 8 <= N_S, so never refused): the
+    # law of (mu_S, mu_IS), enumerated over every degree sequence and every
+    # pair, against draws through sample and initialize_state
+    p = {2: Fraction(3, 8), 3: Fraction(5, 8)}
+    n, pairs = 6, list(itertools.combinations(range(6), 2))
+    law = Counter()
+    for degrees in itertools.product(p, repeat=n):
+        weight = math.prod(p[d] for d in degrees) / len(pairs)
+        for pair in pairs:
+            infected = [degrees[x] for x in pair]
+            susceptible = [d for x, d in enumerate(degrees) if x not in pair]
+            law[(tuple(np.bincount(susceptible, minlength=4).tolist()),
+                 tuple(np.bincount(infected, minlength=4).tolist()))] += weight
+    assert sum(law.values()) == 1
+    spec = DegreeSpec.explicit({2: 3.0, 3: 5.0})
+    rng = np.random.default_rng(20261018)
+    draws = 20_000
+    seen = Counter()
+    for _ in range(draws):
+        st = initialize_state(spec.sample(n, rng), 0.3, rng=rng)
+        seen[(tuple(st.mu_S), tuple(st.mu_IS))] += 1
+    assert set(seen) <= set(law)
+    cells = sorted(law)
+    expected = np.array([float(law[c]) * draws for c in cells])
+    assert len(cells) == 15 and expected.min() > 50  # none too small for the chi-square
+    observed = np.array([seen[c] for c in cells])
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(stat, len(cells) - 1) > 1e-3, stat  # 11.3 at this seed
+
+
+def test_initial_state_memory_is_o_kmax():
+    # 10**8 individuals: a degree sequence alone would take 800 MB
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        st = initialize_state(DegreeSpec.poisson(5, 30).sample(10**8, rng), 0.01, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (st.S, st.I) == (10**8 - 10**6, 10**6)
+    assert peak < 2**20, peak
 
 
 def test_simulate_reproducible():
@@ -139,7 +200,7 @@ def test_simulate_reproducible():
 
 def test_simulate_grid_and_extinction_fill():
     # beta only: the epidemic dies; remaining grid rows repeat the final state
-    st = PopulationState([0, 0, 10], [0, 0, 0])
+    st = PopulationState([0, 0, 10], [3])
     params = SimParams(r=1.0, beta=5.0, t_max=100.0, record_grid=10.0)
     traj = simulate(st, params, rng=np.random.default_rng(1))
     assert traj.terminal == "extinct"
@@ -185,7 +246,7 @@ def test_checked_events_catch_a_dropped_update(monkeypatch, request):
 
 
 def test_snapshots_recorded():
-    st = PopulationState([0, 0, 5], [1, 1])
+    st = PopulationState([0, 0, 5], [0, 2])
     params = SimParams(r=1.0, beta=1.0, t_max=1.0, record_grid=0.5,
                        snapshot_measures=True)
     traj = simulate(st, params, rng=np.random.default_rng(2))
@@ -223,7 +284,7 @@ def record_events(monkeypatch):
     (1, 300, 5.0, 0.5, "t_max"),  # ~520 events between 11 grid rows
     (1, 300, 60.0, 0.05, "extinct"),  # rows after extinction repeat the last state
     (1, 300, 7.3, 0.7, "t_max"),  # last grid time 7.0 < t_max
-    (0, 50, 60.0, 0.05, "depleted"),  # rows stop at the depleting infection
+    (2, 50, 60.0, 0.05, "depleted"),  # rows stop at the depleting infection
 ], ids=["fine-grid", "coarse-grid", "extinction-fill", "t_max-off-grid", "depleted"])
 def test_grid_rows_match_event_log(monkeypatch, seed, n, t_max, grid, terminal):
     rng = np.random.default_rng(seed)
@@ -259,7 +320,7 @@ def test_params_refuse_grid_too_fine_to_store():
 
 
 def test_csv_lines_schema():
-    st = PopulationState([0, 0, 5], [1])
+    st = PopulationState([0, 0, 5], [0, 1])
     traj = simulate(st, SimParams(r=1.0, beta=1.0, t_max=1.0, record_grid=0.5),
                     rng=np.random.default_rng(3))
     lines = list(traj.to_csv_lines())
