@@ -8,6 +8,12 @@ import math
 # fewer individuals
 MAX_POPULATION = 10**9
 
+# rows, t=0 included, that one simulated trajectory or one limit solve may
+# store; at the cap a trajectory's six counts and time take 0.56 GB and a
+# volz solve's 9-float states 0.72 GB, while a measures solve keeps
+# 2*kmax + 3 floats a row
+MAX_GRID_ROWS = 10**7
+
 
 class ConfigurationError(ValueError):
     """Invalid model or run configuration (degenerate degree law, bad i0, ...)."""

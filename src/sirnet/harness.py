@@ -213,11 +213,16 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     is solved or simulated; returns ``(params, init, tau_bar, t_end)``, where
     ``params`` runs the replicas to ``t_end``.
 
-    Besides invalid parameters, refuses a population size that ``i0``
-    leaves without susceptibles, and a comparison window
-    ``[0, min(t_max, tau_bar)]`` that holds fewer than two grid points.
+    Besides invalid parameters, refuses fewer than two replicas per
+    population size, which leave the report's standard error undefined, a
+    population size that ``i0`` leaves without susceptibles, and a
+    comparison window ``[0, min(t_max, tau_bar)]`` that holds fewer than
+    two grid points.
     """
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
+    if reps < 2:
+        raise ConfigurationError(
+            f"reps={reps}: a standard error needs at least 2 replicas per population size")
     _check_batch(n_values, reps, base_seed, workers)
     init = limit_initial(spec, i0)
     for n in n_values:

@@ -11,20 +11,24 @@ Three solvers for the same limit object:
 * :func:`miller_theta` integrates their exact one-equation reduction.
 
 All three take a validated :class:`LimitInit` and :class:`SolverConfig`,
-share one fixed-step classical Runge-Kutta (RK4) path,
-:func:`rk4_integrate`, and return a :class:`Solution`.  An a-priori
-horizon bound for when the per-capita infectious edge count stays above a
-level ``eps`` (:func:`horizon_bound`) rounds out the module.
+share one fixed-step classical Runge-Kutta (RK4) loop,
+:func:`rk4_integrate`, and return a :class:`Solution`.  The loop has two
+arithmetic paths that give the same bits: the low-dimensional volz and
+miller states run in Python floats, the measure system on numpy arrays.
+An a-priori horizon bound for when the per-capita infectious edge count
+stays above a level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from sirnet.errors import (
+    MAX_GRID_ROWS,
     ConfigurationError,
     SolverDiagnosticError,
     check_finite,
@@ -59,9 +63,10 @@ class GeneratingFn:
     additions in the same order, and neither fuses a multiply-add.  A
     scalar ``z`` runs the loop over Python floats, which skips polyval's
     numpy-scalar dispatch, the bulk of the cost of the limit solvers'
-    right-hand sides; an array ``z`` runs it elementwise."""
+    right-hand sides; an array ``z`` runs it elementwise.
+    :meth:`slopes` runs the loops of ``g'`` and ``g''`` as one."""
 
-    __slots__ = ("_horner",)
+    __slots__ = ("_horner", "_pairs")
 
     def __init__(self, weights):
         coef = np.asarray(weights, dtype=float)
@@ -69,6 +74,11 @@ class GeneratingFn:
         d2 = np.arange(1, len(d1)) * d1[1:]
         # polyder leaves the zero polynomial [0.0] where no term survives
         self._horner = tuple(c[::-1].tolist() or [0.0] for c in (coef, d1, d2))
+        h1, h2 = self._horner[1:]
+        # a leading 0.0 pads g'' to the length of g'; from v = 0.0 its step
+        # 0.0*z + 0.0 gives 0.0 at a finite z and NaN at an infinite or NaN z,
+        # as the first step of the unpadded loop then does too
+        self._pairs = tuple(zip(h1, [0.0] * (len(h1) - len(h2)) + h2))
 
     def __call__(self, z, order=0):
         """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
@@ -85,6 +95,15 @@ class GeneratingFn:
         for c in self._horner[order]:
             v = v * z + c
         return v
+
+    def slopes(self, z):
+        """``(g'(z), g''(z))`` at a Python float ``z``, the same bits as
+        ``__call__`` gives for each, from one pass over the coefficients."""
+        v1 = v2 = 0.0
+        for c1, c2 in self._pairs:
+            v1 = v1 * z + c1
+            v2 = v2 * z + c2
+        return v1, v2
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +128,11 @@ class SolverConfig:
         if not self.t_max > 0 or not self.dt > 0:
             raise ConfigurationError("t_max and dt must be positive")
         steps = self.t_max / self.dt
+        if steps + 1 > MAX_GRID_ROWS:  # also when the ratio overflows to inf
+            raise ConfigurationError(
+                f"t_max={self.t_max:g} and dt={self.dt:g} make {steps:.12g} steps; a "
+                f"solve stores at most {MAX_GRID_ROWS} rows, t=0 included"
+            )
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9):
             raise ConfigurationError(
@@ -221,37 +245,75 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     """Classical 4th-order Runge-Kutta with the constant step ``config.dt``
     up to ``config.t_max``.
 
+    Each step evaluates ``rhs`` at ``y``, ``y + (0.5*dt)*k1``,
+    ``y + (0.5*dt)*k2`` and ``y + dt*k3``, moves to
+    ``y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)`` and stamps it
+    ``(step+1)*dt``.  The type of ``y0`` picks one of two arithmetic paths
+    for these sums:
+
+    * a tuple runs them in Python floats, and ``rhs`` takes a list of
+      floats and returns a sequence of them: a step then makes no numpy
+      call, whose per-call overhead is most of the cost of a step on a
+      state of a few floats, and the rows are kept as packed doubles;
+    * anything else runs them on numpy arrays, and ``rhs`` takes and
+      returns an array.
+
+    Both paths make the same IEEE multiplications and additions in the
+    same order, and neither fuses a multiply-add, so the same ``rhs`` gives
+    the same bits on either.
+
     A step that leaves the state non-finite raises
     :class:`SolverDiagnosticError`; ``repair(y)`` then checks or repairs
-    the state in place.  ``n_IS(y)`` reads the per-capita infectious edge
-    count off the state: the run ends ``extinct`` once it falls below
-    ``config.eps_IS``, and never early when ``eps_IS`` is 0 or there is no
-    read-out.  Returns ``(times, states, terminal)``.
+    the state in place, on the array path only.  ``n_IS(y)`` reads the
+    per-capita infectious edge count off the state: the run ends
+    ``extinct`` once it falls below ``config.eps_IS``, and never early when
+    ``eps_IS`` is 0 or there is no read-out.  Returns
+    ``(times, states, terminal)``.
     """
     dt = config.dt
     stop_below = config.eps_IS if n_IS is not None else 0.0
-    y = np.array(y0, dtype=float)
-    ys = [y.copy()]
-    ts = [0.0]
+    floats = isinstance(y0, tuple)
+    if floats:
+        h, w = 0.5 * dt, dt / 6.0
+        y = [float(v) for v in y0]
+        rows = array("d", y)
+    else:
+        y = np.array(y0, dtype=float)
+        ys = [y.copy()]
+    terminal = "t_max"
     for step in range(config.n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (step + 1) * dt
-        if not np.isfinite(y).all():
+        if floats:
+            k1 = rhs(y)
+            k2 = rhs([a + h * b for a, b in zip(y, k1)])
+            k3 = rhs([a + h * b for a, b in zip(y, k2)])
+            k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+            y = [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            finite = all(map(math.isfinite, y))
+        else:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            finite = np.isfinite(y).all()
+        if not finite:
             raise SolverDiagnosticError(
-                f"state became non-finite at t={t:.6g}; dt={dt:g} is too large "
-                "for these rates"
+                f"state became non-finite at t={(step + 1) * dt:.6g}; dt={dt:g} is "
+                "too large for these rates"
             )
-        if repair is not None:
-            repair(y)
-        ts.append(t)
-        ys.append(y.copy())
+        if floats:
+            rows.fromlist(y)
+        else:
+            if repair is not None:
+                repair(y)
+            ys.append(y.copy())
         if stop_below > 0 and n_IS(y) < stop_below:
-            return np.asarray(ts), np.asarray(ys), "extinct"
-    return np.asarray(ts), np.asarray(ys), "t_max"
+            terminal = "extinct"
+            break
+    states = np.frombuffer(rows).reshape(-1, len(y)) if floats else np.asarray(ys)
+    # i * dt is the time (step+1)*dt gave row i, bit for bit
+    return np.arange(len(states)) * dt, states, terminal
 
 
 class Solution:
@@ -303,12 +365,13 @@ def volz_rhs(y, r, beta, gf):
     own equations even though each equals an algebraic function of
     ``(theta, pI, pR)``; integrating them independently lets
     :func:`edge_identities` measure the solver's internal consistency.
+    ``y`` is a sequence of floats and the derivative a tuple of them, as
+    :func:`rk4_integrate`'s float path runs it.
     """
-    theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y.tolist()
-    g1 = gf(theta, order=1)
-    g2 = gf(theta, order=2)
+    theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
+    g1, g2 = gf.slopes(theta)
     ratio = theta * g2 / g1 if g1 > DENOM_FLOOR else 0.0
-    return np.array((
+    return (
         -r * pI * theta,
         r * pI * theta * g1 - beta * I,
         beta * I,
@@ -318,7 +381,7 @@ def volz_rhs(y, r, beta, gf):
         r * pI * ((pS - pI) * theta * theta * g2 - theta * g1) - beta * N_IS,
         beta * N_IS - r * pR * pI * theta * theta * g2,
         -r * theta * pI * (g1 + theta * g2),
-    ))
+    )
 
 
 def solve_volz(init, config):
@@ -335,7 +398,7 @@ def solve_volz(init, config):
     """
     gf = GeneratingFn(init.mu_S0)
     pI0 = init.pI0
-    y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
+    y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
     r, beta = config.r, config.beta
     ts, ys, terminal = rk4_integrate(
         lambda y: volz_rhs(y, r, beta, gf), y0, config, n_IS=lambda y: y[6],
@@ -638,13 +701,13 @@ def miller_theta(init, config):
     total = init.S0 + init.I0
 
     def rhs(y):
-        theta, R = y.tolist()
-        return np.array([
+        theta, R = y
+        return (
             -r * theta + beta * (1.0 - theta) + r * pS0 * gf(theta, order=1) / g1,
             beta * (total - gf(theta) - R),
-        ])
+        )
 
-    ts, ys, terminal = rk4_integrate(rhs, [1.0, 0.0], config)
+    ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0), config)
     theta = ys[:, 0]
     S = gf(theta)
     R = ys[:, 1]

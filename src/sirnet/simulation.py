@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sirnet.errors import (
+    MAX_GRID_ROWS,
     ConfigurationError,
     InfeasibleDrawError,
     StateCorruptionError,
@@ -57,7 +58,6 @@ INFINITE_TIME = math.inf
 
 BLOCK = 1024  # values drawn from the generator per numpy call
 _WORD = 1 << 63  # integer draws reduce uniform 63-bit words
-MAX_GRID_ROWS = 10**7  # rows, t=0 included, that one trajectory may record
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,26 @@ def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    _with(VOLZ, "--t-max", "1e7") + ["--eps-is", "0"],
+    _with(MILLER, "--t-max", "1e7"),
+], ids=["volz", "miller"])
+def test_solve_too_many_steps_to_store_exits_2(tmp_path, capsys, monkeypatch, args):
+    # refused by the dry run, so no solve of 1e10 steps starts
+    import sirnet.cli
+
+    def forbidden(*_, **__):
+        raise AssertionError("solved a run that should be refused")
+
+    for name in ("solve_volz", "miller_theta"):
+        monkeypatch.setattr(sirnet.cli, name, forbidden)
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--dry-run", "--out", str(out)], capsys)
+    assert code == 2
+    assert "t_max=1e+07 and dt=0.001 make 10000000000 steps" in err
+    assert not out.exists()
+
+
 COARSE_VOLZ = ["solve", "volz", "--degree", "powerlaw:2.5:1:300", "--r", "1",
                "--beta", "0.5", "--i0", "0.01", "--t-max", "60", "--eps-is", "0"]
 COARSE_MILLER = ["solve", "miller", "--degree", "poisson:5:30", "--r", "1",
@@ -498,7 +518,8 @@ def test_converge_refuses_empty_window(tmp_path, capsys, monkeypatch, extra, fie
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--reps", "0"], ["--workers", "-3"], ["--n", "1"]])
+@pytest.mark.parametrize("extra", [["--reps", "0"], ["--workers", "-3"], ["--n", "1"],
+                                   ["--reps", "1"]])
 def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
     code, _, err = run(_with(CONVERGE, *extra)
                        + ["--i0", "0.01", "--grid", "0.0001", "--dry-run",
@@ -524,8 +545,12 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
     (_with(SIM, "--n", str(10**9)), POPULATION_BOUND),
     (CONVERGE + ["--n", f"200,{10**9}", "--i0", "0.01", "--grid", "0.0001"],
      POPULATION_BOUND),
+    # one replica per size has no standard error to report
+    (_with(CONVERGE, "--reps", "1") + ["--i0", "0.01", "--grid", "0.0001"],
+     "reps=1: a standard error needs at least 2 replicas per population size"),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
-        "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large"])
+        "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
+        "converge-reps-1"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError, SolverDiagnosticError
+from sirnet.errors import MAX_GRID_ROWS, ConfigurationError, SolverDiagnosticError
 from sirnet.limit import (
     GeneratingFn,
     LimitInit,
@@ -109,19 +110,60 @@ def test_generating_fn_is_polyval_bit_for_bit(weights, z, order, as_numpy):
     assert np.array_equal(g(zs, order=order), P.polyval(zs, coef))
 
 
-@pytest.mark.parametrize("degree,t_max,dt", [
-    ("poisson:5:30", 1.0, 1e-3),
-    ("powerlaw:2.5:1:300", 0.5, 1e-3),
-    ("powerlaw:2.5:1:300", 10.0, 0.05),
+@given(
+    weights=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=301),
+    z=st.one_of(st.sampled_from([0.0, 1.0, -0.5, math.inf, -math.inf, math.nan]),
+                st.floats(min_value=-2.0, max_value=2.0)),
+)
+def test_generating_fn_slopes_equal_calls(weights, z):
+    # the one pass over g' and g'' gives the bits of one pass each
+    g = GeneratingFn(weights)
+    got = g.slopes(z)
+    assert [v.hex() for v in got] == [g(z, order=1).hex(), g(z, order=2).hex()]
+
+
+@pytest.mark.parametrize("degree,t_max,dt,eps_IS", [
+    pytest.param("poisson:5:30", 1.0, 1e-3, 0.0, id="poisson:5:30-1.0-0.001"),
+    pytest.param("powerlaw:2.5:1:300", 0.5, 1e-3, 0.0, id="powerlaw:2.5:1:300-0.5-0.001"),
+    pytest.param("powerlaw:2.5:1:300", 10.0, 0.05, 0.0, id="powerlaw:2.5:1:300-10.0-0.05"),
+    # the default eps_IS ends this run extinct near t=10.7
+    pytest.param("poisson:5:30", 20.0, 1e-3, 1e-6, id="poisson:5:30-20.0-0.001-extinct"),
 ])
-def test_volz_states_equal_polyval_reference(degree, t_max, dt):
-    # the scalar Horner path changes no bit of the integrated states
+def test_volz_states_equal_polyval_reference(degree, t_max, dt, eps_IS):
+    # the float path and the scalar Horner loop change no bit of the
+    # integrated states against polyval on rk4's array path
     init = limit_initial(DegreeSpec.from_string(degree), 0.01)
-    cfg = SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=0.0)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=eps_IS)
     pI0 = init.pI0
     y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
-    _, want, _ = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg)
-    assert np.array_equal(solve_volz(init, cfg).states, want)
+    ts, want, terminal = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg,
+                                       n_IS=lambda y: y[6])
+    sol = solve_volz(init, cfg)
+    assert np.array_equal(sol.states, want)
+    assert np.array_equal(sol.t, ts)
+    assert sol.terminal == terminal == ("extinct" if eps_IS else "t_max")
+
+
+@pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:300"])
+def test_miller_states_equal_array_path(degree):
+    # miller's float path gives the bits of its formula on rk4's array path
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    r, beta = 1.0, 0.5
+    cfg = SolverConfig(r=r, beta=beta, t_max=10.0, dt=1e-2)
+    gf = GeneratingFn(init.mu_S0)
+    pS0, g1, total = 1.0 - init.pI0, gf(1.0, order=1), init.S0 + init.I0
+
+    def rhs(y):
+        theta, R = y.tolist()
+        return np.array([
+            -r * theta + beta * (1.0 - theta) + r * pS0 * gf(theta, order=1) / g1,
+            beta * (total - gf(theta) - R),
+        ])
+
+    ts, want, _ = rk4_integrate(rhs, [1.0, 0.0], cfg)
+    sol = miller_theta(init, cfg)
+    assert np.array_equal(sol.t, ts)
+    assert np.array_equal(np.column_stack([sol.theta, sol.R]), want)
 
 
 def test_initial_data_mappings():
@@ -153,6 +195,14 @@ def test_rk4_non_finite_state_names_dt():
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=0.25)
     with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.25; dt=0\.25"):
         rk4_integrate(lambda y: np.full_like(y, np.inf), [1.0, 0.0], cfg)
+
+
+def test_rk4_float_path_non_finite_state_names_dt():
+    # a tuple state runs the float path, whose guard also catches an
+    # overflow of finite values
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=0.25)
+    with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.25; dt=0\.25"):
+        rk4_integrate(lambda y: (1e308, 0.0), (1.0, 0.0), cfg)
 
 
 def test_measures_coarse_dt_names_dt():
@@ -340,3 +390,14 @@ def test_solver_config_validation():
         SolverConfig(r=-1.0, beta=0.5, t_max=1.0)
     with pytest.raises(ConfigurationError, match="eps_IS must be finite"):
         SolverConfig(r=1.0, beta=0.5, t_max=1.0, eps_IS=float("nan"))
+
+
+def test_solver_config_refuses_too_many_rows():
+    # one stored row per step, t=0 included, at most MAX_GRID_ROWS of them
+    assert SolverConfig(r=1.0, beta=0.5, t_max=MAX_GRID_ROWS - 1.0, dt=1.0).n_steps \
+        == MAX_GRID_ROWS - 1
+    for t_max, dt, steps in ((MAX_GRID_ROWS, 1.0, "10000000"), (1e7, 1e-3, "10000000000"),
+                             (1e300, 1e-300, "inf")):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"t_max={t_max:g} and dt={dt:g} make {steps} steps")):
+            SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt)
