@@ -48,7 +48,6 @@ from sirnet.simulation import (
     Trajectory,
     initialize_state,
     simulate,
-    stopping_time,
 )
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
     "StateCorruptionError",
     "DegreeSpec",
     "PopulationState", "SimParams", "Trajectory", "initialize_state",
-    "simulate", "stopping_time",
+    "simulate",
     "GeneratingFn", "LimitInit", "SolverConfig", "VolzSolution",
     "MeasureSolution", "solve_volz", "solve_measures", "edge_identities",
     "miller_theta", "horizon_bound", "limit_initial", "limit_initial_from_pI0",

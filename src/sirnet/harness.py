@@ -5,7 +5,9 @@ trajectories by 1/n, and measures their sup-distance on a common grid to the
 deterministic limit.  The comparison is restricted to the horizon
 ``min(t_max, tau_bar(eps_prime))`` within which the per-capita count of
 infectious-to-susceptible edges provably stays above ``eps_prime`` in the
-limit; beyond it the limit approximation carries no guarantee.
+limit; beyond it the limit approximation carries no guarantee.  The
+report also counts the replicas whose own per-capita ``N_IS`` stays at or
+above ``eps_prime`` at every grid time before ``tau_bar``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ import numpy as np
 
 from sirnet.errors import ConfigurationError, check_nonnegative
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
-from sirnet.simulation import (
-    SimParams,
-    initial_infective_count,
-    initialize_state,
-    simulate,
-    stopping_time,
-)
+from sirnet.simulation import SimParams, initial_infective_count, initialize_state, simulate
 
 REPORT_COLUMNS = ("n", "reps", "col", "mean_sup_dist", "stderr", "frac_tau_ge_bound")
 COMPARED = ("S", "I", "R", "N_S", "N_IS", "N_RS")
@@ -33,18 +29,19 @@ COMPARED = ("S", "I", "R", "N_S", "N_IS", "N_RS")
 
 @dataclass
 class ScaledTrajectory:
-    """A simulated trajectory with all counts divided by the population size."""
+    """One replica: its grid times, its six ``COMPARED`` counts divided by
+    the population size (one row each, so ``column(name)`` is a row), its
+    terminal reason and the words of its seed."""
 
     n: int
     rep: int
     seed_words: tuple
     times: np.ndarray
-    columns: dict  # name -> per-capita array on the grid
-    tau_eps: float  # first grid time with N_IS/n < eps_prime
+    values: np.ndarray  # (6, T): the COMPARED columns, per capita, on the grid
     terminal: str
 
     def column(self, name):
-        return self.columns[name]
+        return self.values[COMPARED.index(name)]
 
 
 def replica_seed(base_seed, n, rep):
@@ -53,23 +50,15 @@ def replica_seed(base_seed, n, rep):
 
 
 def _run_one(args):
-    spec, params, n, rep, base_seed, i0, eps_prime = args
+    spec, params, n, rep, base_seed, i0 = args
     ss = replica_seed(base_seed, n, rep)
     rng = np.random.Generator(np.random.PCG64(ss))
     state = initialize_state(spec.sample(n, rng), i0, rng=rng)
     traj = simulate(state, params, rng=rng)
-    tau = stopping_time(traj, eps_prime, n)
-    columns = {
-        "S": traj.S / n,
-        "I": traj.I / n,
-        "R": traj.R / n,
-        "N_S": traj.N_S / n,
-        "N_IS": traj.N_IS / n,
-        "N_RS": traj.N_RS / n,
-    }
     return ScaledTrajectory(
         n=n, rep=rep, seed_words=tuple(ss.generate_state(4).tolist()),
-        times=traj.times, columns=columns, tau_eps=tau, terminal=traj.terminal,
+        times=traj.times, values=np.stack([traj.column(c) for c in COMPARED]) / n,
+        terminal=traj.terminal,
     )
 
 
@@ -92,8 +81,7 @@ def _run_many(jobs):
     return [_run_one(job) for job in jobs]
 
 
-def run_replicas(spec, params, n_values, reps, base_seed, i0,
-                 eps_prime=0.01, workers=None):
+def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     """``reps`` independent scaled simulations for every n in ``n_values``.
 
     Each replica draws its own degree counts, infects a uniform ``i0``
@@ -101,7 +89,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0,
     models), and runs on a private RNG stream derived from
     ``(base_seed, n, rep)``, so outputs
     are reproducible and independent of worker scheduling.  Returns a flat
-    list ordered by (n, rep).
+    list of :class:`ScaledTrajectory` ordered by (n, rep).
 
     ``workers`` processes share the replicas, the calling one included:
     with ``w = min(workers, replicas)``, share ``s`` is every ``w``-th job
@@ -111,7 +99,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0,
     """
     _check_batch(n_values, reps, base_seed, workers)
     jobs = [
-        (spec, params, int(n), rep, base_seed, i0, eps_prime)
+        (spec, params, int(n), rep, base_seed, i0)
         for n in n_values
         for rep in range(reps)
     ]
@@ -140,7 +128,8 @@ def sup_distance(times_a, values_a, times_b, values_b, t_end):
         raise ConfigurationError("t_end precedes the first grid point")
     ta = times_a[keep]
     idx = np.searchsorted(times_b, ta - 1e-9)
-    if idx.max(initial=0) >= len(times_b) or not np.allclose(times_b[idx], ta, atol=1e-9):
+    if (idx.max(initial=0) >= len(times_b)
+            or not (np.abs(times_b[idx] - ta) <= 1e-9 + 1e-5 * np.abs(ta)).all()):
         raise ConfigurationError("trajectory grids do not match")
     sup = np.abs(values_a[..., keep] - values_b[..., idx]).max(axis=-1)
     return float(sup) if sup.ndim == 0 else sup
@@ -175,8 +164,10 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     ``limit_sol`` must be solved on a grid covering the simulation grid.
     Per (n, column): the mean and standard error of the sup-distance on
     ``[0, min(t_max, tau_bar)]``, plus the fraction of replicas whose
-    empirical exit time ``tau^n`` is at least ``tau_bar``.  Pure function:
-    identical inputs give identical rows.
+    exit time ``tau^n`` is at least ``tau_bar``; ``tau^n`` is the first
+    grid time at which the replica's per-capita ``N_IS`` is below
+    ``eps_prime``, and ``inf`` if there is none.  Pure function: identical
+    inputs give identical rows.
     """
     t_end = min(t_max, tau_bar)
     by_n = {}
@@ -186,12 +177,13 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     rows = []
     for n in sorted(by_n):
         group = sorted(by_n[n], key=lambda tr: tr.rep)
-        frac = float(np.mean([tr.tau_eps >= tau_bar for tr in group]))
-        sups = np.array([
-            sup_distance(tr.times, np.stack([tr.column(col) for col in COMPARED]),
-                         limit_sol.t, limit, t_end)
-            for tr in group
-        ])
+        taus = []
+        for tr in group:
+            below = np.flatnonzero(tr.column("N_IS") < eps_prime)
+            taus.append(tr.times[below[0]] if len(below) else math.inf)
+        frac = float(np.mean([tau >= tau_bar for tau in taus]))
+        sups = np.array([sup_distance(tr.times, tr.values, limit_sol.t, limit, t_end)
+                         for tr in group])
         # each column's distances contiguous, as the mean and std saw them per column
         for col, dists in zip(COMPARED, sups.T.copy()):
             rows.append({
@@ -258,12 +250,10 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
     )
     # the solver grid must contain every simulation grid point
     dt = grid / max(int(np.ceil(grid / 1e-3)), 1)
-    t_last = math.floor(t_end / grid + 1e-9) * grid
+    t_last = params.grid_steps * grid
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_last, dt=dt, eps_IS=0.0))
-    trajectories = run_replicas(
-        spec, params, n_values, reps, base_seed, i0,
-        eps_prime=eps_prime, workers=workers,
-    )
+    trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0,
+                                workers=workers)
     report = convergence_report(trajectories, sol, eps_prime, tau_bar, t_max)
     report.manifest = {
         "degree": spec.describe(),

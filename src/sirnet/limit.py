@@ -733,7 +733,8 @@ def horizon_bound(init, r, beta, eps_prime):
     if eps_prime <= 0:
         raise ConfigurationError("eps_prime must be positive")
     if max(r, beta) <= 0:
-        raise ConfigurationError("at least one rate must be positive")
+        raise ConfigurationError(
+            f"r={r:g} and beta={beta:g}: at least one rate must be positive")
     k = np.arange(len(init.mu_S0))
     m2 = float((k ** 2) @ init.mu_S0)
     return (math.log(m2 + init.N_IS0) - math.log(m2 + eps_prime)) / max(r, beta)

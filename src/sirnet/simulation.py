@@ -54,8 +54,6 @@ from sirnet.errors import (
     check_population,
 )
 
-INFINITE_TIME = math.inf
-
 BLOCK = 1024  # values drawn from the generator per numpy call
 _WORD = 1 << 63  # integer draws reduce uniform 63-bit words
 
@@ -404,8 +402,10 @@ def simulate(state, params, rng):
 
     The row at grid time ``g`` is the state after every event at a time
     ``t`` with ``g > t + 1e-12``: the last event before ``g``, an event
-    within ``1e-12`` of ``g`` counting as after it.  After extinction the
-    state is constant, so the remaining grid rows repeat it.  If an
+    within ``1e-12`` of ``g`` counting as after it.  Once the total event
+    rate is 0 the state is constant, so the remaining grid rows repeat it;
+    the terminal reason is then ``extinct`` if no I-S edge is left, and
+    ``t_max`` otherwise (both rates 0).  If an
     infection exhausts the susceptible half-edge pools (see
     :meth:`PopulationState.feasible`) recording stops there with terminal
     reason ``depleted``.  Every random number comes from ``rng``:
@@ -440,8 +440,8 @@ def simulate(state, params, rng):
 
     while True:
         rate = r * state.N_IS + beta * state.I
-        if rate <= 0.0:
-            terminal = "extinct"
+        if rate <= 0.0:  # no event can follow; extinct once no I-S edge is left
+            terminal = "extinct" if state.N_IS == 0 else "t_max"
             emit_until(t_max)
             break
         t_new = state.t + draws.exponential() / rate
@@ -482,12 +482,3 @@ def simulate(state, params, rng):
         n_infections=n_inf,
         n_removals=n_rem,
     )
-
-
-def stopping_time(traj, eps, n):
-    """First recorded time with ``N_IS / n < eps``; ``inf`` if never."""
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    below = traj.N_IS / n < eps
-    idx = np.flatnonzero(below)
-    return float(traj.times[idx[0]]) if len(idx) else INFINITE_TIME

@@ -14,7 +14,7 @@ from its level vectors; :func:`grid_rows_from_events` re-derives the grid
 rows of a run from its event log, and :func:`trajectory_csv_lines` formats
 a trajectory one row at a time.  :func:`convergence_rows_reference` builds
 a convergence report's rows one scalar sup-distance per replica and
-column."""
+column, and each replica's exit time by a plain loop over its rows."""
 
 import bisect
 import itertools
@@ -75,16 +75,27 @@ def trajectory_csv_lines(traj):
         )
 
 
-def convergence_rows_reference(trajectories, limit_sol, tau_bar, t_end):
+def exit_time(times, n_IS, eps_prime):
+    """The first grid time whose per-capita ``N_IS`` is below ``eps_prime``;
+    ``inf`` if there is none."""
+    for t, value in zip(times, n_IS):
+        if value < eps_prime:
+            return float(t)
+    return math.inf
+
+
+def convergence_rows_reference(trajectories, limit_sol, eps_prime, tau_bar, t_end):
     """The rows of :func:`sirnet.harness.convergence_report`, built per
-    (n, column) from one scalar :func:`sup_distance` per replica."""
+    (n, column) from one scalar :func:`sup_distance` per replica, with
+    each replica's exit time from :func:`exit_time`."""
     by_n = {}
     for traj in trajectories:
         by_n.setdefault(traj.n, []).append(traj)
     rows = []
     for n in sorted(by_n):
         group = sorted(by_n[n], key=lambda tr: tr.rep)
-        frac = float(np.mean([tr.tau_eps >= tau_bar for tr in group]))
+        frac = float(np.mean([exit_time(tr.times, tr.column("N_IS"), eps_prime) >= tau_bar
+                              for tr in group]))
         for col in COMPARED:
             dists = np.array([
                 sup_distance(tr.times, tr.column(col),

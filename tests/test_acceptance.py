@@ -280,8 +280,8 @@ def _desk_study():
     t_max = math.ceil(tau_bar / grid + 1) * grid
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
     params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
-    small = run_replicas(spec, params, [1000], 200, 7, i0, eps_prime=eps_prime)
-    large = run_replicas(spec, params, [10000], 100, 7, i0, eps_prime=eps_prime)
+    small = run_replicas(spec, params, [1000], 200, 7, i0)
+    large = run_replicas(spec, params, [10000], 100, 7, i0)
     _study_cache.update(
         tau_bar=tau_bar, t_max=t_max, sol=sol, small=small, large=large,
         eps_prime=eps_prime)
@@ -302,7 +302,8 @@ def test_criterion_7_scaled_convergence():
 
 def test_criterion_8_horizon_bound_holds():
     s = _desk_study()
-    frac = float(np.mean([tr.tau_eps >= s["tau_bar"] for tr in s["large"]]))
+    rep = convergence_report(s["large"], s["sol"], s["eps_prime"], s["tau_bar"], s["t_max"])
+    frac = rep.row(10000, "N_IS")["frac_tau_ge_bound"]
     ok = frac >= 0.99
     report(8, ok, f"tau^n_eps >= tau_bar in {frac:.0%} of 100 runs at n=1e4 "
                   f"(need >= 99%)")

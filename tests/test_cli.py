@@ -548,9 +548,12 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
     # one replica per size has no standard error to report
     (_with(CONVERGE, "--reps", "1") + ["--i0", "0.01", "--grid", "0.0001"],
      "reps=1: a standard error needs at least 2 replicas per population size"),
+    # no rate, no horizon: the refusal names both rates
+    (_with(_with(CONVERGE, "--r", "0"), "--beta", "0") + ["--i0", "0.01", "--grid", "0.0001"],
+     "r=0 and beta=0: at least one rate must be positive"),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
-        "converge-reps-1"])
+        "converge-reps-1", "converge-zero-rates"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

@@ -10,6 +10,7 @@ from sirnet.errors import ConfigurationError
 from sirnet.harness import (
     COMPARED,
     ConvergenceReport,
+    ScaledTrajectory,
     convergence_report,
     manifest_json,
     run_convergence_study,
@@ -46,6 +47,11 @@ def test_sup_distance_grid_mismatch():
         sup_distance(ta, np.zeros(2), tb, np.zeros(3), 0.2)
     with pytest.raises(ConfigurationError):
         sup_distance(tb, np.zeros(3), tb, np.zeros(3), -1.0)
+    # the match tolerance is 1e-9 + 1e-5 * t: 1e-5 off at t=1 is inside, 2e-5 is not
+    tb = np.array([0.0, 1.0, 2.0])
+    assert sup_distance(np.array([0.0, 1.0 - 1e-5]), np.zeros(2), tb, np.ones(3), 1.0) == 1.0
+    with pytest.raises(ConfigurationError, match="grids do not match"):
+        sup_distance(np.array([0.0, 1.0 - 2e-5]), np.zeros(2), tb, np.ones(3), 1.0)
 
 
 def test_sup_distance_stacked_rows():
@@ -76,8 +82,9 @@ def test_run_replicas_shape_and_tagging():
     assert sorted({tr.n for tr in out}) == [200, 400]
     assert sorted(tr.rep for tr in out if tr.n == 200) == [0, 1, 2, 3]
     for tr in out:
-        assert 0.0 <= tr.columns["S"][0] <= 1.0
-        assert tr.columns["I"][0] == pytest.approx(np.ceil(0.02 * tr.n) / tr.n)
+        assert tr.values.shape == (len(COMPARED), len(tr.times))
+        assert 0.0 <= tr.column("S")[0] <= 1.0
+        assert tr.column("I")[0] == pytest.approx(np.ceil(0.02 * tr.n) / tr.n)
 
 
 def test_run_replicas_reproducible():
@@ -85,8 +92,7 @@ def test_run_replicas_reproducible():
     b = small_batch()
     for x, y in zip(a, b):
         assert x.seed_words == y.seed_words
-        for col in x.columns:
-            np.testing.assert_array_equal(x.columns[col], y.columns[col])
+        np.testing.assert_array_equal(x.values, y.values)
 
 
 def _same_bits(a, b):
@@ -103,9 +109,8 @@ def test_run_replicas_workers_match_serial(workers):
     assert [(y.n, y.rep) for y in parallel] == [(x.n, x.rep) for x in serial]
     for x, y in zip(serial, parallel):
         assert _same_bits(x.times, y.times)
-        for col in COMPARED:
-            assert _same_bits(x.columns[col], y.columns[col])
-        assert (x.tau_eps, x.terminal, x.seed_words) == (y.tau_eps, y.terminal, y.seed_words)
+        assert _same_bits(x.values, y.values)
+        assert (x.terminal, x.seed_words) == (y.terminal, y.seed_words)
 
 
 @pytest.mark.parametrize("workers, reps, pool_sizes", [(64, 3, [2]), (8, 1, [])])
@@ -161,17 +166,14 @@ class _FakeLimit:
         return self._v
 
 
-class _FakeTraj:
-    def __init__(self, n, rep, times, offset, tau):
-        self.n = n
-        self.rep = rep
-        self.times = times
-        self.columns = {c: np.full(len(times), 0.5 + offset)
-                        for c in ("S", "I", "R", "N_S", "N_IS", "N_RS")}
-        self.tau_eps = tau
-
-    def column(self, name):
-        return self.columns[name]
+def _fake_traj(n, rep, times, offset, n_IS=None):
+    """A replica at ``0.5 + offset`` in every column, with ``n_IS`` as its
+    ``N_IS`` row when given."""
+    values = np.full((len(COMPARED), len(times)), 0.5 + offset)
+    if n_IS is not None:
+        values[COMPARED.index("N_IS")] = n_IS
+    return ScaledTrajectory(n=n, rep=rep, seed_words=(), times=times, values=values,
+                            terminal="t_max")
 
 
 def test_convergence_report_zero_when_equal():
@@ -179,7 +181,7 @@ def test_convergence_report_zero_when_equal():
     # round-off of their float mean (10 replicas at 0.3 gave 1.85e-17)
     t = np.arange(5) * 0.1
     for reps, offset in ((3, 0.0), (10, 0.3)):
-        trajs = [_FakeTraj(100, rep, t, offset, np.inf) for rep in range(reps)]
+        trajs = [_fake_traj(100, rep, t, offset) for rep in range(reps)]
         rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
         for row in rep.rows:
             assert row["mean_sup_dist"] == pytest.approx(offset, abs=0.0)
@@ -197,18 +199,30 @@ def test_convergence_report_synthetic_sqrt_n_scaling():
     for n in (100, 10_000):
         for rep in range(40):
             amp = base[rep] / np.sqrt(n)
-            trajs.append(_FakeTraj(n, rep, t, amp, np.inf))
+            trajs.append(_fake_traj(n, rep, t, amp))
     rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=1.0, t_max=0.4)
     m100 = rep.row(100, "I")["mean_sup_dist"]
     m10k = rep.row(10_000, "I")["mean_sup_dist"]
     assert m100 / m10k == pytest.approx(10.0, rel=1e-9)
 
 
-def test_convergence_report_fraction_counts_tau():
+def _crossing_trajs():
+    # at eps_prime=0.01 and tau_bar=0.2: N_IS falls below eps_prime at t=0.1
+    # (before tau_bar), at t=0.2 (exactly tau_bar, which counts) and never
+    # (equal to eps_prime is not below it)
     t = np.arange(3) * 0.1
-    trajs = [_FakeTraj(50, 0, t, 0.0, 0.05), _FakeTraj(50, 1, t, 0.0, 10.0)]
+    rows = ([0.5, 0.005, 0.0], [0.5, 0.02, 0.005], [0.5, 0.01, 0.01])
+    return [_fake_traj(50, rep, t, 0.0, row) for rep, row in enumerate(rows)], t
+
+
+def test_convergence_report_fraction_counts_tau():
+    trajs, t = _crossing_trajs()
     rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.2, t_max=0.2)
-    assert rep.row(50, "S")["frac_tau_ge_bound"] == 0.5
+    for col in COMPARED:
+        assert rep.row(50, col)["frac_tau_ge_bound"] == 2 / 3
+    # every replica crosses before tau_bar=0.25 bar the one that never does
+    rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.25, t_max=0.2)
+    assert rep.row(50, "S")["frac_tau_ge_bound"] == 1 / 3
 
 
 def _real_batch():
@@ -232,20 +246,19 @@ def _shorter_replica_batch():
 
 def _fake_equal():
     t = np.arange(5) * 0.1
-    return [_FakeTraj(100, rep, t, 0.3, np.inf) for rep in range(10)], _FakeLimit(t), 0.3, 0.4
+    return [_fake_traj(100, rep, t, 0.3) for rep in range(10)], _FakeLimit(t), 0.3, 0.4
 
 
 def _fake_noise():
     t = np.arange(5) * 0.1
     base = np.abs(np.random.default_rng(0).normal(size=40))
-    trajs = [_FakeTraj(n, rep, t, base[rep] / np.sqrt(n), np.inf)
+    trajs = [_fake_traj(n, rep, t, base[rep] / np.sqrt(n))
              for n in (100, 10_000) for rep in range(40)]
     return trajs, _FakeLimit(t), 1.0, 0.4
 
 
 def _fake_tau():
-    t = np.arange(3) * 0.1
-    trajs = [_FakeTraj(50, 0, t, 0.0, 0.05), _FakeTraj(50, 1, t, 0.0, 10.0)]
+    trajs, t = _crossing_trajs()
     return trajs, _FakeLimit(t), 0.2, 0.2
 
 
@@ -256,8 +269,8 @@ def _fake_tau():
 def test_convergence_report_rows_equal_reference(case):
     trajectories, limit_sol, tau_bar, t_max = case()
     report = convergence_report(trajectories, limit_sol, 0.01, tau_bar, t_max)
-    assert report.rows == convergence_rows_reference(trajectories, limit_sol, tau_bar,
-                                                     min(t_max, tau_bar))
+    assert report.rows == convergence_rows_reference(trajectories, limit_sol, 0.01,
+                                                     tau_bar, min(t_max, tau_bar))
 
 
 def test_report_csv_deterministic_bytes():
@@ -294,7 +307,7 @@ def test_study_report_equals_full_horizon_report():
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     assert grid < study.t_end == tau_bar < t_max / 10
     full = run_replicas(spec, SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid),
-                        [200, 500], 4, 3, i0, eps_prime=eps_prime)
+                        [200, 500], 4, 3, i0)
     assert full[0].times[-1] == pytest.approx(t_max)
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
     expected = convergence_report(full, sol, eps_prime, tau_bar, t_max)

@@ -26,7 +26,6 @@ from sirnet.simulation import (
     apply_removal,
     initialize_state,
     simulate,
-    stopping_time,
 )
 
 
@@ -210,6 +209,23 @@ def test_simulate_grid_and_extinction_fill():
     assert traj.S[-1] == 10  # nobody to infect through 0 edges
 
 
+@pytest.mark.parametrize("r, beta, mu_IS, terminal", [
+    (0.0, 0.0, [0, 2], "t_max"),  # no event can happen, yet 2 I-S edges are left
+    (1.0, 0.0, [3], "extinct"),  # infectives left, but none with an I-S edge
+    (0.0, 0.0, [3], "extinct"),
+])
+def test_simulate_zero_rate_terminal(r, beta, mu_IS, terminal):
+    # a zero total rate ends the run at once; it is extinct only without I-S edges
+    st = PopulationState([0, 0, 10], mu_IS)
+    first = st.row()
+    traj = simulate(st, SimParams(r=r, beta=beta, t_max=1.0, record_grid=0.25),
+                    rng=np.random.default_rng(1))
+    assert traj.terminal == terminal
+    assert len(traj.times) == 5 and traj.n_infections == traj.n_removals == 0
+    table = np.column_stack([traj.column(c) for c in traj.COLUMNS[1:]])
+    assert (table == first).all()  # every grid row repeats the initial state
+
+
 def geometric_run(n):
     """A seeded epidemic on ``n`` nodes of geometric degree, to t=5."""
     rng = np.random.default_rng(8)
@@ -329,16 +345,3 @@ def test_csv_lines_schema():
     assert lines == list(trajectory_csv_lines(traj))
     empty = np.array([], dtype=np.int64)
     assert list(Trajectory(empty * 0.0, *[empty] * 6).to_csv_lines()) == lines[:1]
-
-
-def test_stopping_time():
-    traj_times = np.array([0.0, 0.1, 0.2, 0.3])
-    traj = type("T", (), {})()
-    traj.times = traj_times
-    traj.N_IS = np.array([50, 30, 5, 0])
-    assert stopping_time(traj, 0.02, 1000) == pytest.approx(0.2)
-    assert stopping_time(traj, 1e-9, 1000) == pytest.approx(0.3)  # extinction
-    traj.N_IS = np.array([50, 30, 25, 20])
-    assert stopping_time(traj, 0.002, 1000) == math.inf
-    with pytest.raises(ConfigurationError):
-        stopping_time(traj, 0.0, 1000)
