@@ -14,6 +14,7 @@ import numpy as np
 
 from sirnet.errors import (
     ConfigurationError,
+    check_degree,
     check_finite,
     check_nonnegative,
     check_population,
@@ -36,7 +37,8 @@ def _degree_weights(pairs):
 
 @dataclass(frozen=True)
 class DegreeSpec:
-    """A finite-support probability law (p_k) on degrees ``0..kmax``."""
+    """A finite-support probability law (p_k) on degrees ``0..kmax``, with
+    ``kmax`` at most ``MAX_DEGREE``."""
 
     kind: str
     params: tuple = ()
@@ -64,6 +66,7 @@ class DegreeSpec:
     def explicit(cls, weights):
         """Weight ``weights[k]`` on degree ``k``, each finite and nonnegative."""
         levels = sorted(int(k) for k in weights)
+        check_degree(degree=max(levels, default=0))
         for k in levels:
             if k < 0:
                 raise ConfigurationError(f"degree {k} is negative")
@@ -77,6 +80,7 @@ class DegreeSpec:
             raise ConfigurationError("poisson mean must be positive")
         if kmax < 0:
             raise ConfigurationError("poisson kmax must be nonnegative")
+        check_degree(kmax=kmax)
         k = np.arange(int(kmax) + 1)
         # relative to the mode m: p_k/p_m is a product of the ratios lam/j
         # above m and j/lam below it, each <= 1, so lam**k and k! never
@@ -93,6 +97,7 @@ class DegreeSpec:
         check_finite(q=q)
         if not 0 < q < 1:
             raise ConfigurationError("geometric parameter must lie in (0,1)")
+        check_degree(kmax=kmax)
         k = np.arange(int(kmax) + 1)
         return cls._build("geometric", (q, kmax), k, (1 - q) * q ** k)
 
@@ -102,6 +107,7 @@ class DegreeSpec:
         check_finite(alpha=alpha)
         if kmin < 1 or kmax < kmin:
             raise ConfigurationError("powerlaw needs 1 <= kmin <= kmax")
+        check_degree(kmax=kmax)
         k = np.arange(int(kmin), int(kmax) + 1)
         return cls._build("powerlaw", (alpha, kmin, kmax), k, k ** (-float(alpha)))
 

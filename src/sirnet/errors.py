@@ -8,6 +8,12 @@ import math
 # fewer individuals
 MAX_POPULATION = 10**9
 
+# degrees, and so kmax, must not exceed this; a run's setup (the degree law,
+# its sample, the initial state and the limit's initial measures and
+# generating function) holds O(kmax) floats and ints, and at 10**6 levels
+# it peaks at about 240 MB, while a kmax of 10**9 asks for gigabytes
+MAX_DEGREE = 10**6
+
 # rows, t=0 included, that one simulated trajectory or one limit solve may
 # store; at the cap a trajectory's six counts and time take 0.56 GB and a
 # volz solve's 9-float states 0.72 GB, while a measures solve keeps
@@ -57,3 +63,22 @@ def check_nonnegative(**values):
     for name, value in values.items():
         if value < 0:
             raise ConfigurationError(f"{name} must be nonnegative, got {value}")
+
+
+def check_positive(**values):
+    """Raise :class:`ConfigurationError` naming the first value that is not
+    finite and positive, such as a tolerance."""
+    check_finite(**values)
+    for name, value in values.items():
+        if not value > 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+def check_degree(**values):
+    """Raise :class:`ConfigurationError` naming the first degree above
+    ``MAX_DEGREE``."""
+    for name, value in values.items():
+        if value > MAX_DEGREE:
+            raise ConfigurationError(
+                f"{name} must be at most {MAX_DEGREE}, the largest degree a run "
+                f"holds, got {value}")

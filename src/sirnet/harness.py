@@ -14,24 +14,32 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError, check_nonnegative
+from sirnet.errors import ConfigurationError, check_nonnegative, check_positive
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
-from sirnet.simulation import SimParams, initial_infective_count, initialize_state, simulate
+from sirnet.simulation import (
+    SimParams,
+    Trajectory,
+    initial_infective_count,
+    initialize_state,
+    simulate,
+)
 
 REPORT_COLUMNS = ("n", "reps", "col", "mean_sup_dist", "stderr", "frac_tau_ge_bound")
-COMPARED = ("S", "I", "R", "N_S", "N_IS", "N_RS")
+COMPARED = Trajectory.COLUMNS[1:]
 
 
 @dataclass
 class ScaledTrajectory:
-    """One replica: its grid times, its six ``COMPARED`` counts divided by
-    the population size (one row each, so ``column(name)`` is a row), its
-    terminal reason and the words of its seed."""
+    """One replica: its grid times, its :class:`Trajectory` count table
+    transposed and divided by the population size (one row per ``COMPARED``
+    column, so ``column(name)`` is a row), its terminal reason and the
+    words of its seed."""
 
     n: int
     rep: int
@@ -57,7 +65,7 @@ def _run_one(args):
     traj = simulate(state, params, rng=rng)
     return ScaledTrajectory(
         n=n, rep=rep, seed_words=tuple(ss.generate_state(4).tolist()),
-        times=traj.times, values=np.stack([traj.column(c) for c in COMPARED]) / n,
+        times=traj.times, values=traj.counts.T / n,
         terminal=traj.terminal,
     )
 
@@ -92,10 +100,10 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     list of :class:`ScaledTrajectory` ordered by (n, rep).
 
     ``workers`` processes share the replicas, the calling one included:
-    with ``w = min(workers, replicas)``, share ``s`` is every ``w``-th job
-    from job ``s``; the caller runs share 0 and a pool of ``w - 1`` forked
-    workers one share each, so no worker sits idle and each sends one
-    result message.
+    with ``w = min(workers, replicas, CPUs)``, share ``s`` is every
+    ``w``-th job from job ``s``; the caller runs share 0 and a pool of
+    ``w - 1`` forked workers one share each, so no worker sits idle or
+    waits for a CPU, and each sends one result message.
     """
     _check_batch(n_values, reps, base_seed, workers)
     jobs = [
@@ -103,7 +111,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
         for n in n_values
         for rep in range(reps)
     ]
-    w = min(workers or 1, len(jobs))
+    w = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if w == 1:
         return _run_many(jobs)
     out = [None] * len(jobs)
@@ -169,6 +177,7 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     ``eps_prime``, and ``inf`` if there is none.  Pure function: identical
     inputs give identical rows.
     """
+    check_positive(eps_prime=eps_prime)
     t_end = min(t_max, tau_bar)
     by_n = {}
     for traj in trajectories:

@@ -31,8 +31,8 @@ from sirnet.errors import (
     MAX_GRID_ROWS,
     ConfigurationError,
     SolverDiagnosticError,
-    check_finite,
     check_nonnegative,
+    check_positive,
 )
 
 DENOM_FLOOR = 1e-12
@@ -124,9 +124,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_nonnegative(r=self.r, beta=self.beta, eps_IS=self.eps_IS)
-        check_finite(t_max=self.t_max, dt=self.dt)
-        if not self.t_max > 0 or not self.dt > 0:
-            raise ConfigurationError("t_max and dt must be positive")
+        check_positive(t_max=self.t_max, dt=self.dt)
         steps = self.t_max / self.dt
         if steps + 1 > MAX_GRID_ROWS:  # also when the ratio overflows to inf
             raise ConfigurationError(
@@ -537,25 +535,23 @@ def _log_powers(z, j):
     return np.full(j.shape, np.nan)
 
 
-def influx_vector(mu_S0_weights, pS, pI, pR, theta=1.0, table=None):
+def influx_vector(table, pS, pI, pR, theta=1.0):
     """Rate profile of new infectives entering with ``i`` edges-to-S, over
-    the levels ``i`` of ``mu_S0_weights``, at the susceptible degree
-    measure ``mu_S(k) = mu_S0(k) theta^k`` (``theta >= 0``).
+    the levels ``i = 0..kmax`` of ``mu_S0``, at the susceptible degree
+    measure ``mu_S(k) = mu_S0(k) theta^k`` (``theta >= 0``); ``table`` is
+    :func:`influx_kernel` of ``mu_S0``, built once per solve.
 
     A size-biased degree-k susceptible keeps each of its k-1 remaining
     half-edges susceptible-facing with probability pS, independently in the
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
 
-    ``table`` is :func:`influx_kernel` of ``mu_S0_weights``; a call costs
-    one matvec against it and one ``exp`` per block and level.  ``x^i`` and
-    ``y^(64 b)`` go inside the exponent with the block maxima, so a level
-    whose terms are each too large or too small for a float still comes
-    out finite.  ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no
+    A call costs one matvec against ``table`` and one ``exp`` per block
+    and level.  ``x^i`` and ``y^(64 b)`` go inside the exponent with the
+    block maxima, so a level whose terms are each too large or too small
+    for a float still comes out finite.  ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no
     power and gives NaN, which rk4's finite check reports; a negative
     ``pS`` gives the signed powers ``pS^i``."""
-    if table is None:
-        table = influx_kernel(mu_S0_weights)
     U, M, i, b = table
     x = pS * theta
     y = (pI + pR) * theta
@@ -609,7 +605,7 @@ def measure_rhs(y, r, beta, mu_S0_weights, table, k, k_k1):
     c_RS = (r * pI * m2m1 * pR) / N_RS if N_RS > DENOM_FLOOR else 0.0
 
     d[1 : levels + 1] = (
-        r * pI * influx_vector(mu_S0_weights, pS, pI, pR, theta_S, table)
+        r * pI * influx_vector(table, pS, pI, pR, theta_S)
         + c_IS * shift_IS
         - beta * mu_IS
     )
@@ -729,9 +725,7 @@ def horizon_bound(init, r, beta, eps_prime):
 
     Guarantees nothing beyond the returned time; returns a nonpositive
     value when ``eps_prime >= N_IS0``."""
-    check_finite(eps_prime=eps_prime)
-    if eps_prime <= 0:
-        raise ConfigurationError("eps_prime must be positive")
+    check_positive(eps_prime=eps_prime)
     if max(r, beta) <= 0:
         raise ConfigurationError(
             f"r={r:g} and beta={beta:g}: at least one rate must be positive")

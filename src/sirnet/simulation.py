@@ -49,9 +49,9 @@ from sirnet.errors import (
     ConfigurationError,
     InfeasibleDrawError,
     StateCorruptionError,
-    check_finite,
     check_nonnegative,
     check_population,
+    check_positive,
 )
 
 BLOCK = 1024  # values drawn from the generator per numpy call
@@ -157,11 +157,7 @@ class SimParams:
 
     def __post_init__(self):
         check_nonnegative(r=self.r, beta=self.beta)
-        check_finite(t_max=self.t_max, record_grid=self.record_grid)
-        if not self.t_max > 0:
-            raise ConfigurationError("t_max must be positive")
-        if not self.record_grid > 0:
-            raise ConfigurationError("record_grid must be positive")
+        check_positive(t_max=self.t_max, record_grid=self.record_grid)
         steps = self.t_max / self.record_grid + 1e-9  # grid_steps before the floor
         if steps < 1:
             raise ConfigurationError(
@@ -182,13 +178,12 @@ class SimParams:
 
 @dataclass
 class Trajectory:
+    """A simulated run on its grid: the times ``times`` and one ``(T, 6)``
+    int64 table ``counts`` of the counts recorded at them, columns in
+    ``COLUMNS[1:]`` order, so ``column(name)`` is a view of one column."""
+
     times: np.ndarray
-    S: np.ndarray
-    I: np.ndarray
-    R: np.ndarray
-    N_S: np.ndarray
-    N_IS: np.ndarray
-    N_RS: np.ndarray
+    counts: np.ndarray
     terminal: str = "t_max"
     snapshots: list = field(default_factory=list)
     n_infections: int = 0
@@ -197,20 +192,20 @@ class Trajectory:
     COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS")
 
     def column(self, name):
-        return getattr(self, name if name != "t" else "times")
+        return self.times if name == "t" else self.counts[:, self.COLUMNS.index(name) - 1]
 
     def to_csv_lines(self):
         """The header, then one row per grid time.  Consecutive rows often
         repeat a state, so the six counts are formatted once per run of
         equal rows and only the time once per row."""
         yield ",".join(self.COLUMNS)
-        table = np.column_stack([self.column(c) for c in self.COLUMNS[1:]])
-        first = np.ones(len(table), dtype=bool)  # rows that start a run
-        first[1:] = (table[1:] != table[:-1]).any(axis=1)
+        counts = self.counts
+        first = np.ones(len(counts), dtype=bool)  # rows that start a run
+        first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
         starts = np.flatnonzero(first).tolist()
         times = self.times.tolist()
-        for lo, hi, counts in zip(starts, starts[1:] + [len(times)], table[starts].tolist()):
-            tail = ",%d,%d,%d,%d,%d,%d" % tuple(counts)
+        for lo, hi, row in zip(starts, starts[1:] + [len(times)], counts[starts].tolist()):
+            tail = ",%d,%d,%d,%d,%d,%d" % tuple(row)
             for t in times[lo:hi]:
                 yield f"{t:.10g}{tail}"
 
@@ -418,7 +413,7 @@ def simulate(state, params, rng):
     n_grid = params.grid_steps
     # the state recorded on each run of equal grid rows, and the run's length
     rows = [state.row()]
-    counts = [1]
+    runs = [1]
     snapshots = [state.measure_snapshot()] if params.snapshot_measures else []
     next_idx = 1  # next grid row to emit
     next_t = next_idx * grid  # its time
@@ -433,7 +428,7 @@ def simulate(state, params, rng):
             next_idx += 1
         if next_idx > first:
             rows.append(state.row())
-            counts.append(next_idx - first)
+            runs.append(next_idx - first)
             if params.snapshot_measures:
                 snapshots.append(state.measure_snapshot())
         next_t = next_idx * grid if next_idx <= n_grid else math.inf
@@ -463,22 +458,11 @@ def simulate(state, params, rng):
                 terminal = "depleted"
                 break
 
-    table = np.repeat(np.asarray(rows, dtype=np.int64), counts, axis=0)
+    counts = np.repeat(np.asarray(rows, dtype=np.int64), runs, axis=0)
     # i * grid is the time next_idx * grid gave row i, bit for bit
-    times = np.arange(len(table)) * grid
+    times = np.arange(len(counts)) * grid
     if snapshots:  # a run's grid times share its one snapshot
         snapshots = list(zip(times.tolist(),
-                             (snap for snap, c in zip(snapshots, counts) for _ in range(c))))
-    return Trajectory(
-        times=times,
-        S=table[:, 0],
-        I=table[:, 1],
-        R=table[:, 2],
-        N_S=table[:, 3],
-        N_IS=table[:, 4],
-        N_RS=table[:, 5],
-        terminal=terminal,
-        snapshots=snapshots,
-        n_infections=n_inf,
-        n_removals=n_rem,
-    )
+                             (snap for snap, c in zip(snapshots, runs) for _ in range(c))))
+    return Trajectory(times=times, counts=counts, terminal=terminal, snapshots=snapshots,
+                      n_infections=n_inf, n_removals=n_rem)

@@ -68,11 +68,8 @@ def trajectory_csv_lines(traj):
     """A trajectory's CSV, formatted one row at a time with the time to
     10 significant digits and the six counts as integers."""
     yield ",".join(traj.COLUMNS)
-    for i in range(len(traj.times)):
-        yield (
-            f"{traj.times[i]:.10g},{int(traj.S[i])},{int(traj.I[i])},"
-            f"{int(traj.R[i])},{int(traj.N_S[i])},{int(traj.N_IS[i])},{int(traj.N_RS[i])}"
-        )
+    for t, row in zip(traj.times, traj.counts):
+        yield f"{t:.10g}," + ",".join(str(int(c)) for c in row)
 
 
 def exit_time(times, n_IS, eps_prime):

@@ -31,6 +31,7 @@ from sirnet.limit import (
     SolverConfig,
     edge_identities,
     horizon_bound,
+    influx_kernel,
     influx_vector,
     limit_initial,
     limit_initial_from_pI0,
@@ -184,7 +185,8 @@ def test_criterion_2_event_bookkeeping(checked_events):
         st = initialize_state(spec.sample(4000, rng), 0.02, rng=rng)
         traj = simulate(st, SimParams(r=r, beta=beta, t_max=50.0), rng=rng)
         total_events += traj.n_infections + traj.n_removals
-        edge_violations += int(np.sum(traj.N_IS + traj.N_RS > traj.N_S))
+        N_S, N_IS, N_RS = traj.counts[:, 3:].T
+        edge_violations += int(np.sum(N_IS + N_RS > N_S))
         depleted += int(traj.terminal == "depleted")
         run += 1
     ok = edge_violations == 0 and depleted == 0 and checked_events.count == total_events
@@ -238,7 +240,7 @@ def test_criterion_5_influx_oracle():
         kmax = int(rng.integers(2, 13))
         w = rng.random(kmax + 1) * rng.uniform(0.1, 2.0)
         pS, pI, pR = rng.dirichlet(np.ones(3))
-        got = influx_vector(w, pS, pI, pR)
+        got = influx_vector(influx_kernel(w), pS, pI, pR)
         want = np.array(influx_uncollapsed(w, pS, pI, pR, kmax))
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-12
@@ -317,7 +319,7 @@ def test_criterion_9_pure_death_oracle():
     for rep in range(reps):
         st = PopulationState([], np.bincount([0] * 100))
         traj = simulate(st, params, rng=np.random.default_rng(5000 + rep))
-        outcomes[rep] = traj.R[-1]
+        outcomes[rep] = traj.column("R")[-1]
     p = 1.0 - math.exp(-1.0)
     observed = np.bincount(outcomes, minlength=101)
     expected = stats.binom.pmf(np.arange(101), 100, p) * reps

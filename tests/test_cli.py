@@ -290,6 +290,8 @@ VOLZ = ["solve", "volz", "--degree", "poisson:5:30", "--r", "1",
 MILLER = ["solve", "miller"] + VOLZ[2:]
 CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
             "--r", "1", "--beta", "0.5", "--seed", "1", "--t-max", "1"]
+# the refusal of a degree one above the largest a run holds
+DEGREE_BOUND = f"must be at most {10**6}, the largest degree a run holds, got {10**6 + 1}"
 
 
 def _with(args, option, value):
@@ -339,8 +341,9 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
      "degree 2 is given twice in the degree file, as '2' and '02'"),
     # a JSON array is no degree-to-weight map
     (R0, '[1, 0.5]', "a degree file must hold a JSON object mapping degree to weight"),
+    (SIM, f'{{"3": 1, "{10**6 + 1}": 1e-9}}', "degree " + DEGREE_BOUND),
 ], ids=["r0-infinite-weight", "simulate-negative-degree", "r0-duplicate-degree",
-        "r0-array"])
+        "r0-array", "simulate-degree-too-large"])
 def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message):
     path = tmp_path / "w.json"
     path.write_text(weights)
@@ -350,6 +353,12 @@ def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message
         args += ["--out", str(out)]
     assert run(args, capsys) == (2, "", f"configuration error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", [f"poisson:5:{10**6 + 1}", f"powerlaw:2.5:1:{10**6 + 1}"])
+def test_r0_degree_above_bound_exits_2(capsys, degree):
+    assert run(_with(R0, "--degree", degree), capsys) == (
+        2, "", f"configuration error: kmax {DEGREE_BOUND}\n")
 
 
 @pytest.mark.parametrize("degree,field", [
@@ -545,6 +554,11 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
     (_with(SIM, "--n", str(10**9)), POPULATION_BOUND),
     (CONVERGE + ["--n", f"200,{10**9}", "--i0", "0.01", "--grid", "0.0001"],
      POPULATION_BOUND),
+    # a run's setup holds O(kmax) levels: refused above 10**6, before any is built
+    (_with(SIM, "--degree", f"poisson:5:{10**6 + 1}"), "kmax " + DEGREE_BOUND),
+    (_with(SIM, "--degree", f"geometric:0.5:{10**6 + 1}"), "kmax " + DEGREE_BOUND),
+    (_with(CONVERGE, "--degree", f"powerlaw:2.5:1:{10**6 + 1}")
+     + ["--i0", "0.01", "--grid", "0.0001"], "kmax " + DEGREE_BOUND),
     # one replica per size has no standard error to report
     (_with(CONVERGE, "--reps", "1") + ["--i0", "0.01", "--grid", "0.0001"],
      "reps=1: a standard error needs at least 2 replicas per population size"),
@@ -553,6 +567,8 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
      "r=0 and beta=0: at least one rate must be positive"),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
+        "simulate-poisson-kmax-too-large", "simulate-geometric-kmax-too-large",
+        "converge-powerlaw-kmax-too-large",
         "converge-reps-1", "converge-zero-rates"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness

@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -100,8 +101,10 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
-def test_run_replicas_workers_match_serial(workers):
-    # 6 replicas over 2, 3 or 4 processes: uneven strides at 4
+def test_run_replicas_workers_match_serial(monkeypatch, workers):
+    # 6 replicas over 2, 3 or 4 processes: uneven strides at 4, and as
+    # many processes on a host with fewer CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
     serial = run_replicas(spec, params, [100, 200], 3, 11, 0.02, workers=1)
@@ -113,9 +116,10 @@ def test_run_replicas_workers_match_serial(workers):
         assert (x.terminal, x.seed_words) == (y.terminal, y.seed_words)
 
 
-@pytest.mark.parametrize("workers, reps, pool_sizes", [(64, 3, [2]), (8, 1, [])])
-def test_run_replicas_forks_no_idle_worker(monkeypatch, workers, reps, pool_sizes):
-    # the pool stand-in records its size and runs every call in this process
+@pytest.fixture
+def pools_made(monkeypatch):
+    """The sizes of the pools :func:`run_replicas` makes: a stand-in pool
+    records its size and runs every call in this process."""
     sizes = []
 
     class InlinePool:
@@ -134,11 +138,32 @@ def test_run_replicas_forks_no_idle_worker(monkeypatch, workers, reps, pool_size
             return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, reps, pool_sizes", [(64, 3, [2]), (8, 1, [])])
+def test_run_replicas_forks_no_idle_worker(monkeypatch, pools_made, workers, reps,
+                                           pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
     out = run_replicas(spec, params, [100], reps, 11, 0.02, workers=workers)
-    assert sizes == pool_sizes
+    assert pools_made == pool_sizes
     serial = run_replicas(spec, params, [100], reps, 11, 0.02, workers=1)
+    assert [x.seed_words for x in out] == [x.seed_words for x in serial]
+
+
+@pytest.mark.parametrize("cpus, pool_sizes", [(2, [1]), (None, [])])
+def test_run_replicas_forks_no_more_workers_than_cpus(monkeypatch, pools_made, cpus,
+                                                      pool_sizes):
+    # 100000 workers asked for 3 replicas: one process per CPU, the caller
+    # included, and none beside it when the CPU count is unknown
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    spec = DegreeSpec.poisson(5, 20)
+    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
+    out = run_replicas(spec, params, [100], 3, 11, 0.02, workers=100_000)
+    assert pools_made == pool_sizes
+    serial = run_replicas(spec, params, [100], 3, 11, 0.02, workers=1)
     assert [x.seed_words for x in out] == [x.seed_words for x in serial]
 
 
@@ -223,6 +248,14 @@ def test_convergence_report_fraction_counts_tau():
     # every replica crosses before tau_bar=0.25 bar the one that never does
     rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.25, t_max=0.2)
     assert rep.row(50, "S")["frac_tau_ge_bound"] == 1 / 3
+
+
+@pytest.mark.parametrize("eps_prime", [float("nan"), 0.0, -1.0])
+def test_convergence_report_refuses_bad_eps_prime(eps_prime):
+    # each used to make every tau^n infinite and report frac_tau_ge_bound 1.0
+    trajs, t = _crossing_trajs()
+    with pytest.raises(ConfigurationError, match="eps_prime must be"):
+        convergence_report(trajs, _FakeLimit(t), eps_prime, tau_bar=0.2, t_max=0.2)
 
 
 def _real_batch():

@@ -17,6 +17,7 @@ from sirnet.limit import (
     SolverConfig,
     edge_identities,
     horizon_bound,
+    influx_kernel,
     influx_vector,
     limit_initial,
     limit_initial_from_pI0,
@@ -36,7 +37,7 @@ def test_influx_collapsed_equals_uncollapsed():
         w = rng.random(kmax + 1)
         p = rng.dirichlet(np.ones(3))
         pS, pI, pR = p
-        got = influx_vector(w, pS, pI, pR)
+        got = influx_vector(influx_kernel(w), pS, pI, pR)
         want = influx_uncollapsed(w, pS, pI, pR, kmax)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-10)
 
@@ -44,10 +45,10 @@ def test_influx_collapsed_equals_uncollapsed():
 def test_influx_degenerate_probabilities():
     w = np.array([0.0, 0.2, 0.3, 0.5])
     np.testing.assert_allclose(
-        influx_vector(w, 1.0, 0.0, 0.0),
+        influx_vector(influx_kernel(w), 1.0, 0.0, 0.0),
         influx_uncollapsed(w, 1.0, 0.0, 0.0, 3), atol=1e-14)
     np.testing.assert_allclose(
-        influx_vector(w, 0.0, 1.0, 0.0),
+        influx_vector(influx_kernel(w), 0.0, 1.0, 0.0),
         influx_uncollapsed(w, 0.0, 1.0, 0.0, 3), atol=1e-14)
 
 
@@ -58,7 +59,7 @@ def test_influx_matches_exact_across_blocks(pS, pI, pR, theta):
     # 150 levels span three 64-depth blocks of the influx table; every
     # level agrees with the exact rational sum, and is 0 exactly where it is
     w = DegreeSpec.powerlaw(2.5, 1, 150).limit_measure(mass=0.99)
-    got = influx_vector(w, pS, pI, pR, theta)
+    got = influx_vector(influx_kernel(w), pS, pI, pR, theta)
     want = np.array(influx_exact(w, pS, pI, pR, theta))
     pos = want > 0
     np.testing.assert_allclose(got[pos], want[pos], rtol=1e-12, atol=0)
@@ -70,7 +71,7 @@ def test_influx_finite_at_kmax_1100(pS, pI, pR):
     # C(k-1, i) (pI+pR)^(k-1-i) alone overflows a float here; the influx
     # stays finite, nonnegative and keeps both moments of the binomial law
     w = DegreeSpec.powerlaw(2.5, 1, 1100).limit_measure(mass=1.0)
-    f = influx_vector(w, pS, pI, pR)
+    f = influx_vector(influx_kernel(w), pS, pI, pR)
     assert np.isfinite(f).all() and (f >= 0).all()
     k = np.arange(len(w))
     z = pS + pI + pR

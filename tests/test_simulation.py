@@ -204,9 +204,9 @@ def test_simulate_grid_and_extinction_fill():
     traj = simulate(st, params, rng=np.random.default_rng(1))
     assert traj.terminal == "extinct"
     assert len(traj.times) == 11  # t=0 plus 10 grid rows
-    assert traj.I[-1] == 0 and traj.R[-1] == 3
-    assert np.all(traj.I[-5:] == 0)
-    assert traj.S[-1] == 10  # nobody to infect through 0 edges
+    assert traj.column("I")[-1] == 0 and traj.column("R")[-1] == 3
+    assert np.all(traj.column("I")[-5:] == 0)
+    assert traj.column("S")[-1] == 10  # nobody to infect through 0 edges
 
 
 @pytest.mark.parametrize("r, beta, mu_IS, terminal", [
@@ -222,8 +222,7 @@ def test_simulate_zero_rate_terminal(r, beta, mu_IS, terminal):
                     rng=np.random.default_rng(1))
     assert traj.terminal == terminal
     assert len(traj.times) == 5 and traj.n_infections == traj.n_removals == 0
-    table = np.column_stack([traj.column(c) for c in traj.COLUMNS[1:]])
-    assert (table == first).all()  # every grid row repeats the initial state
+    assert (traj.counts == first).all()  # every grid row repeats the initial state
 
 
 def geometric_run(n):
@@ -236,10 +235,11 @@ def geometric_run(n):
 def test_simulate_conserves_population_checked(checked_events):
     n = 300
     traj = geometric_run(n)
-    assert np.all(traj.S + traj.I + traj.R == n)
-    assert np.all(traj.N_IS + traj.N_RS <= traj.N_S[0])
-    assert np.all(np.diff(traj.S) <= 0)
-    assert np.all(np.diff(traj.R) >= 0)
+    S, I, R, N_S, N_IS, N_RS = traj.counts.T
+    assert np.all(S + I + R == n)
+    assert np.all(N_IS + N_RS <= N_S[0])
+    assert np.all(np.diff(S) <= 0)
+    assert np.all(np.diff(R) >= 0)
     assert traj.n_infections + traj.n_removals > 0
     assert checked_events.count == traj.n_infections + traj.n_removals
 
@@ -270,8 +270,7 @@ def test_snapshots_recorded():
     t0, snap0 = traj.snapshots[0]
     assert t0 == 0.0
     assert snap0 == {"mu_S": [0, 0, 5], "mu_IS": [0, 2, 0], "mu_RS": [0, 0, 0]}
-    for (_, snap), *row in zip(traj.snapshots, traj.S, traj.I, traj.R,
-                               traj.N_S, traj.N_IS, traj.N_RS):
+    for (_, snap), row in zip(traj.snapshots, traj.counts.tolist()):
         masses = [sum(snap[name]) for name in ("mu_S", "mu_IS", "mu_RS")]
         edges = [sum(k * c for k, c in enumerate(snap[name]))
                  for name in ("mu_S", "mu_IS", "mu_RS")]
@@ -316,8 +315,7 @@ def test_grid_rows_match_event_log(monkeypatch, seed, n, t_max, grid, terminal):
     times, records = grid_rows_from_events(
         start, log, grid, math.floor(t_max / grid + 1e-9), t_end)
     assert traj.times.tolist() == times  # bit for bit
-    table = np.column_stack([traj.column(c) for c in Trajectory.COLUMNS[1:]])
-    assert table.tolist() == [list(row) for row, _ in records]
+    assert traj.counts.tolist() == [list(row) for row, _ in records]
     assert traj.snapshots == [(t, snap) for t, (_, snap) in zip(times, records)]
     assert list(traj.to_csv_lines()) == list(trajectory_csv_lines(traj))
 
@@ -344,4 +342,4 @@ def test_csv_lines_schema():
     assert len(lines) == len(traj.times) + 1
     assert lines == list(trajectory_csv_lines(traj))
     empty = np.array([], dtype=np.int64)
-    assert list(Trajectory(empty * 0.0, *[empty] * 6).to_csv_lines()) == lines[:1]
+    assert list(Trajectory(empty * 0.0, empty.reshape(0, 6)).to_csv_lines()) == lines[:1]
