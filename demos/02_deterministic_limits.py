@@ -43,7 +43,7 @@ mea = solve_measures(init, cfg)
 m = min(len(vol.t), len(mea.t))
 print("edge-based vs measure-valued solver, max per-capita differences:")
 for col in ("S", "I", "R"):
-    diff = np.abs(getattr(vol, col)[:m] - getattr(mea, col)[:m]).max()
+    diff = np.abs(vol.column(col)[:m] - mea.column(col)[:m]).max()
     print(f"  {col}: {diff:.3e}")
 
 res = edge_identities(vol)
@@ -54,10 +54,11 @@ for name, r in res.items():
 mil = miller_theta(init, cfg)
 k = min(len(mil.t), len(vol.t))
 print("\none-equation reduction vs edge-based solver, max differences:")
-for col in mil.COLUMNS[1:]:
+for col in mil.columns:
     diff = np.abs(mil.column(col)[:k] - vol.column(col)[:k]).max()
     print(f"  {col}: {diff:.3e}")
 
 tau = horizon_bound(init, R_RATE, BETA, eps_prime=0.01)
 print(f"\nconvergence horizon (edge density stays above 0.01): tau_bar = {tau:.6g}")
-print(f"peak per-capita infection: {vol.I.max():.4f} at t = {vol.t[np.argmax(vol.I)]:.2f}")
+I = vol.column("I")
+print(f"peak per-capita infection: {I.max():.4f} at t = {vol.t[np.argmax(I)]:.2f}")

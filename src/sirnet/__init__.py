@@ -31,8 +31,8 @@ from sirnet.limit import (
     GeneratingFn,
     LimitInit,
     MeasureSolution,
+    Solution,
     SolverConfig,
-    VolzSolution,
     edge_identities,
     horizon_bound,
     limit_initial,
@@ -57,7 +57,7 @@ __all__ = [
     "DegreeSpec",
     "PopulationState", "SimParams", "Trajectory", "initialize_state",
     "simulate",
-    "GeneratingFn", "LimitInit", "SolverConfig", "VolzSolution",
+    "GeneratingFn", "LimitInit", "SolverConfig", "Solution",
     "MeasureSolution", "solve_volz", "solve_measures", "edge_identities",
     "miller_theta", "horizon_bound", "limit_initial", "limit_initial_from_pI0",
     "reproduction_number",

@@ -30,6 +30,7 @@ from sirnet.errors import ConfigurationError, check_nonnegative
 from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     SolverConfig,
+    check_measures_memory,
     limit_initial,
     limit_initial_from_pI0,
     miller_theta,
@@ -44,15 +45,13 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _resolve(path):
-    if path is None or os.path.isabs(path):
-        return path
-    base = os.environ.get("SIRNET_OUTDIR")
-    return os.path.join(base, path) if base else path
-
-
 def _atomic_write(path, lines):
-    path = _resolve(path)
+    """Write ``lines`` to ``path`` by a temp file and a rename, and return
+    the path written: a relative ``path`` resolves against
+    ``$SIRNET_OUTDIR`` when set, here and nowhere else."""
+    base = os.environ.get("SIRNET_OUTDIR")
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -69,6 +68,8 @@ def _atomic_write(path, lines):
 
 
 def _write_metadata(out_path, config):
+    """Write ``<out_path>.meta.json``.  ``out_path`` is the output path as
+    the command was given it, which :func:`_atomic_write` resolves."""
     meta = dict(config)
     meta["package_version"] = sirnet.__version__
     meta["rng"] = "PCG64"
@@ -239,9 +240,9 @@ def cmd_simulate(args):
     }
     traj = simulate(state, params, rng=rng)
     out = _atomic_write(args.out, traj.to_csv_lines())
-    _write_metadata(out, {**config, "terminal": traj.terminal,
-                          "n_infections": traj.n_infections,
-                          "n_removals": traj.n_removals})
+    _write_metadata(args.out, {**config, "terminal": traj.terminal,
+                               "n_infections": traj.n_infections,
+                               "n_removals": traj.n_removals})
     if args.snapshots:
         _atomic_write(args.snapshots, _snapshot_lines(traj.snapshots))
     print(f"wrote {out} ({len(traj.times)} rows, terminal={traj.terminal})")
@@ -258,13 +259,15 @@ def cmd_solve(args):
     config = SolverConfig(r=args.r, beta=args.beta, t_max=args.t_max,
                           dt=args.dt, **stop)
     if args.dry_run:
+        if args.which == "measures":  # the check solve_measures makes first
+            check_measures_memory(init, config)
         print("config ok (dry run)")
         return EXIT_OK
     # looked up per call, so a wrapper set on a module-level name sees the call
     solver = {"volz": solve_volz, "measures": solve_measures, "miller": miller_theta}
     sol = solver[args.which](init, config)
     out = _atomic_write(args.out, sol.to_csv_lines())
-    _write_metadata(out, {
+    _write_metadata(args.out, {
         "command": f"solve {args.which}", "degree": spec.describe(),
         "r": args.r, "beta": args.beta,
         "i0": args.i0, "pI0": init.pI0,
@@ -291,17 +294,16 @@ def cmd_converge(args):
         workers=args.workers,
     )
     out = _atomic_write(args.out, report.to_csv_lines())
-    manifest_path = args.manifest or args.out + ".manifest.json"
-    _atomic_write(manifest_path, [manifest_json(report)])
-    _write_metadata(out, {
+    manifest = _atomic_write(args.manifest or args.out + ".manifest.json",
+                             [manifest_json(report)])
+    _write_metadata(args.out, {
         "command": "converge", "degree": spec.describe(),
         "n": args.n, "reps": args.reps, "r": args.r, "beta": args.beta,
         "i0": args.i0, "seed": args.seed,
         "t_max": args.t_max, "grid": args.grid, "eps_prime": args.eps_prime,
         "tau_bar": report.tau_bar,
     })
-    print(f"wrote {out} and {_resolve(manifest_path)} "
-          f"(horizon {report.t_end:.6g})")
+    print(f"wrote {out} and {manifest} (horizon {report.t_end:.6g})")
     return EXIT_OK
 
 

@@ -12,9 +12,12 @@ Three solvers for the same limit object:
 
 All three take a validated :class:`LimitInit` and :class:`SolverConfig`,
 share one fixed-step classical Runge-Kutta (RK4) loop,
-:func:`rk4_integrate`, and return a :class:`Solution`.  The loop has two
-arithmetic paths that give the same bits: the low-dimensional volz and
-miller states run in Python floats, the measure system on numpy arrays.
+:func:`rk4_integrate`, and return a :class:`Solution`: the time grid and
+a dict of named columns, which each solver builds once from the arrays it
+computes; :class:`MeasureSolution` adds the measures at every time.  The
+loop has two arithmetic paths that give the same bits: the
+low-dimensional volz and miller states run in Python floats, the measure
+system on numpy arrays.
 An a-priori horizon bound for when the per-capita infectious edge count
 stays above a level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
@@ -29,6 +32,7 @@ import numpy as np
 
 from sirnet.errors import (
     MAX_GRID_ROWS,
+    MAX_SOLVE_BYTES,
     ConfigurationError,
     SolverDiagnosticError,
     check_nonnegative,
@@ -40,6 +44,9 @@ CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
+# bytes per influx table entry at the peak of influx_kernel: the int64 depth
+# table n, the bool mask outside, log T and the float64 gather log_kw[n]
+INFLUX_PEAK_BYTES = 25
 _DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
@@ -314,24 +321,29 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     return np.arange(len(states)) * dt, states, terminal
 
 
+@dataclass
 class Solution:
-    """What every solver returns: the time grid ``t``, the columns named in
-    ``COLUMNS``, the ``terminal`` reason (``t_max`` or ``extinct``) and the
-    solver's ``diagnostics``."""
+    """What every solver returns: the time grid ``t``, its named
+    ``columns``, each a 1-D array with one value per time, the
+    ``terminal`` reason (``t_max`` or ``extinct``) and the solver's
+    ``diagnostics``, the extra fields of its ``.meta.json``."""
 
-    COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
+    CSV_COLUMNS = ("S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
 
-    @property
-    def diagnostics(self):
-        return {}
+    t: np.ndarray
+    columns: dict = field(repr=False)
+    terminal: str
+    diagnostics: dict
 
     def column(self, name):
-        return getattr(self, name)
+        return self.t if name == "t" else self.columns[name]
 
     def to_csv_lines(self):
-        """The header, then one row per time with 12 significant digits."""
-        yield ",".join(self.COLUMNS)
-        cols = [self.column(c).tolist() for c in self.COLUMNS]
+        """The header ``t`` and the ``CSV_COLUMNS`` this solve holds, in
+        that order, then one row per time with 12 significant digits."""
+        names = ["t"] + [c for c in self.CSV_COLUMNS if c in self.columns]
+        yield ",".join(names)
+        cols = [self.column(c).tolist() for c in names]
         fmt = ",".join(["%.12g"] * len(cols))
         for row in zip(*cols):
             yield fmt % row
@@ -342,18 +354,8 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VolzSolution(Solution):
-    t: np.ndarray
-    states: np.ndarray = field(repr=False)  # per time: theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux
-    gf: GeneratingFn = field(repr=False)
-    terminal: str = "t_max"
-
-    def __post_init__(self):
-        (self.theta, self.I, self.R, self.pI, self.pS, self.pR,
-         self.N_IS, self.N_RS, self.N_S_aux) = self.states.T
-        self.S = self.gf(self.theta)
-        self.N_S = self.theta * self.gf(self.theta, order=1)
+# the columns of the state that volz_rhs integrates, in its order
+_VOLZ_STATE = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
 
 
 def volz_rhs(y, r, beta, gf):
@@ -401,21 +403,24 @@ def solve_volz(init, config):
     ts, ys, terminal = rk4_integrate(
         lambda y: volz_rhs(y, r, beta, gf), y0, config, n_IS=lambda y: y[6],
     )
-    sol = VolzSolution(t=ts, states=ys, gf=gf, terminal=terminal)
-    drift = float(np.abs(sol.pI + sol.pS + sol.pR - 1.0).max())
+    cols = dict(zip(_VOLZ_STATE, ys.T))
+    theta = cols["theta"]
+    cols["S"] = gf(theta)
+    cols["N_S"] = theta * gf(theta, order=1)
+    drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
     if drift > SIMPLEX_TOL:
         raise SolverDiagnosticError(
             f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e}); "
             f"dt={config.dt:g} is too large for these rates"
         )
     total = init.S0 + init.I0
-    mass = float(np.abs(sol.S + sol.I + sol.R - total).max())
+    mass = float(np.abs(cols["S"] + cols["I"] + cols["R"] - total).max())
     if mass > MASS_TOL * total:
         raise SolverDiagnosticError(
             f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
             f"{MASS_TOL * total:.3e}; dt={config.dt:g} is too large for these rates"
         )
-    return sol
+    return Solution(t=ts, columns=cols, terminal=terminal, diagnostics={})
 
 
 def edge_identities(sol):
@@ -427,10 +432,11 @@ def edge_identities(sol):
 
     Small residuals mean the redundant equations agree; growth flags
     integration error."""
+    col = sol.column
     return {
-        "N_S": np.abs(sol.N_S_aux - sol.N_S),
-        "N_IS": np.abs(sol.N_IS - sol.pI * sol.N_S),
-        "N_RS": np.abs(sol.N_RS - sol.pR * sol.N_S),
+        "N_S": np.abs(col("N_S_aux") - col("N_S")),
+        "N_IS": np.abs(col("N_IS") - col("pI") * col("N_S")),
+        "N_RS": np.abs(col("N_RS") - col("pR") * col("N_S")),
     }
 
 
@@ -441,35 +447,20 @@ def edge_identities(sol):
 
 @dataclass
 class MeasureSolution(Solution):
-    t: np.ndarray
-    theta: np.ndarray
-    mu_IS: np.ndarray  # shape (T, kmax+1)
-    mu_RS: np.ndarray
-    mu_S0: np.ndarray = field(repr=False)
-    clamped_mass: float = 0.0
-    terminal: str = "t_max"
+    """A measures solve: the :class:`Solution` columns, plus the level
+    vectors at every time, one row each, over the levels of ``mu_S0``."""
 
-    def __post_init__(self):
-        gf = GeneratingFn(self.mu_S0)
-        self.S = gf(self.theta)
-        self.I = self.mu_IS.sum(axis=1)
-        self.R = self.mu_RS.sum(axis=1)
-        self.N_S = self.theta * gf(self.theta, order=1)
-        self.N_IS = self.mu_IS @ np.arange(self.mu_IS.shape[1])
-        self.N_RS = self.mu_RS @ np.arange(self.mu_RS.shape[1])
-        alive = self.N_S > DENOM_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.pI = np.where(alive, self.N_IS / self.N_S, 0.0)
-            self.pR = np.where(alive, self.N_RS / self.N_S, 0.0)
-            self.pS = np.where(alive, (self.N_S - self.N_IS - self.N_RS) / self.N_S, 0.0)
+    mu_S0: np.ndarray = field(repr=False)
+    mu_IS: np.ndarray = field(repr=False)  # shape (T, kmax+1)
+    mu_RS: np.ndarray = field(repr=False)
 
     @property
-    def diagnostics(self):
-        return {"kmax": self.mu_IS.shape[1] - 1, "clamped_mass": self.clamped_mass}
+    def clamped_mass(self):
+        return self.diagnostics["clamped_mass"]
 
     def mu_S(self, idx):
         """Susceptible degree measure at time index ``idx`` (closed form)."""
-        return self.mu_S0 * self.theta[idx] ** np.arange(len(self.mu_S0))
+        return self.mu_S0 * self.columns["theta"][idx] ** np.arange(len(self.mu_S0))
 
     @property
     def snapshots(self):
@@ -477,6 +468,35 @@ class MeasureSolution(Solution):
         for i, t in enumerate(self.t):
             yield float(t), {"mu_S": self.mu_S(i), "mu_IS": self.mu_IS[i],
                              "mu_RS": self.mu_RS[i]}
+
+
+def check_measures_memory(init, config):
+    """Refuse, before anything is allocated, a measures solve that would
+    take more than ``MAX_SOLVE_BYTES`` at either of its two peaks:
+
+    * the build of :func:`influx_kernel`'s table, ``INFLUX_PEAK_BYTES``
+      per entry of its ``INFLUX_BLOCK * blocks`` depths by ``kmax+1``
+      levels;
+    * the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats each,
+      held twice, once as row copies and once as the array stacked from
+      them; every step is counted, as :class:`SolverConfig`'s row cap
+      counts them, since an early stop is not known in advance."""
+    levels = len(init.mu_S0)
+    kmax = levels - 1
+    table = INFLUX_PEAK_BYTES * INFLUX_BLOCK * -(-kmax // INFLUX_BLOCK) * levels
+    if table > MAX_SOLVE_BYTES:
+        raise ConfigurationError(
+            f"kmax={kmax} makes the measures solve's influx table peak at "
+            f"{table / 1e9:.3g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
+        )
+    rows, width = config.n_steps + 1, 2 * levels + 1
+    stored = 16 * rows * width
+    if stored > MAX_SOLVE_BYTES:
+        raise ConfigurationError(
+            f"t_max={config.t_max:g} and dt={config.dt:g} make {rows} rows of {width} "
+            f"floats at kmax={kmax}, which a measures solve holds twice: "
+            f"{stored / 1e9:.3g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
+        )
 
 
 def influx_kernel(mu_S0_weights):
@@ -621,8 +641,10 @@ def solve_measures(init, config):
     never grow, so no level is ever cut off.  Small negative weights
     produced by the integrator are clamped to zero; the run aborts if the
     clamped mass exceeds a fixed budget relative to the initial population
-    mass.
+    mass.  A solve whose influx table or stored rows would outgrow
+    ``MAX_SOLVE_BYTES`` is refused first, by :func:`check_measures_memory`.
     """
+    check_measures_memory(init, config)
     w0 = init.mu_S0
     k = np.arange(len(w0))
     k_k1 = k * (k - 1)
@@ -647,32 +669,31 @@ def solve_measures(init, config):
         lambda y: measure_rhs(y, r, beta, w0, table, k, k_k1), y0, config,
         n_IS=lambda y: float(k @ y[1 : len(k) + 1]), repair=clamp,
     )
+    theta = ys[:, 0]
+    mu_IS = ys[:, 1 : len(k) + 1]
+    mu_RS = ys[:, len(k) + 1 :]
+    gf = GeneratingFn(w0)
+    N_S = theta * gf(theta, order=1)
+    N_IS = mu_IS @ k
+    N_RS = mu_RS @ k
+    alive = N_S > DENOM_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pI = np.where(alive, N_IS / N_S, 0.0)
+        pR = np.where(alive, N_RS / N_S, 0.0)
+        pS = np.where(alive, (N_S - N_IS - N_RS) / N_S, 0.0)
+    cols = {"S": gf(theta), "I": mu_IS.sum(axis=1), "R": mu_RS.sum(axis=1),
+            "N_S": N_S, "N_IS": N_IS, "N_RS": N_RS,
+            "theta": theta, "pI": pI, "pS": pS, "pR": pR}
     return MeasureSolution(
-        t=ts,
-        theta=ys[:, 0],
-        mu_IS=ys[:, 1 : len(k) + 1],
-        mu_RS=ys[:, len(k) + 1 :],
-        mu_S0=init.mu_S0,
-        clamped_mass=clamped[0],
-        terminal=terminal,
+        t=ts, columns=cols, terminal=terminal,
+        diagnostics={"kmax": len(k) - 1, "clamped_mass": clamped[0]},
+        mu_S0=w0, mu_IS=mu_IS, mu_RS=mu_RS,
     )
 
 
 # ---------------------------------------------------------------------------
 # One-equation reduction and horizon bound
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MillerSolution(Solution):
-    t: np.ndarray
-    theta: np.ndarray
-    S: np.ndarray
-    I: np.ndarray
-    R: np.ndarray
-    terminal: str = "t_max"
-
-    COLUMNS = ("t", "S", "I", "R", "theta")
 
 
 def miller_theta(init, config):
@@ -682,7 +703,7 @@ def miller_theta(init, config):
 
     where g generates ``mu_S0`` and ``pS0 = 1 - pI0`` is the initial
     susceptible edge fraction; with it the reduction is exact (Miller
-    2011).  Returns a :class:`MillerSolution` with ``S = g(theta)``,
+    2011).  Returns a :class:`Solution` of ``theta``, ``S = g(theta)``,
     ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``.  The reduction reads
     no infectious edge count, so ``eps_IS`` never stops it early.
 
@@ -714,7 +735,8 @@ def miller_theta(init, config):
             f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}; "
             f"dt={config.dt:g} is too large for these rates"
         )
-    return MillerSolution(t=ts, theta=theta, S=S, I=I, R=R, terminal=terminal)
+    return Solution(t=ts, columns={"S": S, "I": I, "R": R, "theta": theta},
+                    terminal=terminal, diagnostics={})
 
 
 def horizon_bound(init, r, beta, eps_prime):
@@ -725,6 +747,7 @@ def horizon_bound(init, r, beta, eps_prime):
 
     Guarantees nothing beyond the returned time; returns a nonpositive
     value when ``eps_prime >= N_IS0``."""
+    check_nonnegative(r=r, beta=beta)
     check_positive(eps_prime=eps_prime)
     if max(r, beta) <= 0:
         raise ConfigurationError(

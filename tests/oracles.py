@@ -11,8 +11,9 @@ limit-solver formulas without the package's shortcuts, and
 :func:`influx_exact` evaluates the influx in exact rational arithmetic.
 :func:`check_invariants` re-derives a simulator state's running totals
 from its level vectors; :func:`grid_rows_from_events` re-derives the grid
-rows of a run from its event log, and :func:`trajectory_csv_lines` formats
-a trajectory one row at a time.  :func:`convergence_rows_reference` builds
+rows of a run from its event log, and :func:`trajectory_csv_lines` and
+:func:`solution_csv_lines` format a trajectory or a limit solve one row at
+a time.  :func:`convergence_rows_reference` builds
 a convergence report's rows one scalar sup-distance per replica and
 column, and each replica's exit time by a plain loop over its rows."""
 
@@ -70,6 +71,15 @@ def trajectory_csv_lines(traj):
     yield ",".join(traj.COLUMNS)
     for t, row in zip(traj.times, traj.counts):
         yield f"{t:.10g}," + ",".join(str(int(c)) for c in row)
+
+
+def solution_csv_lines(sol, names):
+    """A limit solve's CSV: the header ``names``, then per time each named
+    column formatted on its own with 12 significant digits."""
+    yield ",".join(names)
+    cols = [sol.column(name) for name in names]
+    for i in range(len(sol.t)):
+        yield ",".join("%.12g" % float(col[i]) for col in cols)
 
 
 def exit_time(times, n_IS, eps_prime):

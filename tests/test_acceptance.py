@@ -206,8 +206,8 @@ def test_criterion_3_dual_solver_equivalence():
     vol = solve_volz(init, cfg)
     mea = solve_measures(init, cfg)
     m = min(len(vol.t), len(mea.t))
-    d_I = float(np.abs(mea.I[:m] - vol.I[:m]).max())
-    d_pI = float(np.abs(mea.pI[:m] - vol.pI[:m]).max())
+    d_I = float(np.abs(mea.column("I")[:m] - vol.column("I")[:m]).max())
+    d_pI = float(np.abs(mea.column("pI")[:m] - vol.column("pI")[:m]).max())
     elapsed = time.time() - t0
     ok = d_I <= 1e-3 and d_pI <= 1e-3 and elapsed < 10
     report(3, ok, f"sup|I_meas - I_volz| = {d_I:.2e} <= 1e-3, "
@@ -260,7 +260,7 @@ def test_criterion_6_rk_order():
             sol = solver(init, SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=0.0))
             stride = int(round(dt / 1e-5))
             idx = np.arange(len(sol.t)) * stride
-            errs.append(float(np.abs(sol.I - ref.I[idx]).max()))
+            errs.append(float(np.abs(sol.column("I") - ref.column("I")[idx]).max()))
         ratios[name] = errs[0] / errs[1]
     ok = all(12 <= v <= 20 for v in ratios.values())
     report(6, ok, "step-halving error ratios (expect ~2^4 in [12,20]): "

@@ -56,7 +56,7 @@ def test_r0_verdict_matches_limit_early_growth(capsys, r, verdict):
     spec = DegreeSpec.poisson(5, 30)
     sol = solve_volz(limit_initial(spec, 0.001),
                      SolverConfig(r=float(r), beta=1.0, t_max=10.0, dt=0.01, eps_IS=0.0))
-    assert (sol.I[-1] > sol.I[0]) == (verdict == "supercritical")
+    assert (sol.column("I")[-1] > sol.column("I")[0]) == (verdict == "supercritical")
 
 
 @pytest.mark.parametrize("r,beta,message", [
@@ -267,12 +267,27 @@ def test_converge_rejects_zero_reps(tmp_path, capsys):
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SIRNET_OUTDIR", str(tmp_path))
-    code, _, _ = run(["solve", "volz", "--degree", "poisson:5:20",
-                      "--r", "1", "--beta", "0.5", "--pI0", "0.05",
-                      "--t-max", "0.1", "--out", "rel.csv"], capsys)
-    assert code == 0
-    assert (tmp_path / "rel.csv").exists()
+    # every output of a relative --out lands in $SIRNET_OUTDIR, whether
+    # that is absolute or itself relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    commands = {
+        "simulate": ["simulate", "--degree", "poisson:5:20", "--n", "200", "--r", "1",
+                     "--beta", "0.5", "--i0", "0.05", "--t-max", "0.1"],
+        "solve": ["solve", "volz", "--degree", "poisson:5:20", "--r", "1",
+                  "--beta", "0.5", "--pI0", "0.05", "--t-max", "0.1"],
+        "converge": ["converge", "--degree", "poisson:5:25", "--n", "200", "--reps", "2",
+                     "--r", "1", "--beta", "0.5", "--i0", "0.01", "--t-max", "0.002",
+                     "--grid", "0.0002"],
+    }
+    written = {f"{name}.csv{ext}" for name in commands for ext in ("", ".meta.json")}
+    for outdir in (str(tmp_path / "abs"), "rel"):
+        monkeypatch.setenv("SIRNET_OUTDIR", outdir)
+        for name, args in commands.items():
+            code, out, _ = run(args + ["--out", f"{name}.csv"], capsys)
+            assert code == 0
+            assert out.startswith(f"wrote {os.path.join(outdir, name)}.csv")
+        assert {p.name for p in (tmp_path / outdir).iterdir()} == (
+            written | {"converge.csv.manifest.json"})
 
 
 def test_unknown_degree_exits_2(tmp_path, capsys):
@@ -478,6 +493,36 @@ def test_solve_too_many_steps_to_store_exits_2(tmp_path, capsys, monkeypatch, ar
     code, _, err = run(args + ["--dry-run", "--out", str(out)], capsys)
     assert code == 2
     assert "t_max=1e+07 and dt=0.001 make 10000000000 steps" in err
+    assert not out.exists()
+
+
+MEASURES = ["solve", "measures"] + VOLZ[2:]
+
+
+@pytest.mark.parametrize("args,message", [
+    # influx_kernel would peak near 25 kmax**2 bytes: 250 GB
+    (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
+     "kmax=100000 makes the measures solve's influx table peak at 250 GB"),
+    # 9999001 rows of 63 floats, held twice: 10.1 GB
+    (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
+     "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30"),
+], ids=["influx-table", "stored-rows"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, args,
+                                                 message, dry_run):
+    # refused before anything is allocated: neither the influx table nor a
+    # step is built, in the dry run or the real one
+    import sirnet.limit
+
+    def forbidden(*_, **__):
+        raise AssertionError("allocated a solve that should be refused")
+
+    for name in ("influx_kernel", "rk4_integrate"):
+        monkeypatch.setattr(sirnet.limit, name, forbidden)
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys)
+    assert code == 2
+    assert message in err and "over the 1 GB a solve may take" in err
     assert not out.exists()
 
 

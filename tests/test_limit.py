@@ -27,7 +27,7 @@ from sirnet.limit import (
     solve_volz,
 )
 
-from oracles import influx_exact, influx_uncollapsed, volz_rhs_polyval
+from oracles import influx_exact, influx_uncollapsed, solution_csv_lines, volz_rhs_polyval
 
 
 def test_influx_collapsed_equals_uncollapsed():
@@ -140,7 +140,9 @@ def test_volz_states_equal_polyval_reference(degree, t_max, dt, eps_IS):
     ts, want, terminal = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg,
                                        n_IS=lambda y: y[6])
     sol = solve_volz(init, cfg)
-    assert np.array_equal(sol.states, want)
+    names = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
+    for i, name in enumerate(names):
+        assert np.array_equal(sol.column(name), want[:, i]), name
     assert np.array_equal(sol.t, ts)
     assert sol.terminal == terminal == ("extinct" if eps_IS else "t_max")
 
@@ -164,7 +166,23 @@ def test_miller_states_equal_array_path(degree):
     ts, want, _ = rk4_integrate(rhs, [1.0, 0.0], cfg)
     sol = miller_theta(init, cfg)
     assert np.array_equal(sol.t, ts)
-    assert np.array_equal(np.column_stack([sol.theta, sol.R]), want)
+    assert np.array_equal(np.column_stack([sol.column("theta"), sol.column("R")]), want)
+
+
+SOLVER_CSV = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
+
+
+@pytest.mark.parametrize("solver,names,t_max", [
+    (solve_volz, SOLVER_CSV, 2.0),
+    (solve_measures, SOLVER_CSV, 0.2),
+    (miller_theta, ("t", "S", "I", "R", "theta"), 2.0),
+], ids=["volz", "measures", "miller"])
+@pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:300"])
+def test_solution_csv_lines_equal_per_column_format(degree, solver, names, t_max):
+    # the CSV bytes: the header, then every named column at %.12g, in order
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    sol = solver(init, SolverConfig(r=1.0, beta=0.5, t_max=t_max))
+    assert list(sol.to_csv_lines()) == list(solution_csv_lines(sol, names))
 
 
 def test_initial_data_mappings():
@@ -223,16 +241,17 @@ def standard_setup(kmax=40):
 def test_volz_basic_course():
     init = standard_setup()
     sol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=4.0, dt=1e-3))
+    col = sol.column
     # theta nonincreasing in (0,1]; epidemic takes off then burns out
-    assert np.all(np.diff(sol.theta) <= 1e-15)
-    assert sol.theta[-1] > 0
-    assert sol.S[0] > sol.S[-1]
-    assert sol.R[-1] > 0.5
+    assert np.all(np.diff(col("theta")) <= 1e-15)
+    assert col("theta")[-1] > 0
+    assert col("S")[0] > col("S")[-1]
+    assert col("R")[-1] > 0.5
     # conservation S+I+R constant
-    total = sol.S + sol.I + sol.R
+    total = col("S") + col("I") + col("R")
     np.testing.assert_allclose(total, total[0], atol=1e-9)
     # probability simplex
-    np.testing.assert_allclose(sol.pI + sol.pS + sol.pR, 1.0, atol=1e-9)
+    np.testing.assert_allclose(col("pI") + col("pS") + col("pR"), 1.0, atol=1e-9)
 
 
 def test_volz_edge_identities_small():
@@ -248,7 +267,7 @@ def test_volz_eps_stop():
     init = standard_setup()
     sol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=500.0, dt=1e-2, eps_IS=1e-4))
     assert sol.terminal == "extinct"
-    assert sol.N_IS[-1] < 1e-4
+    assert sol.column("N_IS")[-1] < 1e-4
     assert sol.t[-1] < 500.0
 
 
@@ -271,16 +290,16 @@ def test_measures_matches_volz():
     vol = solve_volz(init, cfg)
     mea = solve_measures(init, cfg)
     m = min(len(vol.t), len(mea.t))
-    assert np.abs(mea.I[:m] - vol.I[:m]).max() < 1e-6
-    assert np.abs(mea.pI[:m] - vol.pI[:m]).max() < 1e-6
-    assert np.abs(mea.S[:m] - vol.S[:m]).max() < 1e-6
+    assert np.abs(mea.column("I")[:m] - vol.column("I")[:m]).max() < 1e-6
+    assert np.abs(mea.column("pI")[:m] - vol.column("pI")[:m]).max() < 1e-6
+    assert np.abs(mea.column("S")[:m] - vol.column("S")[:m]).max() < 1e-6
     assert mea.clamped_mass <= 1e-10
 
 
 def test_measures_mass_conservation():
     init = standard_setup(kmax=25)
     sol = solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=2.0, dt=1e-3))
-    total = sol.S + sol.I + sol.R
+    total = sol.column("S") + sol.column("I") + sol.column("R")
     np.testing.assert_allclose(total, total[0], atol=1e-8)
     assert np.all(sol.mu_IS >= 0) and np.all(sol.mu_RS >= 0)
 
@@ -299,7 +318,7 @@ def test_measures_track_every_level():
         mea = solve_measures(init, cfg)
     vol = solve_volz(init, cfg)
     assert mea.mu_IS.shape == (len(vol.t), 61) and mea.diagnostics["kmax"] == 60
-    assert np.abs(mea.I - vol.I).max() <= 1e-12
+    assert np.abs(mea.column("I") - vol.column("I")).max() <= 1e-12
 
 
 def test_measures_mu_s_closed_form():
@@ -308,12 +327,12 @@ def test_measures_mu_s_closed_form():
     idx = len(sol.t) // 2
     k = np.arange(len(init.mu_S0))
     np.testing.assert_allclose(
-        sol.mu_S(idx), init.mu_S0 * sol.theta[idx] ** k, rtol=1e-12)
+        sol.mu_S(idx), init.mu_S0 * sol.column("theta")[idx] ** k, rtol=1e-12)
     # S and N_S are the generating function of mu_S0 and its edge count
-    np.testing.assert_allclose(sol.S, [sol.mu_S(i).sum() for i in range(len(sol.t))],
-                               rtol=1e-12)
-    np.testing.assert_allclose(sol.N_S, [k @ sol.mu_S(i) for i in range(len(sol.t))],
-                               rtol=1e-12)
+    np.testing.assert_allclose(sol.column("S"),
+                               [sol.mu_S(i).sum() for i in range(len(sol.t))], rtol=1e-12)
+    np.testing.assert_allclose(sol.column("N_S"),
+                               [k @ sol.mu_S(i) for i in range(len(sol.t))], rtol=1e-12)
 
 
 def test_miller_exact_when_ps0_matches():
@@ -323,12 +342,11 @@ def test_miller_exact_when_ps0_matches():
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=3.0, dt=1e-3)
     vol = solve_volz(init, cfg)
     mil = miller_theta(init, cfg)
-    ts, theta, S, I, R = mil.t, mil.theta, mil.S, mil.I, mil.R
-    m = min(len(ts), len(vol.t))
-    np.testing.assert_allclose(ts[:m], vol.t[:m], rtol=0, atol=1e-12)
-    for got, want in ((theta, vol.theta), (S, vol.S), (I, vol.I), (R, vol.R)):
-        assert np.abs(got[:m] - want[:m]).max() < 1e-7
-    assert I[0] == pytest.approx(0.02, abs=1e-15)
+    m = min(len(mil.t), len(vol.t))
+    np.testing.assert_allclose(mil.t[:m], vol.t[:m], rtol=0, atol=1e-12)
+    for name in ("theta", "S", "I", "R"):
+        assert np.abs(mil.column(name)[:m] - vol.column(name)[:m]).max() < 1e-7
+    assert mil.column("I")[0] == pytest.approx(0.02, abs=1e-15)
 
 
 def _final_theta(init, r, beta):
@@ -355,10 +373,10 @@ def test_final_size_oracle(degree):
     theta_inf = _final_theta(init, 1.0, 0.5)
     assert 0 < theta_inf < 1
     vol = solve_volz(init, SolverConfig(r=1.0, beta=0.5, t_max=60.0, dt=5e-3, eps_IS=0.0))
-    assert abs(vol.theta[-1] - theta_inf) < 1e-9
+    assert abs(vol.column("theta")[-1] - theta_inf) < 1e-9
     # eps_IS = 0 never stops early, however N_IS rounds near zero
     assert vol.terminal == "t_max" and vol.t[-1] == pytest.approx(60.0)
-    theta = miller_theta(init, SolverConfig(r=1.0, beta=0.5, t_max=60.0, dt=2e-2)).theta
+    theta = miller_theta(init, SolverConfig(r=1.0, beta=0.5, t_max=60.0, dt=2e-2)).column("theta")
     assert abs(theta[-1] - theta_inf) < 1e-9
 
 
@@ -380,6 +398,19 @@ def test_horizon_bound_structure():
     assert a == pytest.approx(2 * b, rel=1e-12)
     with pytest.raises(ConfigurationError):
         horizon_bound(init, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("r,beta,message", [
+    (math.nan, 1.0, "r must be finite"),
+    (-3.0, 1.0, "r must be nonnegative"),
+    (1.0, math.nan, "beta must be finite"),
+    (1.0, -0.5, "beta must be nonnegative"),
+])
+def test_horizon_bound_refuses_bad_rates(r, beta, message):
+    # max(r, beta) would pick the other rate, or give a NaN bound
+    init = LimitInit(mu_S0=[0.0, 0.0, 1.0], mu_IS0=[0.0, 0.1])
+    with pytest.raises(ConfigurationError, match=message):
+        horizon_bound(init, r, beta, 0.01)
 
 
 def test_solver_config_validation():
