@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.  Output
 files are written atomically (temp file then rename) and every run also
 writes a ``<out>.meta.json`` embedding the resolved configuration, so a
 result file is always traceable to the exact inputs that produced it.
-Relative output paths resolve against ``$SIRNET_OUTDIR`` when set.
+Relative output paths resolve against ``$SIRNET_OUTDIR`` when set, and
+two outputs of one run that name one file are refused (exit 2).
 """
 
 from __future__ import annotations
@@ -45,13 +46,31 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _atomic_write(path, lines):
-    """Write ``lines`` to ``path`` by a temp file and a rename, and return
-    the path written: a relative ``path`` resolves against
-    ``$SIRNET_OUTDIR`` when set, here and nowhere else."""
+def _output_paths(out, **options):
+    """The files a command writes, each resolved once and keyed by name:
+    ``out``, its ``meta`` (``<out>.meta.json``) and each of the ``options``
+    given a path.  A relative path resolves against ``$SIRNET_OUTDIR`` when
+    set, here and nowhere else.  Two that name one file are refused, naming
+    both options."""
     base = os.environ.get("SIRNET_OUTDIR")
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
+    paths, seen = {}, {}
+    for name, path in {"out": out, "meta": out + ".meta.json", **options}.items():
+        if not path:
+            continue
+        if base and not os.path.isabs(path):
+            path = os.path.join(base, path)
+        key = os.path.realpath(path)
+        option = "the .meta.json of --out" if name == "meta" else "--" + name
+        if key in seen:
+            raise ConfigurationError(
+                f"{option} and {seen[key]} both name {path}; each output needs its own file")
+        seen[key] = option
+        paths[name] = path
+    return paths
+
+
+def _atomic_write(path, lines):
+    """Write ``lines`` to ``path`` by a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -64,17 +83,15 @@ def _atomic_write(path, lines):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return path
 
 
-def _write_metadata(out_path, config):
-    """Write ``<out_path>.meta.json``.  ``out_path`` is the output path as
-    the command was given it, which :func:`_atomic_write` resolves."""
+def _write_metadata(path, config):
+    """Write ``config`` with the package version and the RNG to the
+    ``.meta.json`` at ``path``."""
     meta = dict(config)
     meta["package_version"] = sirnet.__version__
     meta["rng"] = "PCG64"
-    return _atomic_write(out_path + ".meta.json",
-                         [json.dumps(meta, indent=2, sort_keys=True)])
+    _atomic_write(path, [json.dumps(meta, indent=2, sort_keys=True)])
 
 
 def _level_map(levels):
@@ -222,6 +239,7 @@ def cmd_r0(args):
 
 
 def cmd_simulate(args):
+    paths = _output_paths(args.out, snapshots=args.snapshots)
     check_nonnegative(seed=args.seed)
     spec = DegreeSpec.from_string(args.degree)
     params = SimParams(r=args.r, beta=args.beta, t_max=args.t_max,
@@ -239,17 +257,18 @@ def cmd_simulate(args):
         "t_max": args.t_max, "grid": args.grid,
     }
     traj = simulate(state, params, rng=rng)
-    out = _atomic_write(args.out, traj.to_csv_lines())
-    _write_metadata(args.out, {**config, "terminal": traj.terminal,
-                               "n_infections": traj.n_infections,
-                               "n_removals": traj.n_removals})
-    if args.snapshots:
-        _atomic_write(args.snapshots, _snapshot_lines(traj.snapshots))
-    print(f"wrote {out} ({len(traj.times)} rows, terminal={traj.terminal})")
+    _atomic_write(paths["out"], traj.to_csv_lines())
+    _write_metadata(paths["meta"], {**config, "terminal": traj.terminal,
+                                    "n_infections": traj.n_infections,
+                                    "n_removals": traj.n_removals})
+    if "snapshots" in paths:
+        _atomic_write(paths["snapshots"], _snapshot_lines(traj.snapshots))
+    print(f"wrote {paths['out']} ({len(traj.times)} rows, terminal={traj.terminal})")
     return EXIT_OK
 
 
 def cmd_solve(args):
+    paths = _output_paths(args.out, snapshots=getattr(args, "snapshots", None))
     spec = DegreeSpec.from_string(args.degree)
     if args.i0 is not None:
         init = limit_initial(spec, args.i0)
@@ -266,21 +285,22 @@ def cmd_solve(args):
     # looked up per call, so a wrapper set on a module-level name sees the call
     solver = {"volz": solve_volz, "measures": solve_measures, "miller": miller_theta}
     sol = solver[args.which](init, config)
-    out = _atomic_write(args.out, sol.to_csv_lines())
-    _write_metadata(args.out, {
+    _atomic_write(paths["out"], sol.to_csv_lines())
+    _write_metadata(paths["meta"], {
         "command": f"solve {args.which}", "degree": spec.describe(),
         "r": args.r, "beta": args.beta,
         "i0": args.i0, "pI0": init.pI0,
         "t_max": args.t_max, "dt": args.dt, **stop,
         "terminal": sol.terminal, **sol.diagnostics,
     })
-    if vars(args).get("snapshots"):
-        _atomic_write(args.snapshots, _snapshot_lines(sol.snapshots))
-    print(f"wrote {out} ({args.which})")
+    if "snapshots" in paths:
+        _atomic_write(paths["snapshots"], _snapshot_lines(sol.snapshots))
+    print(f"wrote {paths['out']} ({args.which})")
     return EXIT_OK
 
 
 def cmd_converge(args):
+    paths = _output_paths(args.out, manifest=args.manifest or args.out + ".manifest.json")
     spec = DegreeSpec.from_string(args.degree)
     if args.dry_run:
         plan_study(spec, args.r, args.beta, args.i0, args.n, args.reps,
@@ -293,17 +313,16 @@ def cmd_converge(args):
         args.t_max, args.grid, eps_prime=args.eps_prime,
         workers=args.workers,
     )
-    out = _atomic_write(args.out, report.to_csv_lines())
-    manifest = _atomic_write(args.manifest or args.out + ".manifest.json",
-                             [manifest_json(report)])
-    _write_metadata(args.out, {
+    _atomic_write(paths["out"], report.to_csv_lines())
+    _atomic_write(paths["manifest"], [manifest_json(report)])
+    _write_metadata(paths["meta"], {
         "command": "converge", "degree": spec.describe(),
         "n": args.n, "reps": args.reps, "r": args.r, "beta": args.beta,
         "i0": args.i0, "seed": args.seed,
         "t_max": args.t_max, "grid": args.grid, "eps_prime": args.eps_prime,
         "tau_bar": report.tau_bar,
     })
-    print(f"wrote {out} and {manifest} (horizon {report.t_end:.6g})")
+    print(f"wrote {paths['out']} and {paths['manifest']} (horizon {report.t_end:.6g})")
     return EXIT_OK
 
 

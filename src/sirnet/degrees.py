@@ -24,13 +24,17 @@ from sirnet.errors import (
 def _degree_weights(pairs):
     """The ``{degree: weight}`` map of a degree file's ``(key, value)``
     pairs; refuses two keys that name one degree, such as ``"2"`` and
-    ``"02"``."""
+    ``"02"``, and a weight that is no JSON number, such as ``null``,
+    ``true``, a list or an object."""
     weights, keys = {}, {}
     for key, value in pairs:
         k = int(key)
         if k in keys:
             raise ConfigurationError(
                 f"degree {k} is given twice in the degree file, as {keys[k]!r} and {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"the weight of degree {k} must be a number, got {json.dumps(value)}")
         keys[k], weights[k] = key, float(value)
     return weights
 
@@ -53,7 +57,12 @@ class DegreeSpec:
         probs = np.asarray(probs, dtype=float)
         keep = probs > 0
         levels, probs = levels[keep], probs[keep]
-        total = probs.sum()
+        with np.errstate(over="ignore"):
+            total = probs.sum()
+        if not np.isfinite(total):
+            law = ":".join([kind, *map("{:g}".format, params)])
+            raise ConfigurationError(
+                f"the {law} degree law needs weights with a finite total, got {total:g}")
         if len(levels) == 0 or total <= 0:
             raise ConfigurationError("degree distribution has no mass")
         probs = probs / total
@@ -109,7 +118,9 @@ class DegreeSpec:
             raise ConfigurationError("powerlaw needs 1 <= kmin <= kmax")
         check_degree(kmax=kmax)
         k = np.arange(int(kmin), int(kmax) + 1)
-        return cls._build("powerlaw", (alpha, kmin, kmax), k, k ** (-float(alpha)))
+        with np.errstate(over="ignore"):  # an infinite weight is refused by _build
+            weights = k ** (-float(alpha))
+        return cls._build("powerlaw", (alpha, kmin, kmax), k, weights)
 
     @classmethod
     def from_string(cls, text):
@@ -135,7 +146,7 @@ class DegreeSpec:
                 return cls.explicit(weights)
         except ConfigurationError:
             raise
-        except (ValueError, OSError) as exc:
+        except (ValueError, OverflowError, OSError) as exc:
             raise ConfigurationError(f"cannot parse degree spec {text!r}: {exc}") from exc
         raise ConfigurationError(f"unknown degree spec kind {name!r}")
 

@@ -17,14 +17,14 @@ MAX_DEGREE = 10**6
 # rows, t=0 included, that one simulated trajectory or one limit solve may
 # store; at the cap a trajectory's six counts and time take 0.56 GB and a
 # volz solve's 9-float states 0.72 GB; a measures solve keeps 2*kmax + 3
-# floats a row, so MAX_SOLVE_BYTES bounds it further
+# floats a row beside its influx table, so MAX_SOLVE_BYTES bounds it further
 MAX_GRID_ROWS = 10**7
 
-# bytes that a measures solve may take at either of its two peaks, the
-# build of its influx table, O(kmax**2), and its stored rows, O(kmax) each
-# (sirnet.limit.check_measures_memory); about what a volz solve stores at
-# MAX_GRID_ROWS, and it still admits kmax up to 6312, or 10**5 rows at
-# kmax = 300
+# bytes that a measures solve's two arrays may take together, its influx
+# table of about 8 * kmax**2 bytes and its stored rows of 8 * (2*kmax + 3)
+# bytes each (sirnet.limit.check_measures_memory); about what a volz solve
+# stores at MAX_GRID_ROWS, and it admits kmax up to 11008, or 1984028 rows
+# at kmax = 30 and 207066 at kmax = 300
 MAX_SOLVE_BYTES = 10**9
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,9 +218,10 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     population size, which leave the report's standard error undefined, a
     population size that ``i0`` leaves without susceptibles, and a
     comparison window ``[0, min(t_max, tau_bar)]`` that holds fewer than
-    two grid points.
+    two grid points.  The replicas' row cap counts the grid on that
+    window, the rows they record, not on ``[0, t_max]``.
     """
-    params = SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid)
+    check_positive(t_max=t_max, record_grid=grid)
     if reps < 2:
         raise ConfigurationError(
             f"reps={reps}: a standard error needs at least 2 replicas per population size")
@@ -242,7 +243,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
             f"[0, min(t_max, tau_bar={tau_bar:.6g})] = [0, {t_end:.6g}]; "
             "at least 2 are needed"
         )
-    return replace(params, t_max=t_end), init, tau_bar, t_end
+    return SimParams(r=r, beta=beta, t_max=t_end, record_grid=grid), init, tau_bar, t_end
 
 
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,

@@ -44,9 +44,6 @@ CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
-# bytes per influx table entry at the peak of influx_kernel: the int64 depth
-# table n, the bool mask outside, log T and the float64 gather log_kw[n]
-INFLUX_PEAK_BYTES = 25
 _DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
@@ -259,7 +256,7 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     * a tuple runs them in Python floats, and ``rhs`` takes a list of
       floats and returns a sequence of them: a step then makes no numpy
       call, whose per-call overhead is most of the cost of a step on a
-      state of a few floats, and the rows are kept as packed doubles;
+      state of a few floats;
     * anything else runs them on numpy arrays, and ``rhs`` takes and
       returns an array.
 
@@ -269,22 +266,24 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
 
     A step that leaves the state non-finite raises
     :class:`SolverDiagnosticError`; ``repair(y)`` then checks or repairs
-    the state in place, on the array path only.  ``n_IS(y)`` reads the
-    per-capita infectious edge count off the state: the run ends
-    ``extinct`` once it falls below ``config.eps_IS``, and never early when
-    ``eps_IS`` is 0 or there is no read-out.  Returns
-    ``(times, states, terminal)``.
+    the state in place.  ``n_IS(y)`` reads the per-capita infectious edge
+    count off the state: the run ends ``extinct`` once it falls below
+    ``config.eps_IS``, and never early when ``eps_IS`` is 0 or there is no
+    read-out.  Returns ``(times, states, terminal)``, where ``states``
+    views the one packed ``array("d")`` that holds each row once.
     """
     dt = config.dt
     stop_below = config.eps_IS if n_IS is not None else 0.0
+    rows = array("d")
     floats = isinstance(y0, tuple)
     if floats:
         h, w = 0.5 * dt, dt / 6.0
         y = [float(v) for v in y0]
-        rows = array("d", y)
+        store = rows.fromlist
     else:
         y = np.array(y0, dtype=float)
-        ys = [y.copy()]
+        store = lambda y: rows.frombytes(y.tobytes())  # noqa: E731
+    store(y)
     terminal = "t_max"
     for step in range(config.n_steps):
         if floats:
@@ -307,16 +306,13 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
                 f"state became non-finite at t={(step + 1) * dt:.6g}; dt={dt:g} is "
                 "too large for these rates"
             )
-        if floats:
-            rows.fromlist(y)
-        else:
-            if repair is not None:
-                repair(y)
-            ys.append(y.copy())
+        if repair is not None:
+            repair(y)
+        store(y)
         if stop_below > 0 and n_IS(y) < stop_below:
             terminal = "extinct"
             break
-    states = np.frombuffer(rows).reshape(-1, len(y)) if floats else np.asarray(ys)
+    states = np.frombuffer(rows).reshape(-1, len(y))
     # i * dt is the time (step+1)*dt gave row i, bit for bit
     return np.arange(len(states)) * dt, states, terminal
 
@@ -471,31 +467,31 @@ class MeasureSolution(Solution):
 
 
 def check_measures_memory(init, config):
-    """Refuse, before anything is allocated, a measures solve that would
-    take more than ``MAX_SOLVE_BYTES`` at either of its two peaks:
-
-    * the build of :func:`influx_kernel`'s table, ``INFLUX_PEAK_BYTES``
-      per entry of its ``INFLUX_BLOCK * blocks`` depths by ``kmax+1``
-      levels;
-    * the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats each,
-      held twice, once as row copies and once as the array stacked from
-      them; every step is counted, as :class:`SolverConfig`'s row cap
-      counts them, since an early stop is not known in advance."""
+    """Refuse, before anything is allocated, a measures solve whose two
+    arrays, alive together, would take more than ``MAX_SOLVE_BYTES``:
+    :func:`influx_kernel`'s table ``U`` and block maxima ``M``, plus one
+    block's build temporaries, naming ``kmax`` if these alone are over;
+    else with the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats
+    each, naming ``t_max`` and ``dt``.  Every step is counted, as
+    :class:`SolverConfig`'s row cap counts them, since an early stop is
+    not known in advance."""
     levels = len(init.mu_S0)
     kmax = levels - 1
-    table = INFLUX_PEAK_BYTES * INFLUX_BLOCK * -(-kmax // INFLUX_BLOCK) * levels
+    blocks = -(-kmax // INFLUX_BLOCK)
+    # one block's int64 depths, bool mask and float gather: 17 bytes an entry
+    table = 8 * (INFLUX_BLOCK + 1) * blocks * levels + 17 * INFLUX_BLOCK * levels
     if table > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"kmax={kmax} makes the measures solve's influx table peak at "
-            f"{table / 1e9:.3g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
+            f"{table / 1e9:.4g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
         )
     rows, width = config.n_steps + 1, 2 * levels + 1
-    stored = 16 * rows * width
-    if stored > MAX_SOLVE_BYTES:
+    total = table + 8 * rows * width
+    if total > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"t_max={config.t_max:g} and dt={config.dt:g} make {rows} rows of {width} "
-            f"floats at kmax={kmax}, which a measures solve holds twice: "
-            f"{stored / 1e9:.3g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
+            f"floats at kmax={kmax}, which with the influx table take {total / 1e9:.4g} "
+            f"GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
         )
 
 
@@ -513,7 +509,8 @@ def influx_kernel(mu_S0_weights):
     where the block holds no mass), and ``exp(log T - M)`` in ``[0, 1]``,
     built in log space from one ``math.lgamma`` table.  A call then scales
     each block by ``exp(M + i log x + 64 b log y)``, one exponent over a
-    ``(blocks, kmax+1)`` array, so no factor overflows at any kmax.
+    ``(blocks, kmax+1)`` array, so no factor overflows at any kmax.  Each
+    block is built in place in ``U``, so no temporary has ``U``'s shape.
 
     Returns ``(U, M, i, b)``: ``U`` of shape
     ``(INFLUX_BLOCK, blocks*(kmax+1))``, the rows being the depth ``r``
@@ -524,23 +521,25 @@ def influx_kernel(mu_S0_weights):
     kmax = len(w) - 1
     blocks = -(-kmax // INFLUX_BLOCK)
     i = np.arange(kmax + 1)
-    # depth d = r + 64 b laid out (r, b), so U needs no transposed copy
-    d = (np.arange(INFLUX_BLOCK)[:, None] + INFLUX_BLOCK * np.arange(blocks))[:, :, None]
-    n = i + d  # k - 1
-    outside = n >= kmax
-    np.minimum(n, kmax - 1, out=n)
     log_fact = np.array([math.lgamma(m + 1) for m in range(kmax + 1)])  # log m!
     with np.errstate(divide="ignore"):
-        log_kw = np.log(np.arange(kmax + 1) * w)  # log(k mu_S0(k)), -inf at 0
-    log_T = log_fact[n]
-    log_T -= log_fact[i]
-    log_T -= log_fact[np.minimum(d, kmax)]
-    n += 1
-    log_T += log_kw[n]
-    log_T[outside] = -np.inf
-    M = log_T.max(axis=0)
-    log_T -= np.where(np.isfinite(M), M, 0.0)
-    U = np.exp(log_T, out=log_T)
+        log_kw = np.log(i * w)  # log(k mu_S0(k)), -inf at 0
+    # depth d = r + 64 b laid out (r, b), so U needs no transposed copy
+    U = np.empty((INFLUX_BLOCK, blocks, kmax + 1))
+    M = np.empty((blocks, kmax + 1))
+    for blk in range(blocks):
+        d = INFLUX_BLOCK * blk + np.arange(INFLUX_BLOCK)[:, None]
+        n = i + d  # k - 1
+        outside = n >= kmax
+        np.minimum(n, kmax - 1, out=n)
+        log_T = np.subtract(log_fact[n], log_fact, out=U[:, blk])
+        log_T -= log_fact[np.minimum(d, kmax)]
+        n += 1
+        log_T += log_kw[n]
+        log_T[outside] = -np.inf
+        M[blk] = log_T.max(axis=0)
+        log_T -= np.where(np.isfinite(M[blk]), M[blk], 0.0)
+        np.exp(log_T, out=log_T)
     return (U.reshape(INFLUX_BLOCK, -1), M,
             np.arange(kmax + 1.0), INFLUX_BLOCK * np.arange(blocks + 0.0)[:, None])
 
@@ -641,7 +640,7 @@ def solve_measures(init, config):
     never grow, so no level is ever cut off.  Small negative weights
     produced by the integrator are clamped to zero; the run aborts if the
     clamped mass exceeds a fixed budget relative to the initial population
-    mass.  A solve whose influx table or stored rows would outgrow
+    mass.  A solve whose influx table and rows together would outgrow
     ``MAX_SOLVE_BYTES`` is refused first, by :func:`check_measures_memory`.
     """
     check_measures_memory(init, config)

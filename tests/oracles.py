@@ -7,8 +7,9 @@ running it on every possible sequence of integer draws, and
 :func:`all_matched_levels` runs the production (j, l) sampler where every
 half-edge it draws is matched, which makes it a uniform subset sampler.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
-limit-solver formulas without the package's shortcuts, and
-:func:`influx_exact` evaluates the influx in exact rational arithmetic.
+limit-solver formulas without the package's shortcuts,
+:func:`influx_exact` evaluates the influx in exact rational arithmetic, and
+:func:`influx_kernel_full` builds the influx table in one full-shape pass.
 :func:`check_invariants` re-derives a simulator state's running totals
 from its level vectors; :func:`grid_rows_from_events` re-derives the grid
 rows of a run from its event log, and :func:`trajectory_csv_lines` and
@@ -334,6 +335,32 @@ def influx_exact(mu_S0_weights, pS, pI, pR, theta=1.0):
                 acc += (a * math.comb(k - 1, i) * c) << (top - e - f)
         out.append(float(Fraction(acc, 1 << top) * pS**i))
     return out
+
+
+def influx_kernel_full(mu_S0_weights, block=64):
+    """The influx table ``(U, M, i, b)`` of :func:`sirnet.limit.influx_kernel`
+    built at once over its full ``(block, blocks, kmax+1)`` shape: every
+    depth ``d = r + block*b`` and level ``i``, with ``log T[d, i] =
+    log (i+d)! - log i! - log d! + log((i+d+1) mu_S0(i+d+1))``, ``-inf``
+    past ``kmax``, less the maximum ``M`` of each block and level, then
+    exponentiated."""
+    w = np.asarray(mu_S0_weights, dtype=float)
+    kmax = len(w) - 1
+    blocks = -(-kmax // block)
+    i = np.arange(kmax + 1)
+    d = (np.arange(block)[:, None] + block * np.arange(blocks))[:, :, None]
+    n = i + d
+    outside = n >= kmax
+    n = np.minimum(n, kmax - 1)
+    log_fact = np.array([math.lgamma(m + 1) for m in range(kmax + 1)])
+    with np.errstate(divide="ignore"):
+        log_kw = np.log(np.arange(kmax + 1) * w)
+    log_T = log_fact[n] - log_fact[i] - log_fact[np.minimum(d, kmax)] + log_kw[n + 1]
+    log_T[outside] = -np.inf
+    M = log_T.max(axis=0)
+    U = np.exp(log_T - np.where(np.isfinite(M), M, 0.0))
+    return (U.reshape(block, -1), M,
+            np.arange(kmax + 1.0), block * np.arange(blocks + 0.0)[:, None])
 
 
 def volz_rhs_polyval(mu_S0, r, beta):

@@ -290,6 +290,49 @@ def test_outdir_env_var(tmp_path, capsys, monkeypatch):
             written | {"converge.csv.manifest.json"})
 
 
+@pytest.mark.parametrize("args,message", [
+    (["converge", "--degree", "poisson:5:25", "--n", "200", "--reps", "2", "--r", "1",
+      "--beta", "0.5", "--i0", "0.01", "--t-max", "0.002", "--grid", "0.0002",
+      "--out", "c.csv", "--manifest", "c.csv"], "--manifest and --out both name c.csv"),
+    (["converge", "--degree", "poisson:5:25", "--n", "200", "--reps", "2", "--r", "1",
+      "--beta", "0.5", "--i0", "0.01", "--t-max", "0.002", "--grid", "0.0002",
+      "--out", "c.csv", "--manifest", "./c.csv.meta.json"],
+     "--manifest and the .meta.json of --out both name ./c.csv.meta.json"),
+    (["simulate", "--degree", "poisson:5:20", "--n", "200", "--r", "1", "--beta", "0.5",
+      "--i0", "0.05", "--t-max", "0.1", "--snapshots", "s.csv", "--out", "s.csv"],
+     "--snapshots and --out both name s.csv"),
+    (["simulate", "--degree", "poisson:5:20", "--n", "200", "--r", "1", "--beta", "0.5",
+      "--i0", "0.05", "--t-max", "0.1", "--out", "s.csv", "--snapshots", "s.csv.meta.json"],
+     "--snapshots and the .meta.json of --out both name s.csv.meta.json"),
+    (["solve", "measures", "--degree", "poisson:5:20", "--r", "1", "--beta", "0.5",
+      "--pI0", "0.05", "--t-max", "0.1", "--out", "m.csv", "--snapshots", "sub/../m.csv"],
+     "--snapshots and --out both name sub/../m.csv"),
+], ids=["converge-manifest-out", "converge-manifest-meta", "simulate-snapshots-out",
+        "simulate-snapshots-meta", "measures-snapshots-out"])
+def test_colliding_output_paths_exit_2(tmp_path, capsys, monkeypatch, args, message):
+    # one output used to overwrite another and the run exited 0; the paths
+    # are compared as resolved, in the dry run too, before anything is written
+    monkeypatch.chdir(tmp_path)
+    for dry in ([], ["--dry-run"]):
+        assert run(args + dry, capsys) == (2, "", f"configuration error: {message}; "
+                                           "each output needs its own file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_colliding_output_paths_under_outdir_exit_2(tmp_path, capsys, monkeypatch):
+    # a relative --out resolves under $SIRNET_OUTDIR, so it names the same
+    # file as an absolute --snapshots there
+    monkeypatch.setenv("SIRNET_OUTDIR", str(tmp_path))
+    snapshots = str(tmp_path / "s.csv")
+    args = ["simulate", "--degree", "poisson:5:20", "--n", "200", "--r", "1",
+            "--beta", "0.5", "--i0", "0.05", "--t-max", "0.1", "--out", "s.csv",
+            "--snapshots", snapshots]
+    assert run(args, capsys) == (
+        2, "", f"configuration error: --snapshots and --out both name {snapshots}; "
+        "each output needs its own file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_degree_exits_2(tmp_path, capsys):
     code, _, _ = run(["solve", "volz", "--degree", "weird:1",
                       "--r", "1", "--beta", "0.5", "--pI0", "0.05",
@@ -357,8 +400,18 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     # a JSON array is no degree-to-weight map
     (R0, '[1, 0.5]', "a degree file must hold a JSON object mapping degree to weight"),
     (SIM, f'{{"3": 1, "{10**6 + 1}": 1e-9}}', "degree " + DEGREE_BOUND),
+    # a weight that is no JSON number: float() failed in the parser (exit 1), and
+    # true was taken as the weight 1
+    (R0, '{"3": null, "4": 1}', "the weight of degree 3 must be a number, got null"),
+    (SIM, '{"3": [1], "4": 1}', "the weight of degree 3 must be a number, got [1]"),
+    (R0, '{"3": {}, "4": 1}', "the weight of degree 3 must be a number, got {}"),
+    (R0, '{"3": true}', "the weight of degree 3 must be a number, got true"),
+    # finite weights whose total overflows: "must have positive mean degree"
+    (R0, '{"3": 1e308, "4": 1e308}',
+     "the explicit degree law needs weights with a finite total, got inf"),
 ], ids=["r0-infinite-weight", "simulate-negative-degree", "r0-duplicate-degree",
-        "r0-array", "simulate-degree-too-large"])
+        "r0-array", "simulate-degree-too-large", "r0-null-weight", "simulate-list-weight",
+        "r0-object-weight", "r0-boolean-weight", "r0-total-overflows"])
 def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message):
     path = tmp_path / "w.json"
     path.write_text(weights)
@@ -374,6 +427,13 @@ def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message
 def test_r0_degree_above_bound_exits_2(capsys, degree):
     assert run(_with(R0, "--degree", degree), capsys) == (
         2, "", f"configuration error: kmax {DEGREE_BOUND}\n")
+
+
+def test_r0_weights_overflowing_a_float_exit_2(capsys):
+    # 100**400 overflows: r0 printed "nan (subcritical)" and exited 0
+    assert run(_with(R0, "--degree", "powerlaw:-400:1:100"), capsys) == (
+        2, "", "configuration error: the powerlaw:-400:1:100 degree law needs weights "
+        "with a finite total, got inf\n")
 
 
 @pytest.mark.parametrize("degree,field", [
@@ -465,7 +525,9 @@ def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, mes
 
 @pytest.mark.parametrize("args", [
     _with(SIM, "--t-max", "10") + ["--grid", "1e-9"],
-    _with(CONVERGE, "--t-max", "10") + ["--i0", "0.01", "--grid", "1e-9"],
+    # rates of 1e-6 make tau_bar 1345, so the replicas would record all of [0, 10]
+    _with(_with(_with(CONVERGE, "--t-max", "10"), "--r", "1e-6"), "--beta", "1e-6")
+    + ["--i0", "0.01", "--grid", "1e-9"],
 ], ids=["simulate", "converge"])
 def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args):
     # refused by the dry run, so no run that would record 1e10 rows starts
@@ -474,6 +536,22 @@ def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args):
     assert code == 2
     assert "record_grid=1e-09 puts 10000000001 rows" in err
     assert not out.exists()
+
+
+def test_converge_counts_rows_on_its_window(tmp_path, capsys, monkeypatch):
+    # a grid of 1e-5 puts 2e7 rows on [0, t_max=200], but the replicas
+    # record only the 135 of [0, tau_bar = 0.00134544]; refused before
+    args = ["converge", "--degree", "poisson:5:30", "--n", "1000,2000", "--reps", "4",
+            "--r", "1", "--beta", "0.5", "--i0", "0.01", "--t-max", "200",
+            "--grid", "1e-5"]
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", "c.csv", "--dry-run"], capsys) == (
+        0, "config ok (dry run)\n", "")
+    args = _with(_with(args, "--n", "200,400"), "--reps", "2")
+    code, out, err = run(args + ["--out", "c.csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "wrote c.csv and c.csv.manifest.json (horizon 0.00134544)\n"
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 2 * 6
 
 
 @pytest.mark.parametrize("args", [
@@ -500,12 +578,13 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
 
 
 @pytest.mark.parametrize("args,message", [
-    # influx_kernel would peak near 25 kmax**2 bytes: 250 GB
+    # the influx table alone, about 8 kmax**2 bytes: 81.39 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
-     "kmax=100000 makes the measures solve's influx table peak at 250 GB"),
-    # 9999001 rows of 63 floats, held twice: 10.1 GB
+     "kmax=100000 makes the measures solve's influx table peak at 81.39 GB"),
+    # 9999001 rows of 63 floats: 5.04 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
-     "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30"),
+     "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30, "
+     "which with the influx table take 5.04 GB"),
 ], ids=["influx-table", "stored-rows"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, args,
@@ -523,6 +602,35 @@ def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, a
     code, _, err = run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys)
     assert code == 2
     assert message in err and "over the 1 GB a solve may take" in err
+    assert not out.exists()
+
+
+def test_solve_measures_admits_kmax_8000(tmp_path, capsys):
+    # its 0.51 GB table and two rows fit the cap; the 25 bytes a table entry
+    # of the full-shape build counted made it 1.6 GB
+    args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:8000"), "--t-max", "0.001")
+    assert run(args + ["--dry-run", "--out", str(tmp_path / "x.csv")], capsys) == (
+        0, "config ok (dry run)\n", "")
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys,
+                                                               monkeypatch, dry_run):
+    # the 0.80 GB table fits alone and so do 2001 rows of 20003 floats
+    # (0.32 GB), but both are held at once: the refusal names t_max and dt
+    import sirnet.limit
+
+    def forbidden(*_, **__):
+        raise AssertionError("allocated a solve that should be refused")
+
+    for name in ("influx_kernel", "rk4_integrate"):
+        monkeypatch.setattr(sirnet.limit, name, forbidden)
+    args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:10000"), "--t-max", "2")
+    out = tmp_path / "x.csv"
+    assert run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys) == (
+        2, "", "configuration error: t_max=2 and dt=0.001 make 2001 rows of 20003 floats "
+        "at kmax=10000, which with the influx table take 1.148 GB, over the 1 GB a solve "
+        "may take\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,13 @@ from sirnet.limit import (
     solve_volz,
 )
 
-from oracles import influx_exact, influx_uncollapsed, solution_csv_lines, volz_rhs_polyval
+from oracles import (
+    influx_exact,
+    influx_kernel_full,
+    influx_uncollapsed,
+    solution_csv_lines,
+    volz_rhs_polyval,
+)
 
 
 def test_influx_collapsed_equals_uncollapsed():
@@ -79,6 +86,46 @@ def test_influx_finite_at_kmax_1100(pS, pI, pR):
     m1 = pS * np.sum(k * (k - 1) * w * np.float_power(z, np.maximum(k - 2, 0)))
     assert f.sum() == pytest.approx(m0, rel=1e-12, abs=0)
     assert (k * f).sum() == pytest.approx(m1, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kmax", [1, 30, 63, 64, 65, 150, 300])
+def test_influx_kernel_equals_full_shape_build(kmax):
+    # built one block at a time in place, the table holds the bits of the
+    # full-shape build, at one, several and ragged blocks
+    w = DegreeSpec.powerlaw(2.5, 1, kmax).limit_measure(mass=0.99)
+    for got, want in zip(influx_kernel(w), influx_kernel_full(w)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _traced_peak(build):
+    """``build()`` and the peak bytes tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_influx_kernel_build_peaks_near_its_table():
+    # no full-shape temporary: the full-shape build peaks at 3.1 times
+    # the table at kmax 2000
+    w = DegreeSpec.powerlaw(2.5, 1, 2000).limit_measure()
+    (U, M, _, _), peak = _traced_peak(lambda: influx_kernel(w))
+    assert peak <= 1.2 * (U.nbytes + M.nbytes), peak / (U.nbytes + M.nbytes)
+
+
+def test_solve_measures_holds_its_rows_once():
+    # the rows are stored once, not as row copies and a table stacked from
+    # them (2.32 times rows and table)
+    init = limit_initial(DegreeSpec.poisson(5, 30), 0.01)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=2.0, eps_IS=0.0)
+    U, M, _, _ = influx_kernel(init.mu_S0)
+    arrays = U.nbytes + M.nbytes + 8 * (cfg.n_steps + 1) * (2 * len(init.mu_S0) + 1)
+    del U, M
+    sol, peak = _traced_peak(lambda: solve_measures(init, cfg))
+    assert sol.terminal == "t_max" and len(sol.t) == cfg.n_steps + 1
+    assert peak <= 1.3 * arrays, peak / arrays
 
 
 def test_generating_fn_derivatives():
