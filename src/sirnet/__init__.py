@@ -4,6 +4,12 @@ Exact event-driven simulation over half-edge pools, deterministic
 large-population limits (measure-valued system and its edge-based ODE
 reduction), and a Monte-Carlo harness for checking that scaled stochastic
 trajectories converge to the limit.
+
+The simulation's event laws are exact, but the chain is not yet SIR on a
+uniformly paired configuration model: a degree draw may have an odd
+total, and no self-pairing among a new infective's open half-edges is
+sampled, so 37% of n=50 runs on poisson:5:30 end ``depleted``
+(ROADMAP.md, defect 1; its direction 2 fixes both).
 """
 
 __version__ = "0.1.0"

@@ -233,7 +233,7 @@ def build_parser(command=None):
 def cmd_r0(args):
     spec = DegreeSpec.from_string(args.degree)
     value = reproduction_number(spec, args.r, args.beta)
-    verdict = "supercritical" if value > 1 else "subcritical"
+    verdict = "supercritical" if value > 1 else "critical" if value == 1 else "subcritical"
     print(f"r0 = {value:.6g} ({verdict})")
     return EXIT_OK
 

@@ -21,11 +21,22 @@ from sirnet.errors import (
 )
 
 
+def _plain(value):
+    """A JSON value read with ``object_pairs_hook=tuple``, its objects made
+    dicts again."""
+    if isinstance(value, tuple):
+        return {k: _plain(v) for k, v in value}
+    return [_plain(v) for v in value] if isinstance(value, list) else value
+
+
 def _degree_weights(pairs):
-    """The ``{degree: weight}`` map of a degree file's ``(key, value)``
-    pairs; refuses two keys that name one degree, such as ``"2"`` and
-    ``"02"``, and a weight that is no JSON number, such as ``null``,
-    ``true``, a list or an object."""
+    """The ``{degree: weight}`` map of a degree file's top-level JSON
+    object, read as the tuple of its ``(key, value)`` pairs, as
+    ``json.load`` with ``object_pairs_hook=tuple`` reads every object of
+    the file; refuses two keys that name one degree, such as ``"2"`` and
+    ``"02"``, a weight that is no JSON number, such as ``null``, ``true``,
+    a list or an object, and an integer weight too large for a float,
+    each naming the degree."""
     weights, keys = {}, {}
     for key, value in pairs:
         k = int(key)
@@ -34,8 +45,14 @@ def _degree_weights(pairs):
                 f"degree {k} is given twice in the degree file, as {keys[k]!r} and {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
-                f"the weight of degree {k} must be a number, got {json.dumps(value)}")
-        keys[k], weights[k] = key, float(value)
+                f"the weight of degree {k} must be a number, got {json.dumps(_plain(value))}")
+        try:
+            weights[k] = float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"the weight of degree {k} must be finite, got an integer too large "
+                "for a float") from None
+        keys[k] = key
     return weights
 
 
@@ -74,7 +91,7 @@ class DegreeSpec:
     @classmethod
     def explicit(cls, weights):
         """Weight ``weights[k]`` on degree ``k``, each finite and nonnegative."""
-        levels = sorted(int(k) for k in weights)
+        levels = sorted(map(int, weights))
         check_degree(degree=max(levels, default=0))
         for k in levels:
             if k < 0:
@@ -139,11 +156,11 @@ class DegreeSpec:
                 return cls.powerlaw(float(alpha), int(kmin), int(kmax))
             if name == "file":
                 with open(rest) as fh:
-                    weights = json.load(fh, object_pairs_hook=_degree_weights)
-                if not isinstance(weights, dict):  # the hook makes every JSON object a dict
+                    pairs = json.load(fh, object_pairs_hook=tuple)
+                if not isinstance(pairs, tuple):  # only a JSON object reads as a tuple
                     raise ConfigurationError(
                         "a degree file must hold a JSON object mapping degree to weight")
-                return cls.explicit(weights)
+                return cls.explicit(_degree_weights(pairs))
         except ConfigurationError:
             raise
         except (ValueError, OverflowError, OSError) as exc:
@@ -183,5 +200,6 @@ class DegreeSpec:
 
     def describe(self):
         if self.kind == "explicit":
-            return {"kind": "explicit", "weights": {int(k): float(p) for k, p in zip(self.levels, self.probs)}}
+            return {"kind": "explicit",
+                    "weights": dict(zip(self.levels.tolist(), self.probs.tolist()))}
         return {"kind": self.kind, "params": list(self.params)}

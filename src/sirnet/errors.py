@@ -20,11 +20,14 @@ MAX_DEGREE = 10**6
 # floats a row beside its influx table, so MAX_SOLVE_BYTES bounds it further
 MAX_GRID_ROWS = 10**7
 
-# bytes that a measures solve's two arrays may take together, its influx
-# table of about 8 * kmax**2 bytes and its stored rows of 8 * (2*kmax + 3)
-# bytes each (sirnet.limit.check_measures_memory); about what a volz solve
-# stores at MAX_GRID_ROWS, and it admits kmax up to 11008, or 1984028 rows
-# at kmax = 30 and 207066 at kmax = 300
+# bytes that a measures solve's arrays may take together
+# (sirnet.limit.check_measures_memory): its influx table of about
+# 8 * kmax**2 bytes, its stored rows of 8 * (2*kmax + 3) bytes each with
+# their growth slack, one step's working arrays, and the grid and derived
+# columns of the finished solve, 81 bytes a row; about what a volz solve
+# stores at MAX_GRID_ROWS.  The table alone fits up to kmax 11008 and a
+# solve of two rows up to kmax 10684; it admits 1621645 rows at kmax = 30
+# and 191792 at kmax = 300
 MAX_SOLVE_BYTES = 10**9
 
 

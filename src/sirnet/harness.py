@@ -176,6 +176,14 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     grid time at which the replica's per-capita ``N_IS`` is below
     ``eps_prime``, and ``inf`` if there is none.  Pure function: identical
     inputs give identical rows.
+
+    The manifest's ``window`` says, per n, what the window holds:
+    ``mean_events``, the mean over replicas of the events between t=0 and
+    the last grid time of the window, ``n (S(0) - S(t_end)) + n (R(t_end)
+    - R(0))`` rounded to an integer per replica; ``frac_no_events``, the
+    fraction of replicas with none; and ``mean_dist_t0``, per column, the
+    mean ``|replica - limit|`` at t=0, the part of the distance that the
+    sampled initial state holds before any event.
     """
     check_positive(eps_prime=eps_prime)
     t_end = min(t_max, tau_bar)
@@ -183,13 +191,17 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     for traj in trajectories:
         by_n.setdefault(traj.n, []).append(traj)
     limit = np.stack([limit_sol.column(col) for col in COMPARED])
-    rows = []
+    S, R = COMPARED.index("S"), COMPARED.index("R")
+    rows, window = [], []
     for n in sorted(by_n):
         group = sorted(by_n[n], key=lambda tr: tr.rep)
-        taus = []
+        taus, first, last = [], [], []
         for tr in group:
             below = np.flatnonzero(tr.column("N_IS") < eps_prime)
             taus.append(tr.times[below[0]] if len(below) else math.inf)
+            # the rows at t=0 and at the last grid time of the window
+            first.append(tr.values[:, 0])
+            last.append(tr.values[:, np.searchsorted(tr.times, t_end + 1e-12) - 1])
         frac = float(np.mean([tau >= tau_bar for tau in taus]))
         sups = np.array([sup_distance(tr.times, tr.values, limit_sol.t, limit, t_end)
                          for tr in group])
@@ -205,7 +217,17 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
                            if (dists != dists[0]).any() else 0.0),
                 "frac_tau_ge_bound": frac,
             })
-    return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end)
+        first, last = np.array(first), np.array(last)
+        events = np.rint(n * (first[:, S] - last[:, S]) + n * (last[:, R] - first[:, R]))
+        window.append({
+            "n": n,
+            "mean_events": float(events.mean()),
+            "frac_no_events": float(np.mean(events == 0)),
+            "mean_dist_t0": dict(zip(COMPARED,
+                                     np.abs(first - limit[:, 0]).mean(axis=0).tolist())),
+        })
+    return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end,
+                             manifest={"window": window})
 
 
 def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
@@ -265,7 +287,7 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
     trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0,
                                 workers=workers)
     report = convergence_report(trajectories, sol, eps_prime, tau_bar, t_max)
-    report.manifest = {
+    report.manifest.update({
         "degree": spec.describe(),
         "r": r, "beta": beta, "i0": i0,
         "n_values": [int(n) for n in n_values], "reps": reps,
@@ -276,7 +298,7 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
             {"n": tr.n, "rep": tr.rep, "state_words": list(tr.seed_words)}
             for tr in trajectories
         ],
-    }
+    })
     return report
 
 

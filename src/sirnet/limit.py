@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -77,7 +78,8 @@ class GeneratingFn:
         d1 = np.arange(1, len(coef)) * coef[1:]
         d2 = np.arange(1, len(d1)) * d1[1:]
         # polyder leaves the zero polynomial [0.0] where no term survives
-        self._horner = tuple(c[::-1].tolist() or [0.0] for c in (coef, d1, d2))
+        self._horner = (coef[::-1].tolist() or [0.0], d1[::-1].tolist() or [0.0],
+                        d2[::-1].tolist() or [0.0])
         h1, h2 = self._horner[1:]
         # a leading 0.0 pads g'' to the length of g'; from v = 0.0 its step
         # 0.0*z + 0.0 gives 0.0 at a finite z and NaN at an infinite or NaN z,
@@ -243,6 +245,11 @@ def reproduction_number(spec, r, beta):
 # ---------------------------------------------------------------------------
 
 
+def _too_coarse(what, dt):
+    """The error of a solve whose step ``dt`` is too coarse, as ``what`` shows."""
+    return SolverDiagnosticError(f"{what}; dt={dt:g} is too large for these rates")
+
+
 def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     """Classical 4th-order Runge-Kutta with the constant step ``config.dt``
     up to ``config.t_max``.
@@ -302,10 +309,7 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             finite = np.isfinite(y).all()
         if not finite:
-            raise SolverDiagnosticError(
-                f"state became non-finite at t={(step + 1) * dt:.6g}; dt={dt:g} is "
-                "too large for these rates"
-            )
+            raise _too_coarse(f"state became non-finite at t={(step + 1) * dt:.6g}", dt)
         if repair is not None:
             repair(y)
         store(y)
@@ -354,6 +358,12 @@ class Solution:
 _VOLZ_STATE = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
 
 
+def _susceptible_columns(gf, theta):
+    """``S = g(theta)`` and ``N_S = theta g'(theta)`` over a ``theta``
+    column, where ``gf`` generates ``mu_S0``."""
+    return gf(theta), theta * gf(theta, order=1)
+
+
 def volz_rhs(y, r, beta, gf):
     """Right-hand side of the edge-based system.
 
@@ -397,25 +407,19 @@ def solve_volz(init, config):
     y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
     r, beta = config.r, config.beta
     ts, ys, terminal = rk4_integrate(
-        lambda y: volz_rhs(y, r, beta, gf), y0, config, n_IS=lambda y: y[6],
+        lambda y: volz_rhs(y, r, beta, gf), y0, config, n_IS=itemgetter(6),
     )
     cols = dict(zip(_VOLZ_STATE, ys.T))
-    theta = cols["theta"]
-    cols["S"] = gf(theta)
-    cols["N_S"] = theta * gf(theta, order=1)
+    cols["S"], cols["N_S"] = _susceptible_columns(gf, cols["theta"])
     drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
     if drift > SIMPLEX_TOL:
-        raise SolverDiagnosticError(
-            f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e}); "
-            f"dt={config.dt:g} is too large for these rates"
-        )
+        raise _too_coarse(
+            f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
     total = init.S0 + init.I0
     mass = float(np.abs(cols["S"] + cols["I"] + cols["R"] - total).max())
     if mass > MASS_TOL * total:
-        raise SolverDiagnosticError(
-            f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
-            f"{MASS_TOL * total:.3e}; dt={config.dt:g} is too large for these rates"
-        )
+        raise _too_coarse(f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
+                         f"{MASS_TOL * total:.3e}", config.dt)
     return Solution(t=ts, columns=cols, terminal=terminal, diagnostics={})
 
 
@@ -467,14 +471,14 @@ class MeasureSolution(Solution):
 
 
 def check_measures_memory(init, config):
-    """Refuse, before anything is allocated, a measures solve whose two
-    arrays, alive together, would take more than ``MAX_SOLVE_BYTES``:
+    """Refuse, before anything is allocated, a measures solve whose arrays,
+    counted together, would take more than ``MAX_SOLVE_BYTES``:
     :func:`influx_kernel`'s table ``U`` and block maxima ``M``, plus one
     block's build temporaries, naming ``kmax`` if these alone are over;
     else with the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats
-    each, naming ``t_max`` and ``dt``.  Every step is counted, as
-    :class:`SolverConfig`'s row cap counts them, since an early stop is
-    not known in advance."""
+    each, and all the solve holds beside them, naming ``t_max`` and
+    ``dt``.  Every step is counted, as :class:`SolverConfig`'s row cap
+    counts them, since an early stop is not known in advance."""
     levels = len(init.mu_S0)
     kmax = levels - 1
     blocks = -(-kmax // INFLUX_BLOCK)
@@ -486,7 +490,18 @@ def check_measures_memory(init, config):
             f"{table / 1e9:.4g} GB, over the {MAX_SOLVE_BYTES / 1e9:g} GB a solve may take"
         )
     rows, width = config.n_steps + 1, 2 * levels + 1
-    total = table + 8 * rows * width
+    stored = 8 * rows * width
+    # beside the table and the rows, as tracemalloc measured at kmax 1 to 8000
+    # and up to 100001 rows: their array("d")'s growth slack, up to 1/16; one
+    # RK4 step's arrays, 24 to 40 bytes per entry of influx_vector's (blocks,
+    # kmax+1) arrays and about 140 bytes a level, bounded by 32 and 256; the
+    # finished solve's grid, nine derived columns and alive mask, 81 bytes a
+    # row, whose temporaries are freed before its last columns are taken; and
+    # numpy's ufunc buffers, 8192 floats for each of three operands, which
+    # the table's build takes on its strided blocks.  The sum was above
+    # every solve's traced peak.
+    total = (table + stored + stored // 16 + 81 * rows
+             + (32 * blocks + 256) * levels + 3 * 8 * 8192)
     if total > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"t_max={config.t_max:g} and dt={config.dt:g} make {rows} rows of {width} "
@@ -582,54 +597,42 @@ def influx_vector(table, pS, pI, pR, theta=1.0):
     return out
 
 
-def measure_rhs(y, r, beta, mu_S0_weights, table, k, k_k1):
-    """Right-hand side of the measure system in the packed state
-    ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``, over the levels of
-    ``mu_S0_weights``.  ``table`` is :func:`influx_kernel` of
-    ``mu_S0_weights``, and ``k`` and ``k_k1`` are the levels ``0..kmax``
-    and ``k(k-1)``, all built once per solve.
+def measure_rhs(y, r, beta, moments, table, k):
+    """Right-hand side of the paper's measure system in the packed state
+    ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``: ``theta`` and the
+    edge block ``mu = y[1:].reshape(2, kmax+1)``, I-S in row 0 and R-S in
+    row 1.  ``moments`` holds ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)``, whose
+    products with ``theta^k`` give ``N_S`` and ``N_S rho``, with
+    :func:`volz_rhs`'s ``rho = theta g''(theta)/g'(theta)``; ``table`` is
+    :func:`influx_kernel` of ``mu_S0`` and ``k`` the levels as floats, all
+    built once per solve.  An I-S edge loses its susceptible end at rate
+    ``r (1 + pI rho)`` and an R-S edge at rate ``r pI rho``, and each loss
+    moves its owner one level down (``shift``)::
 
-    Drift terms divide by the total edges-to-S of the class they act on;
-    when that total is numerically zero the class is inert and the term is
-    dropped."""
-    levels = len(k)
+        theta' = -r pI theta
+        mu_IS' = r pI influx + r (1 + pI rho) shift(mu_IS) - beta mu_IS
+        mu_RS' = beta mu_IS + r pI rho shift(mu_RS)
+
+    With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
     theta = y[0]
-    mu_IS = y[1 : levels + 1]
-    mu_RS = y[levels + 1 :]
     theta_S = max(theta, 0.0)
-    mu_S = mu_S0_weights * np.float_power(theta_S, k)
-    N_S = float(k @ mu_S)
-    m2m1 = float(k_k1 @ mu_S)
-    N_IS = float(k @ mu_IS)
-    N_RS = float(k @ mu_RS)
-
-    d = np.zeros_like(y)
+    N_S, m2m1 = (moments @ np.float_power(theta_S, k)).tolist()
     if N_S <= DENOM_FLOOR:
-        return d
+        return np.zeros_like(y)
+    mu = y[1:].reshape(2, -1)
+    N_IS, N_RS = (mu @ k).tolist()
     pI = N_IS / N_S
     pR = N_RS / N_S
     pS = (N_S - N_IS - N_RS) / N_S
-
-    d[0] = -r * pI * theta
-
-    # mass at level i drifts to level i-1 in proportion to i
-    flux_IS = k * mu_IS
-    shift_IS = -flux_IS
-    shift_IS[:-1] += flux_IS[1:]
-    flux_RS = k * mu_RS
-    shift_RS = -flux_RS
-    shift_RS[:-1] += flux_RS[1:]
-
-    c_IS = (r * pI * pI * m2m1 + r * pI * N_S) / N_IS if N_IS > DENOM_FLOOR else 0.0
-    c_RS = (r * pI * m2m1 * pR) / N_RS if N_RS > DENOM_FLOOR else 0.0
-
-    d[1 : levels + 1] = (
-        r * pI * influx_vector(table, pS, pI, pR, theta_S)
-        + c_IS * shift_IS
-        - beta * mu_IS
-    )
-    d[levels + 1 :] = beta * mu_IS + c_RS * shift_RS
-    return d
+    rho = m2m1 / N_S
+    # mass at level i drifts to level i-1 in proportion to i, in both rows
+    flux = k * mu
+    shift = -flux
+    shift[:, :-1] += flux[:, 1:]
+    d_IS = (r * pI * influx_vector(table, pS, pI, pR, theta_S)
+            + r * (1.0 + pI * rho) * shift[0] - beta * mu[0])
+    d_RS = beta * mu[0] + r * pI * rho * shift[1]
+    return np.concatenate(([-r * pI * theta], d_IS, d_RS))
 
 
 def solve_measures(init, config):
@@ -640,15 +643,16 @@ def solve_measures(init, config):
     never grow, so no level is ever cut off.  Small negative weights
     produced by the integrator are clamped to zero; the run aborts if the
     clamped mass exceeds a fixed budget relative to the initial population
-    mass.  A solve whose influx table and rows together would outgrow
-    ``MAX_SOLVE_BYTES`` is refused first, by :func:`check_measures_memory`.
+    mass.  A solve whose arrays together would outgrow ``MAX_SOLVE_BYTES``
+    is refused first, by :func:`check_measures_memory`.
     """
     check_measures_memory(init, config)
     w0 = init.mu_S0
-    k = np.arange(len(w0))
-    k_k1 = k * (k - 1)
+    levels = len(w0)
+    k = np.arange(levels, dtype=float)
+    moments = np.stack((k * w0, k * (k - 1) * w0))
     table = influx_kernel(w0)
-    y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(len(k))))
+    y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(levels)))
     r, beta = config.r, config.beta
     budget = CLAMP_BUDGET * (init.S0 + init.I0)
     clamped = [0.0]
@@ -659,20 +663,17 @@ def solve_measures(init, config):
             clamped[0] += float(-y[1:][neg].sum())
             y[1:][neg] = 0.0
             if clamped[0] > budget:
-                raise SolverDiagnosticError(
-                    f"clamped {clamped[0]:.3e} of negative measure mass, over the "
-                    f"budget {budget:.3e}; dt={config.dt:g} is too large for these rates"
-                )
+                raise _too_coarse(f"clamped {clamped[0]:.3e} of negative measure mass, "
+                                  f"over the budget {budget:.3e}", config.dt)
 
     ts, ys, terminal = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, w0, table, k, k_k1), y0, config,
-        n_IS=lambda y: float(k @ y[1 : len(k) + 1]), repair=clamp,
+        lambda y: measure_rhs(y, r, beta, moments, table, k), y0, config,
+        n_IS=lambda y: float(k @ y[1 : levels + 1]), repair=clamp,
     )
     theta = ys[:, 0]
-    mu_IS = ys[:, 1 : len(k) + 1]
-    mu_RS = ys[:, len(k) + 1 :]
-    gf = GeneratingFn(w0)
-    N_S = theta * gf(theta, order=1)
+    mu_IS = ys[:, 1 : levels + 1]
+    mu_RS = ys[:, levels + 1 :]
+    S, N_S = _susceptible_columns(GeneratingFn(w0), theta)
     N_IS = mu_IS @ k
     N_RS = mu_RS @ k
     alive = N_S > DENOM_FLOOR
@@ -680,12 +681,12 @@ def solve_measures(init, config):
         pI = np.where(alive, N_IS / N_S, 0.0)
         pR = np.where(alive, N_RS / N_S, 0.0)
         pS = np.where(alive, (N_S - N_IS - N_RS) / N_S, 0.0)
-    cols = {"S": gf(theta), "I": mu_IS.sum(axis=1), "R": mu_RS.sum(axis=1),
+    cols = {"S": S, "I": mu_IS.sum(axis=1), "R": mu_RS.sum(axis=1),
             "N_S": N_S, "N_IS": N_IS, "N_RS": N_RS,
             "theta": theta, "pI": pI, "pS": pS, "pR": pR}
     return MeasureSolution(
         t=ts, columns=cols, terminal=terminal,
-        diagnostics={"kmax": len(k) - 1, "clamped_mass": clamped[0]},
+        diagnostics={"kmax": levels - 1, "clamped_mass": clamped[0]},
         mu_S0=w0, mu_IS=mu_IS, mu_RS=mu_RS,
     )
 
@@ -730,10 +731,8 @@ def miller_theta(init, config):
     I = total - S - R
     low = float(I.min())
     if low < -MASS_TOL * total:
-        raise SolverDiagnosticError(
-            f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}; "
-            f"dt={config.dt:g} is too large for these rates"
-        )
+        raise _too_coarse(f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}",
+                         config.dt)
     return Solution(t=ts, columns={"S": S, "I": I, "R": R, "theta": theta},
                     terminal=terminal, diagnostics={})
 

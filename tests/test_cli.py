@@ -40,6 +40,14 @@ def test_r0_subcritical(capsys):
     assert 0.83 < r0 < 0.84
 
 
+def test_r0_critical_at_exactly_one(tmp_path, capsys):
+    # T = 1/2 halves the branching factor 2 of the 3-regular law: r0 is 1, the
+    # threshold itself, which printed "(subcritical)"
+    path = tmp_path / "w.json"
+    path.write_text('{"3": 1}')
+    assert run(_with(R0, "--degree", f"file:{path}"), capsys) == (0, "r0 = 1 (critical)\n", "")
+
+
 def test_r0_unknown_degree_exits_2(capsys):
     code, _, err = run(_with(R0, "--degree", "explicit"), capsys)
     assert code == 2  # unknown spec kind -> validation failure
@@ -406,12 +414,18 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, base, option, value, field):
     (SIM, '{"3": [1], "4": 1}', "the weight of degree 3 must be a number, got [1]"),
     (R0, '{"3": {}, "4": 1}', "the weight of degree 3 must be a number, got {}"),
     (R0, '{"3": true}', "the weight of degree 3 must be a number, got true"),
+    # the object's own key was parsed as a degree: "invalid literal for int() ... 'a'"
+    (R0, '{"3": {"a": 1}, "4": 1}', 'the weight of degree 3 must be a number, got {"a": 1}'),
+    # "int too large to convert to float", naming no degree
+    (R0, '{"3": 1' + "0" * 400 + '}',
+     "the weight of degree 3 must be finite, got an integer too large for a float"),
     # finite weights whose total overflows: "must have positive mean degree"
     (R0, '{"3": 1e308, "4": 1e308}',
      "the explicit degree law needs weights with a finite total, got inf"),
 ], ids=["r0-infinite-weight", "simulate-negative-degree", "r0-duplicate-degree",
         "r0-array", "simulate-degree-too-large", "r0-null-weight", "simulate-list-weight",
-        "r0-object-weight", "r0-boolean-weight", "r0-total-overflows"])
+        "r0-object-weight", "r0-boolean-weight", "r0-nested-object-weight",
+        "r0-integer-weight-overflows", "r0-total-overflows"])
 def test_degree_file_bad_entries_exit_2(tmp_path, capsys, base, weights, message):
     path = tmp_path / "w.json"
     path.write_text(weights)
@@ -581,10 +595,10 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
     # the influx table alone, about 8 kmax**2 bytes: 81.39 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
      "kmax=100000 makes the measures solve's influx table peak at 81.39 GB"),
-    # 9999001 rows of 63 floats: 5.04 GB
+    # 9999001 rows of 63 floats, their growth slack and derived columns: 6.165 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
      "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30, "
-     "which with the influx table take 5.04 GB"),
+     "which with the influx table take 6.165 GB"),
 ], ids=["influx-table", "stored-rows"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, args,
@@ -629,7 +643,7 @@ def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys
     out = tmp_path / "x.csv"
     assert run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys) == (
         2, "", "configuration error: t_max=2 and dt=0.001 make 2001 rows of 20003 floats "
-        "at kmax=10000, which with the influx table take 1.148 GB, over the 1 GB a solve "
+        "at kmax=10000, which with the influx table take 1.221 GB, over the 1 GB a solve "
         "may take\n")
     assert not out.exists()
 

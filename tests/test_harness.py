@@ -1,3 +1,4 @@
+import json
 import os
 from concurrent.futures import Future
 
@@ -256,6 +257,47 @@ def test_convergence_report_refuses_bad_eps_prime(eps_prime):
     trajs, t = _crossing_trajs()
     with pytest.raises(ConfigurationError, match="eps_prime must be"):
         convergence_report(trajs, _FakeLimit(t), eps_prime, tau_bar=0.2, t_max=0.2)
+
+
+def _window_traj(n, rep, t, shift, infections, removals):
+    """A replica ``shift`` above the fake limit in every column at every
+    time, whose S falls by ``infections`` and R rises by ``removals`` at
+    t=0.1, and whose S falls once more at t=0.4, after a window ending at
+    0.3."""
+    values = np.full((len(COMPARED), len(t)), 0.5 + shift)
+    values[COMPARED.index("S"), 1:] -= infections / n
+    values[COMPARED.index("R"), 1:] += removals / n
+    values[COMPARED.index("S"), 4:] -= 1 / n
+    return ScaledTrajectory(n=n, rep=rep, seed_words=(), times=t, values=values,
+                            terminal="t_max")
+
+
+def test_convergence_report_window_counts_events_and_initial_shift():
+    t = np.arange(5) * 0.1
+    trajs = [_window_traj(100, rep, t, shift, inf, rem) for rep, (shift, inf, rem) in
+             enumerate([(0.01, 0, 0), (0.02, 1, 0), (0.03, 2, 1), (0.04, 0, 0)])]
+    trajs += [_window_traj(1000, rep, t, -0.001, 0, 0) for rep in range(3)]
+    report = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
+    small, large = report.manifest["window"]
+    assert small["n"] == 100 and large["n"] == 1000
+    # 0, 1, 3 and 0 events; the S step at t=0.4 lies past the window
+    assert small["mean_events"] == 1.0 and small["frac_no_events"] == 0.5
+    assert large["mean_events"] == 0.0 and large["frac_no_events"] == 1.0
+    assert set(small["mean_dist_t0"]) == set(COMPARED)
+    for col in COMPARED:
+        assert small["mean_dist_t0"][col] == pytest.approx(0.025, abs=1e-15)
+        assert large["mean_dist_t0"][col] == pytest.approx(0.001, abs=1e-15)
+
+
+def test_run_convergence_study_writes_window_to_manifest():
+    spec = DegreeSpec.poisson(5, 30)
+    report = run_convergence_study(spec, 1.0, 0.5, 0.01, [300, 600], 3, 21,
+                                   t_max=0.002, grid=2e-4)
+    window = json.loads(manifest_json(report))["window"]
+    assert [w["n"] for w in window] == [300, 600]
+    for w in window:
+        assert w["mean_events"] >= 0 and 0 <= w["frac_no_events"] <= 1
+        assert w["mean_events"] * 3 == round(w["mean_events"] * 3)  # whole events per replica
 
 
 def _real_batch():

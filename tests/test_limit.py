@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
+import sirnet.limit
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import MAX_GRID_ROWS, ConfigurationError, SolverDiagnosticError
 from sirnet.limit import (
     GeneratingFn,
     LimitInit,
     SolverConfig,
+    check_measures_memory,
     edge_identities,
     horizon_bound,
     influx_kernel,
@@ -126,6 +128,23 @@ def test_solve_measures_holds_its_rows_once():
     sol, peak = _traced_peak(lambda: solve_measures(init, cfg))
     assert sol.terminal == "t_max" and len(sol.t) == cfg.n_steps + 1
     assert peak <= 1.3 * arrays, peak / arrays
+
+
+@pytest.mark.parametrize("degree,t_max", [("poisson:5:30", 2.0), ("powerlaw:2.5:1:300", 0.5)])
+def test_measures_memory_bound_covers_the_traced_peak(monkeypatch, degree, t_max):
+    # the bound counts every array the solve holds, so a cap just below the
+    # traced peak refuses the solve; the table and the rows alone came to 0.85
+    # of the peak on poisson:5:30, which that cap admitted
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    cfg = SolverConfig(r=1.0, beta=0.5, t_max=t_max, eps_IS=0.0)
+    sol, peak = _traced_peak(lambda: solve_measures(init, cfg))
+    assert sol.terminal == "t_max" and len(sol.t) == cfg.n_steps + 1
+    monkeypatch.setattr(sirnet.limit, "MAX_SOLVE_BYTES", peak - 1)
+    with pytest.raises(ConfigurationError, match=f"t_max={t_max:g} and dt=0.001 make"):
+        check_measures_memory(init, cfg)
+    # and it counts no more than the peak and a fraction of it
+    monkeypatch.setattr(sirnet.limit, "MAX_SOLVE_BYTES", int(1.3 * peak))
+    check_measures_memory(init, cfg)
 
 
 def test_generating_fn_derivatives():
