@@ -39,7 +39,7 @@ from sirnet.limit import (
     solve_measures,
     solve_volz,
 )
-from sirnet.simulation import SimParams, initialize_state, simulate
+from sirnet.simulation import SimParams, check_event_rate, initialize_state, simulate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -248,6 +248,7 @@ def cmd_simulate(args):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     state = initialize_state(spec.sample(args.n, rng), args.i0, rng=rng)
     if args.dry_run:
+        check_event_rate(state, params)  # the check simulate makes first
         print("config ok (dry run)")
         return EXIT_OK
     config = {

@@ -38,12 +38,11 @@ COMPARED = Trajectory.COLUMNS[1:]
 class ScaledTrajectory:
     """One replica: its grid times, its :class:`Trajectory` count table
     transposed and divided by the population size (one row per ``COMPARED``
-    column, so ``column(name)`` is a row), its terminal reason and the
-    words of its seed."""
+    column, so ``column(name)`` is a row) and its terminal reason.  Its
+    seed is :func:`replica_seed` of ``(n, rep)``."""
 
     n: int
     rep: int
-    seed_words: tuple
     times: np.ndarray
     values: np.ndarray  # (6, T): the COMPARED columns, per capita, on the grid
     terminal: str
@@ -59,15 +58,11 @@ def replica_seed(base_seed, n, rep):
 
 def _run_one(args):
     spec, params, n, rep, base_seed, i0 = args
-    ss = replica_seed(base_seed, n, rep)
-    rng = np.random.Generator(np.random.PCG64(ss))
+    rng = np.random.Generator(np.random.PCG64(replica_seed(base_seed, n, rep)))
     state = initialize_state(spec.sample(n, rng), i0, rng=rng)
     traj = simulate(state, params, rng=rng)
-    return ScaledTrajectory(
-        n=n, rep=rep, seed_words=tuple(ss.generate_state(4).tolist()),
-        times=traj.times, values=traj.counts.T / n,
-        terminal=traj.terminal,
-    )
+    return ScaledTrajectory(n=n, rep=rep, times=traj.times, values=traj.counts.T / n,
+                            terminal=traj.terminal)
 
 
 def _check_batch(n_values, reps, base_seed, workers):
@@ -123,23 +118,16 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     return out
 
 
-def sup_distance(times_a, values_a, times_b, values_b, t_end):
-    """Max of |a - b| over the shared grid points up to ``t_end``.
-
-    Both paths must be sampled on the same grid; a mismatch raises rather
-    than silently interpolating.  Values may also be stacked along a
-    leading axis, one path per row over its grid times (say, one row per
-    column of a trajectory): the grid is then checked once and an array
-    holds one sup per row.  A single path gives a Python ``float``."""
-    keep = times_a <= t_end + 1e-12
-    if not keep.any():
-        raise ConfigurationError("t_end precedes the first grid point")
-    ta = times_a[keep]
-    idx = np.searchsorted(times_b, ta - 1e-9)
-    if (idx.max(initial=0) >= len(times_b)
-            or not (np.abs(times_b[idx] - ta) <= 1e-9 + 1e-5 * np.abs(ta)).all()):
-        raise ConfigurationError("trajectory grids do not match")
-    sup = np.abs(values_a[..., keep] - values_b[..., idx]).max(axis=-1)
+def sup_distance(values_a, values_b):
+    """Max of |a - b| over the last axis of two paths of equal shape, whose
+    entries at one index are the same time.  Paths may be stacked along a
+    leading axis, one per row (say, one row per column of a trajectory):
+    an array then holds one sup per row.  A single path gives a Python
+    ``float``.  Unequal or empty shapes are refused."""
+    if values_a.shape != values_b.shape or values_a.ndim == 0 or values_a.size == 0:
+        raise ConfigurationError(
+            f"paths of shapes {values_a.shape} and {values_b.shape} do not share a grid")
+    sup = np.abs(values_a - values_b).max(axis=-1)
     return float(sup) if sup.ndim == 0 else sup
 
 
@@ -166,23 +154,26 @@ class ConvergenceReport:
         raise KeyError((n, col))
 
 
-def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
+def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
     """Aggregate sup-distances of scaled replicas against the limit.
 
-    ``limit_sol`` must be solved on a grid covering the simulation grid.
-    Per (n, column): the mean and standard error of the sup-distance on
-    ``[0, min(t_max, tau_bar)]``, plus the fraction of replicas whose
-    exit time ``tau^n`` is at least ``tau_bar``; ``tau^n`` is the first
-    grid time at which the replica's per-capita ``N_IS`` is below
-    ``eps_prime``, and ``inf`` if there is none.  Pure function: identical
-    inputs give identical rows.
+    ``limit`` is the ``(6, T)`` table of the limit's ``COMPARED`` columns
+    at the replicas' grid times: column ``i`` is the time of every
+    replica's row ``i``, so rows are compared by index.  Per (n, column):
+    the mean and standard error of the sup-distance over each replica's
+    ``w`` window rows, those on ``[0, min(t_max, tau_bar)]``, plus the
+    fraction of replicas whose exit time ``tau^n`` is at least ``tau_bar``;
+    ``tau^n`` is the first grid time at which the replica's per-capita
+    ``N_IS`` is below ``eps_prime``, and ``inf`` if there is none.  A
+    ``limit`` with fewer than ``w`` columns is refused.  Pure function:
+    identical inputs give identical rows.
 
     The manifest's ``window`` says, per n, what the window holds:
     ``mean_events``, the mean over replicas of the events between t=0 and
-    the last grid time of the window, ``n (S(0) - S(t_end)) + n (R(t_end)
-    - R(0))`` rounded to an integer per replica; ``frac_no_events``, the
-    fraction of replicas with none; and ``mean_dist_t0``, per column, the
-    mean ``|replica - limit|`` at t=0, the part of the distance that the
+    the last window row, ``n (S(0) - S(t_end)) + n (R(t_end) - R(0))``
+    rounded to an integer per replica; ``frac_no_events``, the fraction of
+    replicas with none; and ``mean_dist_t0``, per column, the mean
+    ``|replica - limit|`` at t=0, the part of the distance that the
     sampled initial state holds before any event.
     """
     check_positive(eps_prime=eps_prime)
@@ -190,23 +181,22 @@ def convergence_report(trajectories, limit_sol, eps_prime, tau_bar, t_max):
     by_n = {}
     for traj in trajectories:
         by_n.setdefault(traj.n, []).append(traj)
-    limit = np.stack([limit_sol.column(col) for col in COMPARED])
     S, R = COMPARED.index("S"), COMPARED.index("R")
     rows, window = [], []
     for n in sorted(by_n):
         group = sorted(by_n[n], key=lambda tr: tr.rep)
-        taus, first, last = [], [], []
+        taus, first, last, sups = [], [], [], []
         for tr in group:
             below = np.flatnonzero(tr.column("N_IS") < eps_prime)
             taus.append(tr.times[below[0]] if len(below) else math.inf)
-            # the rows at t=0 and at the last grid time of the window
+            # the window rows, as simulate records [0, t_end]: within 1e-12 past counts
+            w = int(np.count_nonzero(tr.times <= t_end + 1e-12))
+            sups.append(sup_distance(tr.values[:, :w], limit[:, :w]))
             first.append(tr.values[:, 0])
-            last.append(tr.values[:, np.searchsorted(tr.times, t_end + 1e-12) - 1])
+            last.append(tr.values[:, w - 1])
         frac = float(np.mean([tau >= tau_bar for tau in taus]))
-        sups = np.array([sup_distance(tr.times, tr.values, limit_sol.t, limit, t_end)
-                         for tr in group])
         # each column's distances contiguous, as the mean and std saw them per column
-        for col, dists in zip(COMPARED, sups.T.copy()):
+        for col, dists in zip(COMPARED, np.array(sups).T.copy()):
             rows.append({
                 "n": n,
                 "reps": len(group),
@@ -275,18 +265,22 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
 
     Replicas simulate to ``t_end = min(t_max, tau_bar)`` and the limit is
     solved to the last grid point of ``[0, t_end]``: nothing beyond reaches
-    the report, which equals the one built from full-``t_max`` runs."""
+    the report, which equals the one built from full-``t_max`` runs.  The
+    solver takes ``stride = ceil(grid/1e-3)`` steps per grid step, so its
+    every ``stride``-th row is the replicas' row of the same index, and
+    those rows are the ``limit`` table the report compares."""
     params, init, tau_bar, t_end = plan_study(
         spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
         eps_prime=eps_prime, workers=workers,
     )
-    # the solver grid must contain every simulation grid point
-    dt = grid / max(int(np.ceil(grid / 1e-3)), 1)
+    stride = max(math.ceil(grid / 1e-3), 1)
+    dt = grid / stride
     t_last = params.grid_steps * grid
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_last, dt=dt, eps_IS=0.0))
+    limit = np.stack([sol.column(col)[::stride] for col in COMPARED])
     trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0,
                                 workers=workers)
-    report = convergence_report(trajectories, sol, eps_prime, tau_bar, t_max)
+    report = convergence_report(trajectories, limit, eps_prime, tau_bar, t_max)
     report.manifest.update({
         "degree": spec.describe(),
         "r": r, "beta": beta, "i0": i0,
@@ -295,7 +289,8 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
         "t_max": t_max, "grid": grid, "solver_dt": dt,
         "eps_prime": eps_prime, "tau_bar": tau_bar, "t_end": t_end,
         "replica_seeds": [
-            {"n": tr.n, "rep": tr.rep, "state_words": list(tr.seed_words)}
+            {"n": tr.n, "rep": tr.rep,
+             "state_words": replica_seed(base_seed, tr.n, tr.rep).generate_state(4).tolist()}
             for tr in trajectories
         ],
     })

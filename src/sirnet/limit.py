@@ -45,6 +45,7 @@ CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
+CSV_BLOCK = 1024  # rows that Solution.to_csv_lines holds as Python floats at once
 _DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
@@ -237,6 +238,8 @@ def reproduction_number(spec, r, beta):
     check_nonnegative(r=r, beta=beta)
     if r + beta == 0:
         raise ConfigurationError("r and beta are both 0, so T = r/(r+beta) is undefined")
+    if math.isinf(r + beta):  # halving both is exact and leaves T as it is
+        r, beta = r * 0.5, beta * 0.5
     return r / (r + beta) * spec.r0()
 
 
@@ -343,10 +346,12 @@ class Solution:
         that order, then one row per time with 12 significant digits."""
         names = ["t"] + [c for c in self.CSV_COLUMNS if c in self.columns]
         yield ",".join(names)
-        cols = [self.column(c).tolist() for c in names]
+        cols = [self.column(c) for c in names]
         fmt = ",".join(["%.12g"] * len(cols))
-        for row in zip(*cols):
-            yield fmt % row
+        # a block of rows at a time, so no column is ever a whole Python list
+        for lo in range(0, len(self.t), CSV_BLOCK):
+            for row in zip(*(col[lo:lo + CSV_BLOCK].tolist() for col in cols)):
+                yield fmt % row
 
 
 # ---------------------------------------------------------------------------

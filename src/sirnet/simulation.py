@@ -268,6 +268,18 @@ def initial_infective_count(n, i0):
     return n_inf
 
 
+def check_event_rate(state, params):
+    """Refuse rates whose total event rate can overflow.  While a run goes
+    on, ``N_IS <= N_S <= N_S(0)`` and ``I <= n``, so its rate
+    ``r N_IS + beta I`` is at most ``r N_S(0) + beta n``; an infinite
+    bound would compare ``inf`` with ``inf`` in the choice of event."""
+    n = state.S + state.I + state.R
+    if not math.isfinite(params.r * state.N_S + params.beta * n):
+        raise ConfigurationError(
+            f"r={params.r:g} and beta={params.beta:g} overflow the total event rate "
+            f"r*N_S + beta*n on N_S={state.N_S} susceptible half-edges and n={n}")
+
+
 def initialize_state(counts, i0, *, rng):
     """Split a population, given by its degree counts (``counts[k]``
     individuals of degree ``k``), into initial susceptibles and infectives.
@@ -405,8 +417,10 @@ def simulate(state, params, rng):
     :meth:`PopulationState.feasible`) recording stops there with terminal
     reason ``depleted``.  Every random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
-    bit for bit.
+    bit for bit.  Rates that :func:`check_event_rate` refuses are refused
+    before the first event.
     """
+    check_event_rate(state, params)
     draws = BlockDraws(rng)
     r, beta, t_max = params.r, params.beta, params.t_max
     grid = params.record_grid
@@ -418,8 +432,7 @@ def simulate(state, params, rng):
     next_idx = 1  # next grid row to emit
     next_t = next_idx * grid  # its time
     terminal = "t_max"
-    n_inf = 0
-    n_rem = 0
+    S0, R0 = state.S, state.R
 
     def emit_until(limit):
         nonlocal next_idx, next_t
@@ -449,10 +462,8 @@ def simulate(state, params, rng):
         state.t = t_new
         if draws.uniform() * rate < beta * state.I:
             apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
-            n_rem += 1
         else:
             apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
-            n_inf += 1
             if not state.feasible():
                 # half-edge pools exhausted: further infections undefined
                 terminal = "depleted"
@@ -464,5 +475,6 @@ def simulate(state, params, rng):
     if snapshots:  # a run's grid times share its one snapshot
         snapshots = list(zip(times.tolist(),
                              (snap for snap, c in zip(snapshots, runs) for _ in range(c))))
+    # each infection takes one susceptible and each removal adds one removed
     return Trajectory(times=times, counts=counts, terminal=terminal, snapshots=snapshots,
-                      n_infections=n_inf, n_removals=n_rem)
+                      n_infections=S0 - state.S, n_removals=state.R - R0)

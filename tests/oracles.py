@@ -15,10 +15,13 @@ from its level vectors; :func:`grid_rows_from_events` re-derives the grid
 rows of a run from its event log, and :func:`trajectory_csv_lines` and
 :func:`solution_csv_lines` format a trajectory or a limit solve one row at
 a time.  :func:`convergence_rows_reference` builds
-a convergence report's rows one scalar sup-distance per replica and
-column, and each replica's exit time by a plain loop over its rows."""
+a convergence report's rows with each sup-distance and each replica's
+exit time from a plain loop over the replica's rows.
+:func:`explicit_path_law` is the exact law of a whole epidemic's measure
+path on every explicit configuration-model pairing of a tiny population."""
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -27,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sirnet.errors import StateCorruptionError
-from sirnet.harness import COMPARED, sup_distance
+from sirnet.harness import COMPARED
 from sirnet.simulation import sample_jl
 
 
@@ -92,10 +95,11 @@ def exit_time(times, n_IS, eps_prime):
     return math.inf
 
 
-def convergence_rows_reference(trajectories, limit_sol, eps_prime, tau_bar, t_end):
+def convergence_rows_reference(trajectories, limit, eps_prime, tau_bar, t_end):
     """The rows of :func:`sirnet.harness.convergence_report`, built per
-    (n, column) from one scalar :func:`sup_distance` per replica, with
-    each replica's exit time from :func:`exit_time`."""
+    (n, column).  Each sup-distance is a loop over the replica's rows up
+    to ``t_end + 1e-12`` against the ``limit`` table's entries of the same
+    index; each exit time comes from :func:`exit_time`."""
     by_n = {}
     for traj in trajectories:
         by_n.setdefault(traj.n, []).append(traj)
@@ -104,12 +108,15 @@ def convergence_rows_reference(trajectories, limit_sol, eps_prime, tau_bar, t_en
         group = sorted(by_n[n], key=lambda tr: tr.rep)
         frac = float(np.mean([exit_time(tr.times, tr.column("N_IS"), eps_prime) >= tau_bar
                               for tr in group]))
-        for col in COMPARED:
-            dists = np.array([
-                sup_distance(tr.times, tr.column(col),
-                             limit_sol.t, limit_sol.column(col), t_end)
-                for tr in group
-            ])
+        for c, col in enumerate(COMPARED):
+            dists = []
+            for tr in group:
+                sup = 0.0
+                for t, a, b in zip(tr.times, tr.column(col), limit[c]):
+                    if t <= t_end + 1e-12:
+                        sup = max(sup, abs(float(a) - float(b)))
+                dists.append(sup)
+            dists = np.array(dists)
             rows.append({
                 "n": n,
                 "reps": len(group),
@@ -269,13 +276,15 @@ class ScriptedDraws:
         return x
 
 
-def replay_law(run):
+def replay_law(run, one=1.0):
     """Exact law of ``run(draws)``'s return value when every integer draw
     ``draws.below(n)`` is uniform on ``0..n-1``: ``run`` is replayed on
-    every sequence of draws it can ask for.  The work grows like the number
-    of such sequences, so keep the inputs small."""
+    every sequence of draws it can ask for.  Probabilities are ``one``
+    divided by the draws' ranges, so ``one=Fraction(1)`` keeps them exact.
+    The work grows like the number of such sequences, so keep the inputs
+    small."""
     law = {}
-    stack = [((), 1.0)]
+    stack = [((), one)]
     while stack:
         prefix, p = stack.pop()
         try:
@@ -283,7 +292,7 @@ def replay_law(run):
         except _Branch as branch:
             stack.extend((prefix + (x,), p / branch.n) for x in range(branch.n))
             continue
-        law[outcome] = law.get(outcome, 0.0) + p
+        law[outcome] = law.get(outcome, 0) + p
     return law
 
 
@@ -418,3 +427,87 @@ def small_rosters(max_individuals=4, max_count=4):
 
     rec([], max_individuals)
     return out
+
+
+def _matchings(half_edges):
+    """Every perfect matching of ``half_edges``, a list of pairs each."""
+    if not half_edges:
+        yield []
+        return
+    first, rest = half_edges[0], half_edges[1:]
+    for i, other in enumerate(rest):
+        for matching in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + matching
+
+
+def _sir_path_law(edges, degrees, status, r, beta, size):
+    """Exact law of the projected path of the SIR jump chain on the
+    multigraph ``edges`` (vertex pairs, loops and repeats included) from
+    the vertex ``status`` tuple (``"S"``, ``"I"``, ``"R"``) until no vertex
+    is infectious.  Each I-S edge fires at rate ``r`` and makes its
+    susceptible end infectious, a loop never does, and each infective is
+    removed at rate ``beta``.  A state projects to ``(mu_S, mu_IS,
+    mu_RS)`` over levels ``0..size-1``: susceptibles by degree, infectives
+    and removed by their number of edges to susceptibles."""
+
+    def project(status):
+        mu = {"S": [0] * size, "I": [0] * size, "R": [0] * size}
+        to_S = [0] * len(status)
+        for u, v in edges:
+            if u != v:
+                to_S[u] += status[v] == "S"
+                to_S[v] += status[u] == "S"
+        for x, kind in enumerate(status):
+            mu[kind][degrees[x] if kind == "S" else to_S[x]] += 1
+        return tuple(tuple(mu[kind]) for kind in "SIR")
+
+    @functools.cache
+    def law_from(status):
+        here = project(status)
+        moves = []
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if status[a] == "I" and status[b] == "S":
+                    moves.append((r, status[:b] + ("I",) + status[b + 1:]))
+        moves += [(beta, status[:x] + ("R",) + status[x + 1:])
+                  for x, kind in enumerate(status) if kind == "I"]
+        if not moves:
+            return {(here,): Fraction(1)}
+        total = sum(rate for rate, _ in moves)
+        law = {}
+        for rate, nxt in moves:
+            for path, p in law_from(nxt).items():
+                law[(here,) + path] = law.get((here,) + path, 0) + rate / total * p
+        return law
+
+    return law_from(status)
+
+
+def explicit_path_law(mu_S, mu_IS, r, beta):
+    """Exact law of the projected path of an SIR epidemic on an explicit
+    configuration-model multigraph, until no vertex is infectious.
+
+    The vertices are ``mu_S[k]`` susceptibles and ``mu_IS[k]`` infectives
+    of each degree ``k``.  Every initial pairing of their half-edges is
+    equally likely: each infective half-edge pairs with a distinct
+    susceptible half-edge, and the rest form a uniform perfect matching,
+    loops and multi-edges included.  On each multigraph the path law is
+    :func:`_sir_path_law`'s, in ``Fraction`` arithmetic; ``r`` and
+    ``beta`` should be ``Fraction`` or ``int``."""
+    size = len(mu_S)
+    degrees = [k for mu in (mu_S, mu_IS) for k, c in enumerate(mu) for _ in range(c)]
+    status = tuple("S" * sum(mu_S) + "I" * sum(mu_IS))
+    half = [x for x, d in enumerate(degrees) for _ in range(d)]  # owner of each half-edge
+    infective = [h for h, x in enumerate(half) if status[x] == "I"]
+    susceptible = [h for h, x in enumerate(half) if status[x] == "S"]
+    pairings = [
+        list(zip(infective, image)) + matching
+        for image in itertools.permutations(susceptible, len(infective))
+        for matching in _matchings([h for h in susceptible if h not in image])
+    ]
+    law = {}
+    for pairing in pairings:
+        edges = [(half[a], half[b]) for a, b in pairing]
+        for path, p in _sir_path_law(edges, degrees, status, r, beta, size).items():
+            law[path] = law.get(path, 0) + p / len(pairings)
+    return law

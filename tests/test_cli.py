@@ -81,6 +81,25 @@ def test_r0_bad_rates_exit_2(capsys, r, beta, message):
     assert out == ""
 
 
+def test_r0_rates_whose_sum_overflows(capsys):
+    # r + beta overflowed to inf, so T = r/(r+beta) read 0: "r0 = 0 (subcritical)"
+    code, out, _ = run(_with(_with(R0, "--r", "1e308"), "--beta", "1e308"), capsys)
+    assert (code, out) == (0, "r0 = 2.5 (supercritical)\n")
+
+
+@pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:10"])
+def test_simulate_rates_whose_total_overflows_exit_2(tmp_path, capsys, degree):
+    # the event rate r*N_IS + beta*I read inf, so every event was an
+    # infection: poisson exited 0 with one `depleted` row, powerlaw exited 1
+    args = ["simulate", "--degree", degree, "--n", "100", "--r", "1e308", "--beta", "1e308",
+            "--i0", "0.05", "--t-max", "1", "--out", str(tmp_path / "x.csv")]
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run(args + dry, capsys)
+        assert (code, out) == (2, "")
+        assert "r=1e+308 and beta=1e+308 overflow the total event rate" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_writes_files(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     args = ["simulate", "--degree", "poisson:5:30", "--n", "500",

@@ -24,52 +24,35 @@ from sirnet.simulation import SimParams
 
 
 def test_sup_distance_examples():
-    t = np.arange(6) * 0.1
     a = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    assert sup_distance(t, a, t, a, 0.5) == 0.0
-    assert sup_distance(t, a + 0.25, t, a, 0.5) == pytest.approx(0.25)
+    assert sup_distance(a, a) == 0.0
+    assert sup_distance(a + 0.25, a) == pytest.approx(0.25)
     # one-grid-step shift of a monotone path -> max single-step increment
     shifted = np.concatenate([[a[0]], a[:-1]])
-    assert sup_distance(t, a, t, shifted, 0.5) == pytest.approx(np.diff(a).max())
+    assert sup_distance(a, shifted) == pytest.approx(np.diff(a).max())
 
 
-def test_sup_distance_on_subgrid():
-    # trajectory grid is a coarsening of the solver grid
-    tb = np.arange(0, 101) * 0.01
-    vb = tb ** 2
-    ta = np.arange(0, 11) * 0.1
-    va = ta ** 2 + 0.5
-    assert sup_distance(ta, va, tb, vb, 1.0) == pytest.approx(0.5)
-
-
-def test_sup_distance_grid_mismatch():
-    ta = np.array([0.0, 0.13])
-    tb = np.array([0.0, 0.1, 0.2])
-    with pytest.raises(ConfigurationError):
-        sup_distance(ta, np.zeros(2), tb, np.zeros(3), 0.2)
-    with pytest.raises(ConfigurationError):
-        sup_distance(tb, np.zeros(3), tb, np.zeros(3), -1.0)
-    # the match tolerance is 1e-9 + 1e-5 * t: 1e-5 off at t=1 is inside, 2e-5 is not
-    tb = np.array([0.0, 1.0, 2.0])
-    assert sup_distance(np.array([0.0, 1.0 - 1e-5]), np.zeros(2), tb, np.ones(3), 1.0) == 1.0
-    with pytest.raises(ConfigurationError, match="grids do not match"):
-        sup_distance(np.array([0.0, 1.0 - 2e-5]), np.zeros(2), tb, np.ones(3), 1.0)
+def test_sup_distance_refuses_unequal_or_empty_shapes():
+    with pytest.raises(ConfigurationError, match="do not share a grid"):
+        sup_distance(np.zeros(2), np.zeros(3))
+    with pytest.raises(ConfigurationError, match="do not share a grid"):
+        sup_distance(np.zeros((6, 0)), np.zeros((6, 0)))
+    with pytest.raises(ConfigurationError, match="do not share a grid"):
+        sup_distance(np.float64(1.0), np.float64(1.0))
 
 
 def test_sup_distance_stacked_rows():
-    # six paths stacked along a leading axis: one grid check, one sup per row
-    tb = np.arange(0, 101) * 0.01
-    ta = np.arange(0, 11) * 0.1
+    # six paths stacked along a leading axis: one sup per row
     rng = np.random.default_rng(3)
-    va = rng.normal(size=(6, len(ta)))
-    vb = rng.normal(size=(6, len(tb)))
-    sups = sup_distance(ta, va, tb, vb, 0.55)
+    va = rng.normal(size=(6, 11))
+    vb = rng.normal(size=(6, 11))
+    sups = sup_distance(va, vb)
     assert isinstance(sups, np.ndarray) and sups.shape == (6,)
-    rows = [sup_distance(ta, a, tb, b, 0.55) for a, b in zip(va, vb)]
+    rows = [sup_distance(a, b) for a, b in zip(va, vb)]
     assert all(type(x) is float for x in rows)
     assert sups.tolist() == rows
     with pytest.raises(ConfigurationError):
-        sup_distance(ta + 0.013, va, tb, vb, 0.55)
+        sup_distance(va, vb[:, :-1])
 
 
 def small_batch(reps=3, n_values=(200,), seed=5):
@@ -89,16 +72,16 @@ def test_run_replicas_shape_and_tagging():
         assert tr.column("I")[0] == pytest.approx(np.ceil(0.02 * tr.n) / tr.n)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_run_replicas_reproducible():
     a = small_batch()
     b = small_batch()
     for x, y in zip(a, b):
-        assert x.seed_words == y.seed_words
-        np.testing.assert_array_equal(x.values, y.values)
-
-
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (x.n, x.rep) == (y.n, y.rep)
+        assert _same_bits(x.values, y.values)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -114,7 +97,7 @@ def test_run_replicas_workers_match_serial(monkeypatch, workers):
     for x, y in zip(serial, parallel):
         assert _same_bits(x.times, y.times)
         assert _same_bits(x.values, y.values)
-        assert (x.terminal, x.seed_words) == (y.terminal, y.seed_words)
+        assert x.terminal == y.terminal
 
 
 @pytest.fixture
@@ -151,7 +134,8 @@ def test_run_replicas_forks_no_idle_worker(monkeypatch, pools_made, workers, rep
     out = run_replicas(spec, params, [100], reps, 11, 0.02, workers=workers)
     assert pools_made == pool_sizes
     serial = run_replicas(spec, params, [100], reps, 11, 0.02, workers=1)
-    assert [x.seed_words for x in out] == [x.seed_words for x in serial]
+    assert [(x.n, x.rep) for x in out] == [(x.n, x.rep) for x in serial]
+    assert all(_same_bits(x.values, y.values) for x, y in zip(out, serial))
 
 
 @pytest.mark.parametrize("cpus, pool_sizes", [(2, [1]), (None, [])])
@@ -165,7 +149,8 @@ def test_run_replicas_forks_no_more_workers_than_cpus(monkeypatch, pools_made, c
     out = run_replicas(spec, params, [100], 3, 11, 0.02, workers=100_000)
     assert pools_made == pool_sizes
     serial = run_replicas(spec, params, [100], 3, 11, 0.02, workers=1)
-    assert [x.seed_words for x in out] == [x.seed_words for x in serial]
+    assert [(x.n, x.rep) for x in out] == [(x.n, x.rep) for x in serial]
+    assert all(_same_bits(x.values, y.values) for x, y in zip(out, serial))
 
 
 def test_run_replicas_validation():
@@ -181,15 +166,10 @@ def test_run_replicas_validation():
         run_replicas(spec, params, [100], 1, -1, 0.02)
 
 
-class _FakeLimit:
-    """Deterministic 'limit' path on a grid, for synthetic report tests."""
-
-    def __init__(self, t, value=0.5):
-        self.t = t
-        self._v = np.full(len(t), value)
-
-    def column(self, name):
-        return self._v
+def _fake_limit(t):
+    """A 'limit' at 0.5 in every column on the grid ``t``, for synthetic
+    report tests."""
+    return np.full((len(COMPARED), len(t)), 0.5)
 
 
 def _fake_traj(n, rep, times, offset, n_IS=None):
@@ -198,7 +178,7 @@ def _fake_traj(n, rep, times, offset, n_IS=None):
     values = np.full((len(COMPARED), len(times)), 0.5 + offset)
     if n_IS is not None:
         values[COMPARED.index("N_IS")] = n_IS
-    return ScaledTrajectory(n=n, rep=rep, seed_words=(), times=times, values=values,
+    return ScaledTrajectory(n=n, rep=rep, times=times, values=values,
                             terminal="t_max")
 
 
@@ -208,7 +188,7 @@ def test_convergence_report_zero_when_equal():
     t = np.arange(5) * 0.1
     for reps, offset in ((3, 0.0), (10, 0.3)):
         trajs = [_fake_traj(100, rep, t, offset) for rep in range(reps)]
-        rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
+        rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.3, t_max=0.4)
         for row in rep.rows:
             assert row["mean_sup_dist"] == pytest.approx(offset, abs=0.0)
             assert row["stderr"] == 0.0
@@ -226,7 +206,7 @@ def test_convergence_report_synthetic_sqrt_n_scaling():
         for rep in range(40):
             amp = base[rep] / np.sqrt(n)
             trajs.append(_fake_traj(n, rep, t, amp))
-    rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=1.0, t_max=0.4)
+    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=1.0, t_max=0.4)
     m100 = rep.row(100, "I")["mean_sup_dist"]
     m10k = rep.row(10_000, "I")["mean_sup_dist"]
     assert m100 / m10k == pytest.approx(10.0, rel=1e-9)
@@ -243,12 +223,21 @@ def _crossing_trajs():
 
 def test_convergence_report_fraction_counts_tau():
     trajs, t = _crossing_trajs()
-    rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.2, t_max=0.2)
+    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.2, t_max=0.2)
     for col in COMPARED:
         assert rep.row(50, col)["frac_tau_ge_bound"] == 2 / 3
     # every replica crosses before tau_bar=0.25 bar the one that never does
-    rep = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.25, t_max=0.2)
+    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.25, t_max=0.2)
     assert rep.row(50, "S")["frac_tau_ge_bound"] == 1 / 3
+
+
+def test_convergence_report_refuses_limit_shorter_than_window():
+    trajs, t = _crossing_trajs()
+    with pytest.raises(ConfigurationError, match="do not share a grid"):
+        convergence_report(trajs, _fake_limit(t[:-1]), 0.01, tau_bar=0.2, t_max=0.2)
+    # rows past the window need no limit
+    rep = convergence_report(trajs, _fake_limit(t[:-1]), 0.01, tau_bar=0.15, t_max=0.2)
+    assert rep.row(50, "S")["mean_sup_dist"] == 0.0
 
 
 @pytest.mark.parametrize("eps_prime", [float("nan"), 0.0, -1.0])
@@ -256,7 +245,7 @@ def test_convergence_report_refuses_bad_eps_prime(eps_prime):
     # each used to make every tau^n infinite and report frac_tau_ge_bound 1.0
     trajs, t = _crossing_trajs()
     with pytest.raises(ConfigurationError, match="eps_prime must be"):
-        convergence_report(trajs, _FakeLimit(t), eps_prime, tau_bar=0.2, t_max=0.2)
+        convergence_report(trajs, _fake_limit(t), eps_prime, tau_bar=0.2, t_max=0.2)
 
 
 def _window_traj(n, rep, t, shift, infections, removals):
@@ -268,7 +257,7 @@ def _window_traj(n, rep, t, shift, infections, removals):
     values[COMPARED.index("S"), 1:] -= infections / n
     values[COMPARED.index("R"), 1:] += removals / n
     values[COMPARED.index("S"), 4:] -= 1 / n
-    return ScaledTrajectory(n=n, rep=rep, seed_words=(), times=t, values=values,
+    return ScaledTrajectory(n=n, rep=rep, times=t, values=values,
                             terminal="t_max")
 
 
@@ -277,7 +266,7 @@ def test_convergence_report_window_counts_events_and_initial_shift():
     trajs = [_window_traj(100, rep, t, shift, inf, rem) for rep, (shift, inf, rem) in
              enumerate([(0.01, 0, 0), (0.02, 1, 0), (0.03, 2, 1), (0.04, 0, 0)])]
     trajs += [_window_traj(1000, rep, t, -0.001, 0, 0) for rep in range(3)]
-    report = convergence_report(trajs, _FakeLimit(t), 0.01, tau_bar=0.3, t_max=0.4)
+    report = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.3, t_max=0.4)
     small, large = report.manifest["window"]
     assert small["n"] == 100 and large["n"] == 1000
     # 0, 1, 3 and 0 events; the S step at t=0.4 lies past the window
@@ -300,11 +289,17 @@ def test_run_convergence_study_writes_window_to_manifest():
         assert w["mean_events"] * 3 == round(w["mean_events"] * 3)  # whole events per replica
 
 
+def _limit_rows(sol, stride):
+    """The limit table of a solve whose ``stride``-th rows are the grid times."""
+    return np.stack([sol.column(col)[::stride] for col in COMPARED])
+
+
 def _real_batch():
+    # grid 0.005 over solver steps of 1e-3
     spec = DegreeSpec.poisson(5, 30)
     sol = solve_volz(limit_initial(spec, 0.02),
                      SolverConfig(r=1.0, beta=0.5, t_max=0.02, dt=1e-3, eps_IS=0.0))
-    return small_batch(reps=3, n_values=(200, 400)), sol, 0.01, 0.02
+    return small_batch(reps=3, n_values=(200, 400)), _limit_rows(sol, 5), 0.01, 0.02
 
 
 def _shorter_replica_batch():
@@ -316,12 +311,12 @@ def _shorter_replica_batch():
     assert lengths[0] < lengths[1] == lengths[-1]
     sol = solve_volz(limit_initial(spec, 0.05),
                      SolverConfig(r=1.0, beta=0.5, t_max=10.0, dt=0.01, eps_IS=0.0))
-    return batch, sol, 8.0, 10.0
+    return batch, _limit_rows(sol, 10), 8.0, 10.0
 
 
 def _fake_equal():
     t = np.arange(5) * 0.1
-    return [_fake_traj(100, rep, t, 0.3) for rep in range(10)], _FakeLimit(t), 0.3, 0.4
+    return [_fake_traj(100, rep, t, 0.3) for rep in range(10)], _fake_limit(t), 0.3, 0.4
 
 
 def _fake_noise():
@@ -329,12 +324,12 @@ def _fake_noise():
     base = np.abs(np.random.default_rng(0).normal(size=40))
     trajs = [_fake_traj(n, rep, t, base[rep] / np.sqrt(n))
              for n in (100, 10_000) for rep in range(40)]
-    return trajs, _FakeLimit(t), 1.0, 0.4
+    return trajs, _fake_limit(t), 1.0, 0.4
 
 
 def _fake_tau():
     trajs, t = _crossing_trajs()
-    return trajs, _FakeLimit(t), 0.2, 0.2
+    return trajs, _fake_limit(t), 0.2, 0.2
 
 
 @pytest.mark.parametrize("case", [_real_batch, _shorter_replica_batch, _fake_equal,
@@ -342,16 +337,16 @@ def _fake_tau():
                          ids=["real-batch", "shorter-replica", "fake-equal",
                               "fake-noise", "fake-tau"])
 def test_convergence_report_rows_equal_reference(case):
-    trajectories, limit_sol, tau_bar, t_max = case()
-    report = convergence_report(trajectories, limit_sol, 0.01, tau_bar, t_max)
-    assert report.rows == convergence_rows_reference(trajectories, limit_sol, 0.01,
+    trajectories, limit, tau_bar, t_max = case()
+    report = convergence_report(trajectories, limit, 0.01, tau_bar, t_max)
+    assert report.rows == convergence_rows_reference(trajectories, limit, 0.01,
                                                      tau_bar, min(t_max, tau_bar))
 
 
 def test_report_csv_deterministic_bytes():
     def build():
         out = small_batch(reps=2)
-        lim = _FakeLimit(out[0].times)
+        lim = _fake_limit(out[0].times)
         rep = convergence_report(out, lim, 0.01, tau_bar=0.01, t_max=0.02)
         return "\n".join(rep.to_csv_lines())
 
@@ -369,6 +364,10 @@ def test_run_convergence_study_end_to_end():
     manifest = manifest_json(report)
     assert '"base_seed": 21' in manifest
     assert manifest.count('"rep"') == 5
+    assert report.manifest["replica_seeds"] == [
+        {"n": 300, "rep": rep,
+         "state_words": harness.replica_seed(21, 300, rep).generate_state(4).tolist()}
+        for rep in range(5)]
 
 
 def test_study_report_equals_full_horizon_report():
@@ -385,6 +384,6 @@ def test_study_report_equals_full_horizon_report():
                         [200, 500], 4, 3, i0)
     assert full[0].times[-1] == pytest.approx(t_max)
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
-    expected = convergence_report(full, sol, eps_prime, tau_bar, t_max)
+    expected = convergence_report(full, _limit_rows(sol, 1), eps_prime, tau_bar, t_max)
     assert study.rows == expected.rows
     assert list(study.to_csv_lines()) == list(expected.to_csv_lines())

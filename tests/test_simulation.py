@@ -1,3 +1,5 @@
+import copy
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,7 +13,9 @@ from scipy import stats
 from oracles import (
     ScriptedDraws,
     check_invariants,
+    explicit_path_law,
     grid_rows_from_events,
+    replay_law,
     trajectory_csv_lines,
 )
 from sirnet import simulation
@@ -25,6 +29,8 @@ from sirnet.simulation import (
     apply_infection,
     apply_removal,
     initialize_state,
+    pick_size_biased,
+    pick_uniform,
     simulate,
 )
 
@@ -343,3 +349,88 @@ def test_csv_lines_schema():
     assert lines == list(trajectory_csv_lines(traj))
     empty = np.array([], dtype=np.int64)
     assert list(Trajectory(empty * 0.0, empty.reshape(0, 6)).to_csv_lines()) == lines[:1]
+
+
+def lazy_path_law(mu_S, mu_IS, r, beta):
+    """Exact law of the path of level measures that :func:`simulate`'s
+    events run from ``PopulationState(mu_S, mu_IS)`` until ``I = 0``.  The
+    event class is a removal with probability ``beta I / (r N_IS + beta I)``
+    exactly, in place of :func:`simulate`'s float uniform; each event is
+    the production ``pick_uniform``/``apply_removal`` or
+    ``pick_size_biased``/``apply_infection``, replayed over every draw
+    sequence.  An infection that leaves the pools infeasible ends the
+    path with ``"depleted"``."""
+    states = {}  # a state of each measure triple reached
+
+    def key(state):
+        return tuple(tuple(mu) for mu in (state.mu_S, state.mu_IS, state.mu_RS))
+
+    def removal(state, draws):
+        apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
+
+    def infection(state, draws):
+        apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
+
+    def step(state, event):
+        def run(draws):
+            after = copy.deepcopy(state)
+            event(after, draws)
+            if not after.feasible():
+                return "depleted"
+            states.setdefault(key(after), after)
+            return key(after)
+        return run
+
+    @functools.cache
+    def law_from(here):
+        if here == "depleted" or not states[here].I:
+            return {(): Fraction(1)}
+        state = states[here]
+        rates = ((beta * state.I, removal), (r * state.N_IS, infection))
+        total = sum(rate for rate, _ in rates)
+        law = {}
+        for rate, event in rates:
+            if rate:
+                for nxt, p in replay_law(step(state, event), one=Fraction(1)).items():
+                    for path, q in law_from(nxt).items():
+                        p_path = Fraction(rate, total) * p * q
+                        law[(nxt,) + path] = law.get((nxt,) + path, 0) + p_path
+        return law
+
+    start = PopulationState(mu_S, mu_IS)
+    states[key(start)] = start
+    return {(key(start),) + path: p for path, p in law_from(key(start)).items()}
+
+
+def _small_epidemics(degrees, max_n=4, max_total=8):
+    """Every ``(mu_S, mu_IS)`` over levels ``degrees`` with at most
+    ``max_n`` individuals, at least one infective and one susceptible, an
+    even total degree of at most ``max_total``, and no more infective than
+    susceptible half-edges."""
+    size = max(degrees) + 1
+    out = []
+    for counts in itertools.product(range(max_n + 1), repeat=2 * len(degrees)):
+        mu_S, mu_IS = [0] * size, [0] * size
+        for k, c_S, c_I in zip(degrees, counts[::2], counts[1::2]):
+            mu_S[k], mu_IS[k] = c_S, c_I
+        n_S = sum(k * c for k, c in enumerate(mu_S))
+        n_IS = sum(k * c for k, c in enumerate(mu_IS))
+        if (sum(counts) <= max_n and sum(mu_S) and sum(mu_IS)
+                and (n_S + n_IS) % 2 == 0 and n_S + n_IS <= max_total and n_IS <= n_S):
+            out.append((mu_S, mu_IS))
+    return out
+
+
+@pytest.mark.parametrize("r, beta", [(2, 1), (1, 3)])
+def test_path_law_equals_explicit_configuration_model(r, beta):
+    # on degrees 0, 1 and 2 a new infective holds at most one open
+    # half-edge, so no self-pairing is possible and the lazy chain is the
+    # epidemic on the uniform multigraph exactly, path by path (on degrees
+    # 0 to 3, 26 of the 52 cases with a degree-3 individual differ: a new
+    # infective's open half-edges may pair with each other)
+    cases = _small_epidemics((0, 1, 2))
+    assert len(cases) == 52
+    for mu_S, mu_IS in cases:
+        lazy = lazy_path_law(mu_S, mu_IS, r, beta)
+        assert lazy == explicit_path_law(mu_S, mu_IS, Fraction(r), Fraction(beta)), (mu_S, mu_IS)
+        assert sum(lazy.values()) == 1
