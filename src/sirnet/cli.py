@@ -32,6 +32,7 @@ from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     SolverConfig,
     check_measures_memory,
+    check_solve_rate,
     limit_initial,
     limit_initial_from_pI0,
     miller_theta,
@@ -264,7 +265,7 @@ def cmd_simulate(args):
                                     "n_removals": traj.n_removals})
     if "snapshots" in paths:
         _atomic_write(paths["snapshots"], _snapshot_lines(traj.snapshots))
-    print(f"wrote {paths['out']} ({len(traj.times)} rows, terminal={traj.terminal})")
+    print(f"wrote {paths['out']} ({traj.n_rows} rows, terminal={traj.terminal})")
     return EXIT_OK
 
 
@@ -278,8 +279,9 @@ def cmd_solve(args):
     stop = {"eps_IS": args.eps_is} if "eps_is" in args else {}
     config = SolverConfig(r=args.r, beta=args.beta, t_max=args.t_max,
                           dt=args.dt, **stop)
-    if args.dry_run:
-        if args.which == "measures":  # the check solve_measures makes first
+    if args.dry_run:  # the checks each solver makes first
+        check_solve_rate(init, config)
+        if args.which == "measures":
             check_measures_memory(init, config)
         print("config ok (dry run)")
         return EXIT_OK

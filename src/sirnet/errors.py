@@ -14,10 +14,13 @@ MAX_POPULATION = 10**9
 # it peaks at about 240 MB, while a kmax of 10**9 asks for gigabytes
 MAX_DEGREE = 10**6
 
-# rows, t=0 included, that one simulated trajectory or one limit solve may
-# store; at the cap a trajectory's six counts and time take 0.56 GB and a
-# volz solve's 9-float states 0.72 GB; a measures solve keeps 2*kmax + 3
-# floats a row beside its influx table, so MAX_SOLVE_BYTES bounds it further
+# grid rows, t=0 included, that one simulated trajectory or one limit solve
+# may have.  A trajectory holds six counts, a run length and, with
+# snapshots, one snapshot per run of grid rows, so it grows with its events;
+# at the cap only its per-row views, built when read (as the harness's
+# replica table reads them), take 0.56 GB.  A volz solve's 9-float states
+# take 0.72 GB, and a measures solve keeps 2*kmax + 3 floats a row beside
+# its influx table, so MAX_SOLVE_BYTES bounds it further
 MAX_GRID_ROWS = 10**7
 
 # bytes that a measures solve's arrays may take together
@@ -82,6 +85,19 @@ def check_positive(**values):
     for name, value in values.items():
         if not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+def check_rate_bound(r, beta, N_S, n):
+    """Raise :class:`ConfigurationError` naming ``r`` and ``beta`` when the
+    largest total event rate of a run, ``r N_S + beta n``, is not finite;
+    ``N_S`` is its susceptible half-edges and ``n`` its population at the
+    start, both counts or both per capita.  While a run goes on,
+    ``N_IS <= N_S`` and ``I <= n``, so its rate ``r N_IS + beta I`` stays
+    below that bound."""
+    if not math.isfinite(r * N_S + beta * n):
+        raise ConfigurationError(
+            f"r={r:g} and beta={beta:g} overflow the total event rate r*N_S + beta*n "
+            f"at N_S={N_S:.6g} and n={n:.6g}")
 
 
 def check_degree(**values):

@@ -23,6 +23,7 @@ import numpy as np
 from sirnet.errors import ConfigurationError, check_nonnegative, check_positive
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
 from sirnet.simulation import (
+    GRID_TIE,
     SimParams,
     Trajectory,
     initial_infective_count,
@@ -189,8 +190,8 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
         for tr in group:
             below = np.flatnonzero(tr.column("N_IS") < eps_prime)
             taus.append(tr.times[below[0]] if len(below) else math.inf)
-            # the window rows, as simulate records [0, t_end]: within 1e-12 past counts
-            w = int(np.count_nonzero(tr.times <= t_end + 1e-12))
+            # the window rows, as simulate records [0, t_end]
+            w = int(np.count_nonzero(tr.times <= t_end + GRID_TIE))
             sups.append(sup_distance(tr.values[:, :w], limit[:, :w]))
             first.append(tr.values[:, 0])
             last.append(tr.values[:, w - 1])

@@ -38,6 +38,7 @@ from sirnet.errors import (
     SolverDiagnosticError,
     check_nonnegative,
     check_positive,
+    check_rate_bound,
 )
 
 DENOM_FLOOR = 1e-12
@@ -229,6 +230,13 @@ def limit_initial_from_pI0(spec, pI0):
     return limit_initial(spec, pI0 / (1.0 + pI0))
 
 
+def check_solve_rate(init, config):
+    """Refuse rates whose per-capita total event rate can overflow
+    (:func:`check_rate_bound` at ``N_S0`` and ``S0 + I0``): no step is then
+    small enough for them.  Every solver checks this before integrating."""
+    check_rate_bound(config.r, config.beta, init.N_S0, init.S0 + init.I0)
+
+
 def reproduction_number(spec, r, beta):
     """The epidemic's reproduction number ``T <k(k-1)>/<k>``: the degree
     law's branching factor (:meth:`DegreeSpec.r0`) times the
@@ -251,6 +259,16 @@ def reproduction_number(spec, r, beta):
 def _too_coarse(what, dt):
     """The error of a solve whose step ``dt`` is too coarse, as ``what`` shows."""
     return SolverDiagnosticError(f"{what}; dt={dt:g} is too large for these rates")
+
+
+def _check_mass(S, I, R, total, dt):
+    """Refuse a finished solve whose population mass ``S + I + R`` drifts
+    from ``total = S0 + I0`` by more than ``MASS_TOL`` of it, naming
+    ``dt``."""
+    mass = float(np.abs(S + I + R - total).max())
+    if mass > MASS_TOL * total:
+        raise _too_coarse(f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
+                          f"{MASS_TOL * total:.3e}", dt)
 
 
 def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
@@ -406,7 +424,9 @@ def solve_volz(init, config):
     ``dt``; the second is not, since ``S`` is read off ``theta`` while
     ``I`` and ``R`` are integrated, so it catches a step too coarse for
     the rates.  A run failing either raises :class:`SolverDiagnosticError`.
+    Rates that :func:`check_solve_rate` refuses are refused first.
     """
+    check_solve_rate(init, config)
     gf = GeneratingFn(init.mu_S0)
     pI0 = init.pI0
     y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
@@ -420,11 +440,7 @@ def solve_volz(init, config):
     if drift > SIMPLEX_TOL:
         raise _too_coarse(
             f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
-    total = init.S0 + init.I0
-    mass = float(np.abs(cols["S"] + cols["I"] + cols["R"] - total).max())
-    if mass > MASS_TOL * total:
-        raise _too_coarse(f"S+I+R drifted from S0+I0 by {mass:.3e}, over the budget "
-                         f"{MASS_TOL * total:.3e}", config.dt)
+    _check_mass(cols["S"], cols["I"], cols["R"], init.S0 + init.I0, config.dt)
     return Solution(t=ts, columns=cols, terminal=terminal, diagnostics={})
 
 
@@ -648,9 +664,11 @@ def solve_measures(init, config):
     never grow, so no level is ever cut off.  Small negative weights
     produced by the integrator are clamped to zero; the run aborts if the
     clamped mass exceeds a fixed budget relative to the initial population
-    mass.  A solve whose arrays together would outgrow ``MAX_SOLVE_BYTES``
-    is refused first, by :func:`check_measures_memory`.
+    mass.  Rates that :func:`check_solve_rate` refuses, and then a solve
+    whose arrays together would outgrow ``MAX_SOLVE_BYTES``
+    (:func:`check_measures_memory`), are refused first.
     """
+    check_solve_rate(init, config)
     check_measures_memory(init, config)
     w0 = init.mu_S0
     levels = len(w0)
@@ -712,10 +730,14 @@ def miller_theta(init, config):
     ``dR/dt = beta I`` and ``I = S0 + I0 - S - R``.  The reduction reads
     no infectious edge count, so ``eps_IS`` never stops it early.
 
-    ``I`` keeps ``S + I + R`` exact by construction, so a step too coarse
-    for the rates shows as a negative ``I`` instead: the finished run is
-    checked once, and an ``I`` below ``-MASS_TOL`` of ``S0 + I0`` raises
-    :class:`SolverDiagnosticError`."""
+    That ``I`` keeps ``S + I + R`` exact by construction, so the solve
+    also integrates a redundant ``I' = -g'(theta) theta' - beta I``, which
+    is not written out, and checks the finished run as :func:`solve_volz`
+    does: an ``S + I + R`` with that ``I`` that drifts from ``S0 + I0`` by
+    more than ``MASS_TOL`` of it shows a step too coarse for the rates and
+    raises :class:`SolverDiagnosticError`.  Rates that
+    :func:`check_solve_rate` refuses are refused first."""
+    check_solve_rate(init, config)
     gf = GeneratingFn(init.mu_S0)
     r, beta = config.r, config.beta
     pS0 = 1.0 - init.pI0
@@ -723,16 +745,16 @@ def miller_theta(init, config):
     total = init.S0 + init.I0
 
     def rhs(y):
-        theta, R = y
-        return (
-            -r * theta + beta * (1.0 - theta) + r * pS0 * gf(theta, order=1) / g1,
-            beta * (total - gf(theta) - R),
-        )
+        theta, R, I = y
+        slope = gf(theta, order=1)
+        d_theta = -r * theta + beta * (1.0 - theta) + r * pS0 * slope / g1
+        return d_theta, beta * (total - gf(theta) - R), -slope * d_theta - beta * I
 
-    ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0), config)
+    ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0, init.I0), config)
     theta = ys[:, 0]
     S = gf(theta)
     R = ys[:, 1]
+    _check_mass(S, ys[:, 2], R, total, config.dt)
     I = total - S - R
     low = float(I.min())
     if low < -MASS_TOL * total:

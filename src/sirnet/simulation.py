@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +53,14 @@ from sirnet.errors import (
     check_nonnegative,
     check_population,
     check_positive,
+    check_rate_bound,
 )
 
 BLOCK = 1024  # values drawn from the generator per numpy call
 _WORD = 1 << 63  # integer draws reduce uniform 63-bit words
+# a grid time within GRID_TIE after an event counts as after it, so its row
+# holds the event: the rule of simulate's rows and of every window of them
+GRID_TIE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -178,36 +183,66 @@ class SimParams:
 
 @dataclass
 class Trajectory:
-    """A simulated run on its grid: the times ``times`` and one ``(T, 6)``
-    int64 table ``counts`` of the counts recorded at them, columns in
-    ``COLUMNS[1:]`` order, so ``column(name)`` is a view of one column."""
+    """A simulated run as the runs :func:`simulate` records: ``rows``, the
+    ``(R, 6)`` int64 table of the states recorded, columns in
+    ``COLUMNS[1:]`` order; ``runs``, the list of how many consecutive grid
+    rows each holds; and, with snapshots, ``run_snapshots``, one level
+    snapshot per run.  Grid row ``i`` is at time ``i * grid``.
 
-    times: np.ndarray
-    counts: np.ndarray
+    The per-row views are derived on first use: ``times``, the grid;
+    ``counts``, the ``(T, 6)`` table of every grid row, of which
+    ``column(name)`` is one column; and ``snapshots``, each row's
+    ``(t, snapshot)``."""
+
+    grid: float
+    rows: np.ndarray
+    runs: list
     terminal: str = "t_max"
-    snapshots: list = field(default_factory=list)
+    run_snapshots: list = field(default_factory=list)
     n_infections: int = 0
     n_removals: int = 0
 
     COLUMNS = ("t", "S", "I", "R", "N_S", "N_IS", "N_RS")
 
+    @property
+    def n_rows(self):
+        """The number of grid rows."""
+        return sum(self.runs)
+
+    @cached_property
+    def times(self):
+        return np.arange(self.n_rows) * self.grid
+
+    @cached_property
+    def counts(self):
+        return np.repeat(self.rows, self.runs, axis=0)
+
     def column(self, name):
         return self.times if name == "t" else self.counts[:, self.COLUMNS.index(name) - 1]
 
+    def _by_row(self, per_run):
+        """``(t, item)`` at every grid row in order, ``item`` being the entry
+        of ``per_run`` for the row's run.  Row ``i``'s ``t = i * grid`` is
+        the product ``times`` holds there, bit for bit."""
+        grid, start = self.grid, 0
+        for item, length in zip(per_run, self.runs):
+            for i in range(start, start + length):
+                yield i * grid, item
+            start += length
+
+    @property
+    def snapshots(self):
+        """``(t, snapshot)`` at every grid row, the rows of one run sharing
+        its snapshot object."""
+        return self._by_row(self.run_snapshots)
+
     def to_csv_lines(self):
-        """The header, then one row per grid time.  Consecutive rows often
-        repeat a state, so the six counts are formatted once per run of
-        equal rows and only the time once per row."""
+        """The header, then one row per grid time: each run's six counts
+        are formatted once, and each row's time."""
         yield ",".join(self.COLUMNS)
-        counts = self.counts
-        first = np.ones(len(counts), dtype=bool)  # rows that start a run
-        first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
-        starts = np.flatnonzero(first).tolist()
-        times = self.times.tolist()
-        for lo, hi, row in zip(starts, starts[1:] + [len(times)], counts[starts].tolist()):
-            tail = ",%d,%d,%d,%d,%d,%d" % tuple(row)
-            for t in times[lo:hi]:
-                yield f"{t:.10g}{tail}"
+        tails = [",%d,%d,%d,%d,%d,%d" % tuple(row) for row in self.rows.tolist()]
+        for t, tail in self._by_row(tails):
+            yield f"{t:.10g}{tail}"
 
 
 class PopulationState:
@@ -269,15 +304,10 @@ def initial_infective_count(n, i0):
 
 
 def check_event_rate(state, params):
-    """Refuse rates whose total event rate can overflow.  While a run goes
-    on, ``N_IS <= N_S <= N_S(0)`` and ``I <= n``, so its rate
-    ``r N_IS + beta I`` is at most ``r N_S(0) + beta n``; an infinite
-    bound would compare ``inf`` with ``inf`` in the choice of event."""
-    n = state.S + state.I + state.R
-    if not math.isfinite(params.r * state.N_S + params.beta * n):
-        raise ConfigurationError(
-            f"r={params.r:g} and beta={params.beta:g} overflow the total event rate "
-            f"r*N_S + beta*n on N_S={state.N_S} susceptible half-edges and n={n}")
+    """Refuse rates whose total event rate can overflow
+    (:func:`check_rate_bound` at ``state``); an infinite rate would
+    compare ``inf`` with ``inf`` in the choice of event."""
+    check_rate_bound(params.r, params.beta, state.N_S, state.S + state.I + state.R)
 
 
 def initialize_state(counts, i0, *, rng):
@@ -408,11 +438,13 @@ def simulate(state, params, rng):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
     The row at grid time ``g`` is the state after every event at a time
-    ``t`` with ``g > t + 1e-12``: the last event before ``g``, an event
-    within ``1e-12`` of ``g`` counting as after it.  Once the total event
-    rate is 0 the state is constant, so the remaining grid rows repeat it;
-    the terminal reason is then ``extinct`` if no I-S edge is left, and
-    ``t_max`` otherwise (both rates 0).  If an
+    ``t`` with ``g > t + GRID_TIE``: the last event before ``g``, an event
+    within ``GRID_TIE`` of ``g`` counting as after it.  One state and the
+    number of grid rows it covers are recorded per run of rows, so the
+    returned :class:`Trajectory` grows with the events, not with the
+    grid.  Once the total event rate is 0 the state is constant, so the
+    remaining grid rows repeat it; the terminal reason is then ``extinct``
+    if no I-S edge is left, and ``t_max`` otherwise (both rates 0).  If an
     infection exhausts the susceptible half-edge pools (see
     :meth:`PopulationState.feasible`) recording stops there with terminal
     reason ``depleted``.  Every random number comes from ``rng``:
@@ -425,7 +457,7 @@ def simulate(state, params, rng):
     r, beta, t_max = params.r, params.beta, params.t_max
     grid = params.record_grid
     n_grid = params.grid_steps
-    # the state recorded on each run of equal grid rows, and the run's length
+    # the state recorded on each run of grid rows, and the run's length
     rows = [state.row()]
     runs = [1]
     snapshots = [state.measure_snapshot()] if params.snapshot_measures else []
@@ -437,7 +469,7 @@ def simulate(state, params, rng):
     def emit_until(limit):
         nonlocal next_idx, next_t
         first = next_idx
-        while next_idx <= n_grid and next_idx * grid <= limit + 1e-12:
+        while next_idx <= n_grid and next_idx * grid <= limit + GRID_TIE:
             next_idx += 1
         if next_idx > first:
             rows.append(state.row())
@@ -457,7 +489,7 @@ def simulate(state, params, rng):
             emit_until(t_max)
             state.t = t_max
             break
-        if next_t <= t_new + 1e-12:  # the event follows a grid time
+        if next_t <= t_new + GRID_TIE:  # the event follows a grid time
             emit_until(t_new)
         state.t = t_new
         if draws.uniform() * rate < beta * state.I:
@@ -469,12 +501,7 @@ def simulate(state, params, rng):
                 terminal = "depleted"
                 break
 
-    counts = np.repeat(np.asarray(rows, dtype=np.int64), runs, axis=0)
-    # i * grid is the time next_idx * grid gave row i, bit for bit
-    times = np.arange(len(counts)) * grid
-    if snapshots:  # a run's grid times share its one snapshot
-        snapshots = list(zip(times.tolist(),
-                             (snap for snap, c in zip(snapshots, runs) for _ in range(c))))
     # each infection takes one susceptible and each removal adds one removed
-    return Trajectory(times=times, counts=counts, terminal=terminal, snapshots=snapshots,
+    return Trajectory(grid=grid, rows=np.array(rows, dtype=np.int64), runs=runs,
+                      terminal=terminal, run_snapshots=snapshots,
                       n_infections=S0 - state.S, n_removals=state.R - R0)

@@ -18,7 +18,9 @@ a time.  :func:`convergence_rows_reference` builds
 a convergence report's rows with each sup-distance and each replica's
 exit time from a plain loop over the replica's rows.
 :func:`explicit_path_law` is the exact law of a whole epidemic's measure
-path on every explicit configuration-model pairing of a tiny population."""
+path on every explicit configuration-model pairing of a tiny population,
+and :func:`explicit_sir_grid` runs one epidemic on one such pairing of a
+population of any size."""
 
 import bisect
 import functools
@@ -31,7 +33,7 @@ from numpy.polynomial import polynomial as P
 
 from sirnet.errors import StateCorruptionError
 from sirnet.harness import COMPARED
-from sirnet.simulation import sample_jl
+from sirnet.simulation import GRID_TIE, sample_jl
 
 
 def check_invariants(state, mu_S0):
@@ -57,15 +59,15 @@ def grid_rows_from_events(start, events, grid, n_grid, t_end):
 
     ``start`` is the record (row, snapshot) before the first event and
     ``events`` the ``(t, record)`` after each event.  The grid times are
-    ``i * grid`` for ``i = 0..n_grid`` up to ``t_end + 1e-12``, where
+    ``i * grid`` for ``i = 0..n_grid`` up to ``t_end + GRID_TIE``, where
     ``t_end`` is ``t_max``, or the last event's time if the run stopped
     there (``depleted``).  The record at grid time ``g`` is the one after
-    the last event at a time ``t`` with ``g > t + 1e-12``: an event within
-    ``1e-12`` of a grid time counts as after it.  Returns the times and the
+    the last event at a time ``t`` with ``g > t + GRID_TIE``: an event
+    within ``GRID_TIE`` of a grid time counts as after it.  Returns the times and the
     records."""
-    shifted = [t + 1e-12 for t, _ in events]  # nondecreasing, as the times are
+    shifted = [t + GRID_TIE for t, _ in events]  # nondecreasing, as the times are
     records = [start] + [record for _, record in events]
-    times = [i * grid for i in range(n_grid + 1) if i * grid <= t_end + 1e-12]
+    times = [i * grid for i in range(n_grid + 1) if i * grid <= t_end + GRID_TIE]
     return times, [records[bisect.bisect_left(shifted, g)] for g in times]
 
 
@@ -98,7 +100,7 @@ def exit_time(times, n_IS, eps_prime):
 def convergence_rows_reference(trajectories, limit, eps_prime, tau_bar, t_end):
     """The rows of :func:`sirnet.harness.convergence_report`, built per
     (n, column).  Each sup-distance is a loop over the replica's rows up
-    to ``t_end + 1e-12`` against the ``limit`` table's entries of the same
+    to ``t_end + GRID_TIE`` against the ``limit`` table's entries of the same
     index; each exit time comes from :func:`exit_time`."""
     by_n = {}
     for traj in trajectories:
@@ -113,7 +115,7 @@ def convergence_rows_reference(trajectories, limit, eps_prime, tau_bar, t_end):
             for tr in group:
                 sup = 0.0
                 for t, a, b in zip(tr.times, tr.column(col), limit[c]):
-                    if t <= t_end + 1e-12:
+                    if t <= t_end + GRID_TIE:
                         sup = max(sup, abs(float(a) - float(b)))
                 dists.append(sup)
             dists = np.array(dists)
@@ -511,3 +513,78 @@ def explicit_path_law(mu_S, mu_IS, r, beta):
         for path, p in _sir_path_law(edges, degrees, status, r, beta, size).items():
             law[path] = law.get(path, 0) + p / len(pairings)
     return law
+
+
+def explicit_sir_grid(counts, i0, r, beta, t_max, grid, rng):
+    """``(S, I)`` at every grid time ``i * grid <= t_max`` of a Gillespie
+    SIR epidemic on an explicit configuration-model multigraph, drawn with
+    the ``random.Random`` ``rng``.
+
+    ``counts[k]`` labelled vertices have degree ``k``, and a uniform
+    ``ceil(i0 n)`` of them start infectious.  Each infective half-edge
+    pairs with a distinct uniform susceptible half-edge, and the rest form
+    a uniform matching, loops and multi-edges included (van der Hofstad,
+    *Random Graphs and Complex Networks* vol. 1, 2017, ch. 7); the total
+    degree must leave them an even number.  Each I-S edge fires at rate
+    ``r``, a loop never, and each infective is removed at rate ``beta``.
+    Every vertex keeps its count of edges to susceptibles, so an event
+    updates its vertices' neighbours only, besides one scan over the
+    infectives to pick the edge that fires.  The row at a grid time holds
+    the state after every event before it."""
+    degrees = [k for k, c in enumerate(counts) for _ in range(c)]
+    n = len(degrees)
+    status = ["S"] * n
+    infectives = rng.sample(range(n), math.ceil(i0 * n))
+    for v in infectives:
+        status[v] = "I"
+    owner = [v for v, d in enumerate(degrees) for _ in range(d)]
+    from_I = [h for h, v in enumerate(owner) if status[v] == "I"]
+    from_S = [h for h, v in enumerate(owner) if status[v] == "S"]
+    partners = rng.sample(from_S, len(from_I))
+    taken = set(partners)
+    rest = [h for h in from_S if h not in taken]
+    if len(rest) % 2:
+        raise ValueError("an odd number of half-edges is left to match")
+    rng.shuffle(rest)
+    neighbours = [[] for _ in range(n)]
+    for a, b in itertools.chain(zip(from_I, partners), zip(rest[::2], rest[1::2])):
+        u, v = owner[a], owner[b]
+        if u != v:  # a loop never transmits
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    to_S = [sum(status[w] == "S" for w in nbrs) for nbrs in neighbours]
+    N_IS = sum(to_S[v] for v in infectives)
+    S, I = n - len(infectives), len(infectives)
+    grid_times = [i * grid for i in range(math.floor(t_max / grid + 1e-9) + 1)]
+    rows, t = [], 0.0
+    while True:
+        rate = r * N_IS + beta * I
+        t_next = t + rng.expovariate(rate) if rate > 0 else math.inf
+        while len(rows) < len(grid_times) and grid_times[len(rows)] < t_next:
+            rows.append((S, I))
+        if len(rows) == len(grid_times):
+            return rows
+        t = t_next
+        if rng.random() * rate < beta * I:
+            i = rng.randrange(I)
+            v = infectives[i]
+            infectives[i] = infectives[-1]
+            infectives.pop()
+            status[v] = "R"
+            N_IS -= to_S[v]
+            I -= 1
+            continue
+        x = rng.randrange(N_IS)
+        for v in infectives:
+            x -= to_S[v]
+            if x < 0:
+                break
+        u = rng.choice([w for w in neighbours[v] if status[w] == "S"])
+        status[u] = "I"
+        infectives.append(u)
+        for w in neighbours[u]:
+            to_S[w] -= 1
+            N_IS -= status[w] == "I"
+        N_IS += to_S[u]
+        S -= 1
+        I += 1

@@ -100,6 +100,23 @@ def test_simulate_rates_whose_total_overflows_exit_2(tmp_path, capsys, degree):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("which", ["volz", "measures", "miller"])
+def test_solve_rates_whose_total_overflows_exit_2(tmp_path, capsys, which):
+    # the per-capita rate r*N_S0 + beta*(S0+I0) overflows, so no step is
+    # small enough: volz and miller exited 1 with a non-finite state at the
+    # first step, measures with its clamp budget, each naming dt
+    args = ["solve", which, "--degree", "poisson:5:30", "--i0", "0.01", "--t-max", "1",
+            "--out", str(tmp_path / "x.csv")]
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run(args + ["--r", "1e308", "--beta", "1e308"] + dry, capsys)
+        assert (code, out) == (2, "")
+        assert "r=1e+308 and beta=1e+308 overflow the total event rate" in err
+    assert not (tmp_path / "x.csv").exists()
+    # finite rates too large for the step still fail the solve, naming dt
+    code, _, err = run(args + ["--r", "1e300", "--beta", "1"], capsys)
+    assert code == 1 and "dt=0.001 is too large for these rates" in err
+
+
 def test_simulate_writes_files(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     args = ["simulate", "--degree", "poisson:5:30", "--n", "500",
@@ -209,7 +226,7 @@ def test_snapshot_lines_equal_per_row_json():
                                      snapshot_measures=True), rng=rng)
     sol = solve_measures(limit_initial(DegreeSpec.poisson(4, 20), 0.05),
                          SolverConfig(r=1.0, beta=0.5, t_max=0.1))
-    for snapshots in (traj.snapshots, list(sol.snapshots)):
+    for snapshots in (list(traj.snapshots), list(sol.snapshots)):
         expected = [
             json.dumps({"t": t, **{name: {str(k): w for k, w in enumerate(snap[name]) if w}
                                    for name in ("mu_S", "mu_IS", "mu_RS")}})
@@ -673,21 +690,23 @@ COARSE_MILLER = ["solve", "miller", "--degree", "poisson:5:30", "--r", "1",
                  "--beta", "0.5", "--i0", "0.01", "--t-max", "60"]
 
 
-@pytest.mark.parametrize("args,message", [
+@pytest.mark.parametrize("args,coarse,sound", [
     # at dt=2 every step stays finite and pI+pS+pR stays 1 to round-off,
-    # but S+I+R ends near 1.085 against S0+I0 = 1
-    (COARSE_VOLZ, "S+I+R drifted"),
-    # miller keeps S+I+R exact by construction; at dt=2 I falls to -0.005
-    (COARSE_MILLER, "I fell to"),
+    # but S+I+R ends near 1.085 against S0+I0 = 1; sound at dt=0.1
+    (COARSE_VOLZ, "2", "0.1"),
+    # miller's written I = S0+I0-S-R keeps S+I+R exact by construction, but
+    # its redundant I drifts 4.9e-6 from it at dt=0.1, where the written I
+    # is off the dt=1e-3 solve by 4.1e-5; sound at dt=0.05, a drift of 3.3e-7
+    (COARSE_MILLER, "0.1", "0.05"),
 ], ids=["volz", "miller"])
-def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys, args, message):
-    # refused at dt=2, naming dt; sound at dt=0.1
+def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys, args, coarse, sound):
+    # refused at the coarse step, naming dt; sound at the finer one
     out = tmp_path / "x.csv"
-    code, _, err = run(args + ["--dt", "2", "--out", str(out)], capsys)
+    code, _, err = run(args + ["--dt", coarse, "--out", str(out)], capsys)
     assert code == 1
-    assert message in err and "dt=2" in err
+    assert "S+I+R drifted" in err and f"dt={coarse} is too large" in err
     assert not out.exists()
-    code, _, _ = run(args + ["--dt", "0.1", "--out", str(out)], capsys)
+    code, _, _ = run(args + ["--dt", sound, "--out", str(out)], capsys)
     assert code == 0
     assert out.exists()
 
