@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,50 @@ def _run_many(jobs):
     return [_run_one(job) for job in jobs]
 
 
+def _fork_share(jobs, s, w):
+    """Fork the worker of share ``s`` of ``w``: it runs
+    ``_run_many(jobs[s::w])`` and pickles ``(True, result)`` or
+    ``(False, exception)`` into a pipe once.  Returns the worker's pid and
+    the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, _run_many(jobs[s::w])),
+                                       pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _share_result(pid, data, status):
+    """The jobs' results from a worker's pipe ``data`` and wait ``status``;
+    re-raises the worker's exception."""
+    if status != 0 or not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"replica worker {pid} ended without a result "
+                           f"(wait status {status}: {how})")
+    ok, result = pickle.loads(data)
+    if not ok:
+        raise result
+    return result
+
+
 def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     """``reps`` independent scaled simulations for every n in ``n_values``.
 
@@ -97,9 +142,14 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
 
     ``workers`` processes share the replicas, the calling one included:
     with ``w = min(workers, replicas, CPUs)``, share ``s`` is every
-    ``w``-th job from job ``s``; the caller runs share 0 and a pool of
-    ``w - 1`` forked workers one share each, so no worker sits idle or
-    waits for a CPU, and each sends one result message.
+    ``w``-th job from job ``s``.  The caller forks one worker and one pipe
+    for each share ``s >= 1``, runs share 0 itself, then reads each pipe
+    to its end and reaps its worker.  A worker pickles its results, or the
+    exception its share raised, into its pipe once and exits; the caller
+    re-raises that exception as it is.  A worker that ends without a
+    result (killed, say, or out of memory) raises :class:`RuntimeError`
+    naming its wait status.  On any failure, the caller's own included,
+    every worker not yet reaped is killed and reaped.
     """
     _check_batch(n_values, reps, base_seed, workers)
     jobs = [
@@ -111,11 +161,24 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     if w == 1:
         return _run_many(jobs)
     out = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=w - 1) as pool:
-        futures = [pool.submit(_run_many, jobs[s::w]) for s in range(1, w)]
+    running = []  # (pid, read end) of each worker not yet reaped, in share order
+    try:
+        for s in range(1, w):
+            running.append(_fork_share(jobs, s, w))
         out[0::w] = _run_many(jobs[0::w])
-        for s, future in enumerate(futures, start=1):
-            out[s::w] = future.result()
+        for s in range(1, w):
+            pid, read_fd = running[0]
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del running[0]
+            os.close(read_fd)
+            out[s::w] = _share_result(pid, data, status)
+    finally:
+        for pid, read_fd in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
     return out
 
 

@@ -271,6 +271,15 @@ def _check_mass(S, I, R, total, dt):
                           f"{MASS_TOL * total:.3e}", dt)
 
 
+def _check_floor(I, total, dt):
+    """Refuse a finished solve whose ``I`` falls below ``-MASS_TOL`` of
+    ``total = S0 + I0``, naming ``dt``: a mass rule relative to ``total``
+    misses a small ``I`` gone negative."""
+    low = float(I.min())
+    if low < -MASS_TOL * total:
+        raise _too_coarse(f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}", dt)
+
+
 def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     """Classical 4th-order Runge-Kutta with the constant step ``config.dt``
     up to ``config.t_max``.
@@ -418,12 +427,13 @@ def solve_volz(init, config):
 
     The susceptible share is reported as ``S = g(theta)`` where g generates
     ``mu_S0``.  The finished run is checked once: ``pI + pS + pR`` may
-    drift from 1 by at most ``SIMPLEX_TOL``, and the population mass
-    ``S + I + R`` from ``S0 + I0`` by at most ``MASS_TOL`` of it.  The
-    first sum is a linear invariant that RK4 keeps to round-off at any
-    ``dt``; the second is not, since ``S`` is read off ``theta`` while
-    ``I`` and ``R`` are integrated, so it catches a step too coarse for
-    the rates.  A run failing either raises :class:`SolverDiagnosticError`.
+    drift from 1 by at most ``SIMPLEX_TOL``, the population mass
+    ``S + I + R`` from ``S0 + I0`` by at most ``MASS_TOL`` of it, and
+    ``I`` may fall below 0 by at most that much too.  The first sum is a
+    linear invariant that RK4 keeps to round-off at any ``dt``; the
+    others are not, since ``S`` is read off ``theta`` while ``I`` and
+    ``R`` are integrated, so they catch a step too coarse for the rates.
+    A run failing any raises :class:`SolverDiagnosticError`.
     Rates that :func:`check_solve_rate` refuses are refused first.
     """
     check_solve_rate(init, config)
@@ -441,6 +451,7 @@ def solve_volz(init, config):
         raise _too_coarse(
             f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
     _check_mass(cols["S"], cols["I"], cols["R"], init.S0 + init.I0, config.dt)
+    _check_floor(cols["I"], init.S0 + init.I0, config.dt)
     return Solution(t=ts, columns=cols, terminal=terminal, diagnostics={})
 
 
@@ -756,10 +767,7 @@ def miller_theta(init, config):
     R = ys[:, 1]
     _check_mass(S, ys[:, 2], R, total, config.dt)
     I = total - S - R
-    low = float(I.min())
-    if low < -MASS_TOL * total:
-        raise _too_coarse(f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}",
-                         config.dt)
+    _check_floor(I, total, config.dt)
     return Solution(t=ts, columns={"S": S, "I": I, "R": R, "theta": theta},
                     terminal=terminal, diagnostics={})
 

@@ -434,6 +434,22 @@ def apply_removal(state, level):
 # ---------------------------------------------------------------------------
 
 
+def next_row(limit, grid, first, n_grid):
+    """The least row index ``i >= first`` with ``i > n_grid`` or
+    ``i * grid > limit + GRID_TIE``: the row after the last one that
+    ``limit`` reaches.  Since ``i * grid`` grows with ``i``, the floor of
+    ``(limit + GRID_TIE) / grid`` is at most a step or two from that row,
+    and the steps make the rule exact; the cost does not grow with the
+    rows passed."""
+    cut = limit + GRID_TIE
+    i = min(max(math.floor(cut / grid), first - 1), n_grid)
+    while i < n_grid and (i + 1) * grid <= cut:
+        i += 1
+    while i >= first and i * grid > cut:
+        i -= 1
+    return i + 1
+
+
 def simulate(state, params, rng):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
@@ -469,8 +485,7 @@ def simulate(state, params, rng):
     def emit_until(limit):
         nonlocal next_idx, next_t
         first = next_idx
-        while next_idx <= n_grid and next_idx * grid <= limit + GRID_TIE:
-            next_idx += 1
+        next_idx = next_row(limit, grid, first, n_grid)
         if next_idx > first:
             rows.append(state.row())
             runs.append(next_idx - first)

@@ -711,6 +711,25 @@ def test_volz_coarse_dt_refuses_unsound_mass(tmp_path, capsys, args, coarse, sou
     assert out.exists()
 
 
+SMALL_I = ["--degree", "poisson:2:10", "--r", "1", "--beta", "5", "--i0", "0.001",
+           "--t-max", "60"]
+
+
+@pytest.mark.parametrize("args", [["solve", "volz"] + SMALL_I + ["--eps-is", "0"],
+                                  ["solve", "miller"] + SMALL_I], ids=["volz", "miller"])
+def test_solve_refuses_negative_I(tmp_path, capsys, args):
+    # at dt=0.5 I falls to -2e-4 from I0 = 1e-3 while S+I+R drifts only
+    # 1.2e-7, inside the mass rule: the floor on I refuses both solvers
+    # alike, naming dt; sound at dt=0.1
+    out = tmp_path / "x.csv"
+    code, _, err = run(args + ["--dt", "0.5", "--out", str(out)], capsys)
+    assert code == 1
+    assert "I fell to -1.99" in err and "below the floor -1.000e-06" in err
+    assert "dt=0.5 is too large" in err
+    assert not out.exists()
+    assert run(args + ["--dt", "0.1", "--out", str(out)], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("extra,field", [
     (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001"], "eps_prime"),
     (["--i0", "0.01"], "grid"),  # default grid 0.05 against tau_bar 0.0013
@@ -813,6 +832,10 @@ import contextlib, io, json, sys
 import sirnet, sirnet.cli
 scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not scipy, f"{len(scipy)} scipy modules, such as {sorted(scipy)[:3]}"
+def pool_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+                  or m == "concurrent.futures" or m.startswith("concurrent.futures."))
+assert not pool_modules(), pool_modules()
 missing = [n for n in sirnet.__all__ if not hasattr(sirnet, n)]
 assert not missing, missing
 loaded = set(sys.modules)
@@ -821,18 +844,20 @@ for argv in json.loads(sys.argv[1]):
         assert sirnet.cli.main(argv) == 0, argv
     late = sorted(m for m in set(sys.modules) - loaded if m.startswith("numpy."))
     assert not late, (argv[:2], late)
+    assert not pool_modules(), (argv[:2], pool_modules())
 """
 
 
 def test_cli_import_is_lean(tmp_path):
-    # a fresh interpreter: importing the CLI loads no scipy module, every
+    # a fresh interpreter: importing the CLI loads no scipy module and no
+    # process pool module (multiprocessing, concurrent.futures), every
     # exported name resolves, and no command imports a numpy submodule of
     # its own (numpy 2 loads numpy.random and numpy.polynomial lazily)
     out = str(tmp_path / "x.csv")
     converge = _with(CONVERGE, "--t-max", "0.002") + ["--i0", "0.01", "--grid", "1e-4"]
     commands = [base + ["--out", out] for base in (
         SIM, VOLZ, _with(["solve", "measures"] + VOLZ[2:], "--t-max", "0.1"), MILLER,
-        _with(converge, "--workers", "1"))]
+        _with(converge, "--workers", "1"), _with(converge, "--workers", "2"))]
     src = str(Path(sirnet.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", LEAN_CHECK, json.dumps(commands)],
                           capture_output=True, text=True,

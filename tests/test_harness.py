@@ -1,12 +1,14 @@
 import json
 import os
-from concurrent.futures import Future
+import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
 from oracles import convergence_rows_reference
 
-from sirnet import harness
+from sirnet import cli, harness
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError
 from sirnet.harness import (
@@ -100,28 +102,48 @@ def test_run_replicas_workers_match_serial(monkeypatch, workers):
         assert x.terminal == y.terminal
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here leaves no child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after 30 s, where a fork could hang it."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def pools_made(monkeypatch):
-    """The sizes of the pools :func:`run_replicas` makes: a stand-in pool
-    records its size and runs every call in this process."""
+    """The number of workers each :func:`run_replicas` call that forks
+    starts.  A stand-in for the fork runs the worker's share in this
+    process and writes its message into a real pipe, and a child that
+    exits at once stands in for the worker, so the caller reads and reaps
+    as it does a worker's."""
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def inline_share(jobs, s, w):
+        if s == 1:
+            sizes.append(w - 1)
+        read_fd, write_fd = os.pipe()
+        with open(write_fd, "wb") as fh:  # a few replicas: within the pipe's buffer
+            fh.write(pickle.dumps((True, harness._run_many(jobs[s::w]))))
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        return pid, read_fd
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_fork_share", inline_share)
     return sizes
 
 
@@ -151,6 +173,88 @@ def test_run_replicas_forks_no_more_workers_than_cpus(monkeypatch, pools_made, c
     serial = run_replicas(spec, params, [100], 3, 11, 0.02, workers=1)
     assert [(x.n, x.rep) for x in out] == [(x.n, x.rep) for x in serial]
     assert all(_same_bits(x.values, y.values) for x, y in zip(out, serial))
+
+
+CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
+            "--r", "1", "--beta", "0.5", "--i0", "0.01", "--seed", "1",
+            "--t-max", "0.002", "--grid", "1e-4"]
+
+
+@pytest.mark.usefixtures("deadline")
+def test_worker_configuration_error_exits_2_as_serial(tmp_path, capsys, monkeypatch):
+    # two replicas on two processes: replica 1 is the worker's share, and
+    # its refusal reaches the command as it does when the caller runs it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, run_here = os.getpid(), []
+    run_one = harness._run_one
+
+    def refuse_replica_1(job):
+        if os.getpid() == parent:
+            run_here.append(job[3])
+        if job[3] == 1:
+            raise ConfigurationError("replica 1 refused")
+        return run_one(job)
+
+    monkeypatch.setattr(harness, "_run_one", refuse_replica_1)
+    ends = []
+    for workers in ("1", "2"):
+        run_here.clear()
+        out = tmp_path / f"w{workers}.csv"
+        code = cli.main(CONVERGE + ["--workers", workers, "--out", str(out)])
+        ends.append((code, capsys.readouterr().err, out.exists()))
+    assert run_here == [0]  # replica 1 ran in the worker
+    assert ends == [(2, "configuration error: replica 1 refused\n", False)] * 2
+
+
+@pytest.mark.usefixtures("deadline")
+def test_worker_killed_exits_1_naming_its_status(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, run_one = os.getpid(), harness._run_one
+
+    def worker_dies(job):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_one(job)
+
+    monkeypatch.setattr(harness, "_run_one", worker_dies)
+    out = tmp_path / "x.csv"
+    code = cli.main(CONVERGE + ["--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ended without a result" in err and "killed by signal 9" in err
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_caller_failure_kills_and_reaps_every_worker(monkeypatch, failure):
+    # the caller's share fails at once while its two workers would run a
+    # minute: each is killed and reaped, none waited out past the deadline
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    parent, run_one, fork_share = os.getpid(), harness._run_one, harness._fork_share
+    started = []
+
+    def caller_fails(job):
+        if os.getpid() == parent:
+            raise failure("the caller's share failed")
+        time.sleep(60)
+        return run_one(job)
+
+    def recorded(jobs, s, w):
+        pid, read_fd = fork_share(jobs, s, w)
+        started.append(pid)
+        return pid, read_fd
+
+    monkeypatch.setattr(harness, "_run_one", caller_fails)
+    monkeypatch.setattr(harness, "_fork_share", recorded)
+    spec = DegreeSpec.poisson(5, 20)
+    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
+    with pytest.raises(failure, match="the caller's share failed"):
+        run_replicas(spec, params, [100], 3, 11, 0.02, workers=3)
+    assert len(started) == 2
+    for pid in started:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_run_replicas_validation():

@@ -32,6 +32,7 @@ from sirnet.simulation import (
     apply_infection,
     apply_removal,
     initialize_state,
+    next_row,
     pick_size_biased,
     pick_uniform,
     simulate,
@@ -328,6 +329,41 @@ def test_grid_rows_match_event_log(monkeypatch, seed, n, t_max, grid, terminal):
     assert traj.counts.tolist() == [list(row) for row, _ in records]
     assert list(traj.snapshots) == [(t, snap) for t, (_, snap) in zip(times, records)]
     assert list(traj.to_csv_lines()) == list(trajectory_csv_lines(traj))
+
+
+def _row_walk(limit, grid, first, n_grid):
+    """``next_row`` by its definition: walk the rows from ``first``."""
+    i = first
+    while i <= n_grid and i * grid <= limit + simulation.GRID_TIE:
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize("grid", [1e-5, 1e-4, 2e-4, 0.005, 0.05, 0.1, 0.3, 1 / 3, 0.7])
+def test_next_row_matches_row_walk_at_ties(grid):
+    # limits at every row time and GRID_TIE and one ulp either side of it
+    # and of the tie: the arithmetic start steps onto the walk's row
+    n_grid = 60
+    tie = simulation.GRID_TIE
+    for k in range(n_grid + 3):
+        g = k * grid
+        limits = [g, g - tie, g + tie, float(np.nextafter(g, -1)), float(np.nextafter(g, 1)),
+                  float(np.nextafter(g - tie, -1)), float(np.nextafter(g - tie, 1))]
+        for limit in limits:
+            for first in range(max(k - 3, 1), min(k + 3, n_grid + 1) + 1):
+                assert next_row(limit, grid, first, n_grid) == \
+                    _row_walk(limit, grid, first, n_grid), (limit, first)
+
+
+def test_next_row_far_along_the_grid():
+    # a limit a million rows on from first: the row that the walk reaches
+    grid, n_grid = 1e-5, 10**7 - 1
+    for k in (10**6, 10**7 - 2, 10**7 - 1):
+        g = k * grid
+        for limit in (g, g - simulation.GRID_TIE, float(np.nextafter(g - simulation.GRID_TIE, -1))):
+            expected = _row_walk(limit, grid, k - 2, n_grid)
+            assert next_row(limit, grid, 1, n_grid) == expected
+    assert next_row(1e9, grid, 1, n_grid) == n_grid + 1
 
 
 def test_params_refuse_grid_too_fine_to_store():
