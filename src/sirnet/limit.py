@@ -17,7 +17,9 @@ a dict of named columns, which each solver builds once from the arrays it
 computes; :class:`MeasureSolution` adds the measures at every time.  The
 loop has two arithmetic paths that give the same bits: the
 low-dimensional volz and miller states run in Python floats, the measure
-system on numpy arrays.
+system on numpy arrays.  The volz and measure right-hand sides read the
+susceptible measure through the same two moments, ``N_S`` and
+``N_S rho``, from one kernel (:func:`susceptible_moments`).
 An a-priori horizon bound for when the per-capita infectious edge count
 stays above a level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
@@ -51,14 +53,15 @@ _DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
 # ---------------------------------------------------------------------------
-# Generating function of a finite measure
+# Generating function and moments of the susceptible measure
 # ---------------------------------------------------------------------------
 
 
 class GeneratingFn:
     """``g(z) = sum_k w_k z^k`` for a finite nonnegative weight vector,
-    with first and second derivatives; the one polynomial evaluation of a
-    measure in this module.
+    with first and second derivatives: ``S = g(theta)`` and
+    ``N_S = theta g'(theta)`` over a solve's ``theta`` column, and
+    :func:`miller_theta`'s right-hand side.
 
     Every ``z`` is evaluated by one Horner loop, ``v = v*z + c`` from
     ``v = 0.0`` over the coefficients of ``g``, ``g'`` or ``g''``, kept
@@ -69,11 +72,9 @@ class GeneratingFn:
     ``v*z + c_k`` for ``k = n-1..0``, the same IEEE multiplications and
     additions in the same order, and neither fuses a multiply-add.  A
     scalar ``z`` runs the loop over Python floats, which skips polyval's
-    numpy-scalar dispatch, the bulk of the cost of the limit solvers'
-    right-hand sides; an array ``z`` runs it elementwise.
-    :meth:`slopes` runs the loops of ``g'`` and ``g''`` as one."""
+    numpy-scalar dispatch; an array ``z`` runs it elementwise."""
 
-    __slots__ = ("_horner", "_pairs")
+    __slots__ = ("_horner",)
 
     def __init__(self, weights):
         coef = np.asarray(weights, dtype=float)
@@ -82,11 +83,6 @@ class GeneratingFn:
         # polyder leaves the zero polynomial [0.0] where no term survives
         self._horner = (coef[::-1].tolist() or [0.0], d1[::-1].tolist() or [0.0],
                         d2[::-1].tolist() or [0.0])
-        h1, h2 = self._horner[1:]
-        # a leading 0.0 pads g'' to the length of g'; from v = 0.0 its step
-        # 0.0*z + 0.0 gives 0.0 at a finite z and NaN at an infinite or NaN z,
-        # as the first step of the unpadded loop then does too
-        self._pairs = tuple(zip(h1, [0.0] * (len(h1) - len(h2)) + h2))
 
     def __call__(self, z, order=0):
         """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
@@ -104,14 +100,28 @@ class GeneratingFn:
             v = v * z + c
         return v
 
-    def slopes(self, z):
-        """``(g'(z), g''(z))`` at a Python float ``z``, the same bits as
-        ``__call__`` gives for each, from one pass over the coefficients."""
-        v1 = v2 = 0.0
-        for c1, c2 in self._pairs:
-            v1 = v1 * z + c1
-            v2 = v2 * z + c2
-        return v1, v2
+
+def susceptible_moments(mu_S0):
+    """The two numbers through which the limit's right-hand sides read the
+    susceptible measure ``mu_S(k) = mu_S0(k) theta^k``: a function of
+    ``theta`` returning ``[N_S, N_S rho]``, the Python floats
+    ``<mu_S, k> = theta g'(theta)`` and ``<mu_S, k(k-1)> = theta^2 g''(theta)``
+    with ``rho = theta g''(theta)/g'(theta)`` (Volz 2008).
+
+    The table of ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)`` is built once per
+    solve; a call is one numpy power ``theta ** k`` and one matvec against
+    it, whose cost grows slowly with ``kmax`` where a Python loop over the
+    levels grows in step with it.  A ``theta`` too large for the power
+    gives non-finite moments with numpy's overflow or invalid-value
+    warning, which a solve that can reach one silences around its whole
+    run."""
+    k = np.arange(len(mu_S0), dtype=float)
+    table = np.stack((k * mu_S0, k * (k - 1) * mu_S0))
+
+    def moments(theta):
+        return np.dot(table, theta ** k).tolist()
+
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +301,10 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     for these sums:
 
     * a tuple runs them in Python floats, and ``rhs`` takes a list of
-      floats and returns a sequence of them: a step then makes no numpy
-      call, whose per-call overhead is most of the cost of a step on a
-      state of a few floats;
+      floats and returns a sequence of them: the step's own sums then make
+      no numpy call, whose per-call overhead would be most of the cost of
+      a step on a state of a few floats, and only ``rhs`` makes the calls
+      it needs;
     * anything else runs them on numpy arrays, and ``rhs`` takes and
       returns an array.
 
@@ -396,29 +407,33 @@ def _susceptible_columns(gf, theta):
     return gf(theta), theta * gf(theta, order=1)
 
 
-def volz_rhs(y, r, beta, gf):
+def volz_rhs(y, r, beta, moments):
     """Right-hand side of the edge-based system.
 
-    ``pS`` and the edge counts ``N_IS``, ``N_RS``, ``N_S_aux`` carry their
-    own equations even though each equals an algebraic function of
-    ``(theta, pI, pR)``; integrating them independently lets
-    :func:`edge_identities` measure the solver's internal consistency.
-    ``y`` is a sequence of floats and the derivative a tuple of them, as
-    :func:`rk4_integrate`'s float path runs it.
+    The susceptible measure enters through ``moments``, the
+    :func:`susceptible_moments` of ``mu_S0``: ``N_S = theta g'(theta)``,
+    ``N_S rho = theta^2 g''(theta)`` and their ratio ``rho``, taken as 0
+    once ``N_S`` is at most ``DENOM_FLOOR``.  ``pS`` and the edge counts
+    ``N_IS``, ``N_RS``, ``N_S_aux`` carry their own equations even though
+    each equals an algebraic function of ``(theta, pI, pR)``; integrating
+    them independently lets :func:`edge_identities` measure the solver's
+    internal consistency.  ``y`` is a sequence of floats and the
+    derivative a tuple of them, as :func:`rk4_integrate`'s float path runs
+    it.
     """
     theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
-    g1, g2 = gf.slopes(theta)
-    ratio = theta * g2 / g1 if g1 > DENOM_FLOOR else 0.0
+    N_S, N_S_rho = moments(theta)
+    rho = N_S_rho / N_S if N_S > DENOM_FLOOR else 0.0
     return (
         -r * pI * theta,
-        r * pI * theta * g1 - beta * I,
+        r * pI * N_S - beta * I,
         beta * I,
-        r * pI * pS * ratio - r * pI * (1.0 - pI) - beta * pI,
-        r * pI * pS * (1.0 - ratio),
+        r * pI * pS * rho - r * pI * (1.0 - pI) - beta * pI,
+        r * pI * pS * (1.0 - rho),
         beta * pI + r * pI * pR,
-        r * pI * ((pS - pI) * theta * theta * g2 - theta * g1) - beta * N_IS,
-        beta * N_IS - r * pR * pI * theta * theta * g2,
-        -r * theta * pI * (g1 + theta * g2),
+        r * pI * ((pS - pI) * N_S_rho - N_S) - beta * N_IS,
+        beta * N_IS - r * pR * pI * N_S_rho,
+        -r * pI * (N_S + N_S_rho),
     )
 
 
@@ -434,18 +449,22 @@ def solve_volz(init, config):
     others are not, since ``S`` is read off ``theta`` while ``I`` and
     ``R`` are integrated, so they catch a step too coarse for the rates.
     A run failing any raises :class:`SolverDiagnosticError`.
-    Rates that :func:`check_solve_rate` refuses are refused first.
+    Rates that :func:`check_solve_rate` refuses are refused first.  A
+    step too coarse for the rates can drive ``theta`` past what its powers
+    hold; the powers and moments then overflow to non-finite values
+    without a warning, and rk4's finite check reports the state.
     """
     check_solve_rate(init, config)
-    gf = GeneratingFn(init.mu_S0)
+    moments = susceptible_moments(init.mu_S0)
     pI0 = init.pI0
     y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
     r, beta = config.r, config.beta
-    ts, ys, terminal = rk4_integrate(
-        lambda y: volz_rhs(y, r, beta, gf), y0, config, n_IS=itemgetter(6),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, ys, terminal = rk4_integrate(
+            lambda y: volz_rhs(y, r, beta, moments), y0, config, n_IS=itemgetter(6),
+        )
     cols = dict(zip(_VOLZ_STATE, ys.T))
-    cols["S"], cols["N_S"] = _susceptible_columns(gf, cols["theta"])
+    cols["S"], cols["N_S"] = _susceptible_columns(GeneratingFn(init.mu_S0), cols["theta"])
     drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
     if drift > SIMPLEX_TOL:
         raise _too_coarse(
@@ -633,13 +652,12 @@ def measure_rhs(y, r, beta, moments, table, k):
     """Right-hand side of the paper's measure system in the packed state
     ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``: ``theta`` and the
     edge block ``mu = y[1:].reshape(2, kmax+1)``, I-S in row 0 and R-S in
-    row 1.  ``moments`` holds ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)``, whose
-    products with ``theta^k`` give ``N_S`` and ``N_S rho``, with
-    :func:`volz_rhs`'s ``rho = theta g''(theta)/g'(theta)``; ``table`` is
-    :func:`influx_kernel` of ``mu_S0`` and ``k`` the levels as floats, all
-    built once per solve.  An I-S edge loses its susceptible end at rate
-    ``r (1 + pI rho)`` and an R-S edge at rate ``r pI rho``, and each loss
-    moves its owner one level down (``shift``)::
+    row 1.  ``moments`` is the :func:`susceptible_moments` of ``mu_S0``,
+    which gives ``N_S`` and ``N_S rho`` as it does to :func:`volz_rhs`;
+    ``table`` is :func:`influx_kernel` of ``mu_S0`` and ``k`` the levels as
+    floats, all built once per solve.  An I-S edge loses its susceptible
+    end at rate ``r (1 + pI rho)`` and an R-S edge at rate ``r pI rho``,
+    and each loss moves its owner one level down (``shift``)::
 
         theta' = -r pI theta
         mu_IS' = r pI influx + r (1 + pI rho) shift(mu_IS) - beta mu_IS
@@ -648,7 +666,7 @@ def measure_rhs(y, r, beta, moments, table, k):
     With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
     theta = y[0]
     theta_S = max(theta, 0.0)
-    N_S, m2m1 = (moments @ np.float_power(theta_S, k)).tolist()
+    N_S, N_S_rho = moments(theta_S)
     if N_S <= DENOM_FLOOR:
         return np.zeros_like(y)
     mu = y[1:].reshape(2, -1)
@@ -656,14 +674,15 @@ def measure_rhs(y, r, beta, moments, table, k):
     pI = N_IS / N_S
     pR = N_RS / N_S
     pS = (N_S - N_IS - N_RS) / N_S
-    rho = m2m1 / N_S
+    rho = N_S_rho / N_S
     # mass at level i drifts to level i-1 in proportion to i, in both rows
     flux = k * mu
     shift = -flux
     shift[:, :-1] += flux[:, 1:]
+    removal = beta * mu[0]
     d_IS = (r * pI * influx_vector(table, pS, pI, pR, theta_S)
-            + r * (1.0 + pI * rho) * shift[0] - beta * mu[0])
-    d_RS = beta * mu[0] + r * pI * rho * shift[1]
+            + r * (1.0 + pI * rho) * shift[0] - removal)
+    d_RS = removal + r * pI * rho * shift[1]
     return np.concatenate(([-r * pI * theta], d_IS, d_RS))
 
 
@@ -684,7 +703,7 @@ def solve_measures(init, config):
     w0 = init.mu_S0
     levels = len(w0)
     k = np.arange(levels, dtype=float)
-    moments = np.stack((k * w0, k * (k - 1) * w0))
+    moments = susceptible_moments(w0)
     table = influx_kernel(w0)
     y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(levels)))
     r, beta = config.r, config.beta

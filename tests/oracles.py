@@ -8,6 +8,8 @@ running it on every possible sequence of integer draws, and
 half-edge it draws is matched, which makes it a uniform subset sampler.
 :func:`influx_uncollapsed` and :func:`volz_rhs_polyval` restate two
 limit-solver formulas without the package's shortcuts,
+:func:`volz_rhs_moments` restates the edge-based right-hand side on numpy
+arrays,
 :func:`influx_exact` evaluates the influx in exact rational arithmetic, and
 :func:`influx_kernel_full` builds the influx table in one full-shape pass.
 :func:`check_invariants` re-derives a simulator state's running totals
@@ -397,6 +399,36 @@ def volz_rhs_polyval(mu_S0, r, beta):
         d[6] = r * pI * ((pS - pI) * theta * theta * g2 - theta * g1) - beta * N_IS
         d[7] = beta * N_IS - r * pR * pI * theta * theta * g2
         d[8] = -r * theta * pI * (g1 + theta * g2)
+        return d
+
+    return rhs
+
+
+def volz_rhs_moments(mu_S0, r, beta):
+    """The edge-based (Volz) right-hand side on numpy arrays, for rk4's
+    array path: ``N_S`` and ``N_S rho`` are ``np.dot(moments, theta ** k)``
+    over the table of ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)``, and every
+    term is written out as the package states it, so the same state gives
+    the same bits as the package's float path.  ``rhs(y)`` over the state
+    ``(theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux)``."""
+    w = np.asarray(mu_S0, dtype=float)
+    k = np.arange(len(w), dtype=float)
+    moments = np.stack((k * w, k * (k - 1) * w))
+
+    def rhs(y):
+        theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
+        N_S, N_S_rho = np.dot(moments, theta ** k)
+        rho = N_S_rho / N_S if N_S > 1e-12 else 0.0
+        d = np.empty(9)
+        d[0] = -r * pI * theta
+        d[1] = r * pI * N_S - beta * I
+        d[2] = beta * I
+        d[3] = r * pI * pS * rho - r * pI * (1.0 - pI) - beta * pI
+        d[4] = r * pI * pS * (1.0 - rho)
+        d[5] = beta * pI + r * pI * pR
+        d[6] = r * pI * ((pS - pI) * N_S_rho - N_S) - beta * N_IS
+        d[7] = beta * N_IS - r * pR * pI * N_S_rho
+        d[8] = -r * pI * (N_S + N_S_rho)
         return d
 
     return rhs

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from sirnet.limit import (
     rk4_integrate,
     solve_measures,
     solve_volz,
+    susceptible_moments,
 )
 
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     influx_kernel_full,
     influx_uncollapsed,
     solution_csv_lines,
+    volz_rhs_moments,
     volz_rhs_polyval,
 )
 
@@ -180,15 +183,27 @@ def test_generating_fn_is_polyval_bit_for_bit(weights, z, order, as_numpy):
 
 
 @given(
-    weights=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=301),
-    z=st.one_of(st.sampled_from([0.0, 1.0, -0.5, math.inf, -math.inf, math.nan]),
-                st.floats(min_value=-2.0, max_value=2.0)),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+                     min_size=1, max_size=301),
+    theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
 )
-def test_generating_fn_slopes_equal_calls(weights, z):
-    # the one pass over g' and g'' gives the bits of one pass each
-    g = GeneratingFn(weights)
-    got = g.slopes(z)
-    assert [v.hex() for v in got] == [g(z, order=1).hex(), g(z, order=2).hex()]
+def test_susceptible_moments_match_exact_sums(weights, theta):
+    # N_S and N_S rho against the exact sums of k w_k theta^k and
+    # k(k-1) w_k theta^k over the same float inputs: every term is
+    # nonnegative, so the power, the products and the sum of kmax+1 terms
+    # keep each moment within (kmax+4) roundings of it, relative.  A power
+    # or product below the normal range is rounded in absolute terms
+    # instead, by at most 2^-1074 times its factor, hence the second slack.
+    levels = len(weights)
+    got = susceptible_moments(np.array(weights))(theta)
+    assert type(got[0]) is type(got[1]) is float
+    z = Fraction(theta)
+    powers = [z ** k for k in range(levels)]
+    for g, factors in zip(got, ([k * Fraction(w) for k, w in enumerate(weights)],
+                                [k * (k - 1) * Fraction(w) for k, w in enumerate(weights)])):
+        exact = sum(c * p for c, p in zip(factors, powers))
+        subnormal = levels * (max(factors) + 1) * Fraction(2) ** -1074
+        assert abs(Fraction(g) - exact) <= (levels + 3) * Fraction(2) ** -53 * exact + subnormal
 
 
 @pytest.mark.parametrize("degree,t_max,dt,eps_IS", [
@@ -199,20 +214,35 @@ def test_generating_fn_slopes_equal_calls(weights, z):
     pytest.param("poisson:5:30", 20.0, 1e-3, 1e-6, id="poisson:5:30-20.0-0.001-extinct"),
 ])
 def test_volz_states_equal_polyval_reference(degree, t_max, dt, eps_IS):
-    # the float path and the scalar Horner loop change no bit of the
-    # integrated states against polyval on rk4's array path
+    # the float path changes no bit of the integrated states against the
+    # same moments on rk4's array path, and the moments stay within
+    # round-off of g' and g'' evaluated by polyval
     init = limit_initial(DegreeSpec.from_string(degree), 0.01)
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=t_max, dt=dt, eps_IS=eps_IS)
     pI0 = init.pI0
     y0 = [1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0]
-    ts, want, terminal = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg,
+    ts, want, terminal = rk4_integrate(volz_rhs_moments(init.mu_S0, 1.0, 0.5), y0, cfg,
                                        n_IS=lambda y: y[6])
+    _, near, near_terminal = rk4_integrate(volz_rhs_polyval(init.mu_S0, 1.0, 0.5), y0, cfg,
+                                           n_IS=lambda y: y[6])
     sol = solve_volz(init, cfg)
     names = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
+    assert len(near) == len(want)
     for i, name in enumerate(names):
         assert np.array_equal(sol.column(name), want[:, i]), name
+        assert np.abs(near[:, i] - want[:, i]).max() <= 1e-12, name
     assert np.array_equal(sol.t, ts)
-    assert sol.terminal == terminal == ("extinct" if eps_IS else "t_max")
+    assert sol.terminal == terminal == near_terminal == ("extinct" if eps_IS else "t_max")
+
+
+def test_volz_overflowing_powers_name_dt():
+    # r=1e300 drives theta to about -5e294 within the first step, whose
+    # powers up to theta^30 overflow: the solve raises rk4's non-finite
+    # state error naming dt, not numpy's overflow RuntimeWarning
+    init = limit_initial(DegreeSpec.from_string("poisson:5:30"), 0.01)
+    cfg = SolverConfig(r=1e300, beta=1.0, t_max=1.0, dt=1e-3)
+    with pytest.raises(SolverDiagnosticError, match=r"non-finite .*dt=0\.001 is too large"):
+        solve_volz(init, cfg)
 
 
 @pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:300"])
