@@ -19,9 +19,16 @@ loop has two arithmetic paths that give the same bits: the
 low-dimensional volz and miller states run in Python floats, the measure
 system on numpy arrays.  The volz and measure right-hand sides read the
 susceptible measure through the same two moments, ``N_S`` and
-``N_S rho``, from one kernel (:func:`susceptible_moments`).
-An a-priori horizon bound for when the per-capita infectious edge count
-stays above a level ``eps`` (:func:`horizon_bound`) rounds out the module.
+``N_S rho``, from one kernel (:func:`susceptible_moments`).  The measure
+right-hand side (:func:`measure_rhs`) works on its packed state: one
+matvec reads the edge counts, one difference shifts both edge rows, and
+the influx (:func:`influx_vector`) takes its exponent and sums its blocks
+by matvecs against tables built once per solve (:func:`influx_kernel`),
+so an evaluation makes the same 24 numpy calls at any kmax.  Every
+solver's :class:`Solution` accounts for its run: steps, right-hand-side
+evaluations and end time.  An a-priori horizon bound for when the
+per-capita infectious edge count stays above a level ``eps``
+(:func:`horizon_bound`) rounds out the module.
 """
 
 from __future__ import annotations
@@ -367,7 +374,9 @@ class Solution:
     """What every solver returns: the time grid ``t``, its named
     ``columns``, each a 1-D array with one value per time, the
     ``terminal`` reason (``t_max`` or ``extinct``) and the solver's
-    ``diagnostics``, the extra fields of its ``.meta.json``."""
+    ``diagnostics``, the extra fields of its ``.meta.json``: the account of
+    the run, its ``steps``, ``rhs_evals`` (four a step) and ``t_end``, the
+    time of its last row, then the solver's own fields."""
 
     CSV_COLUMNS = ("S", "I", "R", "N_S", "N_IS", "N_RS", "theta", "pI", "pS", "pR")
 
@@ -375,6 +384,11 @@ class Solution:
     columns: dict = field(repr=False)
     terminal: str
     diagnostics: dict
+
+    def __post_init__(self):
+        steps = len(self.t) - 1
+        self.diagnostics = {"steps": steps, "rhs_evals": 4 * steps,
+                            "t_end": float(self.t[-1]), **self.diagnostics}
 
     def column(self, name):
         return self.t if name == "t" else self.columns[name]
@@ -448,7 +462,8 @@ def solve_volz(init, config):
     linear invariant that RK4 keeps to round-off at any ``dt``; the
     others are not, since ``S`` is read off ``theta`` while ``I`` and
     ``R`` are integrated, so they catch a step too coarse for the rates.
-    A run failing any raises :class:`SolverDiagnosticError`.
+    A run failing any raises :class:`SolverDiagnosticError`; a run passing
+    records the first sum's largest drift as ``max_simplex_drift``.
     Rates that :func:`check_solve_rate` refuses are refused first.  A
     step too coarse for the rates can drive ``theta`` past what its powers
     hold; the powers and moments then overflow to non-finite values
@@ -471,7 +486,8 @@ def solve_volz(init, config):
             f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
     _check_mass(cols["S"], cols["I"], cols["R"], init.S0 + init.I0, config.dt)
     _check_floor(cols["I"], init.S0 + init.I0, config.dt)
-    return Solution(t=ts, columns=cols, terminal=terminal, diagnostics={})
+    return Solution(t=ts, columns=cols, terminal=terminal,
+                    diagnostics={"max_simplex_drift": drift})
 
 
 def edge_identities(sol):
@@ -524,7 +540,7 @@ class MeasureSolution(Solution):
 def check_measures_memory(init, config):
     """Refuse, before anything is allocated, a measures solve whose arrays,
     counted together, would take more than ``MAX_SOLVE_BYTES``:
-    :func:`influx_kernel`'s table ``U`` and block maxima ``M``, plus one
+    :func:`influx_kernel`'s table ``U`` and exponent terms ``P``, plus one
     block's build temporaries, naming ``kmax`` if these alone are over;
     else with the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats
     each, and all the solve holds beside them, naming ``t_max`` and
@@ -533,8 +549,9 @@ def check_measures_memory(init, config):
     levels = len(init.mu_S0)
     kmax = levels - 1
     blocks = -(-kmax // INFLUX_BLOCK)
+    # U and P, 64 and 4 floats an entry of the (blocks, kmax+1) arrays, and
     # one block's int64 depths, bool mask and float gather: 17 bytes an entry
-    table = 8 * (INFLUX_BLOCK + 1) * blocks * levels + 17 * INFLUX_BLOCK * levels
+    table = 8 * (INFLUX_BLOCK + 4) * blocks * levels + 17 * INFLUX_BLOCK * levels
     if table > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"kmax={kmax} makes the measures solve's influx table peak at "
@@ -543,16 +560,17 @@ def check_measures_memory(init, config):
     rows, width = config.n_steps + 1, 2 * levels + 1
     stored = 8 * rows * width
     # beside the table and the rows, as tracemalloc measured at kmax 1 to 8000
-    # and up to 100001 rows: their array("d")'s growth slack, up to 1/16; one
-    # RK4 step's arrays, 24 to 40 bytes per entry of influx_vector's (blocks,
-    # kmax+1) arrays and about 140 bytes a level, bounded by 32 and 256; the
-    # finished solve's grid, nine derived columns and alive mask, 81 bytes a
-    # row, whose temporaries are freed before its last columns are taken; and
-    # numpy's ufunc buffers, 8192 floats for each of three operands, which
-    # the table's build takes on its strided blocks.  The sum was above
-    # every solve's traced peak.
-    total = (table + stored + stored // 16 + 81 * rows
-             + (32 * blocks + 256) * levels + 3 * 8 * 8192)
+    # and up to 100001 rows: their array("d")'s growth slack, up to 1/16;
+    # measure_rhs's packed levels, 16 bytes a level; one RK4 step's arrays,
+    # 16 to 18 bytes per entry of influx_vector's (blocks, kmax+1) arrays and
+    # about 140 bytes a level, bounded by 24 and 256; the finished solve's
+    # grid, nine derived columns and alive mask, 81 bytes a row, whose
+    # temporaries are freed before its last columns are taken; and numpy's
+    # ufunc buffers, 8192 floats for each of three operands, which the
+    # table's build takes on its strided blocks.  The sum was above every
+    # solve's traced peak.
+    total = (table + stored + stored // 16 + 16 * levels + 81 * rows
+             + (24 * blocks + 256) * levels + 3 * 8 * 8192)
     if total > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"t_max={config.t_max:g} and dt={config.dt:g} make {rows} rows of {width} "
@@ -574,15 +592,18 @@ def influx_kernel(mu_S0_weights):
     ``i`` the log-maximum ``M[b, i]`` of ``log T`` over the block (``-inf``
     where the block holds no mass), and ``exp(log T - M)`` in ``[0, 1]``,
     built in log space from one ``math.lgamma`` table.  A call then scales
-    each block by ``exp(M + i log x + 64 b log y)``, one exponent over a
-    ``(blocks, kmax+1)`` array, so no factor overflows at any kmax.  Each
-    block is built in place in ``U``, so no temporary has ``U``'s shape.
+    each block by ``exp(M + i log x + 64 b log y + log theta)``, one
+    exponent over the ``(blocks, kmax+1)`` entries, so no factor overflows
+    at any kmax.  Each block is built in place in ``U``, so no temporary
+    has ``U``'s shape.
 
-    Returns ``(U, M, i, b)``: ``U`` of shape
+    Returns ``(U, M, P, ones)``: ``U`` of shape
     ``(INFLUX_BLOCK, blocks*(kmax+1))``, the rows being the depth ``r``
-    within a block; ``M`` of shape ``(blocks, kmax+1)``; and the powers a
-    call raises ``x`` and ``y`` to, the levels ``i`` and, as a column, the
-    first depth ``64 b`` of each block."""
+    within a block; ``M``, the first row of ``P``; ``P`` of shape
+    ``(4, blocks*(kmax+1))``, the coefficients of the exponent, ``M``, the
+    levels ``i``, the first depth ``64 b`` of each block and 1, so the
+    exponent is the matvec ``(1, log x, log y, log theta) P``; and
+    ``blocks`` ones, whose matvec sums the blocks."""
     w = np.asarray(mu_S0_weights, dtype=float)
     kmax = len(w) - 1
     blocks = -(-kmax // INFLUX_BLOCK)
@@ -592,7 +613,8 @@ def influx_kernel(mu_S0_weights):
         log_kw = np.log(i * w)  # log(k mu_S0(k)), -inf at 0
     # depth d = r + 64 b laid out (r, b), so U needs no transposed copy
     U = np.empty((INFLUX_BLOCK, blocks, kmax + 1))
-    M = np.empty((blocks, kmax + 1))
+    P = np.empty((4, blocks, kmax + 1))
+    M = P[0]
     for blk in range(blocks):
         d = INFLUX_BLOCK * blk + np.arange(INFLUX_BLOCK)[:, None]
         n = i + d  # k - 1
@@ -606,18 +628,11 @@ def influx_kernel(mu_S0_weights):
         M[blk] = log_T.max(axis=0)
         log_T -= np.where(np.isfinite(M[blk]), M[blk], 0.0)
         np.exp(log_T, out=log_T)
-    return (U.reshape(INFLUX_BLOCK, -1), M,
-            np.arange(kmax + 1.0), INFLUX_BLOCK * np.arange(blocks + 0.0)[:, None])
-
-
-def _log_powers(z, j):
-    """``log z^j`` elementwise over the powers ``j >= 0``, for ``z >= 0``,
-    with ``0^0 = 1`` and ``0^j = 0``; NaN throughout for a negative ``z``."""
-    if z > 0:
-        return j * math.log(z)
-    if z == 0:
-        return np.where(j > 0, -np.inf, 0.0)
-    return np.full(j.shape, np.nan)
+    P[1] = i
+    P[2] = INFLUX_BLOCK * np.arange(blocks)[:, None]
+    P[3] = 1
+    P = P.reshape(4, -1)
+    return U.reshape(INFLUX_BLOCK, -1), P[0], P, np.ones(blocks)
 
 
 def influx_vector(table, pS, pI, pR, theta=1.0):
@@ -631,59 +646,90 @@ def influx_vector(table, pS, pI, pR, theta=1.0):
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
 
-    A call costs one matvec against ``table`` and one ``exp`` per block
-    and level.  ``x^i`` and ``y^(64 b)`` go inside the exponent with the
+    ``x^i``, ``y^(64 b)`` and ``theta`` go inside the exponent with the
     block maxima, so a level whose terms are each too large or too small
-    for a float still comes out finite.  ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no
-    power and gives NaN, which rk4's finite check reports; a negative
-    ``pS`` gives the signed powers ``pS^i``."""
-    U, M, i, b = table
+    for a float still comes out finite.  At ``x, y > 0`` the exponent is
+    one matvec against the table's ``P``, and a call makes seven numpy
+    calls at any kmax: that matvec, one ``exp``, one power of ``y`` over a
+    block's depths, one matvec against ``U``, one product over the
+    ``(blocks, kmax+1)`` entries and one matvec summing the blocks.  At
+    ``x <= 0`` or ``y <= 0`` the exponent is summed term by term with
+    ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no power and
+    gives NaN, which rk4's finite check reports; a negative ``pS`` gives
+    the signed powers ``pS^i``."""
+    U, M, P, ones = table
     x = pS * theta
     y = (pI + pR) * theta
-    exponent = M + _log_powers(abs(x), i) + _log_powers(y, b)
-    inner = (y ** _DEPTHS) @ U
-    out = theta * (np.exp(exponent) * inner.reshape(M.shape)).sum(axis=0)
+    if x > 0 and y > 0:
+        terms = np.dot((1.0, math.log(x), math.log(y), math.log(theta)), P)
+    else:
+        terms = M.copy()
+        for z, j in ((abs(x), P[1]), (y, P[2]), (theta, P[3])):
+            if z > 0:
+                terms += j * math.log(z)
+            elif z == 0:
+                terms[j > 0] -= np.inf
+            else:
+                terms[:] = np.nan
+    np.exp(terms, terms)
+    terms *= np.power(y, _DEPTHS) @ U
+    out = np.dot(ones, terms.reshape(len(ones), -1))
     if x < 0:
         out[1::2] *= -1.0
     return out
 
 
-def measure_rhs(y, r, beta, moments, table, k):
+def measure_rhs(y, r, beta, moments, table, levels):
     """Right-hand side of the paper's measure system in the packed state
     ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``: ``theta`` and the
-    edge block ``mu = y[1:].reshape(2, kmax+1)``, I-S in row 0 and R-S in
-    row 1.  ``moments`` is the :func:`susceptible_moments` of ``mu_S0``,
-    which gives ``N_S`` and ``N_S rho`` as it does to :func:`volz_rhs`;
-    ``table`` is :func:`influx_kernel` of ``mu_S0`` and ``k`` the levels as
-    floats, all built once per solve.  An I-S edge loses its susceptible
-    end at rate ``r (1 + pI rho)`` and an R-S edge at rate ``r pI rho``,
-    and each loss moves its owner one level down (``shift``)::
+    edge block ``y[1:]``, the I-S levels then the R-S levels.  ``moments``
+    is the :func:`susceptible_moments` of ``mu_S0``, which gives ``N_S``
+    and ``N_S rho`` as it does to :func:`volz_rhs`; ``table`` is
+    :func:`influx_kernel` of ``mu_S0`` and ``levels`` the edge block's
+    levels as floats, ``0..kmax`` twice, both built once per solve.  An
+    I-S edge loses its susceptible end at rate ``r (1 + pI rho)`` and an
+    R-S edge at rate ``r pI rho``, and each loss moves its owner one level
+    down (``shift``)::
 
         theta' = -r pI theta
         mu_IS' = r pI influx + r (1 + pI rho) shift(mu_IS) - beta mu_IS
         mu_RS' = beta mu_IS + r pI rho shift(mu_RS)
 
-    With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
-    theta = y[0]
+    ``N_IS`` and ``N_RS`` are one matvec of the two rows against the
+    levels.  The shift of both rows is one difference over the packed edge
+    block, taken into a fresh derivative, which the two rates, the removal
+    and the influx then update in place, so a call makes 17 numpy calls at
+    any kmax, the moments' three included, beside :func:`influx_vector`'s
+    seven.  With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
+    theta = y.item(0)
     theta_S = max(theta, 0.0)
     N_S, N_S_rho = moments(theta_S)
     if N_S <= DENOM_FLOOR:
         return np.zeros_like(y)
-    mu = y[1:].reshape(2, -1)
-    N_IS, N_RS = (mu @ k).tolist()
+    mu = y[1:]
+    half = len(mu) // 2
+    N_IS, N_RS = np.dot(mu.reshape(2, half), levels[:half]).tolist()
     pI = N_IS / N_S
     pR = N_RS / N_S
     pS = (N_S - N_IS - N_RS) / N_S
     rho = N_S_rho / N_S
-    # mass at level i drifts to level i-1 in proportion to i, in both rows
-    flux = k * mu
-    shift = -flux
-    shift[:, :-1] += flux[:, 1:]
-    removal = beta * mu[0]
-    d_IS = (r * pI * influx_vector(table, pS, pI, pR, theta_S)
-            + r * (1.0 + pI * rho) * shift[0] - removal)
-    d_RS = removal + r * pI * rho * shift[1]
-    return np.concatenate(([-r * pI * theta], d_IS, d_RS))
+    # mass at level i drifts to level i-1 in proportion to i, in both rows;
+    # the I-S row's top level meets the R-S row's level 0, which has no flux
+    flux = levels * mu
+    d = np.empty_like(y)
+    np.subtract(flux[1:], flux[:-1], d[1:-1])
+    d[-1] = -flux[-1]
+    d_IS, d_RS = d[1 : half + 1], d[half + 1 :]
+    d_IS *= r * (1.0 + pI * rho)
+    d_RS *= r * pI * rho
+    influx = influx_vector(table, pS, pI, pR, theta_S)
+    influx *= r * pI
+    d_IS += influx
+    removal = beta * mu[:half]
+    d_IS -= removal
+    d_RS += removal
+    d[0] = -r * pI * theta
+    return d
 
 
 def solve_measures(init, config):
@@ -706,13 +752,14 @@ def solve_measures(init, config):
     moments = susceptible_moments(w0)
     table = influx_kernel(w0)
     y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(levels)))
+    packed_k = np.concatenate((k, k))
     r, beta = config.r, config.beta
     budget = CLAMP_BUDGET * (init.S0 + init.I0)
     clamped = [0.0]
 
     def clamp(y):
-        neg = y[1:] < 0
-        if neg.any():
+        if y[1:].min() < 0.0:  # one reduction on the steps that clamp nothing
+            neg = y[1:] < 0
             clamped[0] += float(-y[1:][neg].sum())
             y[1:][neg] = 0.0
             if clamped[0] > budget:
@@ -720,7 +767,7 @@ def solve_measures(init, config):
                                   f"over the budget {budget:.3e}", config.dt)
 
     ts, ys, terminal = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, moments, table, k), y0, config,
+        lambda y: measure_rhs(y, r, beta, moments, table, packed_k), y0, config,
         n_IS=lambda y: float(k @ y[1 : levels + 1]), repair=clamp,
     )
     theta = ys[:, 0]

@@ -10,8 +10,10 @@ half-edge it draws is matched, which makes it a uniform subset sampler.
 limit-solver formulas without the package's shortcuts,
 :func:`volz_rhs_moments` restates the edge-based right-hand side on numpy
 arrays,
-:func:`influx_exact` evaluates the influx in exact rational arithmetic, and
-:func:`influx_kernel_full` builds the influx table in one full-shape pass.
+:func:`influx_exact` evaluates the influx in exact rational arithmetic,
+:func:`influx_kernel_full` builds the influx table in one full-shape pass,
+and :func:`measure_rhs_reference` writes the measure system's right-hand
+side level by level.
 :func:`check_invariants` re-derives a simulator state's running totals
 from its level vectors; :func:`grid_rows_from_events` re-derives the grid
 rows of a run from its event log, and :func:`trajectory_csv_lines` and
@@ -351,12 +353,13 @@ def influx_exact(mu_S0_weights, pS, pI, pR, theta=1.0):
 
 
 def influx_kernel_full(mu_S0_weights, block=64):
-    """The influx table ``(U, M, i, b)`` of :func:`sirnet.limit.influx_kernel`
-    built at once over its full ``(block, blocks, kmax+1)`` shape: every
-    depth ``d = r + block*b`` and level ``i``, with ``log T[d, i] =
-    log (i+d)! - log i! - log d! + log((i+d+1) mu_S0(i+d+1))``, ``-inf``
-    past ``kmax``, less the maximum ``M`` of each block and level, then
-    exponentiated."""
+    """The influx table ``(U, M, P, ones)`` of
+    :func:`sirnet.limit.influx_kernel` built at once over its full
+    ``(block, blocks, kmax+1)`` shape: every depth ``d = r + block*b`` and
+    level ``i``, with ``log T[d, i] = log (i+d)! - log i! - log d! +
+    log((i+d+1) mu_S0(i+d+1))``, ``-inf`` past ``kmax``, less the maximum
+    ``M`` of each block and level, then exponentiated; ``P`` stacks ``M``,
+    ``i``, ``block*b`` and ``1`` over the ``(blocks, kmax+1)`` entries."""
     w = np.asarray(mu_S0_weights, dtype=float)
     kmax = len(w) - 1
     blocks = -(-kmax // block)
@@ -372,8 +375,44 @@ def influx_kernel_full(mu_S0_weights, block=64):
     log_T[outside] = -np.inf
     M = log_T.max(axis=0)
     U = np.exp(log_T - np.where(np.isfinite(M), M, 0.0))
-    return (U.reshape(block, -1), M,
-            np.arange(kmax + 1.0), block * np.arange(blocks + 0.0)[:, None])
+    entries = np.ones((blocks, kmax + 1))
+    P = np.stack((M, i * entries, block * np.arange(blocks)[:, None] * entries, entries))
+    return U.reshape(block, -1), M.reshape(-1), P.reshape(4, -1), np.ones(blocks)
+
+
+def measure_rhs_reference(y, mu_S0, r, beta):
+    """The measure system's right-hand side at the packed state
+    ``y = [theta, mu_IS(0..kmax), mu_RS(0..kmax)]``, one level at a time
+    as the paper writes its three equations, with the influx of
+    :func:`influx_uncollapsed` at ``mu_S(k) = mu_S0(k) max(theta, 0)^k``::
+
+        theta' = -r pI theta
+        mu_IS'(i) = r pI influx(i) + r (1 + pI rho) shift(mu_IS)(i) - beta mu_IS(i)
+        mu_RS'(i) = beta mu_IS(i) + r pI rho shift(mu_RS)(i)
+
+    with ``shift(mu)(i) = (i+1) mu(i+1) - i mu(i)``, ``mu(kmax+1) = 0``;
+    zero throughout once ``N_S`` is at most ``1e-12``."""
+    levels = len(mu_S0)
+    theta = float(y[0])
+    mu_IS = [float(v) for v in y[1:levels + 1]]
+    mu_RS = [float(v) for v in y[levels + 1:]]
+    mu_S = [float(w) * max(theta, 0.0) ** k for k, w in enumerate(mu_S0)]
+    N_S = sum(k * m for k, m in enumerate(mu_S))
+    if N_S <= 1e-12:
+        return np.zeros(len(y))
+    pI = sum(k * m for k, m in enumerate(mu_IS)) / N_S
+    pR = sum(k * m for k, m in enumerate(mu_RS)) / N_S
+    pS = 1.0 - pI - pR
+    rho = sum(k * (k - 1) * m for k, m in enumerate(mu_S)) / N_S
+    influx = influx_uncollapsed(mu_S, pS, pI, pR, levels - 1)
+
+    def shift(mu, i):
+        return (i + 1) * (mu[i + 1] if i + 1 < levels else 0.0) - i * mu[i]
+
+    d_IS = [r * pI * influx[i] + r * (1 + pI * rho) * shift(mu_IS, i) - beta * mu_IS[i]
+            for i in range(levels)]
+    d_RS = [beta * mu_IS[i] + r * pI * rho * shift(mu_RS, i) for i in range(levels)]
+    return np.array([-r * pI * theta] + d_IS + d_RS)
 
 
 def volz_rhs_polyval(mu_S0, r, beta):

@@ -286,6 +286,30 @@ def test_solve_measures_heavy_tail_matches_volz(tmp_path, capsys):
     assert meta["terminal"] == "t_max" and meta["kmax"] == 1100
 
 
+@pytest.mark.parametrize("which,eps_is,account,extra", [
+    ("volz", "0", (10, 40, 0.01, "t_max"), {"max_simplex_drift"}),
+    ("measures", "0", (10, 40, 0.01, "t_max"), {"kmax", "clamped_mass"}),
+    # N_IS0 is about 0.05, so the run stops after its first step
+    ("measures", "0.1", (1, 4, 0.001, "extinct"), {"kmax", "clamped_mass"}),
+    ("miller", None, (10, 40, 0.01, "t_max"), set()),
+], ids=["volz", "measures", "measures-extinct", "miller"])
+def test_solve_meta_accounts_for_the_run(tmp_path, capsys, which, eps_is, account, extra):
+    # every solve's .meta.json gives its steps, RHS evaluations and end time
+    out = tmp_path / "x.csv"
+    args = ["solve", which, "--degree", "poisson:5:30", "--r", "1", "--beta", "0.5",
+            "--i0", "0.01", "--t-max", "0.01", "--out", str(out)]
+    assert run(args + ["--eps-is", eps_is] * (eps_is is not None), capsys)[0] == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    config = {"command", "degree", "r", "beta", "i0", "pI0", "t_max", "dt",
+              "package_version", "rng", "terminal"}
+    if eps_is is not None:
+        config.add("eps_IS")
+    assert set(meta) == config | {"steps", "rhs_evals", "t_end"} | extra
+    assert (meta["steps"], meta["rhs_evals"], meta["t_end"], meta["terminal"]) == account
+    if which == "volz":
+        assert 0 <= meta["max_simplex_drift"] <= 1e-11
+
+
 def test_converge_report(tmp_path, capsys):
     path = tmp_path / "rep.csv"
     code, _, _ = run(["converge", "--degree", "poisson:5:25",
@@ -628,9 +652,9 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
 
 
 @pytest.mark.parametrize("args,message", [
-    # the influx table alone, about 8 kmax**2 bytes: 81.39 GB
+    # the influx table alone, about 8.5 kmax**2 bytes: 85.14 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
-     "kmax=100000 makes the measures solve's influx table peak at 81.39 GB"),
+     "kmax=100000 makes the measures solve's influx table peak at 85.14 GB"),
     # 9999001 rows of 63 floats, their growth slack and derived columns: 6.165 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
      "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30, "
@@ -656,7 +680,7 @@ def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, a
 
 
 def test_solve_measures_admits_kmax_8000(tmp_path, capsys):
-    # its 0.51 GB table and two rows fit the cap; the 25 bytes a table entry
+    # its 0.55 GB table and two rows fit the cap; the 25 bytes a table entry
     # of the full-shape build counted made it 1.6 GB
     args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:8000"), "--t-max", "0.001")
     assert run(args + ["--dry-run", "--out", str(tmp_path / "x.csv")], capsys) == (
@@ -666,7 +690,7 @@ def test_solve_measures_admits_kmax_8000(tmp_path, capsys):
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys,
                                                                monkeypatch, dry_run):
-    # the 0.80 GB table fits alone and so do 2001 rows of 20003 floats
+    # the 0.87 GB table fits alone and so do 2001 rows of 20003 floats
     # (0.32 GB), but both are held at once: the refusal names t_max and dt
     import sirnet.limit
 
@@ -679,7 +703,7 @@ def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys
     out = tmp_path / "x.csv"
     assert run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys) == (
         2, "", "configuration error: t_max=2 and dt=0.001 make 2001 rows of 20003 floats "
-        "at kmax=10000, which with the influx table take 1.221 GB, over the 1 GB a solve "
+        "at kmax=10000, which with the influx table take 1.246 GB, over the 1 GB a solve "
         "may take\n")
     assert not out.exists()
 

@@ -38,6 +38,7 @@ from oracles import (
     influx_exact,
     influx_kernel_full,
     influx_uncollapsed,
+    measure_rhs_reference,
     solution_csv_lines,
     volz_rhs_moments,
     volz_rhs_polyval,
@@ -100,8 +101,105 @@ def test_influx_kernel_equals_full_shape_build(kmax):
     # built one block at a time in place, the table holds the bits of the
     # full-shape build, at one, several and ragged blocks
     w = DegreeSpec.powerlaw(2.5, 1, kmax).limit_measure(mass=0.99)
-    for got, want in zip(influx_kernel(w), influx_kernel_full(w)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = influx_kernel(w), influx_kernel_full(w)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _measure_rhs_args(init, r, beta):
+    """The arguments after the state that :func:`solve_measures` hands
+    :func:`measure_rhs`, as one step of a solve at ``r`` and ``beta``
+    passes them."""
+    seen = []
+    real = sirnet.limit.measure_rhs
+
+    def spy(y, *args):
+        seen.append(args)
+        return real(y, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sirnet.limit, "measure_rhs", spy)
+        solve_measures(init, SolverConfig(r=r, beta=beta, t_max=1e-3, eps_IS=0.0))
+    return seen[0]
+
+
+def _edge_state(w, theta, pI, pR, seed=7):
+    """A packed state ``[theta, mu_IS, mu_RS]`` over the levels of ``w``
+    whose rows, of different shapes, make the edge fractions ``pI`` and
+    ``pR`` of ``N_S = sum_k k w(k) theta^k``."""
+    k = np.arange(len(w))
+    N_S = float(k @ (w * theta ** k))
+    rows = np.random.default_rng(seed).random((2, len(w))) * w
+    scale = np.array([pI, pR]) * N_S / (rows @ k)
+    return np.concatenate(([theta], (rows * scale[:, None]).ravel()))
+
+
+def _all_infectious_state(w, theta):
+    """A packed state in which every susceptible half-edge faces an
+    infectious one: the I-S row holds ``N_S/4`` at level 4 alone, so
+    ``N_IS = N_S`` and ``pS = 0`` exactly."""
+    y = np.zeros(2 * len(w) + 1)
+    y[0], y[5] = theta, susceptible_moments(w)(theta)[0] / 4
+    return y
+
+
+@pytest.mark.parametrize("degree,theta,pI,pR", [
+    ("poisson:5:30", 0.8, 0.2, 0.3),
+    ("poisson:5:30", 0.9, None, None),
+    ("poisson:5:30", 0.9, 0.0, 0.0),
+    ("poisson:5:30", 0.85, 0.7, 0.5),
+    ("poisson:5:30", 0.0, 0.2, 0.3),
+    ("poisson:5:30", 1e-13, 0.2, 0.3),
+    ("powerlaw:2.5:1:150", 0.9, 0.2, 0.3),
+], ids=["interior", "pS=0", "pI+pR=0", "pS<0", "theta=0", "N_S-floor", "kmax150"])
+def test_measure_rhs_matches_reference(degree, theta, pI, pR):
+    # the packed, in-place right-hand side is the paper's three equations,
+    # level by level with the uncollapsed influx: at the levels of the last
+    # block, at x = pS theta and y = (pI+pR) theta of 0, at signed powers of
+    # a negative pS, and inert where N_S is at most DENOM_FLOOR
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    r, beta = 1.3, 0.4
+    args = _measure_rhs_args(init, r, beta)
+    if pI is None:
+        y = _all_infectious_state(init.mu_S0, theta)
+    else:
+        y = _edge_state(init.mu_S0, theta, pI, pR)
+    y_before = y.copy()
+    got = sirnet.limit.measure_rhs(y, *args)
+    want = measure_rhs_reference(y, init.mu_S0, r, beta)
+    assert got.shape == y.shape and np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+    if theta < 1e-12:
+        assert not got.any()
+    # each call returns a fresh array, since rk4 holds four at once
+    again = sirnet.limit.measure_rhs(y, *args)
+    assert again.tobytes() == got.tobytes() and y.tobytes() == y_before.tobytes()
+    assert not np.shares_memory(again, got) and not np.shares_memory(got, y)
+
+
+@pytest.mark.parametrize("t_max,eps_IS,terminal", [(0.05, 0.0, "t_max"), (60.0, 1e-3, "extinct")])
+def test_solve_measures_calls_rhs_and_influx_by_name(monkeypatch, t_max, eps_IS, terminal):
+    # the benchmark's limit.measure_rhs and limit.influx_vector spans wrap the
+    # module globals, so a solve must look both up by name at every evaluation
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(sirnet.limit, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("measure_rhs", "influx_vector"):
+        monkeypatch.setattr(sirnet.limit, name, counted(name))
+    init = limit_initial(DegreeSpec.poisson(5, 30), 0.01)
+    sol = solve_measures(init, SolverConfig(r=1.0, beta=0.5, t_max=t_max, eps_IS=eps_IS))
+    steps = len(sol.t) - 1
+    assert sol.terminal == terminal and steps > 0
+    assert calls == {"measure_rhs": 4 * steps, "influx_vector": 4 * steps}
 
 
 def _traced_peak(build):
