@@ -34,7 +34,6 @@ from sirnet.harness import (
     sup_distance,
 )
 from sirnet.limit import (
-    GeneratingFn,
     LimitInit,
     MeasureSolution,
     Solution,
@@ -63,7 +62,7 @@ __all__ = [
     "DegreeSpec",
     "PopulationState", "SimParams", "Trajectory", "initialize_state",
     "simulate",
-    "GeneratingFn", "LimitInit", "SolverConfig", "Solution",
+    "LimitInit", "SolverConfig", "Solution",
     "MeasureSolution", "solve_volz", "solve_measures", "edge_identities",
     "miller_theta", "horizon_bound", "limit_initial", "limit_initial_from_pI0",
     "reproduction_number",

@@ -17,9 +17,10 @@ a dict of named columns, which each solver builds once from the arrays it
 computes; :class:`MeasureSolution` adds the measures at every time.  The
 loop has two arithmetic paths that give the same bits: the
 low-dimensional volz and miller states run in Python floats, the measure
-system on numpy arrays.  The volz and measure right-hand sides read the
-susceptible measure through the same two moments, ``N_S`` and
-``N_S rho``, from one kernel (:func:`susceptible_moments`).  The measure
+system on numpy arrays.  Every moment of the susceptible measure that a
+solver reads, in its right-hand side or its ``S`` and ``N_S`` columns,
+comes from one kernel (:func:`susceptible_moments`): one table built per
+solve against one power ``theta^k``.  The measure
 right-hand side (:func:`measure_rhs`) works on its packed state: one
 matvec reads the edge counts, one difference shifts both edge rows, and
 the influx (:func:`influx_vector`) takes its exponent and sums its blocks
@@ -56,77 +57,48 @@ SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to roun
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
 CSV_BLOCK = 1024  # rows that Solution.to_csv_lines holds as Python floats at once
+MOMENT_BLOCK = 4096  # entries of theta^k that a column of susceptible moments takes at once
 _DEPTHS = np.arange(float(INFLUX_BLOCK))  # the powers of y within a block
 
 
 # ---------------------------------------------------------------------------
-# Generating function and moments of the susceptible measure
+# Moments of the susceptible measure
 # ---------------------------------------------------------------------------
 
 
-class GeneratingFn:
-    """``g(z) = sum_k w_k z^k`` for a finite nonnegative weight vector,
-    with first and second derivatives: ``S = g(theta)`` and
-    ``N_S = theta g'(theta)`` over a solve's ``theta`` column, and
-    :func:`miller_theta`'s right-hand side.
-
-    Every ``z`` is evaluated by one Horner loop, ``v = v*z + c`` from
-    ``v = 0.0`` over the coefficients of ``g``, ``g'`` or ``g''``, kept
-    once, highest degree first, as Python lists.  The derivative
-    coefficients are ``numpy.polynomial.polynomial.polyder``'s own
-    products ``j * c_j`` in its order, and the loop gives the same bits as
-    its ``polyval``: both start from ``0*z + c_n`` and then compute
-    ``v*z + c_k`` for ``k = n-1..0``, the same IEEE multiplications and
-    additions in the same order, and neither fuses a multiply-add.  A
-    scalar ``z`` runs the loop over Python floats, which skips polyval's
-    numpy-scalar dispatch; an array ``z`` runs it elementwise."""
-
-    __slots__ = ("_horner",)
-
-    def __init__(self, weights):
-        coef = np.asarray(weights, dtype=float)
-        d1 = np.arange(1, len(coef)) * coef[1:]
-        d2 = np.arange(1, len(d1)) * d1[1:]
-        # polyder leaves the zero polynomial [0.0] where no term survives
-        self._horner = (coef[::-1].tolist() or [0.0], d1[::-1].tolist() or [0.0],
-                        d2[::-1].tolist() or [0.0])
-
-    def __call__(self, z, order=0):
-        """``g``, ``g'`` or ``g''`` at ``z``: a float at a scalar, an array
-        at an array."""
-        if order not in (0, 1, 2):
-            raise ValueError("only derivatives of order 0, 1, 2 are provided")
-        if isinstance(z, float):
-            z = float(z)  # a numpy float64 would keep the loop in numpy scalars
-        else:
-            z = np.asarray(z, dtype=float)
-            if z.ndim == 0:
-                z = float(z)
-        v = 0.0
-        for c in self._horner[order]:
-            v = v * z + c
-        return v
-
-
 def susceptible_moments(mu_S0):
-    """The two numbers through which the limit's right-hand sides read the
-    susceptible measure ``mu_S(k) = mu_S0(k) theta^k``: a function of
-    ``theta`` returning ``[N_S, N_S rho]``, the Python floats
-    ``<mu_S, k> = theta g'(theta)`` and ``<mu_S, k(k-1)> = theta^2 g''(theta)``
-    with ``rho = theta g''(theta)/g'(theta)`` (Volz 2008).
+    """The four numbers through which the limit reads the susceptible
+    measure ``mu_S(k) = mu_S0(k) theta^k``, where ``g`` generates
+    ``mu_S0``: a function of ``theta`` returning ``N_S, N_S rho, S, g'``,
+    that is ``<mu_S, k> = theta g'(theta)``,
+    ``<mu_S, k(k-1)> = theta^2 g''(theta)`` with
+    ``rho = theta g''(theta)/g'(theta)`` (Volz 2008), ``S = g(theta)`` and
+    ``g'(theta)`` itself (Miller 2011), read from the shifted row
+    ``(k+1) mu_S0(k+1)`` rather than ``N_S/theta``, since ``theta`` can
+    reach 0.
 
-    The table of ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)`` is built once per
-    solve; a call is one numpy power ``theta ** k`` and one matvec against
-    it, whose cost grows slowly with ``kmax`` where a Python loop over the
-    levels grows in step with it.  A ``theta`` too large for the power
-    gives non-finite moments with numpy's overflow or invalid-value
-    warning, which a solve that can reach one silences around its whole
-    run."""
+    The table of ``k mu_S0(k)``, ``k(k-1) mu_S0(k)``, ``mu_S0(k)`` and
+    ``(k+1) mu_S0(k+1)`` is built once per solve, and every value is that
+    table against one power ``theta ** k``.  At a float ``theta`` a call
+    is one numpy power and one matvec and returns Python floats.  At an
+    array of ``theta``, a solve's column, it returns the four columns as
+    the rows of a ``(4, T)`` view, taking the power ``MOMENT_BLOCK``
+    entries at a time, so no temporary has the shape ``(T, kmax+1)``.  A
+    ``theta`` too large for the power gives non-finite moments with
+    numpy's overflow or invalid-value warning, which a solve that can
+    reach one silences around its whole run."""
     k = np.arange(len(mu_S0), dtype=float)
-    table = np.stack((k * mu_S0, k * (k - 1) * mu_S0))
+    slope = k * mu_S0
+    table = np.stack((slope, k * (k - 1) * mu_S0, mu_S0, np.append(slope[1:], 0.0)))
 
     def moments(theta):
-        return np.dot(table, theta ** k).tolist()
+        if isinstance(theta, float):
+            return np.dot(table, theta ** k).tolist()
+        out = np.empty((len(theta), 4))
+        rows = max(1, MOMENT_BLOCK // len(k))
+        for lo in range(0, len(theta), rows):
+            np.dot(np.power.outer(theta[lo:lo + rows], k), table.T, out=out[lo:lo + rows])
+        return out.T
 
     return moments
 
@@ -415,12 +387,6 @@ class Solution:
 _VOLZ_STATE = ("theta", "I", "R", "pI", "pS", "pR", "N_IS", "N_RS", "N_S_aux")
 
 
-def _susceptible_columns(gf, theta):
-    """``S = g(theta)`` and ``N_S = theta g'(theta)`` over a ``theta``
-    column, where ``gf`` generates ``mu_S0``."""
-    return gf(theta), theta * gf(theta, order=1)
-
-
 def volz_rhs(y, r, beta, moments):
     """Right-hand side of the edge-based system.
 
@@ -436,7 +402,7 @@ def volz_rhs(y, r, beta, moments):
     it.
     """
     theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
-    N_S, N_S_rho = moments(theta)
+    N_S, N_S_rho, _, _ = moments(theta)
     rho = N_S_rho / N_S if N_S > DENOM_FLOOR else 0.0
     return (
         -r * pI * theta,
@@ -463,11 +429,13 @@ def solve_volz(init, config):
     others are not, since ``S`` is read off ``theta`` while ``I`` and
     ``R`` are integrated, so they catch a step too coarse for the rates.
     A run failing any raises :class:`SolverDiagnosticError`; a run passing
-    records the first sum's largest drift as ``max_simplex_drift``.
-    Rates that :func:`check_solve_rate` refuses are refused first.  A
-    step too coarse for the rates can drive ``theta`` past what its powers
-    hold; the powers and moments then overflow to non-finite values
-    without a warning, and rk4's finite check reports the state.
+    records the first sum's largest drift as ``max_simplex_drift`` and
+    the largest residual of its :func:`edge_identities` as
+    ``max_edge_residual``.  Rates that :func:`check_solve_rate` refuses
+    are refused first.  A step too coarse for the rates can drive
+    ``theta`` past what its powers hold; the powers and moments then
+    overflow to non-finite values without a warning, and rk4's finite
+    check reports the state.
     """
     check_solve_rate(init, config)
     moments = susceptible_moments(init.mu_S0)
@@ -479,15 +447,18 @@ def solve_volz(init, config):
             lambda y: volz_rhs(y, r, beta, moments), y0, config, n_IS=itemgetter(6),
         )
     cols = dict(zip(_VOLZ_STATE, ys.T))
-    cols["S"], cols["N_S"] = _susceptible_columns(GeneratingFn(init.mu_S0), cols["theta"])
+    cols["N_S"], _, cols["S"], _ = moments(cols["theta"])
     drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
     if drift > SIMPLEX_TOL:
         raise _too_coarse(
             f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
     _check_mass(cols["S"], cols["I"], cols["R"], init.S0 + init.I0, config.dt)
     _check_floor(cols["I"], init.S0 + init.I0, config.dt)
-    return Solution(t=ts, columns=cols, terminal=terminal,
-                    diagnostics={"max_simplex_drift": drift})
+    sol = Solution(t=ts, columns=cols, terminal=terminal,
+                   diagnostics={"max_simplex_drift": drift})
+    sol.diagnostics["max_edge_residual"] = max(
+        float(res.max()) for res in edge_identities(sol).values())
+    return sol
 
 
 def edge_identities(sol):
@@ -564,13 +535,16 @@ def check_measures_memory(init, config):
     # measure_rhs's packed levels, 16 bytes a level; one RK4 step's arrays,
     # 16 to 18 bytes per entry of influx_vector's (blocks, kmax+1) arrays and
     # about 140 bytes a level, bounded by 24 and 256; the finished solve's
-    # grid, nine derived columns and alive mask, 81 bytes a row, whose
-    # temporaries are freed before its last columns are taken; and numpy's
-    # ufunc buffers, 8192 floats for each of three operands, which the
-    # table's build takes on its strided blocks.  The sum was above every
-    # solve's traced peak.
-    total = (table + stored + stored // 16 + 16 * levels + 81 * rows
-             + (24 * blocks + 256) * levels + 3 * 8 * 8192)
+    # grid, four susceptible moments, seven more derived columns and alive
+    # mask, 97 bytes a row, whose temporaries are freed before its last
+    # columns are taken; one block of the moments' power theta^k,
+    # MOMENT_BLOCK floats or one row of kmax+1; and numpy's ufunc buffers,
+    # 8192 floats for each of three operands, which the table's build
+    # takes on its strided blocks.  The sum was above every solve's traced
+    # peak.
+    total = (table + stored + stored // 16 + 16 * levels + 97 * rows
+             + (24 * blocks + 256) * levels + 8 * max(MOMENT_BLOCK, levels)
+             + 3 * 8 * 8192)
     if total > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"t_max={config.t_max:g} and dt={config.dt:g} make {rows} rows of {width} "
@@ -703,7 +677,7 @@ def measure_rhs(y, r, beta, moments, table, levels):
     seven.  With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
     theta = y.item(0)
     theta_S = max(theta, 0.0)
-    N_S, N_S_rho = moments(theta_S)
+    N_S, N_S_rho, _, _ = moments(theta_S)
     if N_S <= DENOM_FLOOR:
         return np.zeros_like(y)
     mu = y[1:]
@@ -773,7 +747,7 @@ def solve_measures(init, config):
     theta = ys[:, 0]
     mu_IS = ys[:, 1 : levels + 1]
     mu_RS = ys[:, levels + 1 :]
-    S, N_S = _susceptible_columns(GeneratingFn(w0), theta)
+    N_S, _, S, _ = moments(theta)
     N_IS = mu_IS @ k
     N_RS = mu_RS @ k
     alive = N_S > DENOM_FLOOR
@@ -813,23 +787,27 @@ def miller_theta(init, config):
     does: an ``S + I + R`` with that ``I`` that drifts from ``S0 + I0`` by
     more than ``MASS_TOL`` of it shows a step too coarse for the rates and
     raises :class:`SolverDiagnosticError`.  Rates that
-    :func:`check_solve_rate` refuses are refused first."""
+    :func:`check_solve_rate` refuses are refused first.  ``g`` and ``g'``
+    come from :func:`susceptible_moments`; a ``theta`` driven past what
+    their powers hold makes them non-finite without a warning, and rk4's
+    finite check reports the state, as in :func:`solve_volz`."""
     check_solve_rate(init, config)
-    gf = GeneratingFn(init.mu_S0)
+    moments = susceptible_moments(init.mu_S0)
     r, beta = config.r, config.beta
     pS0 = 1.0 - init.pI0
-    g1 = gf(1.0, order=1)
+    g1 = moments(1.0)[3]
     total = init.S0 + init.I0
 
     def rhs(y):
         theta, R, I = y
-        slope = gf(theta, order=1)
+        _, _, S, slope = moments(theta)
         d_theta = -r * theta + beta * (1.0 - theta) + r * pS0 * slope / g1
-        return d_theta, beta * (total - gf(theta) - R), -slope * d_theta - beta * I
+        return d_theta, beta * (total - S - R), -slope * d_theta - beta * I
 
-    ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0, init.I0), config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0, init.I0), config)
     theta = ys[:, 0]
-    S = gf(theta)
+    S = moments(theta)[2]
     R = ys[:, 1]
     _check_mass(S, ys[:, 2], R, total, config.dt)
     I = total - S - R

@@ -445,18 +445,20 @@ def volz_rhs_polyval(mu_S0, r, beta):
 
 def volz_rhs_moments(mu_S0, r, beta):
     """The edge-based (Volz) right-hand side on numpy arrays, for rk4's
-    array path: ``N_S`` and ``N_S rho`` are ``np.dot(moments, theta ** k)``
-    over the table of ``k mu_S0(k)`` and ``k(k-1) mu_S0(k)``, and every
-    term is written out as the package states it, so the same state gives
-    the same bits as the package's float path.  ``rhs(y)`` over the state
+    array path: ``N_S`` and ``N_S rho`` are the first two entries of
+    ``np.dot(moments, theta ** k)`` over the package's table of
+    ``k mu_S0(k)``, ``k(k-1) mu_S0(k)``, ``mu_S0(k)`` and
+    ``(k+1) mu_S0(k+1)``, and every term is written out as the package
+    states it, so the same state gives the same bits as the package's
+    float path.  ``rhs(y)`` over the state
     ``(theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux)``."""
     w = np.asarray(mu_S0, dtype=float)
     k = np.arange(len(w), dtype=float)
-    moments = np.stack((k * w, k * (k - 1) * w))
+    moments = np.stack((k * w, k * (k - 1) * w, w, np.append(k[1:] * w[1:], 0.0)))
 
     def rhs(y):
         theta, I, R, pI, pS, pR, N_IS, N_RS, N_S_aux = y
-        N_S, N_S_rho = np.dot(moments, theta ** k)
+        N_S, N_S_rho, _, _ = np.dot(moments, theta ** k)
         rho = N_S_rho / N_S if N_S > 1e-12 else 0.0
         d = np.empty(9)
         d[0] = -r * pI * theta

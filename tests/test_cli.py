@@ -287,7 +287,7 @@ def test_solve_measures_heavy_tail_matches_volz(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("which,eps_is,account,extra", [
-    ("volz", "0", (10, 40, 0.01, "t_max"), {"max_simplex_drift"}),
+    ("volz", "0", (10, 40, 0.01, "t_max"), {"max_simplex_drift", "max_edge_residual"}),
     ("measures", "0", (10, 40, 0.01, "t_max"), {"kmax", "clamped_mass"}),
     # N_IS0 is about 0.05, so the run stops after its first step
     ("measures", "0.1", (1, 4, 0.001, "extinct"), {"kmax", "clamped_mass"}),
@@ -308,6 +308,7 @@ def test_solve_meta_accounts_for_the_run(tmp_path, capsys, which, eps_is, accoun
     assert (meta["steps"], meta["rhs_evals"], meta["t_end"], meta["terminal"]) == account
     if which == "volz":
         assert 0 <= meta["max_simplex_drift"] <= 1e-11
+        assert 0 <= meta["max_edge_residual"] <= 1e-6
 
 
 def test_converge_report(tmp_path, capsys):
@@ -655,10 +656,10 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
     # the influx table alone, about 8.5 kmax**2 bytes: 85.14 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
      "kmax=100000 makes the measures solve's influx table peak at 85.14 GB"),
-    # 9999001 rows of 63 floats, their growth slack and derived columns: 6.165 GB
+    # 9999001 rows of 63 floats, their growth slack and derived columns: 6.325 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
      "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30, "
-     "which with the influx table take 6.165 GB"),
+     "which with the influx table take 6.325 GB"),
 ], ids=["influx-table", "stored-rows"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, args,

@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 import sirnet.limit
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import MAX_GRID_ROWS, ConfigurationError, SolverDiagnosticError
 from sirnet.limit import (
-    GeneratingFn,
     LimitInit,
     Solution,
     SolverConfig,
@@ -250,58 +248,39 @@ def test_measures_memory_bound_covers_the_traced_peak(monkeypatch, degree, t_max
     check_measures_memory(init, cfg)
 
 
-def test_generating_fn_derivatives():
-    g = GeneratingFn([0.2, 0.3, 0.0, 0.5])
-    z = 0.7
-    assert g(z) == pytest.approx(0.2 + 0.3 * z + 0.5 * z**3)
-    assert g(z, order=1) == pytest.approx(0.3 + 1.5 * z**2)
-    assert g(z, order=2) == pytest.approx(3.0 * z)
-    assert type(g(z)) is float  # the scalar path stays a Python float
-    zs = np.array([0.0, 0.5, z])
-    np.testing.assert_allclose(g(zs, order=1), 0.3 + 1.5 * zs**2, rtol=1e-15)
-    with pytest.raises(ValueError):
-        g(z, order=3)
-
-
-@given(
-    weights=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=301),
-    z=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
-    order=st.integers(min_value=0, max_value=2),
-    as_numpy=st.booleans(),
-)
-def test_generating_fn_is_polyval_bit_for_bit(weights, z, order, as_numpy):
-    g = GeneratingFn(weights)
-    coef = P.polyder(np.asarray(weights, dtype=float), order)
-    got = g(np.float64(z) if as_numpy else z, order=order)
-    want = float(P.polyval(z, coef))
-    assert type(got) is float
-    assert got.hex() == want.hex()
-    zs = np.array([z, 1.0 - z, 0.5])
-    assert np.array_equal(g(zs, order=order), P.polyval(zs, coef))
-
-
 @given(
     weights=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
                      min_size=1, max_size=301),
     theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
 )
 def test_susceptible_moments_match_exact_sums(weights, theta):
-    # N_S and N_S rho against the exact sums of k w_k theta^k and
-    # k(k-1) w_k theta^k over the same float inputs: every term is
-    # nonnegative, so the power, the products and the sum of kmax+1 terms
-    # keep each moment within (kmax+4) roundings of it, relative.  A power
-    # or product below the normal range is rounded in absolute terms
-    # instead, by at most 2^-1074 times its factor, hence the second slack.
+    # N_S, N_S rho, S and g' against the exact sums of k w_k theta^k,
+    # k(k-1) w_k theta^k, w_k theta^k and (k+1) w_{k+1} theta^k over the
+    # same float inputs: every term is nonnegative, so the power, the
+    # products and the sum of kmax+1 terms keep each moment within
+    # (kmax+4) roundings of it, relative.  A power or product below the
+    # normal range is rounded in absolute terms instead, by at most
+    # 2^-1074 times its factor, hence the second slack.  The column path,
+    # on a theta column that crosses a block boundary, keeps every entry
+    # at theta, 0 and 1 within the same bound of the same sums.
     levels = len(weights)
-    got = susceptible_moments(np.array(weights))(theta)
-    assert type(got[0]) is type(got[1]) is float
-    z = Fraction(theta)
-    powers = [z ** k for k in range(levels)]
-    for g, factors in zip(got, ([k * Fraction(w) for k, w in enumerate(weights)],
-                                [k * (k - 1) * Fraction(w) for k, w in enumerate(weights)])):
-        exact = sum(c * p for c, p in zip(factors, powers))
-        subnormal = levels * (max(factors) + 1) * Fraction(2) ** -1074
-        assert abs(Fraction(g) - exact) <= (levels + 3) * Fraction(2) ** -53 * exact + subnormal
+    moments = susceptible_moments(np.array(weights))
+    got = moments(theta)
+    assert len(got) == 4 and all(type(g) is float for g in got)
+    thetas = (theta, 0.0, 1.0)
+    column = moments(np.resize(thetas, sirnet.limit.MOMENT_BLOCK + 1))
+    assert column.shape == (4, sirnet.limit.MOMENT_BLOCK + 1)
+    w = [Fraction(x) for x in weights]
+    rows = ([k * x for k, x in enumerate(w)], [k * (k - 1) * x for k, x in enumerate(w)],
+            w, [(k + 1) * x for k, x in enumerate(w[1:])] + [Fraction(0)])
+    for at, z in enumerate(thetas):
+        powers = [Fraction(z) ** k for k in range(levels)]
+        for i, factors in enumerate(rows):
+            exact = sum(c * p for c, p in zip(factors, powers))
+            subnormal = levels * (max(factors) + 1) * Fraction(2) ** -1074
+            bound = (levels + 3) * Fraction(2) ** -53 * exact + subnormal
+            values = set(column[i, at::3].tolist()) | ({got[i]} if at == 0 else set())
+            assert all(abs(Fraction(g) - exact) <= bound for g in values)
 
 
 @pytest.mark.parametrize("degree,t_max,dt,eps_IS", [
@@ -349,14 +328,15 @@ def test_miller_states_equal_array_path(degree):
     init = limit_initial(DegreeSpec.from_string(degree), 0.01)
     r, beta = 1.0, 0.5
     cfg = SolverConfig(r=r, beta=beta, t_max=10.0, dt=1e-2)
-    gf = GeneratingFn(init.mu_S0)
-    pS0, g1, total = 1.0 - init.pI0, gf(1.0, order=1), init.S0 + init.I0
+    moments = susceptible_moments(init.mu_S0)
+    pS0, g1, total = 1.0 - init.pI0, moments(1.0)[3], init.S0 + init.I0
 
     def rhs(y):
         theta, R = y.tolist()
+        _, _, S, slope = moments(theta)
         return np.array([
-            -r * theta + beta * (1.0 - theta) + r * pS0 * gf(theta, order=1) / g1,
-            beta * (total - gf(theta) - R),
+            -r * theta + beta * (1.0 - theta) + r * pS0 * slope / g1,
+            beta * (total - S - R),
         ])
 
     ts, want, _ = rk4_integrate(rhs, [1.0, 0.0], cfg)
