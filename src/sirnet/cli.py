@@ -162,7 +162,7 @@ def _add_solve(sub):
     group.add_argument("--i0", type=float, help="initial infected node fraction")
     group.add_argument("--pI0", type=float, help="initial infectious edge fraction")
     common.add_argument("--t-max", type=float, required=True)
-    common.add_argument("--dt", type=float, default=1e-3,
+    common.add_argument("--dt", type=float, default=SolverConfig.dt,
                         help="RK4 step; must divide --t-max")
     common.add_argument("--out", required=True)
     common.add_argument("--dry-run", action="store_true")

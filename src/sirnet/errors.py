@@ -27,10 +27,9 @@ MAX_GRID_ROWS = 10**7
 # (sirnet.limit.check_measures_memory): its influx table of about
 # 8 * kmax**2 bytes, its stored rows of 8 * (2*kmax + 3) bytes each with
 # their growth slack, one step's working arrays, and the grid and derived
-# columns of the finished solve, 81 bytes a row; about what a volz solve
-# stores at MAX_GRID_ROWS.  The table alone fits up to kmax 11008 and a
-# solve of two rows up to kmax 10684; it admits 1621645 rows at kmax = 30
-# and 191792 at kmax = 300
+# columns of the finished solve, 97 bytes a row; about what a volz solve
+# stores at MAX_GRID_ROWS.  The table alone fits up to kmax 10752, a solve
+# of two rows up to kmax 10509, and 1580570 rows at kmax 30, 191193 at 300
 MAX_SOLVE_BYTES = 10**9
 
 

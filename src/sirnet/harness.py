@@ -21,14 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sirnet.errors import ConfigurationError, check_nonnegative, check_positive
-from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
+from sirnet.errors import MAX_GRID_ROWS, ConfigurationError, check_nonnegative, check_positive
+from sirnet.limit import (
+    SolverConfig,
+    check_solve_rate,
+    horizon_bound,
+    limit_initial,
+    solve_volz,
+)
 from sirnet.simulation import (
     GRID_TIE,
     SimParams,
     Trajectory,
     initial_infective_count,
     initialize_state,
+    next_row,
     simulate,
 )
 
@@ -287,16 +294,15 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
 def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
                eps_prime=0.01, workers=None):
     """Every refusal of :func:`run_convergence_study`, made before anything
-    is solved or simulated; returns ``(params, init, tau_bar, t_end)``, where
-    ``params`` runs the replicas to ``t_end``.
-
-    Besides invalid parameters, refuses fewer than two replicas per
-    population size, which leave the report's standard error undefined, a
-    population size that ``i0`` leaves without susceptibles, and a
-    comparison window ``[0, min(t_max, tau_bar)]`` that holds fewer than
-    two grid points.  The replicas' row cap counts the grid on that
-    window, the rows they record, not on ``[0, t_max]``.
-    """
+    is solved or simulated; returns the plan it runs, ``(params, init,
+    config, stride, tau_bar)``: ``params`` runs the replicas to ``t_end =
+    min(t_max, tau_bar)``, and ``config`` solves the limit from ``init`` to
+    their last row in ``stride`` steps a grid step.  Besides invalid
+    parameters, refuses fewer than two replicas per population size (no
+    standard error), a population size that ``i0`` leaves without
+    susceptibles, a window ``[0, t_end]`` of fewer than two rows by
+    :func:`next_row`, which the replicas' row cap also counts, and a solve
+    that :class:`SolverConfig` or :func:`check_solve_rate` refuses."""
     check_positive(t_max=t_max, record_grid=grid)
     if reps < 2:
         raise ConfigurationError(
@@ -312,46 +318,41 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
             f"density N_IS0={init.N_IS0:.6g}, so the comparison window is empty"
         )
     t_end = min(t_max, tau_bar)
-    compared = math.floor(t_end / grid + 1e-9) + 1
-    if compared < 2:
+    if next_row(t_end, grid) < 2:  # the window's rows, as simulate records them
         raise ConfigurationError(
-            f"grid={grid:.6g} leaves {compared} grid point in the comparison window "
-            f"[0, min(t_max, tau_bar={tau_bar:.6g})] = [0, {t_end:.6g}]; "
-            "at least 2 are needed"
-        )
-    return SimParams(r=r, beta=beta, t_max=t_end, record_grid=grid), init, tau_bar, t_end
+            f"grid={grid:.6g} leaves 1 grid point in the comparison window [0, min(t_max, "
+            f"tau_bar={tau_bar:.6g})] = [0, {t_end!r}]; at least 2 are needed")
+    params = SimParams(r=r, beta=beta, t_max=t_end, record_grid=grid)
+    # a stride at the row cap, as where grid / dt overflows, makes SolverConfig refuse
+    stride = math.ceil(min(grid / SolverConfig.dt, MAX_GRID_ROWS))
+    config = SolverConfig(r=r, beta=beta, t_max=params.grid_steps * grid,
+                          dt=grid / stride, eps_IS=0.0)
+    check_solve_rate(init, config)
+    return params, init, config, stride, tau_bar
 
 
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
                           t_max, grid, eps_prime=0.01, workers=None):
-    """End-to-end study: limit solve, replica batch, report with manifest.
-    Inputs are validated first by :func:`plan_study`.
-
+    """End-to-end study: limit solve, replica batch, report with manifest,
+    by the plan of :func:`plan_study`, which makes every refusal first.
     Replicas simulate to ``t_end = min(t_max, tau_bar)`` and the limit is
-    solved to the last grid point of ``[0, t_end]``: nothing beyond reaches
-    the report, which equals the one built from full-``t_max`` runs.  The
-    solver takes ``stride = ceil(grid/1e-3)`` steps per grid step, so its
-    every ``stride``-th row is the replicas' row of the same index, and
-    those rows are the ``limit`` table the report compares."""
-    params, init, tau_bar, t_end = plan_study(
-        spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
-        eps_prime=eps_prime, workers=workers,
-    )
-    stride = max(math.ceil(grid / 1e-3), 1)
-    dt = grid / stride
-    t_last = params.grid_steps * grid
-    sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_last, dt=dt, eps_IS=0.0))
+    solved to their last row: nothing beyond reaches the report, which
+    equals the one built from full-``t_max`` runs.  The solve's every
+    ``stride``-th row, the replicas' row of the same index, makes the
+    ``limit`` table the report compares."""
+    params, init, config, stride, tau_bar = plan_study(
+        spec, r, beta, i0, n_values, reps, base_seed, t_max, grid, eps_prime, workers)
+    sol = solve_volz(init, config)
     limit = np.stack([sol.column(col)[::stride] for col in COMPARED])
-    trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0,
-                                workers=workers)
+    trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0, workers=workers)
     report = convergence_report(trajectories, limit, eps_prime, tau_bar, t_max)
     report.manifest.update({
         "degree": spec.describe(),
         "r": r, "beta": beta, "i0": i0,
         "n_values": [int(n) for n in n_values], "reps": reps,
         "base_seed": base_seed, "rng": "PCG64",
-        "t_max": t_max, "grid": grid, "solver_dt": dt,
-        "eps_prime": eps_prime, "tau_bar": tau_bar, "t_end": t_end,
+        "t_max": t_max, "grid": grid, "solver_dt": config.dt,
+        "eps_prime": eps_prime, "tau_bar": tau_bar, "t_end": params.t_max,
         "replica_seeds": [
             {"n": tr.n, "rep": tr.rep,
              "state_words": replica_seed(base_seed, tr.n, tr.rep).generate_state(4).tolist()}

@@ -163,22 +163,22 @@ class SimParams:
     def __post_init__(self):
         check_nonnegative(r=self.r, beta=self.beta)
         check_positive(t_max=self.t_max, record_grid=self.record_grid)
-        steps = self.t_max / self.record_grid + 1e-9  # grid_steps before the floor
+        steps = self.grid_steps
         if steps < 1:
             raise ConfigurationError(
-                f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max:g}, "
-                "so no row follows t=0"
-            )
-        if steps >= MAX_GRID_ROWS:  # also when the ratio overflows to inf
+                f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max!r}, "
+                "so no row follows t=0")
+        if steps >= MAX_GRID_ROWS:  # grid_steps counts no further
             raise ConfigurationError(
-                f"record_grid={self.record_grid:g} puts {steps + 1:.12g} rows on "
-                f"[0, t_max={self.t_max:g}]; a trajectory stores at most {MAX_GRID_ROWS}"
-            )
+                f"record_grid={self.record_grid:g} puts "
+                f"{self.t_max / self.record_grid + 1:.12g} rows on [0, t_max={self.t_max:g}]; "
+                f"a trajectory stores at most {MAX_GRID_ROWS}")
 
     @property
     def grid_steps(self):
-        """Grid times after ``t=0`` that :func:`simulate` records."""
-        return math.floor(self.t_max / self.record_grid + 1e-9)
+        """The last grid row that :func:`simulate` records, by the one rule
+        of every run and window: ``next_row(t_max, record_grid) - 1``."""
+        return next_row(self.t_max, self.record_grid) - 1
 
 
 @dataclass
@@ -434,15 +434,15 @@ def apply_removal(state, level):
 # ---------------------------------------------------------------------------
 
 
-def next_row(limit, grid, first, n_grid):
+def next_row(limit, grid, first=1, n_grid=MAX_GRID_ROWS):
     """The least row index ``i >= first`` with ``i > n_grid`` or
     ``i * grid > limit + GRID_TIE``: the row after the last one that
-    ``limit`` reaches.  Since ``i * grid`` grows with ``i``, the floor of
-    ``(limit + GRID_TIE) / grid`` is at most a step or two from that row,
-    and the steps make the rule exact; the cost does not grow with the
-    rows passed."""
+    ``limit`` reaches, by default the count of rows on ``[0, limit]``.
+    Since ``i * grid`` grows with ``i``, the floor of ``(limit + GRID_TIE)
+    / grid`` is at most a step or two from that row, and the steps make
+    the rule exact; the cost does not grow with the rows passed."""
     cut = limit + GRID_TIE
-    i = min(max(math.floor(cut / grid), first - 1), n_grid)
+    i = max(math.floor(min(cut / grid, n_grid)), first - 1)  # n_grid caps an inf ratio
     while i < n_grid and (i + 1) * grid <= cut:
         i += 1
     while i >= first and i * grid > cut:

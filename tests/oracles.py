@@ -589,9 +589,9 @@ def explicit_path_law(mu_S, mu_IS, r, beta):
 
 
 def explicit_sir_grid(counts, i0, r, beta, t_max, grid, rng):
-    """``(S, I)`` at every grid time ``i * grid <= t_max`` of a Gillespie
-    SIR epidemic on an explicit configuration-model multigraph, drawn with
-    the ``random.Random`` ``rng``.
+    """``(S, I)`` at every grid time ``i * grid <= t_max + GRID_TIE`` of a
+    Gillespie SIR epidemic on an explicit configuration-model multigraph,
+    drawn with the ``random.Random`` ``rng``.
 
     ``counts[k]`` labelled vertices have degree ``k``, and a uniform
     ``ceil(i0 n)`` of them start infectious.  Each infective half-edge
@@ -628,7 +628,8 @@ def explicit_sir_grid(counts, i0, r, beta, t_max, grid, rng):
     to_S = [sum(status[w] == "S" for w in nbrs) for nbrs in neighbours]
     N_IS = sum(to_S[v] for v in infectives)
     S, I = n - len(infectives), len(infectives)
-    grid_times = [i * grid for i in range(math.floor(t_max / grid + 1e-9) + 1)]
+    grid_times = [i * grid for i in range(math.ceil(t_max / grid) + 1)
+                  if i * grid <= t_max + GRID_TIE]
     rows, t = [], 0.0
     while True:
         rate = r * N_IS + beta * I

@@ -814,11 +814,36 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
     # no rate, no horizon: the refusal names both rates
     (_with(_with(CONVERGE, "--r", "0"), "--beta", "0") + ["--i0", "0.01", "--grid", "0.0001"],
      "r=0 and beta=0: at least one rate must be positive"),
+    # a grid a hair coarser than the span places no row after t=0, by the
+    # rule simulate records its rows by: t=0.5 is past 0.4999999999 + 1e-12
+    (["simulate", "--degree", "poisson:5:30", "--n", "1000", "--r", "1", "--beta", "0.5",
+      "--i0", "0.01", "--t-max", "0.4999999999", "--grid", "0.5"],
+     "record_grid=0.5 is coarser than t_max=0.4999999999, so no row follows t=0"),
+    (["converge", "--degree", "poisson:5:30", "--n", "1000,2000", "--reps", "3",
+      "--r", "0.001", "--beta", "0.001", "--i0", "0.01", "--t-max", "0.4999999999",
+      "--grid", "0.5"],
+     "grid=0.5 leaves 1 grid point in the comparison window [0, min(t_max, "
+     "tau_bar=1.34544)] = [0, 0.4999999999]; at least 2 are needed"),
+    # the limit solve to the window's last row, 13454 at rates of 1e-7, would
+    # store more rows than the cap: refused by the plan, dry run included
+    (["converge", "--degree", "poisson:5:30", "--n", "100,200", "--reps", "2",
+      "--r", "1e-7", "--beta", "1e-7", "--i0", "0.01", "--t-max", "20000", "--grid", "1"],
+     "t_max=13454 and dt=0.001 make 13454000 steps; a solve stores at most 10000000 "
+     "rows, t=0 included"),
+    # a grid of 2e305 is 2e308 steps of 1e-3, past a float: refused by the
+    # row cap, not lost to an overflow (exit 1)
+    (["converge", "--degree", "poisson:5:30", "--n", "100,200", "--reps", "2",
+      "--r", "5e-309", "--beta", "5e-309", "--i0", "0.01", "--t-max", "1e308",
+      "--grid", "2e305"],
+     "t_max=2e+305 and dt=2e+298 make 10000000 steps; a solve stores at most 10000000 "
+     "rows, t=0 included"),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
         "simulate-poisson-kmax-too-large", "simulate-geometric-kmax-too-large",
         "converge-powerlaw-kmax-too-large",
-        "converge-reps-1", "converge-zero-rates"])
+        "converge-reps-1", "converge-zero-rates", "simulate-grid-past-t-max",
+        "converge-grid-past-window", "converge-solve-over-row-cap",
+        "converge-stride-overflows"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

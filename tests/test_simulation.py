@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
@@ -24,6 +26,7 @@ from sirnet import simulation
 from sirnet.cli import _atomic_write, _snapshot_lines
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
+from sirnet.harness import plan_study
 from sirnet.simulation import (
     BlockDraws,
     PopulationState,
@@ -323,8 +326,8 @@ def test_grid_rows_match_event_log(monkeypatch, seed, n, t_max, grid, terminal):
     assert traj.terminal == terminal
     assert len(log) == traj.n_infections + traj.n_removals
     t_end = log[-1][0] if terminal == "depleted" else t_max
-    times, records = grid_rows_from_events(
-        start, log, grid, math.floor(t_max / grid + 1e-9), t_end)
+    # a bound on the rows: the oracle keeps those within t_end + GRID_TIE
+    times, records = grid_rows_from_events(start, log, grid, math.ceil(t_max / grid), t_end)
     assert traj.times.tolist() == times  # bit for bit
     assert traj.counts.tolist() == [list(row) for row, _ in records]
     assert list(traj.snapshots) == [(t, snap) for t, (_, snap) in zip(times, records)]
@@ -364,6 +367,35 @@ def test_next_row_far_along_the_grid():
             expected = _row_walk(limit, grid, k - 2, n_grid)
             assert next_row(limit, grid, 1, n_grid) == expected
     assert next_row(1e9, grid, 1, n_grid) == n_grid + 1
+
+
+@settings(derandomize=True, deadline=None)
+@example(grid=0.5, k=1, delta=-2e-10)  # t_max 0.4999999999: row 1 at 0.5 is past it
+@given(grid=st.floats(1e-5, 2), k=st.integers(1, 2000),
+       delta=st.one_of(st.just(0.0), st.floats(1e-16, 1e-8), st.floats(-1e-8, -1e-16)))
+def test_one_rule_places_every_row(grid, k, delta):
+    # simulate's rows, SimParams' refusal and plan_study's window refusal
+    # all count the rows i with i * grid <= t_max + GRID_TIE: t_max near a
+    # whole number of grid steps, on either side of it
+    t_max = k * grid * (1 + delta)
+    params = SimParams(r=0.0, beta=0.0, t_max=grid, record_grid=grid)
+    params.t_max = t_max  # the pair itself, whether or not SimParams takes it
+    # no event: every row is placed by the rule alone
+    traj = simulate(PopulationState([0, 1], [0, 1]), params, np.random.default_rng(0))
+    assert traj.n_rows == _row_walk(t_max, grid, 1, 10**7)
+    try:
+        steps = SimParams(r=0.0, beta=0.0, t_max=t_max, record_grid=grid).grid_steps
+    except ConfigurationError:
+        steps = None
+    assert (steps is not None) == (traj.n_rows >= 2)
+    assert steps is None or traj.n_rows == steps + 1
+    # rates of 1e-7 put tau_bar at 13454, so the window is all of [0, t_max]
+    try:
+        plan_study(DegreeSpec.poisson(5, 30), 1e-7, 1e-7, 0.01, [100], 2, 0, t_max, grid)
+        refused = False
+    except ConfigurationError:
+        refused = True
+    assert refused == (traj.n_rows < 2)
 
 
 def test_params_refuse_grid_too_fine_to_store():
