@@ -5,11 +5,10 @@ large-population limits (measure-valued system and its edge-based ODE
 reduction), and a Monte-Carlo harness for checking that scaled stochastic
 trajectories converge to the limit.
 
-The simulation's event laws are exact, but the chain is not yet SIR on a
-uniformly paired configuration model: a degree draw may have an odd
-total, and no self-pairing among a new infective's open half-edges is
-sampled, so 37% of n=50 runs on poisson:5:30 end ``depleted``
-(ROADMAP.md, defect 1; its direction 2 fixes both).
+The simulated chain is SIR on a configuration model, a uniform pairing
+of half-edges whose pairings are revealed as the epidemic reaches them:
+degree counts are drawn conditioned on an even total, and a new
+infective's open half-edges may pair with each other.
 """
 
 __version__ = "0.1.0"

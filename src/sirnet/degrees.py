@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sirnet.errors import (
+    MIN_EVEN_TOTAL_CHANCE,
     ConfigurationError,
     check_degree,
     check_finite,
@@ -183,13 +184,27 @@ class DegreeSpec:
             raise ConfigurationError("reproduction criterion needs positive mean degree")
         return float(((self.levels - 1) * self.levels) @ self.probs / mean)
 
-    def sample(self, n, rng):
-        """Level counts over ``0..kmax`` of ``n`` i.i.d. degree draws: entry
-        ``k`` is how many draws equal ``k``, one multinomial draw."""
+    def check_even_total(self, n):
+        """Refuse an ``n`` whose i.i.d. degrees have an even total with chance
+        ``(1 + c^n) / 2``, ``c = sum_k (-1)^k p_k``, below ``MIN_EVEN_TOTAL_CHANCE``."""
         check_population(n)
+        chance = (1 + (2 * float(self.probs[self.levels % 2 == 0].sum()) - 1) ** n) / 2
+        if chance < MIN_EVEN_TOTAL_CHANCE:
+            raise ConfigurationError(
+                f"n={n} degrees drawn from {json.dumps(self.describe())} have the even "
+                f"total that a pairing of half-edges needs with chance {chance:.3g}, "
+                f"below {MIN_EVEN_TOTAL_CHANCE:g}")
+
+    def sample(self, n, rng):
+        """Level counts over ``0..kmax`` of ``n`` i.i.d. degree draws given
+        an even total: entry ``k`` is how many draws equal ``k``, one
+        multinomial draw, redrawn until the total is even."""
+        self.check_even_total(n)
         counts = np.zeros(self.kmax() + 1, dtype=np.int64)
-        counts[self.levels] = rng.multinomial(n, self.probs)
-        return counts
+        while True:
+            counts[self.levels] = rng.multinomial(n, self.probs)
+            if not self.levels @ counts[self.levels] % 2:
+                return counts
 
     def limit_measure(self, mass=1.0):
         """The law as a weight vector over ``0..kmax`` with the given total

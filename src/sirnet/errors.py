@@ -32,6 +32,9 @@ MAX_GRID_ROWS = 10**7
 # of two rows up to kmax 10509, and 1580570 rows at kmax 30, 191193 at 300
 MAX_SOLVE_BYTES = 10**9
 
+# a degree sample redraws until its total is even: the least chance of that it takes
+MIN_EVEN_TOTAL_CHANCE = 10**-3
+
 
 class ConfigurationError(ValueError):
     """Invalid model or run configuration (degenerate degree law, bad i0, ...)."""

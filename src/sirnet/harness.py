@@ -300,7 +300,8 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     their last row in ``stride`` steps a grid step.  Besides invalid
     parameters, refuses fewer than two replicas per population size (no
     standard error), a population size that ``i0`` leaves without
-    susceptibles, a window ``[0, t_end]`` of fewer than two rows by
+    susceptibles or that :meth:`DegreeSpec.check_even_total` refuses, a
+    window ``[0, t_end]`` of fewer than two rows by
     :func:`next_row`, which the replicas' row cap also counts, and a solve
     that :class:`SolverConfig` or :func:`check_solve_rate` refuses."""
     check_positive(t_max=t_max, record_grid=grid)
@@ -311,6 +312,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     init = limit_initial(spec, i0)
     for n in n_values:
         initial_infective_count(n, i0)
+        spec.check_even_total(n)
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     if tau_bar <= 0:
         raise ConfigurationError(

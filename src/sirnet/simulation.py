@@ -12,7 +12,8 @@ measures over ``0..kmax``:
 Individuals at one level are exchangeable, so these vectors and the running
 totals ``S, I, R, N_S, N_IS, N_RS`` are the whole state: O(kmax) in size,
 whatever the population.  The initial state is drawn in the same terms:
-the degree counts of ``n`` i.i.d. degrees are one multinomial draw, and
+the degree counts of ``n`` i.i.d. degrees given an even total are one
+multinomial draw, redrawn until the total is even, and
 those of a uniform ``ceil(i0 n)`` of them, the initial infectives, one
 multivariate hypergeometric draw, so no vertex-indexed array is ever built.
 Events:
@@ -29,11 +30,15 @@ Events:
   in proportion to what is left of each; the counts ``(j, l)`` of the
   first two kinds are multivariate hypergeometric exactly.  The same draw
   names the matched half-edge, so its owner, found at level ``i`` with
-  weight ``i mu(i)``, moves to level ``i-1``.  The new infective enters
-  ``mu_IS`` at level ``k-1-j-l``.
+  weight ``i mu(i)``, moves to level ``i-1``.  Her ``m = k-1-j-l`` open
+  half-edges then pair in turn, each with a uniform other half-edge of
+  the open pool ``N_S - N_IS - N_RS``, which holds her own: with ``p``
+  pairs among her own she enters ``mu_IS`` at level ``m - 2p``.
 
 Waiting times are exponential with total rate ``r*N_IS + beta*I`` (direct
-Gillespie selection between the two event classes).
+Gillespie selection between the two event classes).  So the chain is SIR
+on the configuration model, a uniform pairing of half-edges revealed as
+infections reach it (Janson, Luczak & Windridge 2014).
 """
 
 from __future__ import annotations
@@ -169,10 +174,11 @@ class SimParams:
                 f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max!r}, "
                 "so no row follows t=0")
         if steps >= MAX_GRID_ROWS:  # grid_steps counts no further
+            rows = (next_row(self.t_max, self.record_grid, n_grid=2**53)
+                    if self.t_max / self.record_grid < 2**53 else f"more than {MAX_GRID_ROWS}")
             raise ConfigurationError(
-                f"record_grid={self.record_grid:g} puts "
-                f"{self.t_max / self.record_grid + 1:.12g} rows on [0, t_max={self.t_max:g}]; "
-                f"a trajectory stores at most {MAX_GRID_ROWS}")
+                f"record_grid={self.record_grid:g} puts {rows} rows on "
+                f"[0, t_max={self.t_max:g}]; a trajectory stores at most {MAX_GRID_ROWS}")
 
     @property
     def grid_steps(self):
@@ -252,7 +258,8 @@ class PopulationState:
 
     Built from two level-count vectors, the paper's initial measures:
     ``mu_S[k]`` susceptibles of degree ``k`` and ``mu_IS[i]`` infectives
-    with ``i`` edges-to-S.  Nobody is removed yet.
+    with ``i`` edges-to-S.  Nobody is removed yet.  A state that no
+    pairing has, ``N_IS > N_S`` or an odd ``N_S - N_IS``, is refused.
     """
 
     __slots__ = ("mu_S", "mu_IS", "mu_RS", "S", "I", "R", "N_S", "N_IS", "N_RS", "t")
@@ -260,10 +267,8 @@ class PopulationState:
     def __init__(self, mu_S, mu_IS):
         mu_S = np.asarray(mu_S, dtype=np.int64).tolist()
         mu_IS = np.asarray(mu_IS, dtype=np.int64).tolist()
-        if min(mu_S, default=0) < 0:
-            raise StateCorruptionError("negative susceptible count")
-        if min(mu_IS, default=0) < 0:
-            raise StateCorruptionError("negative infectious count")
+        if min(mu_S + mu_IS, default=0) < 0:
+            raise StateCorruptionError("negative level count")
         size = max(len(mu_S), len(mu_IS), 1)  # levels 0..kmax
         self.mu_S = mu_S + [0] * (size - len(mu_S))
         self.mu_IS = mu_IS + [0] * (size - len(mu_IS))
@@ -273,6 +278,9 @@ class PopulationState:
         self.I, self.N_IS = sum(mu_IS), sum(map(operator.mul, levels, self.mu_IS))
         self.R = self.N_RS = 0
         self.t = 0.0
+        if self.N_IS > self.N_S or (self.N_S - self.N_IS) % 2:
+            raise ConfigurationError(f"no pairing of half-edges has N_S={self.N_S} "
+                                     f"and N_IS={self.N_IS}")
 
     def row(self):
         return (self.S, self.I, self.R, self.N_S, self.N_IS, self.N_RS)
@@ -280,14 +288,6 @@ class PopulationState:
     def measure_snapshot(self):
         return {"mu_S": self.mu_S.copy(), "mu_IS": self.mu_IS.copy(),
                 "mu_RS": self.mu_RS.copy()}
-
-    def feasible(self):
-        """Whether another infection event is well defined: the matching
-        pools need ``N_IS + N_RS <= N_S``.  Every infection consumes two
-        free susceptible half-edges per edge-to-S it creates, so near total
-        infection the half-edge construction can exhaust itself; the event
-        loop then stops with terminal reason ``depleted``."""
-        return self.N_IS + self.N_RS <= self.N_S
 
 
 def initial_infective_count(n, i0):
@@ -319,39 +319,27 @@ def initialize_state(counts, i0, *, rng):
     uniform subset are multivariate hypergeometric, so one such draw gives
     the infectives' level counts; no array of individuals is built.  Every
     infective half-edge must pair with a susceptible one, so a split with
-    ``N_IS > N_S`` is refused.
+    ``N_IS > N_S`` is refused, as :class:`PopulationState` refuses an odd
+    total degree.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.min(initial=0) < 0:
         raise ConfigurationError("degree counts must be nonnegative")
     n_inf = initial_infective_count(int(counts.sum()), i0)
     infected = rng.multivariate_hypergeometric(counts, n_inf)
-    state = PopulationState(counts - infected, infected)
-    if state.N_IS > state.N_S:
+    n_IS, n_S = np.array([infected, counts - infected]) @ np.arange(len(counts))
+    if n_IS > n_S:
         raise ConfigurationError(
-            f"i0={i0} gives the initial infectives {state.N_IS} half-edges but the "
-            f"susceptibles only {state.N_S}, so not every infective half-edge "
+            f"i0={i0} gives the initial infectives {n_IS} half-edges but the "
+            f"susceptibles only {n_S}, so not every infective half-edge "
             "can pair with a susceptible one"
         )
-    return state
+    return PopulationState(counts - infected, infected)
 
 
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
-
-
-def _check_pools(k, n_S, n_IS, n_RS):
-    """Refuse an infection of a degree-``k`` susceptible that the pools
-    cannot match: it needs an I-S half-edge to fire, ``k - 1`` other
-    susceptible half-edges, and room among them for the ``N_IS - 1`` I-S
-    and ``N_RS`` R-S half-edges left."""
-    if k < 1 or n_IS < 1:
-        raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
-    if k > n_S:
-        raise InfeasibleDrawError(f"cannot draw {k - 1} half-edges from a pool of {n_S - 1}")
-    if n_IS + n_RS > n_S:
-        raise InfeasibleDrawError("edge pools exhausted: N_IS + N_RS > N_S")
 
 
 def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
@@ -366,10 +354,14 @@ def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
     ``a`` I-S and ``b`` R-S half-edges left, a draw ``x < a`` takes I-S
     half-edge ``x`` and ``a <= x < a+b`` R-S half-edge ``x-a`` from its
     owner (:func:`_drop_owner`).  Once no I-S or R-S half-edge is left the
-    rest are open and no more draws are made.  :func:`_check_pools` refuses
-    first, before any draw.
+    rest are open and no more draws are made.  An infection with no I-S
+    half-edge to fire or fewer than ``k`` susceptible half-edges is refused
+    before any draw.
     """
-    _check_pools(k, n_S, n_IS, n_RS)
+    if k < 1 or n_IS < 1:
+        raise InfeasibleDrawError("infection event needs k >= 1 and N_IS >= 1")
+    if k > n_S:
+        raise InfeasibleDrawError(f"cannot draw {k - 1} half-edges from a pool of {n_S - 1}")
     pool = n_S - 1
     a, b = n_IS - 1, n_RS  # I-S and R-S half-edges left in the pool
     for _ in range(k - 1):
@@ -387,21 +379,31 @@ def sample_jl(k, n_S, n_IS, n_RS, mu_IS, mu_RS, draws):
 
 
 def apply_infection(state, k, draws):
-    """Infect a degree-``k`` susceptible; return her ``(j, l)``.
+    """Infect a degree-``k`` susceptible; return her ``(j, l, p)``.
 
     The contaminating half-edge is uniform among the ``N_IS`` and taken
     from its owner first; :func:`sample_jl` then matches her other
-    ``k-1`` half-edges from what is left.  She enters ``mu_IS`` at level
-    ``k-1-j-l``: ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l``.  A refused
-    event draws nothing and leaves the state as it was.
+    ``k-1`` half-edges from what is left.  Her ``m = k-1-j-l`` open ones
+    pair in turn within the open pool ``N_S - N_IS - N_RS``, hers
+    included: while she holds two or more, the partner is her own with
+    probability ``(own - 1) / (pool - 1)``; a last one needs no draw.
+    With ``p`` self-pairs she enters ``mu_IS`` at level ``m - 2p``:
+    ``dN_IS = k - 2 - 2j - l - 2p`` and ``dN_RS = -l``.  A refused event
+    draws nothing and leaves the state as it was.
     """
     mu_S, mu_IS = state.mu_S, state.mu_IS
     if not 0 < k < len(mu_S) or mu_S[k] < 1:
         raise StateCorruptionError(f"no susceptible of degree {k} left")
-    _check_pools(k, state.N_S, state.N_IS, state.N_RS)
     _drop_owner(mu_IS, draws.below(state.N_IS))
     j, l = sample_jl(k, state.N_S, state.N_IS, state.N_RS, mu_IS, state.mu_RS, draws)
-    level = k - 1 - j - l
+    own = m = k - 1 - j - l
+    pool, p = state.N_S - state.N_IS - state.N_RS, 0
+    while own >= 2:
+        mine = draws.below(pool - 1) < own - 1  # her partner is her own
+        own -= 1 + mine
+        p += mine
+        pool -= 2
+    level = m - 2 * p
     mu_S[k] -= 1
     mu_IS[level] += 1
     state.S -= 1
@@ -409,7 +411,7 @@ def apply_infection(state, k, draws):
     state.I += 1
     state.N_IS += level - j - 1
     state.N_RS -= l
-    return j, l
+    return j, l, p
 
 
 def apply_removal(state, level):
@@ -460,10 +462,8 @@ def simulate(state, params, rng):
     returned :class:`Trajectory` grows with the events, not with the
     grid.  Once the total event rate is 0 the state is constant, so the
     remaining grid rows repeat it; the terminal reason is then ``extinct``
-    if no I-S edge is left, and ``t_max`` otherwise (both rates 0).  If an
-    infection exhausts the susceptible half-edge pools (see
-    :meth:`PopulationState.feasible`) recording stops there with terminal
-    reason ``depleted``.  Every random number comes from ``rng``:
+    if no I-S edge is left, and ``t_max`` otherwise (both rates 0).  Every
+    random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
     bit for bit.  Rates that :func:`check_event_rate` refuses are refused
     before the first event.
@@ -511,10 +511,6 @@ def simulate(state, params, rng):
             apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
         else:
             apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
-            if not state.feasible():
-                # half-edge pools exhausted: further infections undefined
-                terminal = "depleted"
-                break
 
     # each infection takes one susceptible and each removal adds one removed
     return Trajectory(grid=grid, rows=np.array(rows, dtype=np.int64), runs=runs,

@@ -4,9 +4,10 @@
 applies.  The event loop of :func:`sirnet.simulation.simulate` calls the
 module-level ``apply_infection`` and ``apply_removal``; the fixture wraps
 those two names, so the checks run on the production loop itself.  An
-infection is one pass that draws its ``(j, l)`` and takes the matched
-half-edges together, and returns ``(j, l)``, so the checked deltas are
-those of the half-edges the event actually took."""
+infection is one pass that draws its ``(j, l)``, takes the matched
+half-edges together and pairs the new infective's open half-edges, and
+returns ``(j, l, p)``, so the checked deltas are those of the half-edges
+the event actually took."""
 
 import pytest
 
@@ -19,8 +20,8 @@ class EventChecker:
     """Checking wrappers around the two event functions.
 
     After each event they check its deltas (infection:
-    ``dN_IS = k - 2 - 2j - l`` and ``dN_RS = -l`` for the ``(j, l)`` it
-    returns; removal: ``-level`` and
+    ``dN_IS = k - 2 - 2j - l - 2p`` and ``dN_RS = -l`` for the
+    ``(j, l, p)`` it returns; removal: ``-level`` and
     ``+level``), that ``S + I + R`` is unchanged, and
     :func:`oracles.check_invariants` against the state's ``mu_S`` as it
     stood before its first checked event.  ``count`` is the number of
@@ -34,9 +35,9 @@ class EventChecker:
 
     def infection(self, state, k, draws):
         before = self._before(state)
-        j, l = self._apply_infection(state, k, draws)
-        self._after(state, before, k - 2 - 2 * j - l, -l, "infection")
-        return j, l
+        j, l, p = self._apply_infection(state, k, draws)
+        self._after(state, before, k - 2 - 2 * j - l - 2 * p, -l, "infection")
+        return j, l, p
 
     def removal(self, state, level):
         before = self._before(state)

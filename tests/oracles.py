@@ -24,9 +24,12 @@ exit time from a plain loop over the replica's rows.
 :func:`explicit_path_law` is the exact law of a whole epidemic's measure
 path on every explicit configuration-model pairing of a tiny population,
 and :func:`explicit_sir_grid` runs one epidemic on one such pairing of a
-population of any size."""
+population of any size.  :func:`outbreak_probability` is the chance that
+one infective starts a major outbreak, from the branching process of the
+early epidemic with :func:`transmission_pgf`'s exact offspring law."""
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -43,7 +46,9 @@ from sirnet.simulation import GRID_TIE, sample_jl
 def check_invariants(state, mu_S0):
     """Re-derive the totals of a :class:`PopulationState` from its level
     vectors; raise :class:`StateCorruptionError` on a negative level, a
-    drifted total, or ``mu_S`` gaining an atom over the initial ``mu_S0``."""
+    drifted total, ``mu_S`` gaining an atom over the initial ``mu_S0``, or
+    totals that no pairing of half-edges has: ``N_IS + N_RS > N_S``, or an
+    odd open pool ``N_S - N_IS - N_RS``."""
     vectors = {"mu_S": state.mu_S, "mu_IS": state.mu_IS, "mu_RS": state.mu_RS}
     for name, mu in vectors.items():
         if min(mu) < 0:
@@ -56,22 +61,23 @@ def check_invariants(state, mu_S0):
         )
     if any(c > c0 for c, c0 in zip(state.mu_S, mu_S0)):
         raise StateCorruptionError("mu_S gained an atom over mu_S0")
+    open_pool = state.N_S - state.N_IS - state.N_RS
+    if open_pool < 0 or open_pool % 2:
+        raise StateCorruptionError(f"no pairing has an open pool of {open_pool} half-edges")
 
 
-def grid_rows_from_events(start, events, grid, n_grid, t_end):
+def grid_rows_from_events(start, events, grid, n_grid, t_max):
     """The recorded rows of a run from its log, without the event loop.
 
     ``start`` is the record (row, snapshot) before the first event and
     ``events`` the ``(t, record)`` after each event.  The grid times are
-    ``i * grid`` for ``i = 0..n_grid`` up to ``t_end + GRID_TIE``, where
-    ``t_end`` is ``t_max``, or the last event's time if the run stopped
-    there (``depleted``).  The record at grid time ``g`` is the one after
-    the last event at a time ``t`` with ``g > t + GRID_TIE``: an event
-    within ``GRID_TIE`` of a grid time counts as after it.  Returns the times and the
-    records."""
+    ``i * grid`` for ``i = 0..n_grid`` up to ``t_max + GRID_TIE``.  The
+    record at grid time ``g`` is the one after the last event at a time
+    ``t`` with ``g > t + GRID_TIE``: an event within ``GRID_TIE`` of a grid
+    time counts as after it.  Returns the times and the records."""
     shifted = [t + GRID_TIE for t, _ in events]  # nondecreasing, as the times are
     records = [start] + [record for _, record in events]
-    times = [i * grid for i in range(n_grid + 1) if i * grid <= t_end + GRID_TIE]
+    times = [i * grid for i in range(n_grid + 1) if i * grid <= t_max + GRID_TIE]
     return times, [records[bisect.bisect_left(shifted, g)] for g in times]
 
 
@@ -196,6 +202,29 @@ def aggregate_to_levels(counts, pmf):
     return out
 
 
+def _double_factorial(n):
+    """``n!! = n (n-2) (n-4) ...``, the number of perfect matchings of
+    ``n + 1`` points; ``(-1)!! = 1``."""
+    return math.prod(range(n, 0, -2))
+
+
+def self_pair_oracle_pmf(m, pool):
+    """Law of the number ``p`` of pairs among ``m`` marked points in a
+    uniform perfect matching of ``pool`` points, counted over matchings:
+    ``C(m, 2p) (2p-1)!!`` ways to pair ``2p`` marked points among
+    themselves, ``(pool-m)! / (pool-2m+2p)!`` to give the other ``m-2p``
+    distinct unmarked partners, and ``(pool-2m+2p-1)!!`` to match the
+    unmarked rest, over all ``(pool-1)!!`` matchings."""
+    pmf = {}
+    for p in range(m // 2 + 1):
+        rest = pool - 2 * m + 2 * p  # unmarked points left unpaired to marked ones
+        if rest >= 0:
+            ways = (math.comb(m, 2 * p) * _double_factorial(2 * p - 1)
+                    * math.perm(pool - m, m - 2 * p) * _double_factorial(rest - 1))
+            pmf[p] = ways / _double_factorial(pool - 1)
+    return pmf
+
+
 def infection_oracle_pmf(counts_IS, counts_RS, n_S, k, size):
     """Law of the level measures ``(mu_IS, mu_RS)``, each a tuple over
     ``0..size-1``, after one infection of a degree-``k`` susceptible.  The
@@ -203,22 +232,27 @@ def infection_oracle_pmf(counts_IS, counts_RS, n_S, k, size):
     and the susceptibles ``n_S`` half-edges.  ``(j, l)`` has the law
     :func:`jl_oracle_pmf`; given it, the ``j + 1`` infectious half-edges
     taken, the contaminating one included, are a uniform subset of all of
-    them, the ``l`` removed ones a uniform subset of theirs, independently;
-    the new infective enters at level ``k - 1 - j - l``."""
+    them, the ``l`` removed ones a uniform subset of theirs, and the number
+    ``p`` of pairs among her ``m = k - 1 - j - l`` open half-edges has the
+    law :func:`self_pair_oracle_pmf` in the open pool of ``n_S - N_IS -
+    N_RS``, independently; the new infective enters at level ``m - 2p``."""
     def padded(mu):
         return list(mu) + [0] * (size - len(mu))
 
     law = {}
+    pool = n_S - sum(counts_IS) - sum(counts_RS)
     jl = jl_oracle_pmf(k, n_S, sum(counts_IS), sum(counts_RS))
     for (j, l), p in jl.items():
         infectious = aggregate_to_levels(counts_IS, allocation_oracle_pmf(list(counts_IS), j + 1))
         removed = aggregate_to_levels(counts_RS, allocation_oracle_pmf(list(counts_RS), l))
-        for mu_IS, p_IS in infectious.items():
-            mu_IS = padded(mu_IS)
-            mu_IS[k - 1 - j - l] += 1
-            for mu_RS, p_RS in removed.items():
-                key = (tuple(mu_IS), tuple(padded(mu_RS)))
-                law[key] = law.get(key, 0.0) + p * p_IS * p_RS
+        m = k - 1 - j - l
+        for pairs, p_pairs in self_pair_oracle_pmf(m, pool).items():
+            for mu_IS, p_IS in infectious.items():
+                mu_IS = padded(mu_IS)
+                mu_IS[m - 2 * pairs] += 1
+                for mu_RS, p_RS in removed.items():
+                    key = (tuple(mu_IS), tuple(padded(mu_RS)))
+                    law[key] = law.get(key, 0.0) + p * p_pairs * p_IS * p_RS
     return law
 
 
@@ -580,11 +614,14 @@ def explicit_path_law(mu_S, mu_IS, r, beta):
         for image in itertools.permutations(susceptible, len(infective))
         for matching in _matchings([h for h in susceptible if h not in image])
     ]
+    # pairings that make one multigraph share its path law
+    graphs = collections.Counter(
+        tuple(sorted(tuple(sorted((half[a], half[b]))) for a, b in pairing))
+        for pairing in pairings)
     law = {}
-    for pairing in pairings:
-        edges = [(half[a], half[b]) for a, b in pairing]
+    for edges, count in graphs.items():
         for path, p in _sir_path_law(edges, degrees, status, r, beta, size).items():
-            law[path] = law.get(path, 0) + p / len(pairings)
+            law[path] = law.get(path, 0) + p * count / len(pairings)
     return law
 
 
@@ -662,3 +699,37 @@ def explicit_sir_grid(counts, i0, r, beta, t_max, grid, rng):
         N_IS += to_S[u]
         S -= 1
         I += 1
+
+
+def transmission_pgf(m, r, beta, s):
+    """``E[s^J]`` for the number ``J`` of an infective's ``m`` I-S edges that
+    transmit before she is removed.  Each edge fires at rate ``r`` and she
+    is removed at rate ``beta``, so after ``j`` transmissions the next event
+    is one more with chance ``(m-j) r / ((m-j) r + beta)``; the edges share
+    her infectious period, so they do not transmit independently.  Exact in
+    ``Fraction`` arithmetic when ``r``, ``beta`` and ``s`` are."""
+    total, reach = 0, 1  # reach: P(J >= j)
+    for j in range(m):
+        go = (m - j) * r / ((m - j) * r + beta)
+        total += reach * (1 - go) * s**j
+        reach *= go
+    return total + reach * s**m
+
+
+def outbreak_probability(spec, r, beta, pgf=None):
+    """The chance of a major outbreak from one infective of a degree drawn
+    from ``spec``, on the branching process of the early epidemic (Ball,
+    Sirl & Trapman 2009).  A new infective of the size-biased degree ``k``
+    holds ``k - 1`` I-S edges and the first infective all ``k``; ``G_m(s) =
+    pgf(m, s)``, by default :func:`transmission_pgf`.  The extinction
+    chance ``q`` is the least root of ``q = sum_k (k p_k / <k>) G_{k-1}(q)``,
+    iterated from 0, and the answer ``1 - sum_k p_k G_k(q)``."""
+    pgf = pgf or (lambda m, s: transmission_pgf(m, r, beta, s))
+    law = list(zip(spec.levels.tolist(), spec.probs.tolist()))
+    mean = sum(k * p for k, p in law)
+    q = 0.0
+    for _ in range(100_000):
+        q, last = sum(k * p / mean * pgf(k - 1, q) for k, p in law if k), q
+        if q - last < 1e-15:
+            break
+    return 1.0 - sum(p * pgf(k, q) for k, p in law)

@@ -165,9 +165,10 @@ def test_criterion_1_sampler_exactness():
 
 def test_criterion_2_event_bookkeeping(checked_events):
     # checked_events re-derives every per-event delta on the production
-    # event loop and raises on violation: dN_IS = k-2-2j-l / -d(S),
+    # event loop and raises on violation: dN_IS = k-2-2j-l-2p / -d(S),
     # dN_RS = -l / +d(S), S+I+R constant, totals from the level vectors,
-    # mu_S <= mu_S0 pointwise; N_IS+N_RS <= N_S is checked on the rows
+    # mu_S <= mu_S0 pointwise, N_IS+N_RS <= N_S and an even open pool
+    # N_S-N_IS-N_RS after every event; the last two are checked on the rows too
     mixes = [
         (DegreeSpec.poisson(5, 30), 1.0, 0.5),
         (DegreeSpec.poisson(8, 40), 1.0, 1.0),
@@ -178,7 +179,7 @@ def test_criterion_2_event_bookkeeping(checked_events):
     total_events = 0
     run = 0
     edge_violations = 0
-    depleted = 0
+    odd_pools = 0
     while total_events < 100_000:
         spec, r, beta = mixes[run % len(mixes)]
         rng = np.random.default_rng(1000 + run)
@@ -187,15 +188,15 @@ def test_criterion_2_event_bookkeeping(checked_events):
         total_events += traj.n_infections + traj.n_removals
         N_S, N_IS, N_RS = traj.counts[:, 3:].T
         edge_violations += int(np.sum(N_IS + N_RS > N_S))
-        depleted += int(traj.terminal == "depleted")
+        odd_pools += int(np.sum((N_S - N_IS - N_RS) % 2))
         run += 1
-    ok = edge_violations == 0 and depleted == 0 and checked_events.count == total_events
+    ok = edge_violations == 0 and odd_pools == 0 and checked_events.count == total_events
     report(2, ok, f"{total_events} events across {run} mixed-parameter runs; "
                   "per-event deltas, population conservation and mu_S "
                   f"domination re-checked on {checked_events.count} events "
                   "(raises on violation); "
                   f"N_IS+N_RS <= N_S violations: {edge_violations}, "
-                  f"pool-depleted runs: {depleted}")
+                  f"rows with an odd open pool: {odd_pools}")
 
 
 def test_criterion_3_dual_solver_equivalence():

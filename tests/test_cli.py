@@ -89,8 +89,8 @@ def test_r0_rates_whose_sum_overflows(capsys):
 
 @pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:10"])
 def test_simulate_rates_whose_total_overflows_exit_2(tmp_path, capsys, degree):
-    # the event rate r*N_IS + beta*I read inf, so every event was an
-    # infection: poisson exited 0 with one `depleted` row, powerlaw exited 1
+    # the event rate r*N_IS + beta*I would read inf, so every event would be
+    # an infection: refused before the first event, in the dry run too
     args = ["simulate", "--degree", degree, "--n", "100", "--r", "1e308", "--beta", "1e308",
             "--i0", "0.05", "--t-max", "1", "--out", str(tmp_path / "x.csv")]
     for dry in ([], ["--dry-run"]):
@@ -598,18 +598,20 @@ def test_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, args, mes
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    _with(SIM, "--t-max", "10") + ["--grid", "1e-9"],
+@pytest.mark.parametrize("args,rows", [
+    (_with(SIM, "--t-max", "10") + ["--grid", "1e-9"], "1e-09 puts 10000000001"),
     # rates of 1e-6 make tau_bar 1345, so the replicas would record all of [0, 10]
-    _with(_with(_with(CONVERGE, "--t-max", "10"), "--r", "1e-6"), "--beta", "1e-6")
-    + ["--i0", "0.01", "--grid", "1e-9"],
-], ids=["simulate", "converge"])
-def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args):
+    (_with(_with(_with(CONVERGE, "--t-max", "10"), "--r", "1e-6"), "--beta", "1e-6")
+     + ["--i0", "0.01", "--grid", "1e-9"], "1e-09 puts 10000000001"),
+    # the rows i * grid <= t_max, t=0 included, not t_max / grid + 1 = 14285715.2857
+    (_with(SIM, "--t-max", "10") + ["--grid", "7e-7"], "7e-07 puts 14285715"),
+], ids=["simulate", "converge", "simulate-whole-count"])
+def test_grid_too_fine_to_store_exits_2(tmp_path, capsys, args, rows):
     # refused by the dry run, so no run that would record 1e10 rows starts
     out = tmp_path / "x.csv"
     code, _, err = run(args + ["--dry-run", "--out", str(out)], capsys)
     assert code == 2
-    assert "record_grid=1e-09 puts 10000000001 rows" in err
+    assert f"record_grid={rows} rows on [0, t_max=10]; a trajectory stores at most" in err
     assert not out.exists()
 
 
@@ -788,6 +790,9 @@ def test_converge_dry_run_validates_batch(tmp_path, capsys, extra):
 
 POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
                     "the most the initial-infective draw takes exactly")
+# the refusal of odd.json's law, degree 3 alone, at an odd n
+ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.0}}}} have '
+             "the even total that a pairing of half-edges needs with chance 0, below 0.001")
 
 
 @pytest.mark.parametrize("args,message", [
@@ -837,13 +842,27 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
       "--grid", "2e305"],
      "t_max=2e+305 and dt=2e+298 make 10000000 steps; a solve stores at most 10000000 "
      "rows, t=0 included"),
+    # a pairing of half-edges needs an even total degree: never at odd n with
+    # odd degrees alone (simulate exited 0 with a final state no pairing
+    # has), and too seldom to redraw for near that law
+    (["simulate", "--degree", "file:odd.json", "--n", "5", "--r", "1", "--beta", "0.5",
+      "--i0", "0.2", "--t-max", "1"], ODD_TOTAL.format(5)),
+    (["simulate", "--degree", "file:near-odd.json", "--n", "3", "--r", "1", "--beta", "0.5",
+      "--i0", "0.3", "--t-max", "1"],
+     'n=3 degrees drawn from {"kind": "explicit", "weights": {"1": 0.9999999999989999, '
+     '"2": 9.99999999999e-13}} have the even total that a pairing of half-edges needs '
+     "with chance 3e-12, below 0.001"),
+    (["converge", "--degree", "file:odd.json", "--n", "200,201", "--reps", "2", "--r", "1",
+      "--beta", "0.5", "--i0", "0.01", "--t-max", "1", "--grid", "0.0001"],
+     ODD_TOTAL.format(201)),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
         "simulate-poisson-kmax-too-large", "simulate-geometric-kmax-too-large",
         "converge-powerlaw-kmax-too-large",
         "converge-reps-1", "converge-zero-rates", "simulate-grid-past-t-max",
         "converge-grid-past-window", "converge-solve-over-row-cap",
-        "converge-stride-overflows"])
+        "converge-stride-overflows", "simulate-odd-degrees-odd-n",
+        "simulate-near-odd-degrees", "converge-one-odd-n"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 
@@ -851,6 +870,9 @@ def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, messag
         raise AssertionError("solved before refusing")
 
     monkeypatch.setattr(sirnet.harness, "solve_volz", forbidden)
+    monkeypatch.chdir(tmp_path)  # the degree files of the cases that read one
+    (tmp_path / "odd.json").write_text('{"3": 1}')
+    (tmp_path / "near-odd.json").write_text('{"1": 1, "2": 1e-12}')
     out = tmp_path / "x.csv"
     errs = []
     for dry in ([], ["--dry-run"]):

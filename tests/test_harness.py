@@ -407,15 +407,13 @@ def _real_batch():
 
 
 def _shorter_replica_batch():
-    # at n=50 seed 0, replica 3 of four ends `depleted` between t=2.4 and 2.5
-    spec = DegreeSpec.poisson(5, 30)
-    params = SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=0.1)
-    batch = run_replicas(spec, params, [50], 4, 0, 0.05)
-    lengths = sorted(len(tr.times) for tr in batch)
-    assert lengths[0] < lengths[1] == lengths[-1]
-    sol = solve_volz(limit_initial(spec, 0.05),
-                     SolverConfig(r=1.0, beta=0.5, t_max=10.0, dt=0.01, eps_IS=0.0))
-    return batch, _limit_rows(sol, 10), 8.0, 10.0
+    # the real batch and a replica of 2 rows, shorter than the window's 3:
+    # each replica is compared on the window rows it holds
+    batch, limit, tau_bar, t_max = _real_batch()
+    tr = batch[0]
+    batch.append(ScaledTrajectory(n=tr.n, rep=3, times=tr.times[:2], values=tr.values[:, :2],
+                                  terminal="t_max"))
+    return batch, limit, tau_bar, t_max
 
 
 def _fake_equal():

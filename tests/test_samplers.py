@@ -10,14 +10,17 @@ Oracles (independent of the implementation):
   the simulator keeps (a roster is a level measure);
 * the whole infection event: the contaminating half-edge and the ``j``
   matched infectious ones a uniform ``(j+1)``-subset, the ``l`` removed
-  ones a uniform ``l``-subset, given ``(j, l)``;
+  ones a uniform ``l``-subset, and the pairs among the new infective's
+  open half-edges counted over the perfect matchings of the open pool,
+  given ``(j, l)``;
 * the removal pick is uniform over individuals and the susceptible pick is
   size-biased by degree.
 
 An infection is one pass: :func:`sirnet.simulation.apply_infection` draws
 the contaminating half-edge, then :func:`sample_jl` draws each other
 half-edge once by ``below``, and that one draw both classifies it and
-names the owner it is matched to.  These are the functions
+names the owner it is matched to; one draw more per pairing of her open
+half-edges, while she holds two, says whether the partner is her own.  These are the functions
 :func:`sirnet.simulation.simulate` runs; their exact law is computed by
 replaying them on every sequence of integer draws (``replay_law``), and
 checked against real draws by frequency.
@@ -99,8 +102,6 @@ def test_jl_infeasible():
         sample_jl(6, 5, 2, 0, [0, 1], [0], draws)  # k-1 > N_S-1
     with pytest.raises(InfeasibleDrawError):
         sample_jl(2, 5, 0, 0, [0], [0], draws)  # no contaminating edge
-    with pytest.raises(InfeasibleDrawError):
-        sample_jl(2, 5, 4, 2, [0, 3], [0, 2], draws)  # N_IS + N_RS > N_S
 
 
 def level_oracle(counts, n):
@@ -188,7 +189,8 @@ def test_infection_event_exact_law():
         n_S = sum(k * c for k, c in enumerate(mu_S))
         for counts_IS in rosters:
             for counts_RS in [()] + rosters:
-                if sum(counts_IS) + sum(counts_RS) > n_S:
+                pool = n_S - sum(counts_IS) - sum(counts_RS)
+                if pool < 0 or pool % 2:  # no pairing has these pools
                     continue
                 size = max(len(mu_S), *[c + 1 for c in counts_IS + counts_RS])
                 for k in range(1, len(mu_S)):
@@ -201,19 +203,22 @@ def test_infection_event_exact_law():
                     for key, p in oracle.items():
                         assert abs(law[key] - p) < 1e-12, (config, key)
                     checked += 1
-    assert checked == 562
+    assert checked == 350
 
 
 def test_infection_draws_once_per_matched_half_edge():
     # after the degree pick: one draw for the contaminating half-edge, then
-    # one per half-edge until no I-S or R-S half-edge is left, although k-1 = 6
+    # one per half-edge until no I-S or R-S half-edge is left, although k-1 = 6,
+    # then one per pairing of her m = 3 open half-edges while two are left
     state = event_state([0] * 7 + [2], (1, 1), (2,))
     assert (state.N_S, state.N_IS, state.N_RS) == (14, 2, 2)
-    # contaminating: I-S 0; then open, I-S 0, R-S 0, R-S 0
-    draws = ScriptedDraws((0, 12, 0, 0, 0))
-    assert apply_infection(state, 7, draws) == (1, 2)
-    assert draws.pos == 5
-    assert state.mu_IS == [2, 0, 0, 1, 0, 0, 0, 0]
+    # contaminating: I-S 0; then open, I-S 0, R-S 0, R-S 0; then in the open
+    # pool of 10, another's (8 of 9 is not one of her 2 others), then her
+    # own (0 of 7), and her last one pairs without a draw
+    draws = ScriptedDraws((0, 12, 0, 0, 0, 8, 0))
+    assert apply_infection(state, 7, draws) == (1, 2, 1)
+    assert draws.pos == 7
+    assert state.mu_IS == [2, 1, 0, 0, 0, 0, 0, 0]
     assert state.mu_RS == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
