@@ -25,11 +25,12 @@ right-hand side (:func:`measure_rhs`) works on its packed state: one
 matvec reads the edge counts, one difference shifts both edge rows, and
 the influx (:func:`influx_vector`) takes its exponent and sums its blocks
 by matvecs against tables built once per solve (:func:`influx_kernel`),
-so an evaluation makes the same 24 numpy calls at any kmax.  Every
-solver's :class:`Solution` accounts for its run: steps, right-hand-side
-evaluations and end time.  An a-priori horizon bound for when the
-per-capita infectious edge count stays above a level ``eps``
-(:func:`horizon_bound`) rounds out the module.
+so an evaluation makes the same 24 numpy calls at any kmax.  The loop
+only integrates: each solver checks its finished run, by a mass rule and
+a floor rule that name ``dt``, and its :class:`Solution` accounts for the
+run: steps, right-hand-side evaluations and end time.  An a-priori
+horizon bound for when the per-capita infectious edge count stays above
+a level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from sirnet.errors import (
 )
 
 DENOM_FLOOR = 1e-12
-CLAMP_BUDGET = 1e-6  # allowed cumulative negative mass, relative to initial
 SIMPLEX_TOL = 1e-11  # allowed drift of pI+pS+pR from 1, which RK4 keeps to round-off
 MASS_TOL = 1e-6  # allowed drift of S+I+R from S0+I0, relative to S0+I0
 INFLUX_BLOCK = 64  # depth levels d = k-1-i per block of the influx table
@@ -260,16 +260,19 @@ def _check_mass(S, I, R, total, dt):
                           f"{MASS_TOL * total:.3e}", dt)
 
 
-def _check_floor(I, total, dt):
-    """Refuse a finished solve whose ``I`` falls below ``-MASS_TOL`` of
-    ``total = S0 + I0``, naming ``dt``: a mass rule relative to ``total``
-    misses a small ``I`` gone negative."""
-    low = float(I.min())
+def _check_floor(what, values, total, dt):
+    """Refuse a finished solve whose ``values`` fall below ``-MASS_TOL`` of
+    ``total = S0 + I0``, naming ``what`` and ``dt``: a mass rule relative
+    to ``total`` misses a small ``I`` or weight gone negative.  Returns
+    the smallest value."""
+    low = float(values.min())
     if low < -MASS_TOL * total:
-        raise _too_coarse(f"I fell to {low:.3e}, below the floor {-MASS_TOL * total:.3e}", dt)
+        raise _too_coarse(f"{what} fell to {low:.3e}, below the floor "
+                          f"{-MASS_TOL * total:.3e}", dt)
+    return low
 
 
-def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
+def rk4_integrate(rhs, y0, config, n_IS=None):
     """Classical 4th-order Runge-Kutta with the constant step ``config.dt``
     up to ``config.t_max``.
 
@@ -292,12 +295,12 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
     the same bits on either.
 
     A step that leaves the state non-finite raises
-    :class:`SolverDiagnosticError`; ``repair(y)`` then checks or repairs
-    the state in place.  ``n_IS(y)`` reads the per-capita infectious edge
-    count off the state: the run ends ``extinct`` once it falls below
-    ``config.eps_IS``, and never early when ``eps_IS`` is 0 or there is no
-    read-out.  Returns ``(times, states, terminal)``, where ``states``
-    views the one packed ``array("d")`` that holds each row once.
+    :class:`SolverDiagnosticError`; no step changes the state otherwise.
+    ``n_IS(y)`` reads the per-capita infectious edge count off the state:
+    the run ends ``extinct`` once it falls below ``config.eps_IS``, and
+    never early when ``eps_IS`` is 0 or there is no read-out.  Returns
+    ``(times, states, terminal)``, where ``states`` views the one packed
+    ``array("d")`` that holds each row once.
     """
     dt = config.dt
     stop_below = config.eps_IS if n_IS is not None else 0.0
@@ -330,8 +333,6 @@ def rk4_integrate(rhs, y0, config, n_IS=None, repair=None):
             finite = np.isfinite(y).all()
         if not finite:
             raise _too_coarse(f"state became non-finite at t={(step + 1) * dt:.6g}", dt)
-        if repair is not None:
-            repair(y)
         store(y)
         if stop_below > 0 and n_IS(y) < stop_below:
             terminal = "extinct"
@@ -434,30 +435,32 @@ def solve_volz(init, config):
     ``max_edge_residual``.  Rates that :func:`check_solve_rate` refuses
     are refused first.  A step too coarse for the rates can drive
     ``theta`` past what its powers hold; the powers and moments then
-    overflow to non-finite values without a warning, and rk4's finite
-    check reports the state.
+    overflow to non-finite values without a warning, in the run or in its
+    columns, and rk4's finite check or these rules report it.
     """
     check_solve_rate(init, config)
     moments = susceptible_moments(init.mu_S0)
     pI0 = init.pI0
     y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
     r, beta = config.r, config.beta
+    total = init.S0 + init.I0
     with np.errstate(over="ignore", invalid="ignore"):
         ts, ys, terminal = rk4_integrate(
             lambda y: volz_rhs(y, r, beta, moments), y0, config, n_IS=itemgetter(6),
         )
-    cols = dict(zip(_VOLZ_STATE, ys.T))
-    cols["N_S"], _, cols["S"], _ = moments(cols["theta"])
-    drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
-    if drift > SIMPLEX_TOL:
-        raise _too_coarse(
-            f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})", config.dt)
-    _check_mass(cols["S"], cols["I"], cols["R"], init.S0 + init.I0, config.dt)
-    _check_floor(cols["I"], init.S0 + init.I0, config.dt)
-    sol = Solution(t=ts, columns=cols, terminal=terminal,
-                   diagnostics={"max_simplex_drift": drift})
-    sol.diagnostics["max_edge_residual"] = max(
-        float(res.max()) for res in edge_identities(sol).values())
+        cols = dict(zip(_VOLZ_STATE, ys.T))
+        cols["N_S"], _, cols["S"], _ = moments(cols["theta"])
+        drift = float(np.abs(cols["pI"] + cols["pS"] + cols["pR"] - 1.0).max())
+        if drift > SIMPLEX_TOL:
+            raise _too_coarse(
+                f"pI+pS+pR drifted from 1 by {drift:.3e} (tolerance {SIMPLEX_TOL:.0e})",
+                config.dt)
+        _check_mass(cols["S"], cols["I"], cols["R"], total, config.dt)
+        _check_floor("I", cols["I"], total, config.dt)
+        sol = Solution(t=ts, columns=cols, terminal=terminal,
+                       diagnostics={"max_simplex_drift": drift})
+        sol.diagnostics["max_edge_residual"] = max(
+            float(res.max()) for res in edge_identities(sol).values())
     return sol
 
 
@@ -491,10 +494,6 @@ class MeasureSolution(Solution):
     mu_S0: np.ndarray = field(repr=False)
     mu_IS: np.ndarray = field(repr=False)  # shape (T, kmax+1)
     mu_RS: np.ndarray = field(repr=False)
-
-    @property
-    def clamped_mass(self):
-        return self.diagnostics["clamped_mass"]
 
     def mu_S(self, idx):
         """Susceptible degree measure at time index ``idx`` (closed form)."""
@@ -537,12 +536,13 @@ def check_measures_memory(init, config):
     # about 140 bytes a level, bounded by 24 and 256; the finished solve's
     # grid, four susceptible moments, seven more derived columns and alive
     # mask, 97 bytes a row, whose temporaries are freed before its last
-    # columns are taken; one block of the moments' power theta^k,
+    # columns are taken, and the mass rule's two temporaries beside them,
+    # 16 bytes a row; one block of the moments' power theta^k,
     # MOMENT_BLOCK floats or one row of kmax+1; and numpy's ufunc buffers,
     # 8192 floats for each of three operands, which the table's build
     # takes on its strided blocks.  The sum was above every solve's traced
     # peak.
-    total = (table + stored + stored // 16 + 16 * levels + 97 * rows
+    total = (table + stored + stored // 16 + 16 * levels + 113 * rows
              + (24 * blocks + 256) * levels + 8 * max(MOMENT_BLOCK, levels)
              + 3 * 8 * 8192)
     if total > MAX_SOLVE_BYTES:
@@ -711,12 +711,17 @@ def solve_measures(init, config):
 
     Every edges-to-S level ``0..kmax`` of the initial data is tracked: a
     node enters I with at most its degree of edges-to-S, and those counts
-    never grow, so no level is ever cut off.  Small negative weights
-    produced by the integrator are clamped to zero; the run aborts if the
-    clamped mass exceeds a fixed budget relative to the initial population
-    mass.  Rates that :func:`check_solve_rate` refuses, and then a solve
-    whose arrays together would outgrow ``MAX_SOLVE_BYTES``
-    (:func:`check_measures_memory`), are refused first.
+    never grow, so no level is ever cut off.  The finished run is checked
+    as :func:`solve_volz` checks its own: the population mass
+    ``S + I + R`` may drift from ``S0 + I0`` by at most ``MASS_TOL`` of it,
+    and no weight of ``mu_IS`` or ``mu_RS`` may fall below 0 by more than
+    that; a run failing either raises :class:`SolverDiagnosticError`,
+    naming ``dt``, and a run passing records its smallest weight as
+    ``min_weight``.  Rates that :func:`check_solve_rate` refuses, and then
+    a solve whose arrays together would outgrow ``MAX_SOLVE_BYTES``
+    (:func:`check_measures_memory`), are refused first.  A step too
+    coarse can overflow the run or its moments, quietly, as in
+    :func:`solve_volz`.
     """
     check_solve_rate(init, config)
     check_measures_memory(init, config)
@@ -728,39 +733,32 @@ def solve_measures(init, config):
     y0 = np.concatenate(([1.0], init.mu_IS0, np.zeros(levels)))
     packed_k = np.concatenate((k, k))
     r, beta = config.r, config.beta
-    budget = CLAMP_BUDGET * (init.S0 + init.I0)
-    clamped = [0.0]
-
-    def clamp(y):
-        if y[1:].min() < 0.0:  # one reduction on the steps that clamp nothing
-            neg = y[1:] < 0
-            clamped[0] += float(-y[1:][neg].sum())
-            y[1:][neg] = 0.0
-            if clamped[0] > budget:
-                raise _too_coarse(f"clamped {clamped[0]:.3e} of negative measure mass, "
-                                  f"over the budget {budget:.3e}", config.dt)
-
-    ts, ys, terminal = rk4_integrate(
-        lambda y: measure_rhs(y, r, beta, moments, table, packed_k), y0, config,
-        n_IS=lambda y: float(k @ y[1 : levels + 1]), repair=clamp,
-    )
-    theta = ys[:, 0]
-    mu_IS = ys[:, 1 : levels + 1]
-    mu_RS = ys[:, levels + 1 :]
-    N_S, _, S, _ = moments(theta)
-    N_IS = mu_IS @ k
-    N_RS = mu_RS @ k
-    alive = N_S > DENOM_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
+    total = init.S0 + init.I0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ts, ys, terminal = rk4_integrate(
+            lambda y: measure_rhs(y, r, beta, moments, table, packed_k), y0, config,
+            n_IS=lambda y: float(k @ y[1 : levels + 1]),
+        )
+        theta = ys[:, 0]
+        mu_IS = ys[:, 1 : levels + 1]
+        mu_RS = ys[:, levels + 1 :]
+        N_S, _, S, _ = moments(theta)
+        N_IS = mu_IS @ k
+        N_RS = mu_RS @ k
+        alive = N_S > DENOM_FLOOR
         pI = np.where(alive, N_IS / N_S, 0.0)
         pR = np.where(alive, N_RS / N_S, 0.0)
         pS = np.where(alive, (N_S - N_IS - N_RS) / N_S, 0.0)
-    cols = {"S": S, "I": mu_IS.sum(axis=1), "R": mu_RS.sum(axis=1),
-            "N_S": N_S, "N_IS": N_IS, "N_RS": N_RS,
-            "theta": theta, "pI": pI, "pS": pS, "pR": pR}
+        cols = {"S": S, "I": mu_IS.sum(axis=1), "R": mu_RS.sum(axis=1),
+                "N_S": N_S, "N_IS": N_IS, "N_RS": N_RS,
+                "theta": theta, "pI": pI, "pS": pS, "pR": pR}
+        _check_mass(S, cols["I"], cols["R"], total, config.dt)
+        # per-level minima first: no buffer the size of the strided ys[:, 1:]
+        min_weight = _check_floor("a weight of mu_IS or mu_RS", ys.min(axis=0)[1:],
+                                  total, config.dt)
     return MeasureSolution(
         t=ts, columns=cols, terminal=terminal,
-        diagnostics={"kmax": levels - 1, "clamped_mass": clamped[0]},
+        diagnostics={"kmax": levels - 1, "min_weight": min_weight},
         mu_S0=w0, mu_IS=mu_IS, mu_RS=mu_RS,
     )
 
@@ -789,8 +787,8 @@ def miller_theta(init, config):
     raises :class:`SolverDiagnosticError`.  Rates that
     :func:`check_solve_rate` refuses are refused first.  ``g`` and ``g'``
     come from :func:`susceptible_moments`; a ``theta`` driven past what
-    their powers hold makes them non-finite without a warning, and rk4's
-    finite check reports the state, as in :func:`solve_volz`."""
+    their powers hold makes them non-finite without a warning, which rk4's
+    finite check or these rules report, as in :func:`solve_volz`."""
     check_solve_rate(init, config)
     moments = susceptible_moments(init.mu_S0)
     r, beta = config.r, config.beta
@@ -806,12 +804,12 @@ def miller_theta(init, config):
 
     with np.errstate(over="ignore", invalid="ignore"):
         ts, ys, terminal = rk4_integrate(rhs, (1.0, 0.0, init.I0), config)
-    theta = ys[:, 0]
-    S = moments(theta)[2]
-    R = ys[:, 1]
-    _check_mass(S, ys[:, 2], R, total, config.dt)
-    I = total - S - R
-    _check_floor(I, total, config.dt)
+        theta = ys[:, 0]
+        S = moments(theta)[2]
+        R = ys[:, 1]
+        _check_mass(S, ys[:, 2], R, total, config.dt)
+        I = total - S - R
+        _check_floor("I", I, total, config.dt)
     return Solution(t=ts, columns={"S": S, "I": I, "R": R, "theta": theta},
                     terminal=terminal, diagnostics={})
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sirnet
 from sirnet.cli import _snapshot_lines, build_parser, main
@@ -103,8 +108,7 @@ def test_simulate_rates_whose_total_overflows_exit_2(tmp_path, capsys, degree):
 @pytest.mark.parametrize("which", ["volz", "measures", "miller"])
 def test_solve_rates_whose_total_overflows_exit_2(tmp_path, capsys, which):
     # the per-capita rate r*N_S0 + beta*(S0+I0) overflows, so no step is
-    # small enough: volz and miller exited 1 with a non-finite state at the
-    # first step, measures with its clamp budget, each naming dt
+    # small enough: each solver exited 1 at its first step, naming dt
     args = ["solve", which, "--degree", "poisson:5:30", "--i0", "0.01", "--t-max", "1",
             "--out", str(tmp_path / "x.csv")]
     for dry in ([], ["--dry-run"]):
@@ -288,9 +292,9 @@ def test_solve_measures_heavy_tail_matches_volz(tmp_path, capsys):
 
 @pytest.mark.parametrize("which,eps_is,account,extra", [
     ("volz", "0", (10, 40, 0.01, "t_max"), {"max_simplex_drift", "max_edge_residual"}),
-    ("measures", "0", (10, 40, 0.01, "t_max"), {"kmax", "clamped_mass"}),
+    ("measures", "0", (10, 40, 0.01, "t_max"), {"kmax", "min_weight"}),
     # N_IS0 is about 0.05, so the run stops after its first step
-    ("measures", "0.1", (1, 4, 0.001, "extinct"), {"kmax", "clamped_mass"}),
+    ("measures", "0.1", (1, 4, 0.001, "extinct"), {"kmax", "min_weight"}),
     ("miller", None, (10, 40, 0.01, "t_max"), set()),
 ], ids=["volz", "measures", "measures-extinct", "miller"])
 def test_solve_meta_accounts_for_the_run(tmp_path, capsys, which, eps_is, account, extra):
@@ -309,6 +313,8 @@ def test_solve_meta_accounts_for_the_run(tmp_path, capsys, which, eps_is, accoun
     if which == "volz":
         assert 0 <= meta["max_simplex_drift"] <= 1e-11
         assert 0 <= meta["max_edge_residual"] <= 1e-6
+    if which == "measures":
+        assert meta["min_weight"] == 0.0  # mu_RS starts at 0
 
 
 def test_converge_report(tmp_path, capsys):
@@ -658,10 +664,11 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
     # the influx table alone, about 8.5 kmax**2 bytes: 85.14 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
      "kmax=100000 makes the measures solve's influx table peak at 85.14 GB"),
-    # 9999001 rows of 63 floats, their growth slack and derived columns: 6.325 GB
+    # 9999001 rows of 63 floats, their growth slack, derived columns and the
+    # mass rule's temporaries: 6.485 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
      "t_max=9999 and dt=0.001 make 9999001 rows of 63 floats at kmax=30, "
-     "which with the influx table take 6.325 GB"),
+     "which with the influx table take 6.485 GB"),
 ], ids=["influx-table", "stored-rows"])
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, args,
@@ -755,6 +762,67 @@ def test_solve_refuses_negative_I(tmp_path, capsys, args):
     assert "dt=0.5 is too large" in err
     assert not out.exists()
     assert run(args + ["--dt", "0.1", "--out", str(out)], capsys)[0] == 0
+
+
+# a law is a spec, or the weights of a file law as JSON
+SOLVE_LAWS = ["poisson:5:30", "powerlaw:2.5:1:100", '{"1": 1, "30": 1}']
+SOLVE_RATES = [0.0, 1e-300, 1.0, 80.0, 1e3, 1e150, 1e308, math.nan, -1.0]
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+# each overflowed in its column pass or right-hand side, which warned and,
+# under an error filter, exited 1 naming nothing
+@example(which="volz", law="poisson:5:30", r=1e3, beta=0.0, i0=0.01, dt=0.1,
+         t_max=0.2, eps_is=1e-6)
+@example(which="miller", law='{"2": 1, "3": 1}', r=1e3, beta=0.0, i0=0.01, dt=0.1,
+         t_max=0.2, eps_is=1e-6)
+@example(which="measures", law="poisson:5:30", r=0.0, beta=1e150, i0=0.01, dt=1e-3,
+         t_max=0.2, eps_is=1e-6)
+@given(which=st.sampled_from(["volz", "measures", "miller"]),
+       law=st.sampled_from(SOLVE_LAWS), r=st.sampled_from(SOLVE_RATES),
+       beta=st.sampled_from(SOLVE_RATES), i0=st.sampled_from([1e-300, 0.01, 0.5, 0.6]),
+       dt=st.sampled_from([1e-3, 0.1, 0.3, 0.5]), t_max=st.sampled_from([0.5, 1.0]),
+       eps_is=st.sampled_from([0.0, 1e-6]))
+def test_solve_contract(tmp_path_factory, which, law, r, beta, i0, dt, t_max, eps_is):
+    # any solve exits 0 with a sound result, 1 naming dt, or 2 as its dry
+    # run does, and warns of nothing on the way
+    d = tmp_path_factory.mktemp("solve")
+    if law.startswith("{"):
+        (d / "w.json").write_text(law)
+        law = f"file:{d / 'w.json'}"
+    out, snaps = d / "x.csv", d / "x.jsonl"
+    args = ["solve", which, "--degree", law, "--r", repr(r), "--beta", repr(beta),
+            "--i0", repr(i0), "--dt", repr(dt), "--t-max", repr(t_max), "--out", str(out)]
+    if which != "miller":
+        args += ["--eps-is", repr(eps_is)]
+    if which == "measures":
+        args += ["--snapshots", str(snaps)]
+    dry, dry_err = _quiet_main(args + ["--dry-run"])
+    code, err = _quiet_main(args)
+    assert dry in (0, 2) and code in (0, 1, 2)
+    assert (dry == 2) == (code == 2)
+    if code == 2:
+        assert err == dry_err
+    elif code == 1:
+        assert "dt=" in err
+    else:
+        header = out.read_text().splitlines()[0].split(",")
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(rows).all()
+        assert rows[:, header.index("I")].min() >= -1e-6
+        if which == "measures":
+            for line in snaps.read_text().splitlines():
+                snap = json.loads(line)
+                weights = [w for name in ("mu_S", "mu_IS", "mu_RS")
+                           for w in snap[name].values()]
+                assert np.isfinite(weights).all() and min(weights) >= -1e-6
 
 
 @pytest.mark.parametrize("extra,field", [
