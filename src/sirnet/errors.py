@@ -25,12 +25,12 @@ MAX_GRID_ROWS = 10**7
 
 # bytes that a measures solve's arrays may take together
 # (sirnet.limit.check_measures_memory): its influx table of about
-# 8 * kmax**2 bytes, its stored rows of 8 * (2*kmax + 3) bytes each with
+# 4.3 * kmax**2 bytes, its stored rows of 8 * (2*kmax + 3) bytes each with
 # their growth slack, one step's working arrays, and the grid and derived
 # columns of the finished solve with its mass rule's temporaries, 113 bytes
 # a row; about what a volz solve stores at MAX_GRID_ROWS.  The table alone
-# fits up to kmax 10752, a solve of two rows up to kmax 10509, and 1541574
-# rows at kmax 30, 190609 at 300
+# fits up to kmax 15188, a solve of two rows up to kmax 14831, and 1541636
+# rows at kmax 30, 190736 at 300
 MAX_SOLVE_BYTES = 10**9
 
 # a degree sample redraws until its total is even: the least chance of that it takes

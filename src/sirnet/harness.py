@@ -240,10 +240,13 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
     identical inputs give identical rows.
 
     The manifest's ``window`` says, per n, what the window holds:
-    ``mean_events``, the mean over replicas of the events between t=0 and
-    the last window row, ``n (S(0) - S(t_end)) + n (R(t_end) - R(0))``
-    rounded to an integer per replica; ``frac_no_events``, the fraction of
-    replicas with none; and ``mean_dist_t0``, per column, the mean
+    ``rows``, its grid rows, the most that any replica holds;
+    ``terminals``, the replicas' terminal reasons and how many ended by
+    each, sorted by reason; ``mean_events``, the mean over replicas of the
+    events between t=0 and the last window row,
+    ``n (S(0) - S(t_end)) + n (R(t_end) - R(0))`` rounded to an integer
+    per replica; ``frac_no_events``, the fraction of replicas with none;
+    and ``mean_dist_t0``, per column, the mean
     ``|replica - limit|`` at t=0, the part of the distance that the
     sampled initial state holds before any event.
     """
@@ -257,11 +260,15 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
     for n in sorted(by_n):
         group = sorted(by_n[n], key=lambda tr: tr.rep)
         taus, first, last, sups = [], [], [], []
+        held = 0  # the most window rows a replica holds
+        terminals = {}
         for tr in group:
             below = np.flatnonzero(tr.column("N_IS") < eps_prime)
             taus.append(tr.times[below[0]] if len(below) else math.inf)
             # the window rows, as simulate records [0, t_end]
             w = int(np.count_nonzero(tr.times <= t_end + GRID_TIE))
+            held = max(held, w)
+            terminals[tr.terminal] = terminals.get(tr.terminal, 0) + 1
             sups.append(sup_distance(tr.values[:, :w], limit[:, :w]))
             first.append(tr.values[:, 0])
             last.append(tr.values[:, w - 1])
@@ -282,6 +289,8 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
         events = np.rint(n * (first[:, S] - last[:, S]) + n * (last[:, R] - first[:, R]))
         window.append({
             "n": n,
+            "rows": held,
+            "terminals": dict(sorted(terminals.items())),
             "mean_events": float(events.mean()),
             "frac_no_events": float(np.mean(events == 0)),
             "mean_dist_t0": dict(zip(COMPARED,

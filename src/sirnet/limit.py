@@ -23,9 +23,11 @@ comes from one kernel (:func:`susceptible_moments`): one table built per
 solve against one power ``theta^k``.  The measure
 right-hand side (:func:`measure_rhs`) works on its packed state: one
 matvec reads the edge counts, one difference shifts both edge rows, and
-the influx (:func:`influx_vector`) takes its exponent and sums its blocks
-by matvecs against tables built once per solve (:func:`influx_kernel`),
-so an evaluation makes the same 24 numpy calls at any kmax.  The loop
+the influx (:func:`influx_vector`) takes its exponent and its binomial
+sums by matvecs against a table built once per solve
+(:func:`influx_kernel`), which keeps only the entries that can be
+nonzero, and sums each level's blocks in one ``bincount``, so an
+evaluation makes the same 22 numpy calls at any kmax.  The loop
 only integrates: each solver checks its finished run, by a mass rule and
 a floor rule that name ``dt``, and its :class:`Solution` accounts for the
 run: steps, right-hand-side evaluations and end time.  An a-priori
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sirnet.errors import (
     MAX_GRID_ROWS,
@@ -510,18 +513,18 @@ class MeasureSolution(Solution):
 def check_measures_memory(init, config):
     """Refuse, before anything is allocated, a measures solve whose arrays,
     counted together, would take more than ``MAX_SOLVE_BYTES``:
-    :func:`influx_kernel`'s table ``U`` and exponent terms ``P``, plus one
-    block's build temporaries, naming ``kmax`` if these alone are over;
-    else with the rows :func:`rk4_integrate` stores, ``2*kmax + 3`` floats
-    each, and all the solve holds beside them, naming ``t_max`` and
+    :func:`influx_kernel`'s table ``U``, exponent terms ``P`` and level
+    index, plus its build's log tables, naming ``kmax`` if these alone are
+    over; else with the rows :func:`rk4_integrate` stores, ``2*kmax + 3``
+    floats each, and all the solve holds beside them, naming ``t_max`` and
     ``dt``.  Every step is counted, as :class:`SolverConfig`'s row cap
     counts them, since an early stop is not known in advance."""
     levels = len(init.mu_S0)
     kmax = levels - 1
-    blocks = -(-kmax // INFLUX_BLOCK)
-    # U and P, 64 and 4 floats an entry of the (blocks, kmax+1) arrays, and
-    # one block's int64 depths, bool mask and float gather: 17 bytes an entry
-    table = 8 * (INFLUX_BLOCK + 4) * blocks * levels + 17 * INFLUX_BLOCK * levels
+    entries = sum(_influx_widths(kmax))  # the table's columns
+    # U and P, min(64, kmax) and 4 floats a column, and its int64 level
+    # index; the build's log tables and their temporaries, 64 bytes a level
+    table = 8 * (min(INFLUX_BLOCK, kmax) + 5) * entries + 64 * levels
     if table > MAX_SOLVE_BYTES:
         raise ConfigurationError(
             f"kmax={kmax} makes the measures solve's influx table peak at "
@@ -532,7 +535,7 @@ def check_measures_memory(init, config):
     # beside the table and the rows, as tracemalloc measured at kmax 1 to 8000
     # and up to 100001 rows: their array("d")'s growth slack, up to 1/16;
     # measure_rhs's packed levels, 16 bytes a level; one RK4 step's arrays,
-    # 16 to 18 bytes per entry of influx_vector's (blocks, kmax+1) arrays and
+    # 16 bytes a column of the table for influx_vector's two arrays and
     # about 140 bytes a level, bounded by 24 and 256; the finished solve's
     # grid, four susceptible moments, seven more derived columns and alive
     # mask, 97 bytes a row, whose temporaries are freed before its last
@@ -543,7 +546,7 @@ def check_measures_memory(init, config):
     # takes on its strided blocks.  The sum was above every solve's traced
     # peak.
     total = (table + stored + stored // 16 + 16 * levels + 113 * rows
-             + (24 * blocks + 256) * levels + 8 * max(MOMENT_BLOCK, levels)
+             + 24 * entries + 256 * levels + 8 * max(MOMENT_BLOCK, levels)
              + 3 * 8 * 8192)
     if total > MAX_SOLVE_BYTES:
         raise ConfigurationError(
@@ -562,82 +565,109 @@ def influx_kernel(mu_S0_weights):
     ``theta x^i sum_d y^d T[d, i]`` with
     ``T[d, i] = C(i+d, i) (i+d+1) mu_S0(i+d+1)``, which no call changes.
     ``C(i+d, i)`` overflows a float above kmax of about 1030, so ``T`` is
-    kept in blocks of ``INFLUX_BLOCK`` depths: per block ``b`` and level
-    ``i`` the log-maximum ``M[b, i]`` of ``log T`` over the block (``-inf``
-    where the block holds no mass), and ``exp(log T - M)`` in ``[0, 1]``,
-    built in log space from one ``math.lgamma`` table.  A call then scales
-    each block by ``exp(M + i log x + 64 b log y + log theta)``, one
-    exponent over the ``(blocks, kmax+1)`` entries, so no factor overflows
-    at any kmax.  Each block is built in place in ``U``, so no temporary
-    has ``U``'s shape.
+    kept in blocks of ``INFLUX_BLOCK`` depths ``d = 64 b + r``: per block
+    ``b`` and level ``i`` the log-maximum ``M[b, i]`` of ``log T`` over
+    the block (``-inf`` where the block holds no mass), and
+    ``exp(log T - M)`` in ``[0, 1]``, built in log space from one
+    ``math.lgamma`` table.  A call then scales each block by
+    ``exp(M + i log x + 64 b log y + log theta)``, one exponent over the
+    table's entries, so no factor overflows at any kmax.
 
-    Returns ``(U, M, P, ones)``: ``U`` of shape
-    ``(INFLUX_BLOCK, blocks*(kmax+1))``, the rows being the depth ``r``
-    within a block; ``M``, the first row of ``P``; ``P`` of shape
-    ``(4, blocks*(kmax+1))``, the coefficients of the exponent, ``M``, the
-    levels ``i``, the first depth ``64 b`` of each block and 1, so the
-    exponent is the matvec ``(1, log x, log y, log theta) P``; and
-    ``blocks`` ones, whose matvec sums the blocks."""
+    ``T[d, i]`` is 0 once ``i + d >= kmax``, so the table keeps only the
+    entries that can be nonzero: the first ``min(64, kmax)`` depths ``r``
+    of a block, and in block ``b`` the ``kmax - 64 b`` levels
+    ``i < kmax - 64 b``.  Their sum ``W`` is about half of
+    ``blocks * (kmax+1)``.  Each block is built in place in ``U``, each
+    depth row from one slice of the ``lgamma`` table and one of
+    ``log(k mu_S0(k))``, so no temporary is larger than a row of a block.
+
+    Returns ``(U, P, coef, depths, level, levels)``: ``U`` of shape
+    ``(min(64, kmax), W)``, the blocks side by side, rows being the depth
+    ``r``; ``P`` of shape ``(4, W)``, the terms of the exponent: ``M``,
+    the level ``i``, the first depth ``64 b`` of each block and 1, so the
+    exponent is the matvec ``(1, log x, log y, log theta) P``; ``coef``,
+    four floats that hold that vector, which each call overwrites but
+    for its leading 1; the ``depths`` ``r`` as floats; ``level``, the
+    level ``i`` of each column as an index; and ``levels = kmax + 1``, the
+    length of the influx."""
     w = np.asarray(mu_S0_weights, dtype=float)
     kmax = len(w) - 1
-    blocks = -(-kmax // INFLUX_BLOCK)
-    i = np.arange(kmax + 1)
-    log_fact = np.array([math.lgamma(m + 1) for m in range(kmax + 1)])  # log m!
+    rows = min(INFLUX_BLOCK, kmax)
+    widths = _influx_widths(kmax)
+    log_fact = np.array([math.lgamma(m + 1) for m in range(kmax + rows - 1)])  # log m!
     with np.errstate(divide="ignore"):
-        log_kw = np.log(i * w)  # log(k mu_S0(k)), -inf at 0
-    # depth d = r + 64 b laid out (r, b), so U needs no transposed copy
-    U = np.empty((INFLUX_BLOCK, blocks, kmax + 1))
-    P = np.empty((4, blocks, kmax + 1))
-    M = P[0]
-    for blk in range(blocks):
-        d = INFLUX_BLOCK * blk + np.arange(INFLUX_BLOCK)[:, None]
-        n = i + d  # k - 1
-        outside = n >= kmax
-        np.minimum(n, kmax - 1, out=n)
-        log_T = np.subtract(log_fact[n], log_fact, out=U[:, blk])
-        log_T -= log_fact[np.minimum(d, kmax)]
-        n += 1
-        log_T += log_kw[n]
-        log_T[outside] = -np.inf
-        M[blk] = log_T.max(axis=0)
-        log_T -= np.where(np.isfinite(M[blk]), M[blk], 0.0)
+        # log(k mu_S0(k)), -inf at 0 and past kmax
+        log_kw = np.log(np.arange(kmax + rows) * np.pad(w, (0, rows - 1)))
+    U = np.empty((rows, sum(widths)))
+    P = np.empty((4, U.shape[1]))
+    level = np.empty(U.shape[1], dtype=np.intp)
+    lo = 0
+    for blk, width in enumerate(widths):
+        d = INFLUX_BLOCK * blk
+        cols = slice(lo, lo + width)
+        # row r reads log (i+d+r)! and log((i+d+r+1) mu_S0(i+d+r+1)) over i
+        log_T = np.subtract(_diagonals(log_fact, d, rows, width), log_fact[:width],
+                            out=U[:, cols])
+        log_T -= log_fact[d:d + rows, None]
+        log_T += _diagonals(log_kw, d + 1, rows, width)
+        M = log_T.max(axis=0, out=P[0, cols])
+        log_T -= np.where(np.isfinite(M), M, 0.0)
         np.exp(log_T, out=log_T)
-    P[1] = i
-    P[2] = INFLUX_BLOCK * np.arange(blocks)[:, None]
+        level[cols] = np.arange(width)
+        P[2, cols] = d
+        lo += width
+    P[1] = level
     P[3] = 1
-    P = P.reshape(4, -1)
-    return U.reshape(INFLUX_BLOCK, -1), P[0], P, np.ones(blocks)
+    return U, P, np.ones(4), _DEPTHS[:rows], level, kmax + 1
 
 
-def influx_vector(table, pS, pI, pR, theta=1.0):
+def _influx_widths(kmax):
+    """How many levels each block ``b`` of the influx table keeps, in
+    block order: ``kmax - 64 b``, the levels ``i < kmax - 64 b``."""
+    return range(kmax, 0, -INFLUX_BLOCK)
+
+
+def _diagonals(v, start, rows, width):
+    """The ``(rows, width)`` view whose row ``r`` is ``v[start+r : start+r+width]``."""
+    return sliding_window_view(v[start:start + rows + width - 1], width)
+
+
+def influx_vector(table, pS, pI, pR, theta=1.0, scale=1.0):
     """Rate profile of new infectives entering with ``i`` edges-to-S, over
     the levels ``i = 0..kmax`` of ``mu_S0``, at the susceptible degree
-    measure ``mu_S(k) = mu_S0(k) theta^k`` (``theta >= 0``); ``table`` is
-    :func:`influx_kernel` of ``mu_S0``, built once per solve.
+    measure ``mu_S(k) = mu_S0(k) theta^k`` (``theta >= 0``), times
+    ``scale``; ``table`` is :func:`influx_kernel` of ``mu_S0``, built once
+    per solve.
 
     A size-biased degree-k susceptible keeps each of its k-1 remaining
     half-edges susceptible-facing with probability pS, independently in the
     large-population limit, giving the binomial profile
     ``influx(i) = sum_{k >= i+1} k mu_S(k) C(k-1, i) pS^i (pI+pR)^(k-1-i)``.
 
-    ``x^i``, ``y^(64 b)`` and ``theta`` go inside the exponent with the
-    block maxima, so a level whose terms are each too large or too small
-    for a float still comes out finite.  At ``x, y > 0`` the exponent is
-    one matvec against the table's ``P``, and a call makes seven numpy
-    calls at any kmax: that matvec, one ``exp``, one power of ``y`` over a
+    ``x^i``, ``y^(64 b)``, ``theta`` and ``scale`` go inside the exponent
+    with the block maxima, so a level whose terms are each too large or
+    too small for a float still comes out finite.  At ``x, y > 0`` and
+    ``scale > 0`` the exponent is one matvec of the table's ``coef``,
+    written in place, against its ``P``, and a call makes six numpy calls
+    at any kmax: that matvec, one ``exp``, one power of ``y`` over a
     block's depths, one matvec against ``U``, one product over the
-    ``(blocks, kmax+1)`` entries and one matvec summing the blocks.  At
-    ``x <= 0`` or ``y <= 0`` the exponent is summed term by term with
-    ``0^0 = 1`` and ``0^j = 0``; a negative ``pI+pR`` has no power and
-    gives NaN, which rk4's finite check reports; a negative ``pS`` gives
-    the signed powers ``pS^i``."""
-    U, M, P, ones = table
+    table's entries and one ``bincount`` summing each level's blocks.
+    Otherwise ``scale`` multiplies the sum, and at ``x <= 0`` or
+    ``y <= 0`` the exponent is summed term by term with ``0^0 = 1`` and
+    ``0^j = 0``; a negative ``pI+pR`` has no power and gives NaN, which
+    rk4's finite check reports; a negative ``pS`` gives the signed powers
+    ``pS^i``."""
+    U, P, coef, depths, level, levels = table
     x = pS * theta
     y = (pI + pR) * theta
-    if x > 0 and y > 0:
-        terms = np.dot((1.0, math.log(x), math.log(y), math.log(theta)), P)
+    scaled = x > 0 and y > 0 and scale > 0
+    if scaled:
+        coef[1] = math.log(x)
+        coef[2] = math.log(y)
+        coef[3] = math.log(theta) + math.log(scale)
+        terms = np.dot(coef, P)
     else:
-        terms = M.copy()
+        terms = P[0].copy()
         for z, j in ((abs(x), P[1]), (y, P[2]), (theta, P[3])):
             if z > 0:
                 terms += j * math.log(z)
@@ -646,8 +676,10 @@ def influx_vector(table, pS, pI, pR, theta=1.0):
             else:
                 terms[:] = np.nan
     np.exp(terms, terms)
-    terms *= np.power(y, _DEPTHS) @ U
-    out = np.dot(ones, terms.reshape(len(ones), -1))
+    terms *= np.power(y, depths) @ U
+    out = np.bincount(level, terms, levels)
+    if not scaled:
+        out *= scale
     if x < 0:
         out[1::2] *= -1.0
     return out
@@ -672,9 +704,10 @@ def measure_rhs(y, r, beta, moments, table, levels):
     ``N_IS`` and ``N_RS`` are one matvec of the two rows against the
     levels.  The shift of both rows is one difference over the packed edge
     block, taken into a fresh derivative, which the two rates, the removal
-    and the influx then update in place, so a call makes 17 numpy calls at
-    any kmax, the moments' three included, beside :func:`influx_vector`'s
-    seven.  With ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
+    and the influx (scaled by ``r pI`` inside :func:`influx_vector`) then
+    update in place, so a call makes 16 numpy calls at any kmax, the
+    moments' three included, beside :func:`influx_vector`'s six.  With
+    ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
     theta = y.item(0)
     theta_S = max(theta, 0.0)
     N_S, N_S_rho, _, _ = moments(theta_S)
@@ -696,9 +729,7 @@ def measure_rhs(y, r, beta, moments, table, levels):
     d_IS, d_RS = d[1 : half + 1], d[half + 1 :]
     d_IS *= r * (1.0 + pI * rho)
     d_RS *= r * pI * rho
-    influx = influx_vector(table, pS, pI, pR, theta_S)
-    influx *= r * pI
-    d_IS += influx
+    d_IS += influx_vector(table, pS, pI, pR, theta_S, r * pI)
     removal = beta * mu[:half]
     d_IS -= removal
     d_RS += removal

@@ -11,7 +11,9 @@ limit-solver formulas without the package's shortcuts,
 :func:`volz_rhs_moments` restates the edge-based right-hand side on numpy
 arrays,
 :func:`influx_exact` evaluates the influx in exact rational arithmetic,
-:func:`influx_kernel_full` builds the influx table in one full-shape pass,
+:func:`influx_table_full_shape` builds the influx table in one full-shape
+pass, :func:`influx_kernel_full` selects from it the entries that the
+package's table keeps,
 and :func:`measure_rhs_reference` writes the measure system's right-hand
 side level by level.
 :func:`check_invariants` re-derives a simulator state's running totals
@@ -386,14 +388,13 @@ def influx_exact(mu_S0_weights, pS, pI, pR, theta=1.0):
     return out
 
 
-def influx_kernel_full(mu_S0_weights, block=64):
-    """The influx table ``(U, M, P, ones)`` of
-    :func:`sirnet.limit.influx_kernel` built at once over its full
-    ``(block, blocks, kmax+1)`` shape: every depth ``d = r + block*b`` and
-    level ``i``, with ``log T[d, i] = log (i+d)! - log i! - log d! +
-    log((i+d+1) mu_S0(i+d+1))``, ``-inf`` past ``kmax``, less the maximum
-    ``M`` of each block and level, then exponentiated; ``P`` stacks ``M``,
-    ``i``, ``block*b`` and ``1`` over the ``(blocks, kmax+1)`` entries."""
+def influx_table_full_shape(mu_S0_weights, block=64):
+    """The influx table of :func:`sirnet.limit.influx_kernel` built at once
+    over its full ``(block, blocks, kmax+1)`` shape: every depth
+    ``d = r + block*b`` and level ``i``, with ``log T[d, i] = log (i+d)! -
+    log i! - log d! + log((i+d+1) mu_S0(i+d+1))``, ``-inf`` past ``kmax``,
+    less the maximum ``M`` of each block and level, then exponentiated.
+    Returns ``(U, M)``, ``M`` of shape ``(blocks, kmax+1)``."""
     w = np.asarray(mu_S0_weights, dtype=float)
     kmax = len(w) - 1
     blocks = -(-kmax // block)
@@ -408,10 +409,40 @@ def influx_kernel_full(mu_S0_weights, block=64):
     log_T = log_fact[n] - log_fact[i] - log_fact[np.minimum(d, kmax)] + log_kw[n + 1]
     log_T[outside] = -np.inf
     M = log_T.max(axis=0)
-    U = np.exp(log_T - np.where(np.isfinite(M), M, 0.0))
-    entries = np.ones((blocks, kmax + 1))
-    P = np.stack((M, i * entries, block * np.arange(blocks)[:, None] * entries, entries))
-    return U.reshape(block, -1), M.reshape(-1), P.reshape(4, -1), np.ones(blocks)
+    return np.exp(log_T - np.where(np.isfinite(M), M, 0.0)), M
+
+
+def influx_kept(kmax, block=64):
+    """The mask over :func:`influx_table_full_shape`'s ``U`` of the entries
+    that :func:`sirnet.limit.influx_kernel` keeps: depth row
+    ``r < min(block, kmax)`` and, in block ``b``, level ``i < kmax - block*b``."""
+    blocks = -(-kmax // block)
+    r = np.arange(block)[:, None, None]
+    b = np.arange(blocks)[:, None]
+    i = np.arange(kmax + 1)
+    return (r < min(block, kmax)) & (i < kmax - block * b)
+
+
+def influx_kernel_full(mu_S0_weights, block=64):
+    """The influx table ``(U, P, coef, depths, level, levels)`` of
+    :func:`sirnet.limit.influx_kernel`, taken from
+    :func:`influx_table_full_shape`: the first ``min(block, kmax)`` depth
+    rows and, in block ``b``, the levels ``i < kmax - block*b``, the blocks
+    side by side; ``P`` stacks ``M``, ``i``, ``block*b`` and ``1`` over
+    the kept columns, and ``coef`` is four ones."""
+    U, M = influx_table_full_shape(mu_S0_weights, block)
+    kmax = M.shape[1] - 1
+    rows = min(block, kmax)
+    widths = [kmax - block * b for b in range(len(M))]
+    level = np.concatenate([np.arange(width) for width in widths])
+    P = np.stack((
+        np.concatenate([M[b, :width] for b, width in enumerate(widths)]),
+        level.astype(float),
+        np.concatenate([np.full(width, float(block * b)) for b, width in enumerate(widths)]),
+        np.ones(len(level)),
+    ))
+    U = np.concatenate([U[:rows, b, :width] for b, width in enumerate(widths)], axis=1)
+    return U, P, np.ones(4), np.arange(float(rows)), level, kmax + 1
 
 
 def measure_rhs_reference(y, mu_S0, r, beta):

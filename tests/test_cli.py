@@ -661,9 +661,9 @@ MEASURES = ["solve", "measures"] + VOLZ[2:]
 
 
 @pytest.mark.parametrize("args,message", [
-    # the influx table alone, about 8.5 kmax**2 bytes: 85.14 GB
+    # the influx table alone, about 4.3 kmax**2 bytes: 43.16 GB
     (_with(MEASURES, "--degree", "powerlaw:2.5:1:100000"),
-     "kmax=100000 makes the measures solve's influx table peak at 85.14 GB"),
+     "kmax=100000 makes the measures solve's influx table peak at 43.16 GB"),
     # 9999001 rows of 63 floats, their growth slack, derived columns and the
     # mass rule's temporaries: 6.485 GB
     (_with(MEASURES, "--t-max", "9999") + ["--eps-is", "0"],
@@ -690,8 +690,8 @@ def test_solve_measures_over_memory_cap_exits_2(tmp_path, capsys, monkeypatch, a
 
 
 def test_solve_measures_admits_kmax_8000(tmp_path, capsys):
-    # its 0.55 GB table and two rows fit the cap; the 25 bytes a table entry
-    # of the full-shape build counted made it 1.6 GB
+    # its 0.28 GB table and two rows fit the cap; the 25 bytes an entry of
+    # the full-shape table that an earlier bound counted made it 1.6 GB
     args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:8000"), "--t-max", "0.001")
     assert run(args + ["--dry-run", "--out", str(tmp_path / "x.csv")], capsys) == (
         0, "config ok (dry run)\n", "")
@@ -700,8 +700,8 @@ def test_solve_measures_admits_kmax_8000(tmp_path, capsys):
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys,
                                                                monkeypatch, dry_run):
-    # the 0.87 GB table fits alone and so do 2001 rows of 20003 floats
-    # (0.32 GB), but both are held at once: the refusal names t_max and dt
+    # the 0.85 GB table fits alone and so do 2001 rows of 28003 floats
+    # (0.45 GB), but both are held at once: the refusal names t_max and dt
     import sirnet.limit
 
     def forbidden(*_, **__):
@@ -709,11 +709,11 @@ def test_solve_measures_table_and_rows_together_over_cap_exit_2(tmp_path, capsys
 
     for name in ("influx_kernel", "rk4_integrate"):
         monkeypatch.setattr(sirnet.limit, name, forbidden)
-    args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:10000"), "--t-max", "2")
+    args = _with(_with(MEASURES, "--degree", "powerlaw:2.5:1:14000"), "--t-max", "2")
     out = tmp_path / "x.csv"
     assert run(args + ["--dry-run"] * dry_run + ["--out", str(out)], capsys) == (
-        2, "", "configuration error: t_max=2 and dt=0.001 make 2001 rows of 20003 floats "
-        "at kmax=10000, which with the influx table take 1.246 GB, over the 1 GB a solve "
+        2, "", "configuration error: t_max=2 and dt=0.001 make 2001 rows of 28003 floats "
+        "at kmax=14000, which with the influx table take 1.368 GB, over the 1 GB a solve "
         "may take\n")
     assert not out.exists()
 

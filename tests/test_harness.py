@@ -22,7 +22,7 @@ from sirnet.harness import (
     sup_distance,
 )
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
-from sirnet.simulation import SimParams
+from sirnet.simulation import SimParams, next_row
 
 
 def test_sup_distance_examples():
@@ -370,9 +370,14 @@ def test_convergence_report_window_counts_events_and_initial_shift():
     trajs = [_window_traj(100, rep, t, shift, inf, rem) for rep, (shift, inf, rem) in
              enumerate([(0.01, 0, 0), (0.02, 1, 0), (0.03, 2, 1), (0.04, 0, 0)])]
     trajs += [_window_traj(1000, rep, t, -0.001, 0, 0) for rep in range(3)]
+    trajs[1].terminal = "extinct"
     report = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.3, t_max=0.4)
     small, large = report.manifest["window"]
     assert small["n"] == 100 and large["n"] == 1000
+    # the rows at t = 0, 0.1, 0.2 and 0.3, and each reason's count, sorted by reason
+    assert small["rows"] == large["rows"] == 4
+    assert list(small["terminals"].items()) == [("extinct", 1), ("t_max", 3)]
+    assert large["terminals"] == {"t_max": 3}
     # 0, 1, 3 and 0 events; the S step at t=0.4 lies past the window
     assert small["mean_events"] == 1.0 and small["frac_no_events"] == 0.5
     assert large["mean_events"] == 0.0 and large["frac_no_events"] == 1.0
@@ -384,13 +389,23 @@ def test_convergence_report_window_counts_events_and_initial_shift():
 
 def test_run_convergence_study_writes_window_to_manifest():
     spec = DegreeSpec.poisson(5, 30)
-    report = run_convergence_study(spec, 1.0, 0.5, 0.01, [300, 600], 3, 21,
-                                   t_max=0.002, grid=2e-4)
-    window = json.loads(manifest_json(report))["window"]
+
+    def study():
+        return run_convergence_study(spec, 1.0, 0.5, 0.01, [300, 600], 3, 21,
+                                     t_max=0.002, grid=2e-4)
+
+    report = study()
+    text = manifest_json(report)
+    window = json.loads(text)["window"]
     assert [w["n"] for w in window] == [300, 600]
     for w in window:
         assert w["mean_events"] >= 0 and 0 <= w["frac_no_events"] <= 1
         assert w["mean_events"] * 3 == round(w["mean_events"] * 3)  # whole events per replica
+        assert w["rows"] == next_row(report.t_end, 2e-4) == 7  # t = 0, ..., 0.0012 < tau_bar
+        assert sum(w["terminals"].values()) == 3
+        assert list(w["terminals"]) == sorted(w["terminals"])
+    # the manifest is deterministic: a repeat writes the same bytes
+    assert manifest_json(study()) == text
 
 
 def _limit_rows(sol, stride):

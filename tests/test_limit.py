@@ -34,7 +34,9 @@ from sirnet.limit import (
 
 from oracles import (
     influx_exact,
+    influx_kept,
     influx_kernel_full,
+    influx_table_full_shape,
     influx_uncollapsed,
     measure_rhs_reference,
     solution_csv_lines,
@@ -94,15 +96,20 @@ def test_influx_finite_at_kmax_1100(pS, pI, pR):
     assert (k * f).sum() == pytest.approx(m1, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("kmax", [1, 30, 63, 64, 65, 150, 300])
+@pytest.mark.parametrize("kmax", [1, 30, 63, 64, 65, 128, 129, 150, 300])
 def test_influx_kernel_equals_full_shape_build(kmax):
     # built one block at a time in place, the table holds the bits of the
-    # full-shape build, at one, several and ragged blocks
+    # full-shape build at the entries it keeps, at one, several and ragged
+    # blocks, and at a last block of one level (kmax 129); every entry it
+    # drops is exactly 0 in the full-shape build
     w = DegreeSpec.powerlaw(2.5, 1, kmax).limit_measure(mass=0.99)
     got, want = influx_kernel(w), influx_kernel_full(w)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in zip(map(np.asarray, got), map(np.asarray, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    U, _ = influx_table_full_shape(w)
+    dropped = U[~influx_kept(kmax)]
+    assert dropped.size and (dropped == 0.0).all()
 
 
 def _measure_rhs_args(init, r, beta):
@@ -214,7 +221,8 @@ def test_influx_kernel_build_peaks_near_its_table():
     # no full-shape temporary: the full-shape build peaks at 3.1 times
     # the table at kmax 2000
     w = DegreeSpec.powerlaw(2.5, 1, 2000).limit_measure()
-    (U, M, _, _), peak = _traced_peak(lambda: influx_kernel(w))
+    (U, P, *_), peak = _traced_peak(lambda: influx_kernel(w))
+    M = P[0]
     assert peak <= 1.2 * (U.nbytes + M.nbytes), peak / (U.nbytes + M.nbytes)
 
 
@@ -223,9 +231,10 @@ def test_solve_measures_holds_its_rows_once():
     # them (2.32 times rows and table)
     init = limit_initial(DegreeSpec.poisson(5, 30), 0.01)
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=2.0, eps_IS=0.0)
-    U, M, _, _ = influx_kernel(init.mu_S0)
+    U, P, *_ = influx_kernel(init.mu_S0)
+    M = P[0]
     arrays = U.nbytes + M.nbytes + 8 * (cfg.n_steps + 1) * (2 * len(init.mu_S0) + 1)
-    del U, M
+    del U, P, M
     sol, peak = _traced_peak(lambda: solve_measures(init, cfg))
     assert sol.terminal == "t_max" and len(sol.t) == cfg.n_steps + 1
     assert peak <= 1.3 * arrays, peak / arrays

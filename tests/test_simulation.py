@@ -504,6 +504,33 @@ def lazy_path_law(mu_S, mu_IS, r, beta):
     return {(key(start),) + path: p for path, p in law_from(key(start)).items()}
 
 
+def test_simulate_dispatches_each_event_to_its_picker(monkeypatch):
+    # lazy_path_law replays each event's pick through its own closures, so
+    # simulate's dispatch is pinned here: every removal picks a uniform
+    # infective over mu_IS and every infection a size-biased susceptible
+    # over mu_S, each with its measure's running total, one pick an event
+    rng = np.random.default_rng(8)
+    state = initialize_state(DegreeSpec.geometric(0.6, 40).sample(300, rng), 0.05, rng=rng)
+    picks = Counter()
+
+    def spy(name, measure, total):
+        real = getattr(simulation, name)
+
+        def pick(mu, got_total, draws):
+            assert mu is getattr(state, measure), (name, measure)
+            assert got_total == getattr(state, total), (name, total)
+            picks[name] += 1
+            return real(mu, got_total, draws)
+
+        return pick
+
+    monkeypatch.setattr(simulation, "pick_uniform", spy("pick_uniform", "mu_IS", "I"))
+    monkeypatch.setattr(simulation, "pick_size_biased", spy("pick_size_biased", "mu_S", "N_S"))
+    traj = simulate(state, SimParams(r=2.0, beta=1.0, t_max=5.0), rng=rng)
+    assert traj.n_removals > 0 and traj.n_infections > 0
+    assert picks == {"pick_uniform": traj.n_removals, "pick_size_biased": traj.n_infections}
+
+
 def _small_epidemics(degrees, max_n=4, max_total=8):
     """Every ``(mu_S, mu_IS)`` over levels ``degrees`` with at most
     ``max_n`` individuals, at least one infective and one susceptible, an
