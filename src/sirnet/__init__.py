@@ -26,7 +26,6 @@ from sirnet.errors import (
 )
 from sirnet.harness import (
     ConvergenceReport,
-    ScaledTrajectory,
     convergence_report,
     run_convergence_study,
     run_replicas,
@@ -65,6 +64,6 @@ __all__ = [
     "MeasureSolution", "solve_volz", "solve_measures", "edge_identities",
     "miller_theta", "horizon_bound", "limit_initial", "limit_initial_from_pI0",
     "reproduction_number",
-    "ScaledTrajectory", "ConvergenceReport", "run_replicas", "sup_distance",
+    "ConvergenceReport", "run_replicas", "sup_distance",
     "convergence_report", "run_convergence_study",
 ]

@@ -17,8 +17,9 @@ MAX_DEGREE = 10**6
 # grid rows, t=0 included, that one simulated trajectory or one limit solve
 # may have.  A trajectory holds six counts, a run length and, with
 # snapshots, one snapshot per run of grid rows, so it grows with its events;
-# at the cap only its per-row views, built when read (as the harness's
-# replica table reads them), take 0.56 GB.  A volz solve's 9-float states
+# at the cap only its per-row views, built when read, take 0.56 GB: its
+# times and its count table, which a converge replica's reduction against
+# the limit reads over its window.  A volz solve's 9-float states
 # take 0.72 GB, and a measures solve keeps 2*kmax + 3 floats a row beside
 # its influx table, so MAX_SOLVE_BYTES bounds it further
 MAX_GRID_ROWS = 10**7

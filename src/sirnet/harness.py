@@ -1,13 +1,15 @@
 """Monte-Carlo replica orchestration and convergence reporting.
 
-Runs batches of simulations at increasing population sizes n, rescales the
-trajectories by 1/n, and measures their sup-distance on a common grid to the
-deterministic limit.  The comparison is restricted to the horizon
-``min(t_max, tau_bar(eps_prime))`` within which the per-capita count of
-infectious-to-susceptible edges provably stays above ``eps_prime`` in the
-limit; beyond it the limit approximation carries no guarantee.  The
-report also counts the replicas whose own per-capita ``N_IS`` stays at or
-above ``eps_prime`` at every grid time before ``tau_bar``.
+Runs batches of simulations at increasing population sizes n and reduces
+each, in the process that ran it, to a small record: its sup-distances,
+rescaled by 1/n, to the deterministic limit on a common grid, its exit
+time and what its window holds.  The comparison is restricted to the
+window ``[0, min(t_max, tau_bar(eps_prime))]`` within which the per-capita
+count of infectious-to-susceptible edges provably stays above
+``eps_prime`` in the limit; beyond it the limit approximation carries no
+guarantee.  The report aggregates the records per n, and also counts the
+replicas whose own per-capita ``N_IS`` stays at or above ``eps_prime`` at
+every grid time before ``tau_bar``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import pickle
 import signal
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,6 @@ from sirnet.limit import (
     solve_volz,
 )
 from sirnet.simulation import (
-    GRID_TIE,
     SimParams,
     Trajectory,
     initial_infective_count,
@@ -44,20 +46,41 @@ COMPARED = Trajectory.COLUMNS[1:]
 
 
 @dataclass
-class ScaledTrajectory:
-    """One replica: its grid times, its :class:`Trajectory` count table
-    transposed and divided by the population size (one row per ``COMPARED``
-    column, so ``column(name)`` is a row) and its terminal reason.  Its
-    seed is :func:`replica_seed` of ``(n, rep)``."""
+class ReplicaRecord:
+    """One replica of population size ``n`` reduced against the limit on
+    its window, by :func:`replica_record`.  Its seed is
+    :func:`replica_seed` of ``(n, rep)``."""
 
     n: int
     rep: int
-    times: np.ndarray
-    values: np.ndarray  # (6, T): the COMPARED columns, per capita, on the grid
-    terminal: str
+    terminal: str  # the run's terminal reason
+    sups: np.ndarray  # per COMPARED column, the sup over the window of |replica/n - limit|
+    dist_t0: np.ndarray  # per COMPARED column, |replica/n - limit| at t=0
+    tau: float  # the first window time with N_IS/n < eps_prime, inf if there is none
+    rows: int  # the window's grid rows
+    events: int  # (S(0) - S(t_w)) + (R(t_w) - R(0)) at the last window row t_w
 
-    def column(self, name):
-        return self.values[COMPARED.index(name)]
+
+def replica_record(traj, n, rep, limit, eps_prime, t_end):
+    """The :class:`ReplicaRecord` of the simulated run ``traj`` of
+    population size ``n`` against the ``(6, T)`` ``limit`` table of the
+    ``COMPARED`` columns, whose column ``i`` is at the time of row ``i``.
+    The window is the rows of ``traj`` on ``[0, t_end]`` by
+    :func:`next_row`; rows past it are not read, so a run past ``t_end``
+    gives the record of the run to ``t_end`` but for its terminal reason.
+    A ``limit`` with fewer columns than the window has rows is refused."""
+    counts = traj.counts[:min(next_row(t_end, traj.grid), traj.n_rows)]
+    scaled = counts / n
+    below = np.flatnonzero(scaled[:, COMPARED.index("N_IS")] < eps_prime)
+    S, R = COMPARED.index("S"), COMPARED.index("R")
+    return ReplicaRecord(
+        n=n, rep=rep, terminal=traj.terminal,
+        sups=sup_distance(scaled.T, limit[:, :len(counts)]),
+        dist_t0=np.abs(scaled[0] - limit[:, 0]),
+        tau=float(below[0] * traj.grid) if len(below) else math.inf,
+        rows=len(counts),
+        events=int((counts[0, S] - counts[-1, S]) + (counts[-1, R] - counts[0, R])),
+    )
 
 
 def replica_seed(base_seed, n, rep):
@@ -66,12 +89,11 @@ def replica_seed(base_seed, n, rep):
 
 
 def _run_one(args):
-    spec, params, n, rep, base_seed, i0 = args
+    spec, params, n, rep, base_seed, i0, limit, eps_prime = args
     rng = np.random.Generator(np.random.PCG64(replica_seed(base_seed, n, rep)))
     state = initialize_state(spec.sample(n, rng), i0, rng=rng)
     traj = simulate(state, params, rng=rng)
-    return ScaledTrajectory(n=n, rep=rep, times=traj.times, values=traj.counts.T / n,
-                            terminal=traj.terminal)
+    return replica_record(traj, n, rep, limit, eps_prime, params.t_max)
 
 
 def _check_batch(n_values, reps, base_seed, workers):
@@ -97,7 +119,8 @@ def _fork_share(jobs, s, w):
     """Fork the worker of share ``s`` of ``w``: it runs
     ``_run_many(jobs[s::w])`` and pickles ``(True, result)`` or
     ``(False, exception)`` into a pipe once.  Returns the worker's pid and
-    the pipe's read end."""
+    the pipe's read end.  The worker reads the jobs, ``limit`` table
+    included, from the memory it shares with the caller at the fork."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -137,15 +160,20 @@ def _share_result(pid, data, status):
     return result
 
 
-def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
-    """``reps`` independent scaled simulations for every n in ``n_values``.
+def run_replicas(spec, params, n_values, reps, base_seed, i0, limit, eps_prime,
+                 workers=None):
+    """``reps`` independent simulations for every n in ``n_values``, each
+    reduced against ``limit`` on the window ``[0, params.t_max]``.
 
     Each replica draws its own degree counts, infects a uniform ``i0``
     fraction of its individuals (the selection :func:`limit_initial`
     models), and runs on a private RNG stream derived from
     ``(base_seed, n, rep)``, so outputs
-    are reproducible and independent of worker scheduling.  Returns a flat
-    list of :class:`ScaledTrajectory` ordered by (n, rep).
+    are reproducible and independent of worker scheduling.  The process
+    that runs a replica reduces it by :func:`replica_record`, with
+    ``limit`` and ``eps_prime``, so only its small record leaves it.
+    Returns a flat list of :class:`ReplicaRecord` ordered by (n, rep).
+    A nonpositive or non-finite ``eps_prime`` is refused before any run.
 
     ``workers`` processes share the replicas, the calling one included:
     with ``w = min(workers, replicas, CPUs)``, share ``s`` is every
@@ -159,8 +187,9 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, workers=None):
     every worker not yet reaped is killed and reaped.
     """
     _check_batch(n_values, reps, base_seed, workers)
+    check_positive(eps_prime=eps_prime)
     jobs = [
-        (spec, params, int(n), rep, base_seed, i0)
+        (spec, params, int(n), rep, base_seed, i0, limit, eps_prime)
         for n in n_values
         for rep in range(reps)
     ]
@@ -225,56 +254,33 @@ class ConvergenceReport:
         raise KeyError((n, col))
 
 
-def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
-    """Aggregate sup-distances of scaled replicas against the limit.
+def convergence_report(records, tau_bar, t_max):
+    """Aggregate the :class:`ReplicaRecord` of each replica, each reduced
+    against the limit on the window ``[0, min(t_max, tau_bar)]``.
 
-    ``limit`` is the ``(6, T)`` table of the limit's ``COMPARED`` columns
-    at the replicas' grid times: column ``i`` is the time of every
-    replica's row ``i``, so rows are compared by index.  Per (n, column):
-    the mean and standard error of the sup-distance over each replica's
-    ``w`` window rows, those on ``[0, min(t_max, tau_bar)]``, plus the
-    fraction of replicas whose exit time ``tau^n`` is at least ``tau_bar``;
-    ``tau^n`` is the first grid time at which the replica's per-capita
-    ``N_IS`` is below ``eps_prime``, and ``inf`` if there is none.  A
-    ``limit`` with fewer than ``w`` columns is refused.  Pure function:
-    identical inputs give identical rows.
+    Per (n, column): the mean and standard error of the replicas'
+    sup-distances, plus the fraction of replicas whose exit time
+    ``tau^n`` is at least ``tau_bar``.  Pure function: identical inputs
+    give identical rows.
 
     The manifest's ``window`` says, per n, what the window holds:
     ``rows``, its grid rows, the most that any replica holds;
     ``terminals``, the replicas' terminal reasons and how many ended by
     each, sorted by reason; ``mean_events``, the mean over replicas of the
-    events between t=0 and the last window row,
-    ``n (S(0) - S(t_end)) + n (R(t_end) - R(0))`` rounded to an integer
-    per replica; ``frac_no_events``, the fraction of replicas with none;
-    and ``mean_dist_t0``, per column, the mean
-    ``|replica - limit|`` at t=0, the part of the distance that the
+    events between t=0 and the last window row; ``frac_no_events``, the
+    fraction of replicas with none; and ``mean_dist_t0``, per column, the
+    mean ``|replica - limit|`` at t=0, the part of the distance that the
     sampled initial state holds before any event.
     """
-    check_positive(eps_prime=eps_prime)
-    t_end = min(t_max, tau_bar)
     by_n = {}
-    for traj in trajectories:
-        by_n.setdefault(traj.n, []).append(traj)
-    S, R = COMPARED.index("S"), COMPARED.index("R")
+    for rec in records:
+        by_n.setdefault(rec.n, []).append(rec)
     rows, window = [], []
     for n in sorted(by_n):
-        group = sorted(by_n[n], key=lambda tr: tr.rep)
-        taus, first, last, sups = [], [], [], []
-        held = 0  # the most window rows a replica holds
-        terminals = {}
-        for tr in group:
-            below = np.flatnonzero(tr.column("N_IS") < eps_prime)
-            taus.append(tr.times[below[0]] if len(below) else math.inf)
-            # the window rows, as simulate records [0, t_end]
-            w = int(np.count_nonzero(tr.times <= t_end + GRID_TIE))
-            held = max(held, w)
-            terminals[tr.terminal] = terminals.get(tr.terminal, 0) + 1
-            sups.append(sup_distance(tr.values[:, :w], limit[:, :w]))
-            first.append(tr.values[:, 0])
-            last.append(tr.values[:, w - 1])
-        frac = float(np.mean([tau >= tau_bar for tau in taus]))
+        group = sorted(by_n[n], key=lambda rec: rec.rep)
+        frac = float(np.mean([rec.tau >= tau_bar for rec in group]))
         # each column's distances contiguous, as the mean and std saw them per column
-        for col, dists in zip(COMPARED, np.array(sups).T.copy()):
+        for col, dists in zip(COMPARED, np.array([rec.sups for rec in group]).T.copy()):
             rows.append({
                 "n": n,
                 "reps": len(group),
@@ -285,18 +291,18 @@ def convergence_report(trajectories, limit, eps_prime, tau_bar, t_max):
                            if (dists != dists[0]).any() else 0.0),
                 "frac_tau_ge_bound": frac,
             })
-        first, last = np.array(first), np.array(last)
-        events = np.rint(n * (first[:, S] - last[:, S]) + n * (last[:, R] - first[:, R]))
+        terminals = Counter(rec.terminal for rec in group)
+        events = np.array([rec.events for rec in group])
+        dist_t0 = np.array([rec.dist_t0 for rec in group]).mean(axis=0)
         window.append({
             "n": n,
-            "rows": held,
+            "rows": max(rec.rows for rec in group),
             "terminals": dict(sorted(terminals.items())),
             "mean_events": float(events.mean()),
             "frac_no_events": float(np.mean(events == 0)),
-            "mean_dist_t0": dict(zip(COMPARED,
-                                     np.abs(first - limit[:, 0]).mean(axis=0).tolist())),
+            "mean_dist_t0": dict(zip(COMPARED, dist_t0.tolist())),
         })
-    return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=t_end,
+    return ConvergenceReport(rows=rows, tau_bar=tau_bar, t_end=min(t_max, tau_bar),
                              manifest={"window": window})
 
 
@@ -346,17 +352,19 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
                           t_max, grid, eps_prime=0.01, workers=None):
     """End-to-end study: limit solve, replica batch, report with manifest,
     by the plan of :func:`plan_study`, which makes every refusal first.
-    Replicas simulate to ``t_end = min(t_max, tau_bar)`` and the limit is
-    solved to their last row: nothing beyond reaches the report, which
-    equals the one built from full-``t_max`` runs.  The solve's every
+    Replicas simulate to ``t_end = min(t_max, tau_bar)``, the end of
+    their window, and the limit is solved to their last row: nothing
+    beyond reaches the report, which equals the one built from
+    full-``t_max`` runs reduced at ``t_end``.  The solve's every
     ``stride``-th row, the replicas' row of the same index, makes the
-    ``limit`` table the report compares."""
+    ``limit`` table each replica is reduced against."""
     params, init, config, stride, tau_bar = plan_study(
         spec, r, beta, i0, n_values, reps, base_seed, t_max, grid, eps_prime, workers)
     sol = solve_volz(init, config)
     limit = np.stack([sol.column(col)[::stride] for col in COMPARED])
-    trajectories = run_replicas(spec, params, n_values, reps, base_seed, i0, workers=workers)
-    report = convergence_report(trajectories, limit, eps_prime, tau_bar, t_max)
+    records = run_replicas(spec, params, n_values, reps, base_seed, i0, limit, eps_prime,
+                           workers=workers)
+    report = convergence_report(records, tau_bar, t_max)
     report.manifest.update({
         "degree": spec.describe(),
         "r": r, "beta": beta, "i0": i0,
@@ -365,9 +373,9 @@ def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
         "t_max": t_max, "grid": grid, "solver_dt": config.dt,
         "eps_prime": eps_prime, "tau_bar": tau_bar, "t_end": params.t_max,
         "replica_seeds": [
-            {"n": tr.n, "rep": tr.rep,
-             "state_words": replica_seed(base_seed, tr.n, tr.rep).generate_state(4).tolist()}
-            for tr in trajectories
+            {"n": rec.n, "rep": rec.rep,
+             "state_words": replica_seed(base_seed, rec.n, rec.rep).generate_state(4).tolist()}
+            for rec in records
         ],
     })
     return report

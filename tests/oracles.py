@@ -109,26 +109,34 @@ def exit_time(times, n_IS, eps_prime):
     return math.inf
 
 
-def convergence_rows_reference(trajectories, limit, eps_prime, tau_bar, t_end):
-    """The rows of :func:`sirnet.harness.convergence_report`, built per
-    (n, column).  Each sup-distance is a loop over the replica's rows up
-    to ``t_end + GRID_TIE`` against the ``limit`` table's entries of the same
-    index; each exit time comes from :func:`exit_time`."""
+def convergence_rows_reference(replicas, limit, eps_prime, tau_bar, t_end):
+    """The rows of :func:`sirnet.harness.convergence_report` over the
+    records of ``replicas``, ``(n, rep, Trajectory)`` triples, built per
+    (n, column) from the replicas' rows.  A replica's window is its grid
+    rows up to ``t_end + GRID_TIE``; each sup-distance is a loop over them
+    of the count divided by ``n`` against the ``limit`` table's entry of
+    the same index, and each exit time comes from :func:`exit_time` over
+    them."""
     by_n = {}
-    for traj in trajectories:
-        by_n.setdefault(traj.n, []).append(traj)
+    for n, rep, traj in replicas:
+        by_n.setdefault(n, []).append((rep, traj))
     rows = []
     for n in sorted(by_n):
-        group = sorted(by_n[n], key=lambda tr: tr.rep)
-        frac = float(np.mean([exit_time(tr.times, tr.column("N_IS"), eps_prime) >= tau_bar
-                              for tr in group]))
+        group = []  # per replica, in rep order: its window's times and per-capita rows
+        for _, traj in sorted(by_n[n], key=lambda item: item[0]):
+            window = [(float(t), [int(c) / n for c in row])
+                      for t, row in zip(traj.times, traj.counts) if t <= t_end + GRID_TIE]
+            group.append(window)
+        N_IS = COMPARED.index("N_IS")
+        frac = float(np.mean([exit_time([t for t, _ in window],
+                                        [row[N_IS] for _, row in window], eps_prime) >= tau_bar
+                              for window in group]))
         for c, col in enumerate(COMPARED):
             dists = []
-            for tr in group:
+            for window in group:
                 sup = 0.0
-                for t, a, b in zip(tr.times, tr.column(col), limit[c]):
-                    if t <= t_end + GRID_TIE:
-                        sup = max(sup, abs(float(a) - float(b)))
+                for (_, row), b in zip(window, limit[c]):
+                    sup = max(sup, abs(row[c] - float(b)))
                 dists.append(sup)
             dists = np.array(dists)
             rows.append({

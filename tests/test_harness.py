@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pickle
 import signal
@@ -14,15 +15,16 @@ from sirnet.errors import ConfigurationError
 from sirnet.harness import (
     COMPARED,
     ConvergenceReport,
-    ScaledTrajectory,
     convergence_report,
     manifest_json,
+    replica_record,
+    replica_seed,
     run_convergence_study,
     run_replicas,
     sup_distance,
 )
 from sirnet.limit import SolverConfig, horizon_bound, limit_initial, solve_volz
-from sirnet.simulation import SimParams, next_row
+from sirnet.simulation import SimParams, Trajectory, initialize_state, next_row, simulate
 
 
 def test_sup_distance_examples():
@@ -57,33 +59,62 @@ def test_sup_distance_stacked_rows():
         sup_distance(va, vb[:, :-1])
 
 
+def simulated(spec, params, n_values, reps, seed, i0):
+    """``(n, rep, trajectory)`` of each replica that :func:`run_replicas`
+    runs with these arguments, simulated from the replica's seed as it is."""
+    out = []
+    for n in n_values:
+        for rep in range(reps):
+            rng = np.random.Generator(np.random.PCG64(replica_seed(seed, n, rep)))
+            state = initialize_state(spec.sample(n, rng), i0, rng=rng)
+            out.append((n, rep, simulate(state, params, rng=rng)))
+    return out
+
+
+def reduced(replicas, limit, eps_prime, t_end):
+    """The records of ``(n, rep, trajectory)`` replicas on ``[0, t_end]``."""
+    return [replica_record(traj, n, rep, limit, eps_prime, t_end)
+            for n, rep, traj in replicas]
+
+
+SMALL = (DegreeSpec.poisson(5, 30), SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005))
+ZERO_LIMIT = np.zeros((len(COMPARED), 5))  # a record's distances are then its own values
+
+
 def small_batch(reps=3, n_values=(200,), seed=5):
-    spec = DegreeSpec.poisson(5, 30)
-    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
-    return run_replicas(spec, params, list(n_values), reps, seed, 0.02)
+    return run_replicas(*SMALL, list(n_values), reps, seed, 0.02, ZERO_LIMIT, 0.01)
 
 
 def test_run_replicas_shape_and_tagging():
     out = small_batch(reps=4, n_values=(200, 400))
     assert len(out) == 8
-    assert sorted({tr.n for tr in out}) == [200, 400]
-    assert sorted(tr.rep for tr in out if tr.n == 200) == [0, 1, 2, 3]
-    for tr in out:
-        assert tr.values.shape == (len(COMPARED), len(tr.times))
-        assert 0.0 <= tr.column("S")[0] <= 1.0
-        assert tr.column("I")[0] == pytest.approx(np.ceil(0.02 * tr.n) / tr.n)
+    assert sorted({rec.n for rec in out}) == [200, 400]
+    assert sorted(rec.rep for rec in out if rec.n == 200) == [0, 1, 2, 3]
+    for rec in out:
+        assert rec.rows == 5 and rec.sups.shape == rec.dist_t0.shape == (len(COMPARED),)
+        assert 0.0 <= rec.dist_t0[COMPARED.index("S")] <= 1.0
+        assert rec.dist_t0[COMPARED.index("I")] == pytest.approx(np.ceil(0.02 * rec.n) / rec.n)
+    # each record reduces its replica's run, simulated from its seed, on [0, t_max]
+    expected = reduced(simulated(*SMALL, (200, 400), 4, 5, 0.02), ZERO_LIMIT, 0.01, 0.02)
+    assert all(_same_record(x, y) for x, y in zip(out, expected))
 
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_record(x, y):
+    """Every field of two records equal, the distances bit for bit."""
+    return ((x.n, x.rep) == (y.n, y.rep) and _same_bits(x.sups, y.sups)
+            and _same_bits(x.dist_t0, y.dist_t0)
+            and (x.tau, x.events, x.rows, x.terminal) == (y.tau, y.events, y.rows, y.terminal))
+
+
 def test_run_replicas_reproducible():
     a = small_batch()
     b = small_batch()
-    for x, y in zip(a, b):
-        assert (x.n, x.rep) == (y.n, y.rep)
-        assert _same_bits(x.values, y.values)
+    assert len(a) == len(b) == 3
+    assert all(_same_record(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -93,13 +124,12 @@ def test_run_replicas_workers_match_serial(monkeypatch, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
-    serial = run_replicas(spec, params, [100, 200], 3, 11, 0.02, workers=1)
-    parallel = run_replicas(spec, params, [100, 200], 3, 11, 0.02, workers=workers)
+    serial = run_replicas(spec, params, [100, 200], 3, 11, 0.02, ZERO_LIMIT, 0.01, workers=1)
+    parallel = run_replicas(spec, params, [100, 200], 3, 11, 0.02, ZERO_LIMIT, 0.01,
+                            workers=workers)
     assert [(y.n, y.rep) for y in parallel] == [(x.n, x.rep) for x in serial]
     for x, y in zip(serial, parallel):
-        assert _same_bits(x.times, y.times)
-        assert _same_bits(x.values, y.values)
-        assert x.terminal == y.terminal
+        assert _same_record(x, y)
 
 
 @pytest.fixture(autouse=True)
@@ -153,11 +183,11 @@ def test_run_replicas_forks_no_idle_worker(monkeypatch, pools_made, workers, rep
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
-    out = run_replicas(spec, params, [100], reps, 11, 0.02, workers=workers)
+    out = run_replicas(spec, params, [100], reps, 11, 0.02, ZERO_LIMIT, 0.01, workers=workers)
     assert pools_made == pool_sizes
-    serial = run_replicas(spec, params, [100], reps, 11, 0.02, workers=1)
+    serial = run_replicas(spec, params, [100], reps, 11, 0.02, ZERO_LIMIT, 0.01, workers=1)
     assert [(x.n, x.rep) for x in out] == [(x.n, x.rep) for x in serial]
-    assert all(_same_bits(x.values, y.values) for x, y in zip(out, serial))
+    assert all(_same_record(x, y) for x, y in zip(out, serial))
 
 
 @pytest.mark.parametrize("cpus, pool_sizes", [(2, [1]), (None, [])])
@@ -168,11 +198,11 @@ def test_run_replicas_forks_no_more_workers_than_cpus(monkeypatch, pools_made, c
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
-    out = run_replicas(spec, params, [100], 3, 11, 0.02, workers=100_000)
+    out = run_replicas(spec, params, [100], 3, 11, 0.02, ZERO_LIMIT, 0.01, workers=100_000)
     assert pools_made == pool_sizes
-    serial = run_replicas(spec, params, [100], 3, 11, 0.02, workers=1)
+    serial = run_replicas(spec, params, [100], 3, 11, 0.02, ZERO_LIMIT, 0.01, workers=1)
     assert [(x.n, x.rep) for x in out] == [(x.n, x.rep) for x in serial]
-    assert all(_same_bits(x.values, y.values) for x, y in zip(out, serial))
+    assert all(_same_record(x, y) for x, y in zip(out, serial))
 
 
 CONVERGE = ["converge", "--degree", "poisson:5:30", "--n", "200", "--reps", "2",
@@ -250,7 +280,7 @@ def test_caller_failure_kills_and_reaps_every_worker(monkeypatch, failure):
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
     with pytest.raises(failure, match="the caller's share failed"):
-        run_replicas(spec, params, [100], 3, 11, 0.02, workers=3)
+        run_replicas(spec, params, [100], 3, 11, 0.02, ZERO_LIMIT, 0.01, workers=3)
     assert len(started) == 2
     for pid in started:
         with pytest.raises(ChildProcessError):
@@ -261,38 +291,55 @@ def test_run_replicas_validation():
     spec = DegreeSpec.poisson(5, 20)
     params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
     with pytest.raises(ConfigurationError):
-        run_replicas(spec, params, [100], 0, 1, 0.02)
+        run_replicas(spec, params, [100], 0, 1, 0.02, ZERO_LIMIT, 0.01)
     with pytest.raises(ConfigurationError):
-        run_replicas(spec, params, [], 1, 1, 0.02)
+        run_replicas(spec, params, [], 1, 1, 0.02, ZERO_LIMIT, 0.01)
     with pytest.raises(ConfigurationError, match="distinct, got n=100,200,100"):
-        run_replicas(spec, params, [100, 200, 100], 1, 1, 0.02)
+        run_replicas(spec, params, [100, 200, 100], 1, 1, 0.02, ZERO_LIMIT, 0.01)
     with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
-        run_replicas(spec, params, [100], 1, -1, 0.02)
+        run_replicas(spec, params, [100], 1, -1, 0.02, ZERO_LIMIT, 0.01)
 
 
-def _fake_limit(t):
-    """A 'limit' at 0.5 in every column on the grid ``t``, for synthetic
+@pytest.mark.parametrize("eps_prime", [float("nan"), 0.0, -1.0])
+def test_run_replicas_refuses_bad_eps_prime(monkeypatch, eps_prime):
+    # each used to make every tau^n infinite and report frac_tau_ge_bound 1.0;
+    # refused before any replica runs
+    monkeypatch.setattr(harness, "_run_one", None)
+    spec = DegreeSpec.poisson(5, 20)
+    params = SimParams(r=1.0, beta=0.5, t_max=0.02, record_grid=0.005)
+    with pytest.raises(ConfigurationError, match="eps_prime must be"):
+        run_replicas(spec, params, [100], 2, 1, 0.02, ZERO_LIMIT, eps_prime)
+
+
+def _fake_limit(rows):
+    """A 'limit' at 0.5 in every column on ``rows`` grid rows, for synthetic
     report tests."""
-    return np.full((len(COMPARED), len(t)), 0.5)
+    return np.full((len(COMPARED), rows), 0.5)
 
 
-def _fake_traj(n, rep, times, offset, n_IS=None):
-    """A replica at ``0.5 + offset`` in every column, with ``n_IS`` as its
-    ``N_IS`` row when given."""
-    values = np.full((len(COMPARED), len(times)), 0.5 + offset)
+def _fake_traj(table, terminal="t_max"):
+    """A run on the grid 0.1 whose ``(T, 6)`` integer ``table`` holds one
+    row per grid row, its columns in ``COMPARED`` order."""
+    table = np.array(table, dtype=np.int64)
+    return Trajectory(grid=0.1, rows=table, runs=[1] * len(table), terminal=terminal)
+
+
+def _flat(n, rep, rows, count, n_IS=None):
+    """``(n, rep, trajectory)`` of a replica at ``count`` in every column on
+    ``rows`` grid rows, with ``n_IS`` as its ``N_IS`` counts when given."""
+    table = np.full((rows, len(COMPARED)), count)
     if n_IS is not None:
-        values[COMPARED.index("N_IS")] = n_IS
-    return ScaledTrajectory(n=n, rep=rep, times=times, values=values,
-                            terminal="t_max")
+        table[:, COMPARED.index("N_IS")] = n_IS
+    return n, rep, _fake_traj(table)
 
 
 def test_convergence_report_zero_when_equal():
     # equal sup distances have no spread: stderr is 0 exactly, whatever the
     # round-off of their float mean (10 replicas at 0.3 gave 1.85e-17)
-    t = np.arange(5) * 0.1
-    for reps, offset in ((3, 0.0), (10, 0.3)):
-        trajs = [_fake_traj(100, rep, t, offset) for rep in range(reps)]
-        rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.3, t_max=0.4)
+    for reps, count, offset in ((3, 50, 0.0), (10, 80, 0.3)):
+        replicas = [_flat(100, rep, 5, count) for rep in range(reps)]
+        rep = convergence_report(reduced(replicas, _fake_limit(5), 0.01, 0.3),
+                                 tau_bar=0.3, t_max=0.4)
         for row in rep.rows:
             assert row["mean_sup_dist"] == pytest.approx(offset, abs=0.0)
             assert row["stderr"] == 0.0
@@ -300,78 +347,72 @@ def test_convergence_report_zero_when_equal():
             assert 0.0 <= row["frac_tau_ge_bound"] <= 1.0
 
 
+def _noise_replicas():
+    """Replicas whose counts sit ``a sqrt(n)`` above n/2, so a distance of
+    ``a/sqrt(n)`` from the fake limit, ``a`` one decimal place of a normal
+    draw's size, so its count at n=10^4 is ten times its count at n=100."""
+    base = np.round(np.abs(np.random.default_rng(0).normal(size=40)), 1)
+    return [_flat(n, rep, 5, n // 2 + int(round(float(base[rep] * np.sqrt(n)))))
+            for n in (100, 10_000) for rep in range(40)]
+
+
 def test_convergence_report_synthetic_sqrt_n_scaling():
-    # inject noise of amplitude a/sqrt(n): report means must scale ~ n^{-1/2}
-    t = np.arange(5) * 0.1
-    rng = np.random.default_rng(0)
-    base = np.abs(rng.normal(size=40))
-    trajs = []
-    for n in (100, 10_000):
-        for rep in range(40):
-            amp = base[rep] / np.sqrt(n)
-            trajs.append(_fake_traj(n, rep, t, amp))
-    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=1.0, t_max=0.4)
+    # noise of amplitude a/sqrt(n): report means must scale ~ n^{-1/2}
+    records = reduced(_noise_replicas(), _fake_limit(5), 0.01, 0.4)
+    rep = convergence_report(records, tau_bar=1.0, t_max=0.4)
     m100 = rep.row(100, "I")["mean_sup_dist"]
     m10k = rep.row(10_000, "I")["mean_sup_dist"]
     assert m100 / m10k == pytest.approx(10.0, rel=1e-9)
 
 
-def _crossing_trajs():
-    # at eps_prime=0.01 and tau_bar=0.2: N_IS falls below eps_prime at t=0.1
+def _crossing_replicas():
+    # at eps_prime=0.01 and tau_bar=0.2: N_IS/n falls below eps_prime at t=0.1
     # (before tau_bar), at t=0.2 (exactly tau_bar, which counts) and never
     # (equal to eps_prime is not below it)
-    t = np.arange(3) * 0.1
-    rows = ([0.5, 0.005, 0.0], [0.5, 0.02, 0.005], [0.5, 0.01, 0.01])
-    return [_fake_traj(50, rep, t, 0.0, row) for rep, row in enumerate(rows)], t
+    n_IS = ([500, 5, 0], [500, 20, 5], [500, 10, 10])
+    return [_flat(1000, rep, 3, 500, row) for rep, row in enumerate(n_IS)]
 
 
 def test_convergence_report_fraction_counts_tau():
-    trajs, t = _crossing_trajs()
-    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.2, t_max=0.2)
+    records = reduced(_crossing_replicas(), _fake_limit(3), 0.01, 0.2)
+    rep = convergence_report(records, tau_bar=0.2, t_max=0.2)
     for col in COMPARED:
-        assert rep.row(50, col)["frac_tau_ge_bound"] == 2 / 3
+        assert rep.row(1000, col)["frac_tau_ge_bound"] == 2 / 3
     # every replica crosses before tau_bar=0.25 bar the one that never does
-    rep = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.25, t_max=0.2)
-    assert rep.row(50, "S")["frac_tau_ge_bound"] == 1 / 3
+    rep = convergence_report(records, tau_bar=0.25, t_max=0.2)
+    assert rep.row(1000, "S")["frac_tau_ge_bound"] == 1 / 3
 
 
-def test_convergence_report_refuses_limit_shorter_than_window():
-    trajs, t = _crossing_trajs()
+def test_replica_record_refuses_limit_shorter_than_window():
+    replicas = _crossing_replicas()
     with pytest.raises(ConfigurationError, match="do not share a grid"):
-        convergence_report(trajs, _fake_limit(t[:-1]), 0.01, tau_bar=0.2, t_max=0.2)
+        reduced(replicas, _fake_limit(2), 0.01, 0.2)
     # rows past the window need no limit
-    rep = convergence_report(trajs, _fake_limit(t[:-1]), 0.01, tau_bar=0.15, t_max=0.2)
-    assert rep.row(50, "S")["mean_sup_dist"] == 0.0
+    rep = convergence_report(reduced(replicas, _fake_limit(2), 0.01, 0.15),
+                             tau_bar=0.15, t_max=0.2)
+    assert rep.row(1000, "S")["mean_sup_dist"] == 0.0
 
 
-@pytest.mark.parametrize("eps_prime", [float("nan"), 0.0, -1.0])
-def test_convergence_report_refuses_bad_eps_prime(eps_prime):
-    # each used to make every tau^n infinite and report frac_tau_ge_bound 1.0
-    trajs, t = _crossing_trajs()
-    with pytest.raises(ConfigurationError, match="eps_prime must be"):
-        convergence_report(trajs, _fake_limit(t), eps_prime, tau_bar=0.2, t_max=0.2)
-
-
-def _window_traj(n, rep, t, shift, infections, removals):
-    """A replica ``shift`` above the fake limit in every column at every
-    time, whose S falls by ``infections`` and R rises by ``removals`` at
-    t=0.1, and whose S falls once more at t=0.4, after a window ending at
-    0.3."""
-    values = np.full((len(COMPARED), len(t)), 0.5 + shift)
-    values[COMPARED.index("S"), 1:] -= infections / n
-    values[COMPARED.index("R"), 1:] += removals / n
-    values[COMPARED.index("S"), 4:] -= 1 / n
-    return ScaledTrajectory(n=n, rep=rep, times=t, values=values,
-                            terminal="t_max")
+def _window_replica(n, rep, count, infections, removals, terminal="t_max"):
+    """A replica at ``count`` in every column at every time, whose S falls
+    by ``infections`` and R rises by ``removals`` at t=0.1, and whose S
+    falls once more at t=0.4, after a window ending at 0.3."""
+    table = np.full((5, len(COMPARED)), count)
+    table[1:, COMPARED.index("S")] -= infections
+    table[1:, COMPARED.index("R")] += removals
+    table[4:, COMPARED.index("S")] -= 1
+    return n, rep, _fake_traj(table, terminal)
 
 
 def test_convergence_report_window_counts_events_and_initial_shift():
-    t = np.arange(5) * 0.1
-    trajs = [_window_traj(100, rep, t, shift, inf, rem) for rep, (shift, inf, rem) in
-             enumerate([(0.01, 0, 0), (0.02, 1, 0), (0.03, 2, 1), (0.04, 0, 0)])]
-    trajs += [_window_traj(1000, rep, t, -0.001, 0, 0) for rep in range(3)]
-    trajs[1].terminal = "extinct"
-    report = convergence_report(trajs, _fake_limit(t), 0.01, tau_bar=0.3, t_max=0.4)
+    # 0.01 to 0.04 above the fake limit at n=100, 0.001 below it at n=1000
+    replicas = [_window_replica(100, rep, count, inf, rem, terminal)
+                for rep, (count, inf, rem, terminal) in
+                enumerate([(51, 0, 0, "t_max"), (52, 1, 0, "extinct"), (53, 2, 1, "t_max"),
+                           (54, 0, 0, "t_max")])]
+    replicas += [_window_replica(1000, rep, 499, 0, 0) for rep in range(3)]
+    report = convergence_report(reduced(replicas, _fake_limit(5), 0.01, 0.3),
+                                tau_bar=0.3, t_max=0.4)
     small, large = report.manifest["window"]
     assert small["n"] == 100 and large["n"] == 1000
     # the rows at t = 0, 0.1, 0.2 and 0.3, and each reason's count, sorted by reason
@@ -415,38 +456,31 @@ def _limit_rows(sol, stride):
 
 def _real_batch():
     # grid 0.005 over solver steps of 1e-3
-    spec = DegreeSpec.poisson(5, 30)
+    spec, params = SMALL
     sol = solve_volz(limit_initial(spec, 0.02),
                      SolverConfig(r=1.0, beta=0.5, t_max=0.02, dt=1e-3, eps_IS=0.0))
-    return small_batch(reps=3, n_values=(200, 400)), _limit_rows(sol, 5), 0.01, 0.02
+    return simulated(spec, params, (200, 400), 3, 5, 0.02), _limit_rows(sol, 5), 0.01, 0.02
 
 
 def _shorter_replica_batch():
     # the real batch and a replica of 2 rows, shorter than the window's 3:
     # each replica is compared on the window rows it holds
     batch, limit, tau_bar, t_max = _real_batch()
-    tr = batch[0]
-    batch.append(ScaledTrajectory(n=tr.n, rep=3, times=tr.times[:2], values=tr.values[:, :2],
-                                  terminal="t_max"))
+    n, _, traj = batch[0]
+    batch.append((n, 3, Trajectory(grid=traj.grid, rows=traj.counts[:2], runs=[1, 1])))
     return batch, limit, tau_bar, t_max
 
 
 def _fake_equal():
-    t = np.arange(5) * 0.1
-    return [_fake_traj(100, rep, t, 0.3) for rep in range(10)], _fake_limit(t), 0.3, 0.4
+    return [_flat(100, rep, 5, 80) for rep in range(10)], _fake_limit(5), 0.3, 0.4
 
 
 def _fake_noise():
-    t = np.arange(5) * 0.1
-    base = np.abs(np.random.default_rng(0).normal(size=40))
-    trajs = [_fake_traj(n, rep, t, base[rep] / np.sqrt(n))
-             for n in (100, 10_000) for rep in range(40)]
-    return trajs, _fake_limit(t), 1.0, 0.4
+    return _noise_replicas(), _fake_limit(5), 1.0, 0.4
 
 
 def _fake_tau():
-    trajs, t = _crossing_trajs()
-    return trajs, _fake_limit(t), 0.2, 0.2
+    return _crossing_replicas(), _fake_limit(3), 0.2, 0.2
 
 
 @pytest.mark.parametrize("case", [_real_batch, _shorter_replica_batch, _fake_equal,
@@ -454,17 +488,15 @@ def _fake_tau():
                          ids=["real-batch", "shorter-replica", "fake-equal",
                               "fake-noise", "fake-tau"])
 def test_convergence_report_rows_equal_reference(case):
-    trajectories, limit, tau_bar, t_max = case()
-    report = convergence_report(trajectories, limit, 0.01, tau_bar, t_max)
-    assert report.rows == convergence_rows_reference(trajectories, limit, 0.01,
-                                                     tau_bar, min(t_max, tau_bar))
+    replicas, limit, tau_bar, t_max = case()
+    t_end = min(t_max, tau_bar)
+    report = convergence_report(reduced(replicas, limit, 0.01, t_end), tau_bar, t_max)
+    assert report.rows == convergence_rows_reference(replicas, limit, 0.01, tau_bar, t_end)
 
 
 def test_report_csv_deterministic_bytes():
     def build():
-        out = small_batch(reps=2)
-        lim = _fake_limit(out[0].times)
-        rep = convergence_report(out, lim, 0.01, tau_bar=0.01, t_max=0.02)
+        rep = convergence_report(small_batch(reps=2), tau_bar=0.03, t_max=0.02)
         return "\n".join(rep.to_csv_lines())
 
     assert build() == build()
@@ -489,7 +521,8 @@ def test_run_convergence_study_end_to_end():
 
 def test_study_report_equals_full_horizon_report():
     # the study simulates and solves only up to its comparison window, so
-    # its report must equal the one built from replicas run to t_max
+    # its report must equal the one built from replicas run to t_max and
+    # reduced at the window's end
     spec = DegreeSpec.poisson(5, 30)
     r, beta, i0, eps_prime, t_max, grid = 1.0, 0.5, 0.01, 0.01, 0.05, 1e-4
     study = run_convergence_study(spec, r, beta, i0, [200, 500], 4, 3,
@@ -497,10 +530,39 @@ def test_study_report_equals_full_horizon_report():
     init = limit_initial(spec, i0)
     tau_bar = horizon_bound(init, r, beta, eps_prime)
     assert grid < study.t_end == tau_bar < t_max / 10
-    full = run_replicas(spec, SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid),
-                        [200, 500], 4, 3, i0)
-    assert full[0].times[-1] == pytest.approx(t_max)
+    full = simulated(spec, SimParams(r=r, beta=beta, t_max=t_max, record_grid=grid),
+                     [200, 500], 4, 3, i0)
+    assert full[0][2].times[-1] == pytest.approx(t_max)
     sol = solve_volz(init, SolverConfig(r=r, beta=beta, t_max=t_max, dt=grid, eps_IS=0.0))
-    expected = convergence_report(full, _limit_rows(sol, 1), eps_prime, tau_bar, t_max)
+    records = reduced(full, _limit_rows(sol, 1), eps_prime, tau_bar)
+    expected = convergence_report(records, tau_bar, t_max)
     assert study.rows == expected.rows
     assert list(study.to_csv_lines()) == list(expected.to_csv_lines())
+
+
+@pytest.mark.parametrize("crossing", ["after", "in"])
+def test_record_of_run_past_window_equals_record_of_run_to_its_end(crossing):
+    # the study runs each replica only to its window's end: a run past it,
+    # reduced there, gives the same record, also where N_IS/n first falls
+    # below eps_prime after the window (eps_prime the window's least N_IS/n)
+    # and not in it
+    spec, i0, grid = DegreeSpec.poisson(5, 30), 0.01, 1e-4
+    t_end = horizon_bound(limit_initial(spec, i0), 1.0, 0.5, 0.01)
+    (n, rep, past), = simulated(spec, SimParams(r=1.0, beta=0.5, t_max=0.05, record_grid=grid),
+                                [500], 1, 3, i0)
+    (_, _, to_end), = simulated(spec, SimParams(r=1.0, beta=0.5, t_max=t_end, record_grid=grid),
+                                [500], 1, 3, i0)
+    w = to_end.n_rows
+    assert w == next_row(t_end, grid) < past.n_rows
+    n_IS = past.column("N_IS") / n
+    eps_prime = n_IS[:w].min()
+    if crossing == "in":
+        eps_prime = np.nextafter(eps_prime, np.inf)
+    below = np.flatnonzero(n_IS < eps_prime)
+    assert (below[0] >= w) == (crossing == "after")
+    sol = solve_volz(limit_initial(spec, i0),
+                     SolverConfig(r=1.0, beta=0.5, t_max=0.05, dt=grid, eps_IS=0.0))
+    a = replica_record(past, n, rep, _limit_rows(sol, 1), eps_prime, t_end)
+    b = replica_record(to_end, n, rep, _limit_rows(sol, 1), eps_prime, t_end)
+    assert _same_record(a, b)
+    assert (a.tau == math.inf) == (crossing == "after")
