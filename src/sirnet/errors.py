@@ -9,9 +9,10 @@ import math
 MAX_POPULATION = 10**9
 
 # degrees, and so kmax, must not exceed this; a run's setup (the degree law,
-# its sample, the initial state and the limit's initial measures and
-# generating function) holds O(kmax) floats and ints, and at 10**6 levels
-# it peaks at about 240 MB, while a kmax of 10**9 asks for gigabytes
+# its sample, the initial state, the limit's initial measures and the
+# susceptible-moment table that sirnet.limit.susceptible_moments builds)
+# holds O(kmax) floats and ints, and at 10**6 levels it peaks at about
+# 240 MB, while a kmax of 10**9 asks for gigabytes
 MAX_DEGREE = 10**6
 
 # grid rows, t=0 included, that one simulated trajectory or one limit solve
@@ -33,6 +34,13 @@ MAX_GRID_ROWS = 10**7
 # fits up to kmax 15188, a solve of two rows up to kmax 14831, and 1541636
 # rows at kmax 30, 190736 at 300
 MAX_SOLVE_BYTES = 10**9
+
+# replicas that one converge study may run, over all its population sizes.
+# Until its report is written the caller keeps about 1.6 KB a replica: its
+# ReplicaRecord, its manifest seed entry and their JSON text (peak under
+# tracemalloc at 2,000 and 8,000 replicas of n=1000), so about 0.8 GB at
+# the cap, below MAX_SOLVE_BYTES
+MAX_REPLICAS = 5 * 10**5
 
 # a degree sample redraws until its total is even: the least chance of that it takes
 MIN_EVEN_TOTAL_CHANCE = 10**-3

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sirnet.errors import MAX_GRID_ROWS, ConfigurationError, check_nonnegative, check_positive
+from sirnet.errors import (
+    MAX_GRID_ROWS,
+    MAX_REPLICAS,
+    ConfigurationError,
+    check_nonnegative,
+    check_positive,
+)
 from sirnet.limit import (
     SolverConfig,
     check_solve_rate,
@@ -104,8 +110,12 @@ def _check_batch(n_values, reps, base_seed, workers):
     if len(set(n_values)) < len(n_values):
         raise ConfigurationError("population sizes must be distinct, got n="
                                  + ",".join(map(str, n_values)))
+    if reps * len(n_values) > MAX_REPLICAS:
+        raise ConfigurationError(
+            f"reps={reps} on {len(n_values)} population size(s) makes "
+            f"{reps * len(n_values)} replicas; a study runs at most {MAX_REPLICAS}")
     check_nonnegative(seed=base_seed)
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
 
@@ -161,7 +171,7 @@ def _share_result(pid, data, status):
 
 
 def run_replicas(spec, params, n_values, reps, base_seed, i0, limit, eps_prime,
-                 workers=None):
+                 workers=1):
     """``reps`` independent simulations for every n in ``n_values``, each
     reduced against ``limit`` on the window ``[0, params.t_max]``.
 
@@ -193,7 +203,7 @@ def run_replicas(spec, params, n_values, reps, base_seed, i0, limit, eps_prime,
         for n in n_values
         for rep in range(reps)
     ]
-    w = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    w = min(workers, len(jobs), os.cpu_count() or 1)
     if w == 1:
         return _run_many(jobs)
     out = [None] * len(jobs)
@@ -307,18 +317,19 @@ def convergence_report(records, tau_bar, t_max):
 
 
 def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
-               eps_prime=0.01, workers=None):
+               eps_prime=0.01, workers=1):
     """Every refusal of :func:`run_convergence_study`, made before anything
     is solved or simulated; returns the plan it runs, ``(params, init,
     config, stride, tau_bar)``: ``params`` runs the replicas to ``t_end =
     min(t_max, tau_bar)``, and ``config`` solves the limit from ``init`` to
     their last row in ``stride`` steps a grid step.  Besides invalid
     parameters, refuses fewer than two replicas per population size (no
-    standard error), a population size that ``i0`` leaves without
-    susceptibles or that :meth:`DegreeSpec.check_even_total` refuses, a
-    window ``[0, t_end]`` of fewer than two rows by
-    :func:`next_row`, which the replicas' row cap also counts, and a solve
-    that :class:`SolverConfig` or :func:`check_solve_rate` refuses."""
+    standard error), more than ``MAX_REPLICAS`` replicas in all, a
+    population size that ``i0`` leaves without susceptibles or that
+    :meth:`DegreeSpec.check_even_total` refuses, a window ``[0, t_end]``
+    of fewer than two rows by :func:`next_row`, which the replicas' row
+    cap also counts, and a solve that :class:`SolverConfig` or
+    :func:`check_solve_rate` refuses."""
     check_positive(t_max=t_max, record_grid=grid)
     if reps < 2:
         raise ConfigurationError(
@@ -349,7 +360,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
 
 
 def run_convergence_study(spec, r, beta, i0, n_values, reps, base_seed,
-                          t_max, grid, eps_prime=0.01, workers=None):
+                          t_max, grid, eps_prime=0.01, workers=1):
     """End-to-end study: limit solve, replica batch, report with manifest,
     by the plan of :func:`plan_study`, which makes every refusal first.
     Replicas simulate to ``t_end = min(t_max, tau_bar)``, the end of

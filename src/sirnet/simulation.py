@@ -38,7 +38,9 @@ Events:
 Waiting times are exponential with total rate ``r*N_IS + beta*I`` (direct
 Gillespie selection between the two event classes).  So the chain is SIR
 on the configuration model, a uniform pairing of half-edges revealed as
-infections reach it (Janson, Luczak & Windridge 2014).
+infections reach it (Janson, Luczak & Windridge 2014).  Once its class is
+chosen, an event is one call of :func:`fire`, which picks the level and
+moves the individual; the exact path-law test replays that same function.
 """
 
 from __future__ import annotations
@@ -452,6 +454,21 @@ def next_row(limit, grid, first=1, n_grid=MAX_GRID_ROWS):
     return i + 1
 
 
+def fire(state, removal, draws):
+    """Fire one event on ``state``: a removal if ``removal`` is true, else
+    an infection.  A removal moves an infective of the level
+    :func:`pick_uniform` draws over ``mu_IS`` (:func:`apply_removal`); an
+    infection infects a susceptible of the degree :func:`pick_size_biased`
+    draws over ``mu_S`` (:func:`apply_infection`).  :func:`simulate` fires
+    every event through it, and the exact path-law test replays it over
+    every draw sequence.  The four names are looked up as module globals,
+    so a wrapper set on one of them sees every call."""
+    if removal:
+        apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
+    else:
+        apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
+
+
 def simulate(state, params, rng):
     """Run the epidemic to ``t_max`` or extinction; record rows on the grid.
 
@@ -460,8 +477,10 @@ def simulate(state, params, rng):
     within ``GRID_TIE`` of ``g`` counting as after it.  One state and the
     number of grid rows it covers are recorded per run of rows, so the
     returned :class:`Trajectory` grows with the events, not with the
-    grid.  Once the total event rate is 0 the state is constant, so the
-    remaining grid rows repeat it; the terminal reason is then ``extinct``
+    grid.  Each event's class is a removal with chance ``beta I / rate``,
+    by one float uniform, and :func:`fire` then runs it.  Once the total
+    event rate is 0 the state is constant, so the remaining grid rows
+    repeat it; the terminal reason is then ``extinct``
     if no I-S edge is left, and ``t_max`` otherwise (both rates 0).  Every
     random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
@@ -507,10 +526,7 @@ def simulate(state, params, rng):
         if next_t <= t_new + GRID_TIE:  # the event follows a grid time
             emit_until(t_new)
         state.t = t_new
-        if draws.uniform() * rate < beta * state.I:
-            apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
-        else:
-            apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
+        fire(state, draws.uniform() * rate < beta * state.I, draws)
 
     # each infection takes one susceptible and each removal adds one removed
     return Trajectory(grid=grid, rows=np.array(rows, dtype=np.int64), runs=runs,

@@ -1,9 +1,10 @@
 """Shared fixtures.
 
 ``checked_events`` re-checks the bookkeeping of every event the simulator
-applies.  The event loop of :func:`sirnet.simulation.simulate` calls the
-module-level ``apply_infection`` and ``apply_removal``; the fixture wraps
-those two names, so the checks run on the production loop itself.  An
+applies.  The event loop of :func:`sirnet.simulation.simulate` fires each
+event through :func:`sirnet.simulation.fire`, which calls the module-level
+``apply_infection`` and ``apply_removal``; the fixture wraps those two
+names, so the checks run on the production loop itself.  An
 infection is one pass that draws its ``(j, l)``, takes the matched
 half-edges together and pairs the new infective's open half-edges, and
 returns ``(j, l, p)``, so the checked deltas are those of the half-edges

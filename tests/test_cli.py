@@ -884,6 +884,14 @@ ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.
     # one replica per size has no standard error to report
     (_with(CONVERGE, "--reps", "1") + ["--i0", "0.01", "--grid", "0.0001"],
      "reps=1: a standard error needs at least 2 replicas per population size"),
+    # the caller keeps a record and a seed entry per replica, over all
+    # sizes: more than 5 * 10**5 are refused before any job is built
+    (_with(CONVERGE, "--reps", str(10**12)) + ["--i0", "0.01", "--grid", "0.0001"],
+     f"reps={10**12} on 1 population size(s) makes {10**12} replicas; "
+     "a study runs at most 500000"),
+    (["converge", "--degree", "poisson:5:30", "--n", "200,400", "--reps", "250001",
+      "--r", "1", "--beta", "0.5", "--i0", "0.01", "--t-max", "1", "--grid", "0.0001"],
+     "reps=250001 on 2 population size(s) makes 500002 replicas; a study runs at most 500000"),
     # no rate, no horizon: the refusal names both rates
     (_with(_with(CONVERGE, "--r", "0"), "--beta", "0") + ["--i0", "0.01", "--grid", "0.0001"],
      "r=0 and beta=0: at least one rate must be positive"),
@@ -927,7 +935,8 @@ ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
         "simulate-poisson-kmax-too-large", "simulate-geometric-kmax-too-large",
         "converge-powerlaw-kmax-too-large",
-        "converge-reps-1", "converge-zero-rates", "simulate-grid-past-t-max",
+        "converge-reps-1", "converge-reps-too-many",
+        "converge-replicas-over-sizes", "converge-zero-rates", "simulate-grid-past-t-max",
         "converge-grid-past-window", "converge-solve-over-row-cap",
         "converge-stride-overflows", "simulate-odd-degrees-odd-n",
         "simulate-near-odd-degrees", "converge-one-odd-n"])

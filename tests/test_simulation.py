@@ -38,8 +38,6 @@ from sirnet.simulation import (
     apply_removal,
     initialize_state,
     next_row,
-    pick_size_biased,
-    pick_uniform,
     simulate,
 )
 
@@ -461,24 +459,17 @@ def lazy_path_law(mu_S, mu_IS, r, beta):
     events run from ``PopulationState(mu_S, mu_IS)`` until ``I = 0``.  The
     event class is a removal with probability ``beta I / (r N_IS + beta I)``
     exactly, in place of :func:`simulate`'s float uniform; each event is
-    the production ``pick_uniform``/``apply_removal`` or
-    ``pick_size_biased``/``apply_infection``, replayed over every draw
-    sequence."""
+    the production :func:`~sirnet.simulation.fire` of that class, replayed
+    over every draw sequence."""
     states = {}  # a state of each measure triple reached
 
     def key(state):
         return tuple(tuple(mu) for mu in (state.mu_S, state.mu_IS, state.mu_RS))
 
-    def removal(state, draws):
-        apply_removal(state, pick_uniform(state.mu_IS, state.I, draws))
-
-    def infection(state, draws):
-        apply_infection(state, pick_size_biased(state.mu_S, state.N_S, draws), draws)
-
-    def step(state, event):
+    def step(state, removal):
         def run(draws):
             after = copy.deepcopy(state)
-            event(after, draws)
+            simulation.fire(after, removal, draws)
             states.setdefault(key(after), after)
             return key(after)
         return run
@@ -488,12 +479,12 @@ def lazy_path_law(mu_S, mu_IS, r, beta):
         if not states[here].I:
             return {(): Fraction(1)}
         state = states[here]
-        rates = ((beta * state.I, removal), (r * state.N_IS, infection))
+        rates = ((beta * state.I, True), (r * state.N_IS, False))
         total = sum(rate for rate, _ in rates)
         law = {}
-        for rate, event in rates:
+        for rate, removal in rates:
             if rate:
-                for nxt, p in replay_law(step(state, event), one=Fraction(1)).items():
+                for nxt, p in replay_law(step(state, removal), one=Fraction(1)).items():
                     for path, q in law_from(nxt).items():
                         p_path = Fraction(rate, total) * p * q
                         law[(nxt,) + path] = law.get((nxt,) + path, 0) + p_path
@@ -502,33 +493,6 @@ def lazy_path_law(mu_S, mu_IS, r, beta):
     start = PopulationState(mu_S, mu_IS)
     states[key(start)] = start
     return {(key(start),) + path: p for path, p in law_from(key(start)).items()}
-
-
-def test_simulate_dispatches_each_event_to_its_picker(monkeypatch):
-    # lazy_path_law replays each event's pick through its own closures, so
-    # simulate's dispatch is pinned here: every removal picks a uniform
-    # infective over mu_IS and every infection a size-biased susceptible
-    # over mu_S, each with its measure's running total, one pick an event
-    rng = np.random.default_rng(8)
-    state = initialize_state(DegreeSpec.geometric(0.6, 40).sample(300, rng), 0.05, rng=rng)
-    picks = Counter()
-
-    def spy(name, measure, total):
-        real = getattr(simulation, name)
-
-        def pick(mu, got_total, draws):
-            assert mu is getattr(state, measure), (name, measure)
-            assert got_total == getattr(state, total), (name, total)
-            picks[name] += 1
-            return real(mu, got_total, draws)
-
-        return pick
-
-    monkeypatch.setattr(simulation, "pick_uniform", spy("pick_uniform", "mu_IS", "I"))
-    monkeypatch.setattr(simulation, "pick_size_biased", spy("pick_size_biased", "mu_S", "N_S"))
-    traj = simulate(state, SimParams(r=2.0, beta=1.0, t_max=5.0), rng=rng)
-    assert traj.n_removals > 0 and traj.n_infections > 0
-    assert picks == {"pick_uniform": traj.n_removals, "pick_size_biased": traj.n_infections}
 
 
 def _small_epidemics(degrees, max_n=4, max_total=8):
