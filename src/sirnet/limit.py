@@ -27,10 +27,14 @@ the influx (:func:`influx_vector`) takes its exponent and its binomial
 sums by matvecs against a table built once per solve
 (:func:`influx_kernel`), which keeps only the entries that can be
 nonzero, and sums each level's blocks in one ``bincount``, so an
-evaluation makes the same 22 numpy calls at any kmax.  The loop
-only integrates: each solver checks its finished run, by a mass rule and
-a floor rule that name ``dt``, and its :class:`Solution` accounts for the
-run: steps, right-hand-side evaluations and end time.  An a-priori
+evaluation makes the same 22 numpy calls at any kmax.  On arrays this
+short a call costs its overhead, so each is a ufunc or an ndarray
+method but ``bincount``, whose dispatcher is numpy Python code: every
+matvec is ``ndarray.dot``, the BLAS routine of ``np.dot`` and ``@`` on
+the same operands at less cost per call.  The loop only integrates:
+each solver checks its finished run, by a mass rule and a floor rule
+that name ``dt``, and its :class:`Solution` accounts for the run:
+steps, right-hand-side evaluations and end time.  An a-priori
 horizon bound for when the per-capita infectious edge count stays above
 a level ``eps`` (:func:`horizon_bound`) rounds out the module.
 """
@@ -93,14 +97,15 @@ def susceptible_moments(mu_S0):
     k = np.arange(len(mu_S0), dtype=float)
     slope = k * mu_S0
     table = np.stack((slope, k * (k - 1) * mu_S0, mu_S0, np.append(slope[1:], 0.0)))
+    dot = table.dot
 
     def moments(theta):
         if isinstance(theta, float):
-            return np.dot(table, theta ** k).tolist()
+            return dot(theta ** k).tolist()
         out = np.empty((len(theta), 4))
         rows = max(1, MOMENT_BLOCK // len(k))
         for lo in range(0, len(theta), rows):
-            np.dot(np.power.outer(theta[lo:lo + rows], k), table.T, out=out[lo:lo + rows])
+            np.power.outer(theta[lo:lo + rows], k).dot(table.T, out=out[lo:lo + rows])
         return out.T
 
     return moments
@@ -333,7 +338,7 @@ def rk4_integrate(rhs, y0, config, n_IS=None):
             k3 = rhs(y + 0.5 * dt * k2)
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            finite = np.isfinite(y).all()
+            finite = np.logical_and.reduce(np.isfinite(y))
         if not finite:
             raise _too_coarse(f"state became non-finite at t={(step + 1) * dt:.6g}", dt)
         store(y)
@@ -651,7 +656,8 @@ def influx_vector(table, pS, pI, pR, theta=1.0, scale=1.0):
     written in place, against its ``P``, and a call makes six numpy calls
     at any kmax: that matvec, one ``exp``, one power of ``y`` over a
     block's depths, one matvec against ``U``, one product over the
-    table's entries and one ``bincount`` summing each level's blocks.
+    table's entries and one ``bincount`` summing each level's blocks;
+    the matvecs are ``ndarray.dot`` calls, as the module docstring says.
     Otherwise ``scale`` multiplies the sum, and at ``x <= 0`` or
     ``y <= 0`` the exponent is summed term by term with ``0^0 = 1`` and
     ``0^j = 0``; a negative ``pI+pR`` has no power and gives NaN, which
@@ -665,7 +671,7 @@ def influx_vector(table, pS, pI, pR, theta=1.0, scale=1.0):
         coef[1] = math.log(x)
         coef[2] = math.log(y)
         coef[3] = math.log(theta) + math.log(scale)
-        terms = np.dot(coef, P)
+        terms = coef.dot(P)
     else:
         terms = P[0].copy()
         for z, j in ((abs(x), P[1]), (y, P[2]), (theta, P[3])):
@@ -676,7 +682,7 @@ def influx_vector(table, pS, pI, pR, theta=1.0, scale=1.0):
             else:
                 terms[:] = np.nan
     np.exp(terms, terms)
-    terms *= np.power(y, depths) @ U
+    terms *= np.power(y, depths).dot(U)
     out = np.bincount(level, terms, levels)
     if not scaled:
         out *= scale
@@ -706,16 +712,18 @@ def measure_rhs(y, r, beta, moments, table, levels):
     block, taken into a fresh derivative, which the two rates, the removal
     and the influx (scaled by ``r pI`` inside :func:`influx_vector`) then
     update in place, so a call makes 16 numpy calls at any kmax, the
-    moments' three included, beside :func:`influx_vector`'s six.  With
-    ``N_S`` at most ``DENOM_FLOOR`` the system is inert."""
+    moments' three included, beside :func:`influx_vector`'s six, each a
+    ufunc or an ndarray method: the matvecs are ``ndarray.dot``, as the
+    module docstring says.  With ``N_S`` at most ``DENOM_FLOOR`` the
+    system is inert."""
     theta = y.item(0)
     theta_S = max(theta, 0.0)
     N_S, N_S_rho, _, _ = moments(theta_S)
     if N_S <= DENOM_FLOOR:
-        return np.zeros_like(y)
+        return np.zeros(len(y))
     mu = y[1:]
     half = len(mu) // 2
-    N_IS, N_RS = np.dot(mu.reshape(2, half), levels[:half]).tolist()
+    N_IS, N_RS = mu.reshape(2, half).dot(levels[:half]).tolist()
     pI = N_IS / N_S
     pR = N_RS / N_S
     pS = (N_S - N_IS - N_RS) / N_S
@@ -723,7 +731,7 @@ def measure_rhs(y, r, beta, moments, table, levels):
     # mass at level i drifts to level i-1 in proportion to i, in both rows;
     # the I-S row's top level meets the R-S row's level 0, which has no flux
     flux = levels * mu
-    d = np.empty_like(y)
+    d = np.empty(len(y))
     np.subtract(flux[1:], flux[:-1], d[1:-1])
     d[-1] = -flux[-1]
     d_IS, d_RS = d[1 : half + 1], d[half + 1 :]
@@ -768,7 +776,7 @@ def solve_measures(init, config):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ts, ys, terminal = rk4_integrate(
             lambda y: measure_rhs(y, r, beta, moments, table, packed_k), y0, config,
-            n_IS=lambda y: float(k @ y[1 : levels + 1]),
+            n_IS=lambda y: float(k.dot(y[1 : levels + 1])),
         )
         theta = ys[:, 0]
         mu_IS = ys[:, 1 : levels + 1]

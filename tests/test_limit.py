@@ -1,6 +1,8 @@
 import collections
 import math
+import os
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -207,6 +209,44 @@ def test_solve_measures_calls_rhs_and_influx_by_name(monkeypatch, t_max, eps_IS,
     assert calls == {"measure_rhs": 4 * steps, "influx_vector": 4 * steps}
 
 
+def _numpy_python_calls(run):
+    """How many calls of a Python function under numpy's package ``run()``
+    makes: numpy's own wrappers and dispatchers, not its C methods and
+    ufuncs, which raise no profiler ``call`` event."""
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize("degree", ["poisson:5:30", "powerlaw:2.5:1:300"])
+@pytest.mark.parametrize("solver,per_eval", [(solve_volz, 0), (miller_theta, 0),
+                                             (solve_measures, 1)])
+def test_rk4_steps_call_no_numpy_python_function(degree, solver, per_eval):
+    # a solve's per-step cost on a small state is per-call overhead, so each
+    # call its RK4 loop makes is a ufunc or an ndarray method; only the
+    # measure influx's np.bincount, once an evaluation, runs its Python
+    # dispatcher.  90 more steps make 360 more evaluations; anything else a
+    # solve calls runs once per solve, or once per block of its columns
+    init = limit_initial(DegreeSpec.from_string(degree), 0.01)
+    calls = [_numpy_python_calls(
+        lambda: solver(init, SolverConfig(r=1.0, beta=0.5, t_max=steps * 1e-3, dt=1e-3,
+                                          eps_IS=0.0)))
+        for steps in (10, 100)]
+    assert calls[1] - calls[0] == 4 * 90 * per_eval, calls
+
+
 def _traced_peak(build):
     """``build()`` and the peak bytes tracemalloc saw it take."""
     tracemalloc.start()
@@ -406,11 +446,30 @@ def test_rk4_order_on_scalar_ode():
     assert errs[0] / errs[1] == pytest.approx(16, rel=0.3)
 
 
-def test_rk4_non_finite_state_names_dt():
-    # the guard every solver shares: no NaN or inf row is ever returned
+@pytest.mark.parametrize("path, bad", [
+    pytest.param("array", [np.inf] * 3, id="array-all-inf"),
+    *[pytest.param(path, [0.5, v, 0.25], id=f"{path}-{v}")
+      for path in ("array", "float") for v in (np.nan, np.inf, -np.inf)],
+])
+def test_rk4_non_finite_state_names_dt(path, bad):
+    # the guard every solver shares: no NaN or inf row is ever returned.  The
+    # derivative is finite over the first step and holds ``bad`` from the
+    # second on, so the state turns non-finite at t=0.5, in one entry among
+    # finite ones or in all; a list state runs the array path, a tuple the
+    # float path
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        d = bad if calls > 4 else [0.5, -1.0, 0.25]
+        return np.array(d) if path == "array" else d
+
+    y0 = [1.0, 0.0, 2.0] if path == "array" else (1.0, 0.0, 2.0)
     cfg = SolverConfig(r=1.0, beta=0.5, t_max=1.0, dt=0.25)
-    with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.25; dt=0\.25"):
-        rk4_integrate(lambda y: np.full_like(y, np.inf), [1.0, 0.0], cfg)
+    with pytest.raises(SolverDiagnosticError, match=r"non-finite at t=0\.5; dt=0\.25"):
+        rk4_integrate(rhs, y0, cfg)
+    assert calls == 8
 
 
 def test_rk4_float_path_non_finite_state_names_dt():

@@ -533,6 +533,41 @@ def test_path_law_equals_explicit_configuration_model(r, beta):
         assert sum(lazy.values()) == 1
 
 
+def test_event_class_is_a_removal_with_chance_beta_I_over_rate(monkeypatch):
+    # each event of simulate is a removal with chance p = beta I / (r N_IS +
+    # beta I) of the state before it, so removals minus the sum of the p's
+    # is a martingale whose variance is the sum of p(1-p).  Wrapping fire
+    # reads each event's class and state on the production loop.  The runs
+    # stop at t=5, where the limit's N_IS is 0.0017 a node (100 edges at
+    # n=60000), so no event meets N_IS = 0 and a class choice that would
+    # infect there is caught by this law, not by an infeasible draw.  The
+    # four runs make about 4.2e5 events and a variance of about 66,000.
+    # Over seeds 1-4, 5-8, ... 21-24 |z| stayed under 1.4; cutting the
+    # infection share by 5% (u (rate - 0.05 r N_IS) < beta I) read z of
+    # 11.4 to 13.9, and a removal chance of 0.99 p read -6.7 to -8.4.
+    r, beta, n = 1.0, 0.5, 60000
+    params = SimParams(r=r, beta=beta, t_max=5.0, record_grid=5.0)
+    fire = simulation.fire
+    removals, sum_p, var = 0, 0.0, 0.0
+
+    def recorded(state, removal, draws):
+        nonlocal removals, sum_p, var
+        p = beta * state.I / (r * state.N_IS + beta * state.I)
+        removals += removal
+        sum_p += p
+        var += p * (1.0 - p)
+        fire(state, removal, draws)
+
+    monkeypatch.setattr(simulation, "fire", recorded)
+    spec = DegreeSpec.poisson(5, 30)
+    for seed in (1, 2, 3, 4):
+        rng = np.random.default_rng(seed)
+        simulate(initialize_state(spec.sample(n, rng), 0.01, rng=rng), params, rng=rng)
+    z = (removals - sum_p) / math.sqrt(var)
+    assert var > 60000, var
+    assert abs(z) < 4, (z, removals, sum_p, var)
+
+
 def _z_score(a, b):
     """Two-sample z-score of the difference of the means of ``a`` and ``b``."""
     se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
