@@ -12,7 +12,11 @@ files are written atomically (temp file then rename) and every run also
 writes a ``<out>.meta.json`` embedding the resolved configuration, so a
 result file is always traceable to the exact inputs that produced it.
 Relative output paths resolve against ``$SIRNET_OUTDIR`` when set, and
-two outputs of one run that name one file are refused (exit 2).
+two outputs of one run that name one file are refused (exit 2).  What a
+command refuses before its work starts is its plan's to say:
+``plan_simulate``, ``plan_solve`` or ``plan_study``, which ``--dry-run``
+calls alone and the real run calls first, so this module checks nothing
+of its own.
 """
 
 from __future__ import annotations
@@ -23,24 +27,21 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 import sirnet
 from sirnet.degrees import DegreeSpec
-from sirnet.errors import ConfigurationError, check_nonnegative
+from sirnet.errors import ConfigurationError
 from sirnet.harness import manifest_json, plan_study, run_convergence_study
 from sirnet.limit import (
     SolverConfig,
-    check_measures_memory,
-    check_solve_rate,
     limit_initial,
     limit_initial_from_pI0,
     miller_theta,
+    plan_solve,
     reproduction_number,
     solve_measures,
     solve_volz,
 )
-from sirnet.simulation import SimParams, check_event_rate, initialize_state, simulate
+from sirnet.simulation import SimParams, plan_simulate, simulate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -241,15 +242,12 @@ def cmd_r0(args):
 
 def cmd_simulate(args):
     paths = _output_paths(args.out, snapshots=args.snapshots)
-    check_nonnegative(seed=args.seed)
     spec = DegreeSpec.from_string(args.degree)
     params = SimParams(r=args.r, beta=args.beta, t_max=args.t_max,
                        record_grid=args.grid,
                        snapshot_measures=bool(args.snapshots))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    state = initialize_state(spec.sample(args.n, rng), args.i0, rng=rng)
+    state, rng = plan_simulate(spec, args.n, args.i0, params, args.seed)
     if args.dry_run:
-        check_event_rate(state, params)  # the check simulate makes first
         print("config ok (dry run)")
         return EXIT_OK
     config = {
@@ -279,10 +277,8 @@ def cmd_solve(args):
     stop = {"eps_IS": args.eps_is} if "eps_is" in args else {}
     config = SolverConfig(r=args.r, beta=args.beta, t_max=args.t_max,
                           dt=args.dt, **stop)
-    if args.dry_run:  # the checks each solver makes first
-        check_solve_rate(init, config)
-        if args.which == "measures":
-            check_measures_memory(init, config)
+    if args.dry_run:
+        plan_solve(args.which, init, config)
         print("config ok (dry run)")
         return EXIT_OK
     # looked up per call, so a wrapper set on a module-level name sees the call

@@ -33,17 +33,17 @@ from sirnet.errors import (
 )
 from sirnet.limit import (
     SolverConfig,
-    check_solve_rate,
     horizon_bound,
     limit_initial,
+    plan_solve,
     solve_volz,
 )
 from sirnet.simulation import (
     SimParams,
     Trajectory,
     initial_infective_count,
-    initialize_state,
     next_row,
+    plan_simulate,
     simulate,
 )
 
@@ -96,8 +96,7 @@ def replica_seed(base_seed, n, rep):
 
 def _run_one(args):
     spec, params, n, rep, base_seed, i0, limit, eps_prime = args
-    rng = np.random.Generator(np.random.PCG64(replica_seed(base_seed, n, rep)))
-    state = initialize_state(spec.sample(n, rng), i0, rng=rng)
+    state, rng = plan_simulate(spec, n, i0, params, replica_seed(base_seed, n, rep))
     traj = simulate(state, params, rng=rng)
     return replica_record(traj, n, rep, limit, eps_prime, params.t_max)
 
@@ -329,7 +328,8 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     :meth:`DegreeSpec.check_even_total` refuses, a window ``[0, t_end]``
     of fewer than two rows by :func:`next_row`, which the replicas' row
     cap also counts, and a solve that :class:`SolverConfig` or
-    :func:`check_solve_rate` refuses."""
+    :func:`plan_solve` refuses for ``volz``.  Each replica's own start,
+    drawn from its seed, is planned by :func:`plan_simulate` as it runs."""
     check_positive(t_max=t_max, record_grid=grid)
     if reps < 2:
         raise ConfigurationError(
@@ -355,7 +355,7 @@ def plan_study(spec, r, beta, i0, n_values, reps, base_seed, t_max, grid,
     stride = math.ceil(min(grid / SolverConfig.dt, MAX_GRID_ROWS))
     config = SolverConfig(r=r, beta=beta, t_max=params.grid_steps * grid,
                           dt=grid / stride, eps_IS=0.0)
-    check_solve_rate(init, config)
+    plan_solve("volz", init, config)
     return params, init, config, stride, tau_bar
 
 

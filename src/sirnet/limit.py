@@ -227,11 +227,18 @@ def limit_initial_from_pI0(spec, pI0):
     return limit_initial(spec, pI0 / (1.0 + pI0))
 
 
-def check_solve_rate(init, config):
-    """Refuse rates whose per-capita total event rate can overflow
-    (:func:`check_rate_bound` at ``N_S0`` and ``S0 + I0``): no step is then
-    small enough for them.  Every solver checks this before integrating."""
+def plan_solve(which, init, config):
+    """Every refusal that the solver ``which`` (``volz``, ``measures`` or
+    ``miller``) makes from ``init`` and ``config`` before it integrates:
+    rates whose per-capita total event rate can overflow
+    (:func:`check_rate_bound` at ``N_S0`` and ``S0 + I0``), since no step
+    is small enough for them, then, for ``measures``, a solve whose arrays
+    would outgrow ``MAX_SOLVE_BYTES`` (:func:`check_measures_memory`).
+    Each solver calls it first, so a dry run that calls it alone refuses
+    what the solve would refuse."""
     check_rate_bound(config.r, config.beta, init.N_S0, init.S0 + init.I0)
+    if which == "measures":
+        check_measures_memory(init, config)
 
 
 def reproduction_number(spec, r, beta):
@@ -440,13 +447,13 @@ def solve_volz(init, config):
     A run failing any raises :class:`SolverDiagnosticError`; a run passing
     records the first sum's largest drift as ``max_simplex_drift`` and
     the largest residual of its :func:`edge_identities` as
-    ``max_edge_residual``.  Rates that :func:`check_solve_rate` refuses
-    are refused first.  A step too coarse for the rates can drive
-    ``theta`` past what its powers hold; the powers and moments then
-    overflow to non-finite values without a warning, in the run or in its
-    columns, and rk4's finite check or these rules report it.
+    ``max_edge_residual``.  What :func:`plan_solve` refuses is refused
+    first.  A step too coarse for the rates can drive ``theta`` past what
+    its powers hold; the powers and moments then overflow to non-finite
+    values without a warning, in the run or in its columns, and rk4's
+    finite check or these rules report it.
     """
-    check_solve_rate(init, config)
+    plan_solve("volz", init, config)
     moments = susceptible_moments(init.mu_S0)
     pI0 = init.pI0
     y0 = (1.0, init.I0, 0.0, pI0, 1.0 - pI0, 0.0, init.N_IS0, 0.0, init.N_S0)
@@ -756,14 +763,12 @@ def solve_measures(init, config):
     and no weight of ``mu_IS`` or ``mu_RS`` may fall below 0 by more than
     that; a run failing either raises :class:`SolverDiagnosticError`,
     naming ``dt``, and a run passing records its smallest weight as
-    ``min_weight``.  Rates that :func:`check_solve_rate` refuses, and then
-    a solve whose arrays together would outgrow ``MAX_SOLVE_BYTES``
-    (:func:`check_measures_memory`), are refused first.  A step too
-    coarse can overflow the run or its moments, quietly, as in
-    :func:`solve_volz`.
+    ``min_weight``.  What :func:`plan_solve` refuses, rates and then a
+    solve whose arrays together would outgrow ``MAX_SOLVE_BYTES``, is
+    refused first.  A step too coarse can overflow the run or its moments,
+    quietly, as in :func:`solve_volz`.
     """
-    check_solve_rate(init, config)
-    check_measures_memory(init, config)
+    plan_solve("measures", init, config)
     w0 = init.mu_S0
     levels = len(w0)
     k = np.arange(levels, dtype=float)
@@ -823,12 +828,12 @@ def miller_theta(init, config):
     is not written out, and checks the finished run as :func:`solve_volz`
     does: an ``S + I + R`` with that ``I`` that drifts from ``S0 + I0`` by
     more than ``MASS_TOL`` of it shows a step too coarse for the rates and
-    raises :class:`SolverDiagnosticError`.  Rates that
-    :func:`check_solve_rate` refuses are refused first.  ``g`` and ``g'``
-    come from :func:`susceptible_moments`; a ``theta`` driven past what
-    their powers hold makes them non-finite without a warning, which rk4's
-    finite check or these rules report, as in :func:`solve_volz`."""
-    check_solve_rate(init, config)
+    raises :class:`SolverDiagnosticError`.  What :func:`plan_solve`
+    refuses is refused first.  ``g`` and ``g'`` come from
+    :func:`susceptible_moments`; a ``theta`` driven past what their powers
+    hold makes them non-finite without a warning, which rk4's finite check
+    or these rules report, as in :func:`solve_volz`."""
+    plan_solve("miller", init, config)
     moments = susceptible_moments(init.mu_S0)
     r, beta = config.r, config.beta
     pS0 = 1.0 - init.pI0

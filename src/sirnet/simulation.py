@@ -68,6 +68,9 @@ _WORD = 1 << 63  # integer draws reduce uniform 63-bit words
 # a grid time within GRID_TIE after an event counts as after it, so its row
 # holds the event: the rule of simulate's rows and of every window of them
 GRID_TIE = 1e-12
+# the finest record_grid a run takes: the tie puts rows past t_max, up to
+# GRID_TIE / record_grid of them, which below this is more than round-off
+MIN_GRID = 1e3 * GRID_TIE
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +179,17 @@ class SimParams:
                 f"record_grid={self.record_grid:g} is coarser than t_max={self.t_max!r}, "
                 "so no row follows t=0")
         if steps >= MAX_GRID_ROWS:  # grid_steps counts no further
-            rows = (next_row(self.t_max, self.record_grid, n_grid=2**53)
-                    if self.t_max / self.record_grid < 2**53 else f"more than {MAX_GRID_ROWS}")
+            rows = next_row(self.t_max, self.record_grid, n_grid=2**53)
+            if rows > 2**53:  # next_row counts no further
+                rows = f"more than {MAX_GRID_ROWS}"
             raise ConfigurationError(
                 f"record_grid={self.record_grid:g} puts {rows} rows on "
                 f"[0, t_max={self.t_max:g}]; a trajectory stores at most {MAX_GRID_ROWS}")
+        if self.record_grid < MIN_GRID:
+            raise ConfigurationError(
+                f"record_grid={self.record_grid:g} is finer than {MIN_GRID:g}: a grid "
+                f"time within {GRID_TIE:g} after an event counts as after it, so rows "
+                f"up to {GRID_TIE:g} past t_max={self.t_max:g} would be recorded")
 
     @property
     def grid_steps(self):
@@ -310,6 +319,24 @@ def check_event_rate(state, params):
     (:func:`check_rate_bound` at ``state``); an infinite rate would
     compare ``inf`` with ``inf`` in the choice of event."""
     check_rate_bound(params.r, params.beta, state.N_S, state.S + state.I + state.R)
+
+
+def plan_simulate(spec, n, i0, params, seed):
+    """Every refusal of a :func:`simulate` run of ``params`` on ``n``
+    individuals with degrees drawn from ``spec``, made before its first
+    event; returns its start ``(state, rng)``.  ``seed`` is an int, refused
+    if negative, or a :class:`numpy.random.SeedSequence`; the PCG64
+    generator it seeds draws the degree counts, then the initial
+    infectives (:func:`initialize_state`), and is left to draw the events.
+    Besides what those draws refuse, refuses rates that
+    :func:`check_event_rate` refuses at the state drawn."""
+    if not isinstance(seed, np.random.SeedSequence):
+        check_nonnegative(seed=seed)
+        seed = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = initialize_state(spec.sample(n, rng), i0, rng=rng)
+    check_event_rate(state, params)
+    return state, rng
 
 
 def initialize_state(counts, i0, *, rng):
@@ -485,7 +512,9 @@ def simulate(state, params, rng):
     random number comes from ``rng``:
     identically seeded generators and parameters reproduce the trajectory
     bit for bit.  Rates that :func:`check_event_rate` refuses are refused
-    before the first event.
+    before the first event: :func:`plan_simulate`, which makes every
+    refusal of a run, has refused them at a start it drew, and a state
+    built otherwise is checked here.
     """
     check_event_rate(state, params)
     draws = BlockDraws(rng)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import sirnet
 from sirnet.cli import _snapshot_lines, build_parser, main
 from sirnet.degrees import DegreeSpec
+from sirnet.errors import ConfigurationError
 from sirnet.limit import SolverConfig, limit_initial, solve_measures, solve_volz
 from sirnet.simulation import SimParams, initialize_state, simulate
 
@@ -825,6 +827,107 @@ def test_solve_contract(tmp_path_factory, which, law, r, beta, i0, dt, t_max, ep
                 assert np.isfinite(weights).all() and min(weights) >= -1e-6
 
 
+# simulate's own options: sound values, and hostile ones of which a draw
+# takes at most two
+SIM_OPTIONS = {
+    "--n": (["300", "2000"], ["0", "-1", "1", "2", str(10**9), str(2**64), "1e300"]),
+    "--i0": (["0.01", "0.3"], ["0", "-0.1", "nan", "inf", "1e-300", "0.5", "0.6", "1"]),
+    "--seed": (["0", "7", str(2**64)], ["-1", "nan", "1e300"]),
+    "--t-max": (["0.5", "2"], ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-15"]),
+    "--grid": (["0.05", "0.5"], ["0", "-1", "nan", "inf", "1e-300", "1e300", "1e-16", "1e-9"]),
+}
+
+
+@st.composite
+def sim_options(draw):
+    hostile = draw(st.lists(st.sampled_from(list(SIM_OPTIONS)), max_size=2, unique=True))
+    return {option: draw(st.sampled_from(values[option in hostile]))
+            for option, values in SIM_OPTIONS.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+# a --grid finer than the grid tie recorded 10011 rows, up to t = 1.001e-12
+@example(law="poisson:5:30", r=1.0, beta=1.0, snapshots=False, options={
+    "--n": "1000", "--i0": "0.01", "--seed": "0", "--t-max": "1e-15", "--grid": "1e-16"})
+@given(law=st.sampled_from(SOLVE_LAWS), r=st.sampled_from(SOLVE_RATES),
+       beta=st.sampled_from(SOLVE_RATES), snapshots=st.booleans(), options=sim_options())
+def test_simulate_contract(tmp_path_factory, law, r, beta, snapshots, options):
+    # a dry run exits 0 or 2, and a real run exits 2 exactly when it does,
+    # with its message; a small accepted run writes a finite trajectory on
+    # [0, t_max] and its .meta.json, the same bytes on a repeat
+    d = tmp_path_factory.mktemp("simulate")
+    if law.startswith("{"):
+        (d / "w.json").write_text(law)
+        law = f"file:{d / 'w.json'}"
+    out, snaps = d / "x.csv", d / "x.jsonl"
+    args = ["simulate", "--degree", law, "--r", repr(r), "--beta", repr(beta),
+            *[text for item in options.items() for text in item], "--out", str(out)]
+    if snapshots:
+        args += ["--snapshots", str(snaps)]
+    dry, dry_err = _quiet_main(args + ["--dry-run"])
+    assert dry in (0, 2)
+    if dry == 0:
+        t_max, grid = float(options["--t-max"]), float(options["--grid"])
+        if int(options["--n"]) > 2000 or t_max / grid + 1 > 1e4:
+            return  # accepted, but too large to run here
+    code, err = _quiet_main(args)
+    assert code in (0, 2) and (dry == 2) == (code == 2)
+    if code == 2:
+        assert err == dry_err
+        assert not out.exists()
+        return
+    files = [out, Path(str(out) + ".meta.json")] + ([snaps] if snapshots else [])
+    written = [f.read_bytes() for f in files]
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) >= 2 and np.isfinite(rows).all()
+    assert (len(rows) - 1) * grid < t_max + grid
+    if snapshots:
+        assert len(snaps.read_text().splitlines()) == len(rows)
+    assert _quiet_main(args) == (0, "")
+    assert [f.read_bytes() for f in files] == written
+
+
+# each command's plan, the module that defines it, and a command it plans
+PLANS = [
+    ("sirnet.simulation", "plan_simulate", SIM),
+    ("sirnet.limit", "plan_solve", VOLZ),
+    ("sirnet.limit", "plan_solve", MEASURES + ["--snapshots", "x.jsonl"]),
+    ("sirnet.limit", "plan_solve", MILLER),
+    ("sirnet.harness", "plan_study", CONVERGE + ["--i0", "0.01", "--grid", "0.0001"]),
+]
+
+
+@pytest.mark.parametrize("module,plan,args", PLANS,
+                         ids=["simulate", "volz", "measures", "miller", "converge"])
+def test_refusal_planted_in_a_plan_reaches_dry_and_real_run(tmp_path, capsys,
+                                                             monkeypatch, module, plan, args):
+    # a refusal added at the end of a command's plan refuses its dry run and
+    # its real run alike, before the real run writes anything: each calls
+    # the plan, through whichever module binds it
+    original = vars(importlib.import_module(module))[plan]
+
+    def planted(*a, **k):
+        original(*a, **k)
+        raise ConfigurationError(f"planted in {plan}")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").partition(".")[0] == "sirnet" \
+                and vars(mod).get(plan) is original:
+            monkeypatch.setattr(mod, plan, planted)
+    monkeypatch.chdir(tmp_path)
+    for dry in (["--dry-run"], []):
+        assert run(args + dry + ["--out", "x.csv"], capsys) == (
+            2, "", f"configuration error: planted in {plan}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_makes_no_check_of_its_own():
+    # the checks a command makes before its work live in its plan
+    import sirnet.cli
+
+    assert [name for name in vars(sirnet.cli) if name.startswith("check_")] == []
+
+
 @pytest.mark.parametrize("extra,field", [
     (["--i0", "0.001", "--eps-prime", "0.01", "--grid", "0.0001"], "eps_prime"),
     (["--i0", "0.01"], "grid"),  # default grid 0.05 against tau_bar 0.0013
@@ -861,6 +964,11 @@ POPULATION_BOUND = (f"population size n={10**9} must be below {10**9}, "
 # the refusal of odd.json's law, degree 3 alone, at an odd n
 ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.0}}}} have '
              "the even total that a pairing of half-edges needs with chance 0, below 0.001")
+
+
+# the refusal of a grid 1e-<exponent> on a span that ends at t_max
+FINE_GRID = ("record_grid=1e-{} is finer than 1e-09: a grid time within 1e-12 after an "
+             "event counts as after it, so rows up to 1e-12 past t_max={} would be recorded")
 
 
 @pytest.mark.parametrize("args,message", [
@@ -931,6 +1039,23 @@ ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.
     (["converge", "--degree", "file:odd.json", "--n", "200,201", "--reps", "2", "--r", "1",
       "--beta", "0.5", "--i0", "0.01", "--t-max", "1", "--grid", "0.0001"],
      ODD_TOTAL.format(201)),
+    # a grid finer than 1e3 * GRID_TIE: on [0, 1e-15] the tie recorded
+    # 10011 rows, up to t = 1.001e-12
+    (["simulate", "--degree", "poisson:5:30", "--n", "1000", "--r", "1", "--beta", "0.5",
+      "--i0", "0.01", "--t-max", "1e-15", "--grid", "1e-16"], FINE_GRID.format(16, "1e-15")),
+    # the window [0, tau_bar = 1.345e-13] held 12 rows, up to t = 1.1e-12
+    (["converge", "--degree", "poisson:5:30", "--n", "1000", "--reps", "2", "--r", "1e10",
+      "--beta", "1", "--i0", "0.01", "--t-max", "1", "--grid", "1e-13"],
+     FINE_GRID.format(13, "1.34544e-13")),
+    # the dry run passed, and the real run exited 1 naming the solve's dt
+    (["converge", "--degree", "poisson:5:30", "--n", "1000", "--reps", "2", "--r", "1e20",
+      "--beta", "1", "--i0", "0.01", "--t-max", "1", "--grid", "1e-13"],
+     FINE_GRID.format(13, "1.34544e-23")),
+    # next_row's cap of 2**53 + 1 rows, not a count of them
+    (["converge", "--degree", "poisson:5:30", "--n", "100000", "--reps", "2", "--r", "1e303",
+      "--beta", "1", "--i0", "0.01", "--t-max", "1", "--grid", "1e-306"],
+     "record_grid=1e-306 puts more than 10000000 rows on [0, t_max=1.34544e-306]; "
+     "a trajectory stores at most 10000000"),
 ], ids=["converge-n-1", "converge-negative-seed", "simulate-negative-seed",
         "converge-repeated-n", "simulate-n-too-large", "converge-n-too-large",
         "simulate-poisson-kmax-too-large", "simulate-geometric-kmax-too-large",
@@ -939,7 +1064,9 @@ ODD_TOTAL = ('n={} degrees drawn from {{"kind": "explicit", "weights": {{"3": 1.
         "converge-replicas-over-sizes", "converge-zero-rates", "simulate-grid-past-t-max",
         "converge-grid-past-window", "converge-solve-over-row-cap",
         "converge-stride-overflows", "simulate-odd-degrees-odd-n",
-        "simulate-near-odd-degrees", "converge-one-odd-n"])
+        "simulate-near-odd-degrees", "converge-one-odd-n", "simulate-grid-finer-than-tie",
+        "converge-grid-finer-than-tie", "converge-grid-finer-than-tie-at-r-1e20",
+        "converge-rows-past-next-row-cap"])
 def test_dry_run_refuses_as_real_run(tmp_path, capsys, monkeypatch, args, message):
     import sirnet.harness
 

@@ -29,6 +29,7 @@ from sirnet.cli import _atomic_write, _snapshot_lines
 from sirnet.degrees import DegreeSpec
 from sirnet.errors import ConfigurationError, InfeasibleDrawError, StateCorruptionError
 from sirnet.harness import plan_study
+from sirnet.limit import horizon_bound, limit_initial
 from sirnet.simulation import (
     BlockDraws,
     PopulationState,
@@ -416,6 +417,35 @@ def test_params_refuse_grid_too_fine_to_store():
     with pytest.raises(ConfigurationError,
                        match="record_grid=4.94066e-324 puts more than 10000000 rows"):
         SimParams(r=1.0, beta=0.5, t_max=10.0, record_grid=5e-324)  # t_max/grid overflows
+
+
+def test_params_row_cap_names_no_count_at_next_rows_cap():
+    # converge's window at r=1e303 ends at tau_bar = 1.34544e-306, a ratio
+    # of 1345 grid steps to t_max, but its rows reach t_max + GRID_TIE:
+    # next_row stops at its cap of 2**53 + 1, which is no count of rows
+    t_end = horizon_bound(limit_initial(DegreeSpec.poisson(5, 30), 0.01), 1e303, 1.0, 0.01)
+    assert t_end / 1e-306 < 2**53
+    with pytest.raises(ConfigurationError) as refused:
+        SimParams(r=1e303, beta=1.0, t_max=t_end, record_grid=1e-306)
+    assert str(refused.value) == (
+        "record_grid=1e-306 puts more than 10000000 rows on [0, t_max=1.34544e-306]; "
+        "a trajectory stores at most 10000000")
+
+
+def test_params_refuse_grid_finer_than_the_tie():
+    # a grid time within GRID_TIE after an event counts as after it, so a
+    # grid of 1e-16 recorded 10011 rows on [0, 1e-15], the last at
+    # t = 1.001e-12; a grid of MIN_GRID = 1e3 * GRID_TIE is the finest taken
+    assert simulation.MIN_GRID == 1e3 * simulation.GRID_TIE
+    assert SimParams(r=1.0, beta=0.5, t_max=1e-3, record_grid=1e-9).grid_steps == 10**6
+    finer = float(np.nextafter(simulation.MIN_GRID, 0))
+    for t_max, grid in ((1e-15, 1e-16), (1e-3, finer), (1.34544e-13, 1e-13)):
+        with pytest.raises(ConfigurationError) as refused:
+            SimParams(r=1.0, beta=0.5, t_max=t_max, record_grid=grid)
+        assert str(refused.value) == (
+            f"record_grid={grid:g} is finer than 1e-09: a grid time within 1e-12 after "
+            f"an event counts as after it, so rows up to 1e-12 past t_max={t_max:g} "
+            "would be recorded")
 
 
 def test_csv_lines_schema():
